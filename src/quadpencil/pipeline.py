@@ -75,11 +75,13 @@ EXTERNAL_INPUTS = (
     "(Colliot-Thelene-Sansuc-Swinnerton-Dyer, Prop. 2.2-type); non-conical "
     "is equivalent to the Jacobian matrix of (Q1, Q2) vanishing identically "
     "at no point (Lemma 1.12-type).",
-    "irrationality over Q (recorded, not certified): the Jacobian of the "
-    "genus-2 curve has Mordell-Weil rank 0 and Pic^1_C(Q) is empty per "
-    "Fisher-Yan-type unconditional rank computations, making the class of "
-    "the variety of lines an element of order 4 in the Tate-Shafarevich "
-    "group; none of this is recomputed here.",
+    "irrationality over Q (recorded from the source paper, not certified): "
+    "the Jacobian of the genus-2 curve has Mordell-Weil rank 0 and "
+    "Pic^1_C(Q) is empty per Fisher-Yan-type unconditional rank "
+    "computations; the paper concludes that the class of the variety of "
+    "lines is an element of order 4 in the Tate-Shafarevich group, which "
+    "needs a local point at every place, so it applies here only if every "
+    "place of this certificate has a point; none of this is recomputed here.",
 )
 
 
@@ -379,7 +381,7 @@ def _good_prime_stage(
     pencil: PencilOfQuadrics, prime: int, cfg: PipelineConfig
 ) -> tuple[dict, Optional[str]]:
     """Certificate entry for a sampled good prime."""
-    locus = singular_locus(pencil, prime)
+    locus = singular_locus(pencil, prime, method="kernel-guided")
     entry: dict = {
         "place": str(prime),
         "kind": "good prime",
@@ -428,7 +430,7 @@ def _reduction_stage(
         report["kind"] = "mod2-degeneracy"
         return report, None
     try:
-        locus = singular_locus(pencil, prime)
+        locus = singular_locus(pencil, prime, method="kernel-guided")
     except ValueError as error:
         entry = {
             "prime": str(prime),

@@ -25,12 +25,25 @@ from .quadric import (
 # Largest prime for which the exhaustive P^5(F_p) scan is offered.
 EXHAUSTIVE_LOCUS_PRIME_BOUND = 13
 
-# Hard cap on kernel-subspace candidates in the kernel-guided method.
+# Hard cap on kernel-subspace candidates in the kernel-guided method, and
+# on its p + 1 kernel solves when f vanishes identically mod p.
 KERNEL_CANDIDATE_CAP = 10**6
 
 
 class DegenerateReductionError(ValueError):
     """A form vanishes identically mod p, so X_p is not cut by two quadrics."""
+
+
+class KernelCandidateCapError(ValueError):
+    """The kernel-guided method would exceed KERNEL_CANDIDATE_CAP candidates."""
+
+
+def _check_candidate_cap(count: int) -> None:
+    if count > KERNEL_CANDIDATE_CAP:
+        raise KernelCandidateCapError(
+            f"kernel candidate enumeration exceeds the cap "
+            f"({count} > {KERNEL_CANDIDATE_CAP})"
+        )
 
 
 def reduce_form(q: QuadraticForm, p: int) -> QuadraticForm:
@@ -216,18 +229,28 @@ def _kernel_guided_locus(
 ) -> list[tuple[tuple[int, ...], int]]:
     """Singular points via vertices of the singular pencil members.
 
-    A singular point of a complete-intersection X_p has proportional
-    gradients, hence lies in the kernel of some singular member of the pencil;
-    for members at simple roots of f mod p the vertex misses X_p, so only
-    repeated roots of f mod p (and the t = infinity member when deg(f mod p)
-    <= 4) can contribute.
+    A singular point x of the complete intersection X_p (p odd) has
+    proportional gradients, a*B1*x + b*B2*x = 0 with (a, b) != 0, so x lies in
+    the kernel of the member B1 - t*B2 (t = -b/a in F_p) or of B2 (a = 0).
+    Simple roots of f mod p contribute nothing: if t0 is a simple root and v
+    spans the kernel of B1 - t0*B2, then f'(t0) = -c * v^T B2 v with
+    c != 0, so Q2(v) != 0 and the vertex is not on Q2, hence not on X_p.
+    So only repeated roots of f mod p are searched, plus the member B2 when
+    t = infinity is a repeated root, i.e. deg(f mod p) <= 4.  When f vanishes
+    identically mod p every member is singular, and the kernels of all p + 1
+    members are searched; those p + 1 kernel solves count against
+    KERNEL_CANDIDATE_CAP like the candidates of each kernel.
     """
     f = pencil.char_form
     b1 = _doubled_gram(pencil.q1)
     b2 = _doubled_gram(pencil.q2)
+    if any(c % p for c in f.coeffs):
+        members = [root.residue for root in repeated_roots_mod_p(f, p)]
+    else:
+        _check_candidate_cap(p + 1)
+        members = list(range(p))
     kernels: list[list[list[int]]] = []
-    for root in repeated_roots_mod_p(f, p):
-        t0 = root.residue
+    for t0 in members:
         member = [
             [(b1[i][j] - t0 * b2[i][j]) % p for j in range(NUM_VARIABLES)]
             for i in range(NUM_VARIABLES)
@@ -245,12 +268,7 @@ def _kernel_guided_locus(
         dim = len(basis)
         if dim == 0:
             continue
-        count = (p**dim - 1) // (p - 1)
-        if count > KERNEL_CANDIDATE_CAP:
-            raise RuntimeError(
-                f"kernel candidate enumeration exceeds the cap "
-                f"({count} > {KERNEL_CANDIDATE_CAP})"
-            )
+        _check_candidate_cap((p**dim - 1) // (p - 1))
         # Normalized coefficient tuples (first nonzero entry 1) enumerate the
         # projective points of the kernel subspace exactly once.
         for lead in range(dim):
@@ -282,8 +300,10 @@ def singular_locus(
     """Singular points of X mod p (p odd), exhaustively or kernel-guided.
 
     method None picks "exhaustive" for p <= 13 and "kernel-guided" above;
-    both can be requested explicitly for cross-validation.  p = 2 is rejected
-    (see mod2_degeneracy); non-complete-intersection reductions are rejected.
+    both can be requested explicitly for cross-validation.  run_pipeline
+    always requests "kernel-guided"; the exhaustive scan is the oracle.
+    p = 2 is rejected (see mod2_degeneracy); non-complete-intersection
+    reductions are rejected.
     """
     if not is_probable_prime(prime):
         raise ValueError(f"{prime} is not prime")

@@ -9,7 +9,14 @@ from fractions import Fraction
 
 import pytest
 
-from quadpencil import PipelineConfig, canonical_json, run_pipeline
+from quadpencil import (
+    PipelineConfig,
+    canonical_json,
+    parse_input,
+    run_pipeline,
+    singular_locus,
+)
+from quadpencil import reduction
 from quadpencil.cli import main as cli_main
 
 from conftest import (
@@ -192,6 +199,35 @@ def test_reduction_reports(analyze_runs):
     checks = locus["witness_checks"]
     assert len(checks) == 1
     assert checks[0]["in_computed_locus"] is True
+
+
+def test_pipeline_computes_every_locus_kernel_guided(monkeypatch):
+    pencil = parse_input(EXAMPLE).pencil
+    good_primes = (3, 5, 7, 11, 13)
+    expected = {
+        p: [list(pt) for pt in singular_locus(pencil, p, method="exhaustive").points]
+        for p in good_primes
+    }
+
+    def refuse(*_args):
+        raise AssertionError("the pipeline ran the exhaustive locus scan")
+
+    monkeypatch.setattr(reduction, "_exhaustive_locus", refuse)
+    for path in (EXAMPLE, NO_WITNESS):
+        certificate = run_pipeline(PipelineConfig(input_path=path, workers=1))
+        good = [
+            e for e in certificate.local_certificates if e["kind"] == "good prime"
+        ]
+        assert [e["place"] for e in good] == [str(p) for p in good_primes]
+        for entry in good:
+            assert entry["singular_locus_method"] == "kernel-guided"
+            assert "(kernel-guided scan)" in entry["justification"]
+            assert entry["singular_locus"] == expected[int(entry["place"])]
+        loci = [
+            r for r in certificate.reduction_reports if r["kind"] == "singular-locus"
+        ]
+        assert loci
+        assert all(r["method"] == "kernel-guided" for r in loci)
 
 
 def test_every_echoed_witness_reverifies_standalone(analyze_runs):
@@ -458,6 +494,29 @@ def test_reduction_subcommand(tmp_path):
     out, _, code = run_cli(["reduction", str(path), "--prime", "3"])
     assert code == 2
     assert "error" in json.loads(out)
+
+
+def test_kernel_candidate_cap_is_an_incomplete_result(tmp_path):
+    # Mod 1000003 the member Q1 - Q2 has a 2-dimensional kernel, whose
+    # 1000004 projective points exceed the kernel-guided candidate cap.
+    path = tmp_path / "cap.txt"
+    path.write_text(
+        "Q1: u^2 + 1000004v^2 + 3w^2 + 4x^2 + 5y^2 + 6z^2\n"
+        "Q2: u^2 + v^2 + w^2 + x^2 + y^2 + z^2\n"
+    )
+    out, err, code = run_cli(["analyze", str(path)])
+    assert code == 2
+    assert "Traceback" not in err
+    doc = json.loads(out)
+    assert "reduction analysis failed at 1000003" in doc["incomplete_reasons"]
+    report = next(r for r in doc["reduction_reports"] if r["prime"] == "1000003")
+    assert "exceeds the cap" in report["error"]
+
+    out, _, code = run_cli(
+        ["reduction", str(path), "--prime", "1000003", "--method", "kernel-guided"]
+    )
+    assert code == 2
+    assert "exceeds the cap" in json.loads(out)["error"]
 
 
 @pytest.mark.parametrize(

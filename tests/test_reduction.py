@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -16,7 +17,10 @@ from quadpencil import (
     normalize_projective,
     reduce_pencil,
     singular_locus,
+    smoothness_check,
 )
+from quadpencil.exactmath import poly_discriminant
+from quadpencil.reduction import KernelCandidateCapError
 
 from conftest import (
     BIG_PRIME,
@@ -65,6 +69,78 @@ def test_kernel_guided_agrees_with_exhaustive(example_pencil):
         guided = singular_locus(example_pencil, p, method="kernel-guided")
         assert exhaustive.points == guided.points
         assert exhaustive.ranks == guided.ranks
+
+
+def _diagonal_pencil(a, b) -> PencilOfQuadrics:
+    return PencilOfQuadrics(
+        QuadraticForm({(i, i): c for i, c in enumerate(a) if c}),
+        QuadraticForm({(i, i): c for i, c in enumerate(b) if c}),
+    )
+
+
+# f = -(3 - 3t)(2 - t)(3 - t)(4 - t)(5 - t)(6 - t) is squarefree, but every
+# coefficient is divisible by 3: mod 3 both forms miss u, so e_u is a vertex.
+F_ZERO_MOD_3 = ((3, 2, 3, 4, 5, 6), (3, 1, 1, 1, 1, 1))
+
+
+def _random_form(rng: random.Random) -> QuadraticForm:
+    """Coefficients in [-3, 3], mixed ones even (so f is integral)."""
+    coeffs = {}
+    for i in range(6):
+        for j in range(i, 6):
+            c = rng.randint(-3, 3) if i == j else 2 * rng.randint(-1, 1)
+            if c:
+                coeffs[(i, j)] = c
+    return QuadraticForm(coeffs)
+
+
+def test_kernel_guided_agrees_with_exhaustive_on_random_pencils():
+    rng = random.Random(1)
+    pencils = [_diagonal_pencil(*F_ZERO_MOD_3)]
+    while len(pencils) < 15:
+        pencil = PencilOfQuadrics(_random_form(rng), _random_form(rng))
+        if smoothness_check(pencil) == "smooth":
+            pencils.append(pencil)
+    loci = nonempty = 0
+    for pencil in pencils:
+        f = pencil.char_form
+        support = poly_discriminant(f) * int(f.leading())
+        for p in (3, 5, 7, 11, 13):
+            if support % p:
+                continue
+            try:
+                exhaustive = singular_locus(pencil, p, method="exhaustive")
+            except ValueError:
+                continue  # degenerate or not a complete intersection mod p
+            guided = singular_locus(pencil, p, method="kernel-guided")
+            assert (guided.points, guided.ranks) == (
+                exhaustive.points,
+                exhaustive.ranks,
+            ), (pencil, p)
+            loci += 1
+            nonempty += bool(exhaustive.points)
+    assert loci >= 20
+    assert nonempty >= 10
+
+
+def test_kernel_guided_when_f_vanishes_mod_p():
+    pencil = _diagonal_pencil(*F_ZERO_MOD_3)
+    assert smoothness_check(pencil) == "smooth"
+    assert all(c % 3 == 0 for c in pencil.char_form.coeffs)
+    for method in ("exhaustive", "kernel-guided"):
+        report = singular_locus(pencil, 3, method=method)
+        assert report.points == ((1, 0, 0, 0, 0, 0),)
+        assert report.ranks == (0,)
+        assert report.conical is True
+
+
+def test_kernel_candidate_cap_counts_the_member_kernels():
+    # f vanishes mod p: the p + 1 kernel solves exceed the cap before any runs.
+    p = 1000003
+    pencil = _diagonal_pencil((p, 2, 3, 4, 5, 6), (p, 1, 1, 1, 1, 1))
+    assert all(c % p == 0 for c in pencil.char_form.coeffs)
+    with pytest.raises(KernelCandidateCapError, match="1000004 > 1000000"):
+        singular_locus(pencil, p)
 
 
 def test_singular_locus_guards(example_pencil):
