@@ -179,7 +179,6 @@ def _cmd_fano_search(args) -> int:
         charts=charts,
         exhaustive=exhaustive,
         seed=args.seed,
-        workers=args.workers,
     )
     mode = (
         "exhaustive"
@@ -323,7 +322,10 @@ def _add_search_options(parser: argparse.ArgumentParser) -> None:
         help="PRNG seed for the sampling search (recorded for reproducibility)",
     )
     parser.add_argument(
-        "--workers", type=int, default=8, help="worker threads for searches"
+        "--workers",
+        type=int,
+        default=8,
+        help="accepted for compatibility (must be >= 1); has no effect",
     )
 
 
@@ -444,6 +446,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _normalize_args(args):
+    if getattr(args, "workers", 1) < 1:
+        raise _UsageError("workers must be >= 1")
     if getattr(args, "good_primes_text", None) is not None:
         parts = [p.strip() for p in args.good_primes_text.split(",") if p.strip()]
         if not parts or not all(p.isdigit() for p in parts):

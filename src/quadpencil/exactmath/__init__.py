@@ -12,6 +12,7 @@ from .matrix import (
     det_poly_matrix,
     kernel_mod_p,
     rank_mod_p,
+    rref_mod_p,
     solve_mod_p,
 )
 from .multipoly import MultiPoly
@@ -40,6 +41,7 @@ __all__ = [
     "poly_discriminant",
     "rank_mod_p",
     "repeated_roots_mod_p",
+    "rref_mod_p",
     "solve_mod_p",
     "sqrt_mod_p",
     "squarefree_degree6",

@@ -149,36 +149,47 @@ def det_cofactor(m: ExactMatrix):
 # ---------------------------------------------------------------------------
 
 
-def _rows_mod(matrix, p: int) -> list[list[int]]:
+def _as_rows(matrix) -> list[list]:
     if isinstance(matrix, ExactMatrix):
-        rows = matrix.to_rows()
-    else:
-        rows = [list(r) for r in matrix]
-    return [[int(x) % p for x in r] for r in rows]
+        return matrix.to_rows()
+    return [list(r) for r in matrix]
 
 
-def rank_mod_p(matrix, p: int) -> int:
-    """Rank over F_p of an integer matrix (works for every prime, including 2)."""
-    rows = _rows_mod(matrix, p)
+def rref_mod_p(matrix, p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over F_p and its pivot columns.
+
+    Gauss-Jordan elimination column by column, left to right: each pivot row
+    is scaled to a leading 1 and its column is cleared in every other row.
+    Zero rows come last.  Elimination stops as soon as every row has a pivot,
+    since no later column can then hold one.  Works for every prime,
+    including 2; this is the only elimination loop of the package.
+    """
+    rows = [[int(x) % p for x in r] for r in _as_rows(matrix)]
+    pivots: list[int] = []
     if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        return rows, pivots
+    nrows = len(rows)
+    for c in range(len(rows[0])):
+        rank = len(pivots)
+        pivot = next((i for i in range(rank, nrows) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         inv = pow(rows[rank][c], -1, p)
-        rows[rank] = [x * inv % p for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(rows[i][j] - f * rows[rank][j]) % p for j in range(ncols)]
-        rank += 1
-        if rank == len(rows):
+        lead = rows[rank] = [x * inv % p for x in rows[rank]]
+        for i in range(nrows):
+            f = rows[i][c]
+            if f and i != rank:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], lead)]
+        pivots.append(c)
+        if rank + 1 == nrows:
             break
-    return rank
+    return rows, pivots
+
+
+def rank_mod_p(matrix, p: int) -> int:
+    """Rank over F_p of an integer matrix (works for every prime, including 2)."""
+    return len(rref_mod_p(matrix, p)[1])
 
 
 def kernel_mod_p(matrix, p: int) -> list[list[int]]:
@@ -189,65 +200,34 @@ def kernel_mod_p(matrix, p: int) -> list[list[int]]:
     """
     if p == 2:
         raise ValueError("p = 2: kernel_mod_p requires an odd prime")
-    rows = _rows_mod(matrix, p)
+    rows, pivots = rref_mod_p(matrix, p)
     if not rows:
         return []
     ncols = len(rows[0])
-    pivots: list[int] = []
-    rank = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][c], -1, p)
-        rows[rank] = [x * inv % p for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(rows[i][j] - f * rows[rank][j]) % p for j in range(ncols)]
-        pivots.append(c)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free:
+    for free in range(ncols):
+        if free in pivots:
+            continue
         v = [0] * ncols
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-rows[i][fc]) % p
+        v[free] = 1
+        for row, c in zip(rows, pivots):
+            v[c] = -row[free] % p
         basis.append(v)
     return basis
 
 
 def solve_mod_p(matrix, rhs: list[int], p: int) -> list[int] | None:
     """One solution of A x = rhs over F_p (free variables set to 0), or None."""
-    rows = _rows_mod(matrix, p)
-    b = [int(x) % p for x in rhs]
-    if len(rows) != len(b):
+    rows = _as_rows(matrix)
+    if len(rows) != len(rhs):
         raise ValueError("rhs length mismatch")
     if not rows:
         return []
     ncols = len(rows[0])
-    aug = [rows[i] + [b[i]] for i in range(len(rows))]
-    pivots: list[int] = []
-    rank = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(rank, len(aug)) if aug[i][c]), None)
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        inv = pow(aug[rank][c], -1, p)
-        aug[rank] = [x * inv % p for x in aug[rank]]
-        for i in range(len(aug)):
-            if i != rank and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [(aug[i][j] - f * aug[rank][j]) % p for j in range(ncols + 1)]
-        pivots.append(c)
-        rank += 1
-    for i in range(rank, len(aug)):
-        if aug[i][ncols]:
-            return None
+    reduced, pivots = rref_mod_p([r + [b] for r, b in zip(rows, rhs)], p)
+    if pivots and pivots[-1] == ncols:
+        return None  # a pivot in the right-hand side: 0 = 1
     x = [0] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][ncols]
+    for row, c in zip(reduced, pivots):
+        x[c] = row[ncols]
     return x

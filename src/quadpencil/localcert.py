@@ -4,7 +4,6 @@ and the real place."""
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -20,7 +19,7 @@ from .fano import (
     verify_fano_point,
 )
 from .pencil import CurveData, PencilOfQuadrics
-from .quadric import NUM_VARIABLES, QuadraticForm, evaluate_form
+from .quadric import NUM_VARIABLES, evaluate_form, polar_matrix
 
 # Default evaluation budget per chart for pseudo-random sampling (p > 5).
 DEFAULT_BUDGET = 10**6
@@ -60,18 +59,6 @@ class LocalPointCertificate:
     isolating_intervals: tuple[tuple[Fraction, Fraction], ...] | None = None
 
 
-def _polar_matrix(q: QuadraticForm) -> list[list[int]]:
-    """Integer matrix P with a^T P b = polar_form(q, a, b)."""
-    rows = [[0] * NUM_VARIABLES for _ in range(NUM_VARIABLES)]
-    for (i, j), c in q.coeffs.items():
-        if i == j:
-            rows[i][i] = 2 * c
-        else:
-            rows[i][j] = c
-            rows[j][i] = c
-    return rows
-
-
 def _half_templates(chart: GrassmannChart):
     """Ambient-vector builders for the two chart rows.
 
@@ -107,8 +94,8 @@ def _scan_chart(
     is identical to the naive p^8 scan.
     """
     q1, q2 = pencil.q1, pencil.q2
-    p1 = _polar_matrix(q1)
-    p2 = _polar_matrix(q2)
+    p1 = polar_matrix(q1)
+    p2 = polar_matrix(q2)
     template_a, template_b = _half_templates(system.chart)
 
     half_range = list(product(range(p), repeat=4))
@@ -154,9 +141,7 @@ class CensusEntry:
     smooth_points: tuple[tuple[int, ...], ...]
 
 
-def chart_census(
-    pencil: PencilOfQuadrics, prime: int, workers: int = 1
-) -> list[CensusEntry]:
+def chart_census(pencil: PencilOfQuadrics, prime: int) -> list[CensusEntry]:
     """Exhaustive census of all 15 charts over F_p (p small).
 
     Deterministic: charts in lexicographic pivot order, points sorted.
@@ -167,18 +152,12 @@ def chart_census(
         raise ValueError(
             f"exhaustive census infeasible for p > {EXHAUSTIVE_PRIME_HARD_CAP}"
         )
-    charts = all_charts()
-    systems = [fano_system(pencil, c) for c in charts]
-
-    def scan(system: FanoSystem) -> CensusEntry:
-        points = _scan_chart(pencil, system, prime)
+    census = []
+    for chart in all_charts():
+        points = _scan_chart(pencil, fano_system(pencil, chart), prime)
         smooth = tuple(pt for pt, rank in points if rank == FANO_CODIMENSION)
-        return CensusEntry(system.chart, len(points), smooth)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(scan, systems))
-    return [scan(system) for system in systems]
+        census.append(CensusEntry(chart, len(points), smooth))
+    return census
 
 
 def search_smooth_points(
@@ -188,7 +167,6 @@ def search_smooth_points(
     charts=None,
     exhaustive: bool | None = None,
     seed: int = DEFAULT_SEED,
-    workers: int = 1,
     stop_after: int | None = None,
 ) -> list[tuple[GrassmannChart, tuple[int, ...], int]]:
     """Smooth F_p-points of the Fano system, sorted by (chart pivots, coords).
@@ -215,27 +193,14 @@ def search_smooth_points(
 
     results: list[tuple[GrassmannChart, tuple[int, ...], int]] = []
     if do_exhaustive:
-        systems = [fano_system(pencil, c) for c in charts]
-
-        def scan(system: FanoSystem):
-            return [
-                (system.chart, pt, rank)
-                for pt, rank in _scan_chart(pencil, system, prime)
+        for chart in charts:
+            results.extend(
+                (chart, pt, rank)
+                for pt, rank in _scan_chart(pencil, fano_system(pencil, chart), prime)
                 if rank == FANO_CODIMENSION
-            ]
-
-        if stop_after is not None:
-            for system in systems:
-                results.extend(scan(system))
-                if len(results) >= stop_after:
-                    break
-        elif workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for chunk in pool.map(scan, systems):
-                    results.extend(chunk)
-        else:
-            for system in systems:
-                results.extend(scan(system))
+            )
+            if stop_after is not None and len(results) >= stop_after:
+                break
     else:
         for chart in charts:
             system = fano_system(pencil, chart)
@@ -264,28 +229,6 @@ def search_smooth_points(
     return results
 
 
-def _pivot_columns(jac_rows: list[list[int]], p: int) -> list[int]:
-    """Pivot column indices of a matrix over F_p (leftmost echelon order)."""
-    rows = [[x % p for x in r] for r in jac_rows]
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    rank = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][c], -1, p)
-        rows[rank] = [x * inv % p for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(rows[i][j] - f * rows[rank][j]) % p for j in range(ncols)]
-        pivots.append(c)
-        rank += 1
-    return pivots
-
-
 def hensel_certify(
     system: FanoSystem, pt, prime: int, lift_precision: int = 3
 ) -> LocalPointCertificate:
@@ -310,18 +253,15 @@ def hensel_certify(
             [entry.evaluate_mod(coords, prime) for entry in row]
             for row in system.jacobian
         ]
-        columns = _pivot_columns(jac_rows, prime)
-        square = [[jac_rows[i][c] for c in columns] for i in range(FANO_CODIMENSION)]
         for e in range(1, lift_precision):
             modulus = prime ** (e + 1)
             residuals = [eq.evaluate(x) % modulus for eq in system.equations]
             rhs = [(-(r // prime**e)) % prime for r in residuals]
-            gamma = solve_mod_p(square, rhs, prime)
-            if gamma is None:  # impossible for an invertible square system
+            # Rank 6 = number of rows, so the step always solves; free
+            # variables are 0, i.e. delta lives on the pivot columns.
+            delta = solve_mod_p(jac_rows, rhs, prime)
+            if delta is None:
                 raise ArithmeticError("Newton step failed on a full-rank system")
-            delta = [0] * NUM_PARAMETERS
-            for c, g in zip(columns, gamma):
-                delta[c] = g
             x = [(x[l] + prime**e * delta[l]) % modulus for l in range(NUM_PARAMETERS)]
         final_modulus = prime**lift_precision
         if any(eq.evaluate(x) % final_modulus for eq in system.equations):

@@ -99,8 +99,9 @@ class PipelineConfig:
     sampling search at bad primes beyond the exhaustive bound when no
     witness is supplied; it is off by default because the expected hit
     rate for a codimension-6 system is p^-6 per sample, which is
-    impractical for large p.  ``workers`` never affects certificate bytes
-    and is therefore not echoed into the certificate.
+    impractical for large p.  ``workers`` is validated (>= 1) but has no
+    effect: every search runs in one thread.  It is not echoed into the
+    certificate.
     """
 
     input_path: str
@@ -302,7 +303,7 @@ def _bad_prime_stage(
     searched = None
     if chosen is None:
         if prime <= EXHAUSTIVE_PRIME_BOUND:
-            census = chart_census(pencil, prime, workers=cfg.workers)
+            census = chart_census(pencil, prime)
             census_echo = [
                 {
                     "chart": _chart_ui(entry.chart),
@@ -401,7 +402,7 @@ def _good_prime_stage(
         f"(Lang) lifting to a Q_{prime}-point (Hensel); see external_inputs"
     )
     if prime <= EXHAUSTIVE_PRIME_BOUND:
-        found = search_smooth_points(pencil, prime, workers=cfg.workers)
+        found = search_smooth_points(pencil, prime)
         if found:
             chart, point, _rank = found[0]
             system = fano_system(pencil, chart)

@@ -79,6 +79,22 @@ def gram_matrix(q: QuadraticForm) -> ExactMatrix:
     return ExactMatrix.from_rows(rows)
 
 
+def polar_matrix(q: QuadraticForm) -> list[list[int]]:
+    """Integer rows of P = 2 * gram_matrix(q), so a^T P b = polar_form(q, a, b).
+
+    P is the Hessian of q; unlike the Gram matrix it is integral, so it can be
+    reduced mod any prime.
+    """
+    rows = [[0] * NUM_VARIABLES for _ in range(NUM_VARIABLES)]
+    for (i, j), c in q.coeffs.items():
+        if i == j:
+            rows[i][i] = 2 * c
+        else:
+            rows[i][j] = c
+            rows[j][i] = c
+    return rows
+
+
 def evaluate_form(q: QuadraticForm, v) -> object:
     """q(v) straight from the integer coefficients.
 

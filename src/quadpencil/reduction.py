@@ -11,6 +11,7 @@ from .exactmath import (
     kernel_mod_p,
     rank_mod_p,
     repeated_roots_mod_p,
+    rref_mod_p,
     sqrt_mod_p,
 )
 from .pencil import PencilOfQuadrics
@@ -20,6 +21,8 @@ from .quadric import (
     QuadraticForm,
     evaluate_form,
     gradient_at,
+    polar_form,
+    polar_matrix,
 )
 
 # Largest prime for which the exhaustive P^5(F_p) scan is offered.
@@ -73,79 +76,49 @@ def normalize_projective(v, p: int) -> tuple[int, ...]:
     return tuple(c * inv % p for c in coords)
 
 
+def _binary_roots(alpha: int, gamma: int, beta: int, p: int) -> list[tuple[int, int]]:
+    """Projective F_p-roots (r : s) of g = alpha*r^2 + gamma*r*s + beta*s^2.
+
+    p is odd and g is not identically 0 mod p; roots are normalized and
+    sorted.  A square root mod p of the discriminant decides them.
+    """
+    if alpha % p == 0:
+        # g = s * (gamma*r + beta*s)
+        candidates = [(1, 0), (beta, -gamma)]
+    else:
+        root = sqrt_mod_p((gamma * gamma - 4 * alpha * beta) % p, p)
+        if root is None:
+            return []
+        inv2a = pow(2 * alpha, -1, p)
+        candidates = [((-gamma + sign * root) * inv2a, 1) for sign in (1, -1)]
+    return sorted(
+        {normalize_projective(c, p) for c in candidates if c[0] % p or c[1] % p}
+    )
+
+
 def _linear_factors_mod_p(q: QuadraticForm, p: int) -> list[tuple[int, ...]]:
     """All F_p-rational linear forms dividing q, normalized, for odd p.
 
-    A quadratic form has a linear factor only when its (doubled) Gram matrix
-    has rank <= 2; rank 1 gives a squared factor, rank 2 a binary quadratic
-    whose splitting is decided by a square root mod p.
+    A quadratic form has a linear factor only when its polar matrix has rank
+    <= 2; rank 1 gives a squared factor, rank 2 a binary quadratic whose
+    splitting is decided by a square root mod p.
     """
-    doubled = [[0] * NUM_VARIABLES for _ in range(NUM_VARIABLES)]
-    for (i, j), c in q.coeffs.items():
-        if i == j:
-            doubled[i][i] = 2 * c % p
-        else:
-            doubled[i][j] = c % p
-            doubled[j][i] = c % p
-    rank = rank_mod_p(doubled, p)
-    if rank > 2:
+    rows, pivots = rref_mod_p(polar_matrix(q), p)
+    if len(pivots) > 2:
         return []
-    if rank == 1:
-        row = next(r for r in doubled if any(x % p for x in r))
-        return [normalize_projective(row, p)]
-    # rank == 2: reduce the row space to two echelon rows l1, l2; then
-    # q = g(l1(x), l2(x)) for the binary quadratic g read off at the pivots.
-    rows = [list(r) for r in doubled]
-    ncols = NUM_VARIABLES
-    pivots: list[int] = []
-    rk = 0
-    for c in range(ncols):
-        piv = next((i for i in range(rk, len(rows)) if rows[i][c] % p), None)
-        if piv is None:
-            continue
-        rows[rk], rows[piv] = rows[piv], rows[rk]
-        inv = pow(rows[rk][c] % p, -1, p)
-        rows[rk] = [x * inv % p for x in rows[rk]]
-        for i in range(len(rows)):
-            if i != rk and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(rows[i][j] - f * rows[rk][j]) % p for j in range(ncols)]
-        pivots.append(c)
-        rk += 1
-        if rk == 2:
-            break
+    if len(pivots) == 1:
+        return [normalize_projective(rows[0], p)]
+    # rank 2: q = g(l1(x), l2(x)) for the two echelon rows l1, l2 and the
+    # binary quadratic g read off at the pivots; a root (r : s) of g gives
+    # the factor s*l1 - r*l2.
     l1, l2 = rows[0], rows[1]
-    c1, c2 = pivots[0], pivots[1]
-    e1 = [0] * NUM_VARIABLES
-    e2 = [0] * NUM_VARIABLES
-    e12 = [0] * NUM_VARIABLES
-    e1[c1] = 1
-    e2[c2] = 1
-    e12[c1] = 1
-    e12[c2] = 1
-    alpha = evaluate_form(q, e1) % p
-    beta = evaluate_form(q, e2) % p
-    gamma = (evaluate_form(q, e12) - alpha - beta) % p
-    factors: list[tuple[int, ...]] = []
-    if alpha == 0:
-        # g = s * (gamma*r + beta*s): factors l2 and gamma*l1 + beta*l2.
-        factors.append(normalize_projective(l2, p))
-        other = [(gamma * l1[k] + beta * l2[k]) % p for k in range(NUM_VARIABLES)]
-        if any(other):
-            factors.append(normalize_projective(other, p))
-    else:
-        disc = (gamma * gamma - 4 * alpha * beta) % p
-        root = sqrt_mod_p(disc, p)
-        if root is None:
-            return []
-        inv2a = pow(2 * alpha % p, -1, p)
-        for sign in (1, -1):
-            slope = (-gamma + sign * root) * inv2a % p
-            # factor l1 - slope * l2 == 0 on the branch r = slope * s.
-            vec = [(l1[k] - slope * l2[k]) % p for k in range(NUM_VARIABLES)]
-            factors.append(normalize_projective(vec, p))
-    unique = sorted(set(factors))
-    return unique
+    e1, e2 = ([int(k == c) for k in range(NUM_VARIABLES)] for c in pivots)
+    g = (evaluate_form(q, e1), polar_form(q, e1, e2), evaluate_form(q, e2))
+    factors = {
+        normalize_projective([(s * a - r * b) % p for a, b in zip(l1, l2)], p)
+        for r, s in _binary_roots(*g, p)
+    }
+    return sorted(factors)
 
 
 def _assert_complete_intersection(
@@ -213,15 +186,37 @@ def _exhaustive_locus(
     return found
 
 
-def _doubled_gram(q: QuadraticForm) -> list[list[int]]:
-    rows = [[0] * NUM_VARIABLES for _ in range(NUM_VARIABLES)]
-    for (i, j), c in q.coeffs.items():
-        if i == j:
-            rows[i][i] = 2 * c
-        else:
-            rows[i][j] = c
-            rows[j][i] = c
-    return rows
+def _kernel_points(r1: QuadraticForm, r2: QuadraticForm, basis, p: int):
+    """Vectors covering every projective point of span(basis) on X_p.
+
+    On a 2-dimensional kernel a point of X_p is a root of each form's
+    restriction, a binary quadratic, so when one restriction is not
+    identically 0 its at most 2 roots are the only candidates.  (On
+    ker(B1 - t0*B2) Q1 = t0*Q2, and on ker B2 Q2 = 0, so the two restrictions
+    carry the same information.)  Otherwise every projective point of the
+    kernel is a candidate, counted against KERNEL_CANDIDATE_CAP.
+    """
+    dim = len(basis)
+    if dim == 2:
+        a, b = basis
+        for q in (r2, r1):
+            g = [evaluate_form(q, a), polar_form(q, a, b), evaluate_form(q, b)]
+            if any(c % p for c in g):
+                for r, s in _binary_roots(*g, p):
+                    yield [(r * x + s * y) % p for x, y in zip(a, b)]
+                return
+    _check_candidate_cap((p**dim - 1) // (p - 1))
+    # Normalized coefficient tuples (first nonzero entry 1) enumerate the
+    # projective points of the kernel subspace exactly once.
+    for lead in range(dim):
+        for tail in product(range(p), repeat=dim - lead - 1):
+            coeffs = (0,) * lead + (1,) + tail
+            v = [0] * NUM_VARIABLES
+            for c, vec in zip(coeffs, basis):
+                if c:
+                    for k in range(NUM_VARIABLES):
+                        v[k] = (v[k] + c * vec[k]) % p
+            yield v
 
 
 def _kernel_guided_locus(
@@ -242,8 +237,8 @@ def _kernel_guided_locus(
     KERNEL_CANDIDATE_CAP like the candidates of each kernel.
     """
     f = pencil.char_form
-    b1 = _doubled_gram(pencil.q1)
-    b2 = _doubled_gram(pencil.q2)
+    b1 = polar_matrix(pencil.q1)
+    b2 = polar_matrix(pencil.q2)
     if any(c % p for c in f.coeffs):
         members = [root.residue for root in repeated_roots_mod_p(f, p)]
     else:
@@ -265,31 +260,16 @@ def _kernel_guided_locus(
     seen: set[tuple[int, ...]] = set()
     found = []
     for basis in kernels:
-        dim = len(basis)
-        if dim == 0:
-            continue
-        _check_candidate_cap((p**dim - 1) // (p - 1))
-        # Normalized coefficient tuples (first nonzero entry 1) enumerate the
-        # projective points of the kernel subspace exactly once.
-        for lead in range(dim):
-            for tail in product(range(p), repeat=dim - lead - 1):
-                coeffs = (0,) * lead + (1,) + tail
-                v = [0] * NUM_VARIABLES
-                for c, vec in zip(coeffs, basis):
-                    if c:
-                        for k in range(NUM_VARIABLES):
-                            v[k] = (v[k] + c * vec[k]) % p
-                if not any(v):
-                    continue
-                point = normalize_projective(v, p)
-                if point in seen:
-                    continue
-                seen.add(point)
-                if evaluate_form(r1, point) % p or evaluate_form(r2, point) % p:
-                    continue
-                rank = _ambient_rank(r1, r2, point, p)
-                if rank <= 1:
-                    found.append((point, rank))
+        for v in _kernel_points(r1, r2, basis, p):
+            point = normalize_projective(v, p)
+            if point in seen:
+                continue
+            seen.add(point)
+            if evaluate_form(r1, point) % p or evaluate_form(r2, point) % p:
+                continue
+            rank = _ambient_rank(r1, r2, point, p)
+            if rank <= 1:
+                found.append((point, rank))
     found.sort()
     return found
 

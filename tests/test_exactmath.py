@@ -22,6 +22,7 @@ from quadpencil.exactmath import (
     poly_discriminant,
     rank_mod_p,
     repeated_roots_mod_p,
+    rref_mod_p,
     solve_mod_p,
     sqrt_mod_p,
     sturm_count,
@@ -117,11 +118,35 @@ def test_kernel_vectors_annihilate_the_matrix():
         kernel_mod_p([[1, 0], [0, 1]], 2)
 
 
+def test_rref_mod_p_is_reduced_echelon_form():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        m = rng.randint(1, 8)
+        p = rng.choice((2, 3, 5, 7, 13))
+        matrix = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)]
+        rows, pivots = rref_mod_p(matrix, p)
+        assert len(rows) == n and all(len(row) == m for row in rows)
+        assert all(0 <= x < p for row in rows for x in row)
+        assert pivots == sorted(set(pivots))  # strictly increasing
+        assert len(pivots) == rank_mod_p(matrix, p)
+        for i, c in enumerate(pivots):
+            assert all(x == 0 for x in rows[i][:c])  # leading 1 at c
+            assert [row[c] for row in rows] == [int(k == i) for k in range(n)]
+        assert all(not any(row) for row in rows[len(pivots):])  # zero rows last
+        # The rows span the row space of the matrix mod p.
+        assert rank_mod_p(rows + matrix, p) == len(pivots)
+
+
 def test_rank_mod_p():
     identity = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-    assert rank_mod_p(identity, 7) == 4
-    assert rank_mod_p([[0, 0], [0, 0]], 7) == 0
+    for p in (2, 7):
+        assert rank_mod_p(identity, p) == 4
+        assert rank_mod_p([[0, 0], [0, 0]], p) == 0
     assert rank_mod_p([[1, 0], [0, 7]], 7) == 1  # rank drops mod 7
+    assert rank_mod_p([[1, 0], [0, 2]], 2) == 1  # rank drops mod 2
+    assert rank_mod_p([[1, 1], [1, -1]], 2) == 1
+    assert rank_mod_p([[1, 1], [1, -1]], 3) == 2
 
 
 def test_solve_mod_p():
@@ -129,7 +154,7 @@ def test_solve_mod_p():
     for _ in range(50):
         n = rng.randint(2, 5)
         m = rng.randint(2, 5)
-        p = rng.choice((3, 5, 7, 13))
+        p = rng.choice((2, 3, 5, 7, 13))
         matrix = [[rng.randint(0, p - 1) for _ in range(m)] for _ in range(n)]
         x0 = [rng.randint(0, p - 1) for _ in range(m)]
         rhs = [sum(row[j] * x0[j] for j in range(m)) % p for row in matrix]
@@ -140,6 +165,7 @@ def test_solve_mod_p():
             for row, b in zip(matrix, rhs)
         )
     assert solve_mod_p([[1, 0], [1, 0]], [0, 1], 5) is None
+    assert solve_mod_p([[1, 1], [1, -1]], [0, 1], 2) is None
 
 
 # ---------------------------------------------------------------------------

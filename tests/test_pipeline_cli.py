@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -35,6 +36,11 @@ NO_WITNESS = str(NO_WITNESS_PATH)
 
 INCOMPLETE_AT_2 = "no smooth Fano point certificate at 2"
 
+# sha256 of `analyze` stdout for the bundled files: any change to a
+# certificate byte must be deliberate.
+EXAMPLE_SHA256 = "a5822682f64297e2e132a90f0e6bbcfb69c7d13ad5176a9dc88f7ccc3d3709b4"
+NO_WITNESS_SHA256 = "12487c85bb0c02bf672f0646f157c4504728a3c20d6d2ad963239ceb9f2f564d"
+
 
 def run_cli(argv) -> tuple[str, str, int]:
     out, err = io.StringIO(), io.StringIO()
@@ -66,6 +72,14 @@ def test_analyze_is_byte_identical_across_worker_counts(analyze_runs):
     assert code1 == code8 == 2
     assert out1
     assert out1 == out8
+
+
+def test_analyze_stdout_matches_golden_digests(analyze_runs, analyze_no_witness):
+    def sha256(text: str) -> str:
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert [sha256(out) for out, _, _ in analyze_runs] == [EXAMPLE_SHA256] * 2
+    assert sha256(analyze_no_witness[0]) == NO_WITNESS_SHA256
 
 
 def test_analyze_verdict_and_reasons(analyze_runs):
@@ -497,9 +511,33 @@ def test_reduction_subcommand(tmp_path):
 
 
 def test_kernel_candidate_cap_is_an_incomplete_result(tmp_path):
-    # Mod 1000003 the member Q1 - Q2 has a 2-dimensional kernel, whose
-    # 1000004 projective points exceed the kernel-guided candidate cap.
+    # Mod 1009 the member Q1 - Q2 has a 3-dimensional kernel, whose
+    # 1009^2 + 1009 + 1 projective points exceed the candidate cap.
     path = tmp_path / "cap.txt"
+    path.write_text(
+        "Q1: u^2 + 1010v^2 + 2019w^2 + 4x^2 + 5y^2 + 6z^2\n"
+        "Q2: u^2 + v^2 + w^2 + x^2 + y^2 + z^2\n"
+    )
+    out, err, code = run_cli(["analyze", str(path)])
+    assert code == 2
+    assert "Traceback" not in err
+    doc = json.loads(out)
+    assert "reduction analysis failed at 1009" in doc["incomplete_reasons"]
+    report = next(r for r in doc["reduction_reports"] if r["prime"] == "1009")
+    assert "exceeds the cap (1019091 > 1000000)" in report["error"]
+
+    out, _, code = run_cli(
+        ["reduction", str(path), "--prime", "1009", "--method", "kernel-guided"]
+    )
+    assert code == 2
+    assert "exceeds the cap" in json.loads(out)["error"]
+
+
+def test_two_dimensional_kernel_at_a_large_prime(tmp_path):
+    # Mod 1000003 the member Q1 - Q2 has the kernel <e_u, e_v>, on which both
+    # forms restrict to u^2 + v^2; -1 is not a square mod 1000003, so the
+    # locus is empty, decided by one square root instead of p + 1 points.
+    path = tmp_path / "plane.txt"
     path.write_text(
         "Q1: u^2 + 1000004v^2 + 3w^2 + 4x^2 + 5y^2 + 6z^2\n"
         "Q2: u^2 + v^2 + w^2 + x^2 + y^2 + z^2\n"
@@ -508,15 +546,15 @@ def test_kernel_candidate_cap_is_an_incomplete_result(tmp_path):
     assert code == 2
     assert "Traceback" not in err
     doc = json.loads(out)
-    assert "reduction analysis failed at 1000003" in doc["incomplete_reasons"]
+    assert not any("reduction analysis failed" in r for r in doc["incomplete_reasons"])
     report = next(r for r in doc["reduction_reports"] if r["prime"] == "1000003")
-    assert "exceeds the cap" in report["error"]
-
-    out, _, code = run_cli(
-        ["reduction", str(path), "--prime", "1000003", "--method", "kernel-guided"]
+    assert (report["method"], report["points"], report["non_conical"]) == (
+        "kernel-guided", [], True,
     )
-    assert code == 2
-    assert "exceeds the cap" in json.loads(out)["error"]
+
+    out, _, code = run_cli(["reduction", str(path), "--prime", "1000003"])
+    assert code == 0
+    assert json.loads(out)["points"] == []
 
 
 @pytest.mark.parametrize(
@@ -534,6 +572,9 @@ def test_kernel_candidate_cap_is_an_incomplete_result(tmp_path):
         ["reduction", EXAMPLE, "--prime", str(BIG_PRIME), "--method", "exhaustive"],
         ["no-such-subcommand"],
         [],
+        ["analyze", EXAMPLE, "--workers", "0"],
+        ["fano-search", EXAMPLE, "--prime", "3", "--workers", "0"],
+        ["fano-search", EXAMPLE, "--prime", "3", "--workers", "-4"],
     ],
 )
 def test_usage_errors_exit_3(argv):

@@ -16,6 +16,7 @@ from quadpencil import (
     polar_form,
     restrict_to_line,
 )
+from quadpencil.quadric import polar_matrix
 
 
 def random_form(rng: random.Random) -> QuadraticForm:
@@ -104,6 +105,26 @@ def test_polar_form_is_bilinear_and_symmetric():
         assert evaluate_form(q, apb) == (
             evaluate_form(q, a) + evaluate_form(q, b) + polar_form(q, a, b)
         )
+
+
+def test_polar_matrix_is_twice_the_gram_matrix_and_gives_the_polar_form():
+    rng = random.Random(23)
+    for _ in range(100):
+        q = random_form(rng)
+        rows = polar_matrix(q)
+        m = gram_matrix(q)
+        assert rows == [
+            [2 * m.entry(i, j) for j in range(NUM_VARIABLES)]
+            for i in range(NUM_VARIABLES)
+        ]
+        assert all(isinstance(x, int) for row in rows for x in row)
+        a = tuple(rng.randint(-8, 8) for _ in range(NUM_VARIABLES))
+        b = tuple(rng.randint(-8, 8) for _ in range(NUM_VARIABLES))
+        assert sum(
+            a[i] * rows[i][j] * b[j]
+            for i in range(NUM_VARIABLES)
+            for j in range(NUM_VARIABLES)
+        ) == polar_form(q, a, b)
 
 
 def test_restrict_to_line_round_trip():

@@ -19,8 +19,9 @@ from quadpencil import (
     singular_locus,
     smoothness_check,
 )
-from quadpencil.exactmath import poly_discriminant
-from quadpencil.reduction import KernelCandidateCapError
+from quadpencil.exactmath import kernel_mod_p, poly_discriminant, repeated_roots_mod_p
+from quadpencil.quadric import polar_form, polar_matrix
+from quadpencil.reduction import KernelCandidateCapError, _binary_roots
 
 from conftest import (
     BIG_PRIME,
@@ -94,6 +95,27 @@ def _random_form(rng: random.Random) -> QuadraticForm:
     return QuadraticForm(coeffs)
 
 
+def _plane_kernels(pencil: PencilOfQuadrics, p: int) -> int:
+    """2-dimensional kernels of members B1 - t0*B2 at repeated roots t0 of f
+    mod p on which Q2 does not vanish identically (decided by root-finding)."""
+    f = pencil.char_form
+    if not any(c % p for c in f.coeffs):
+        return 0
+    b1, b2 = polar_matrix(pencil.q1), polar_matrix(pencil.q2)
+    count = 0
+    for root in repeated_roots_mod_p(f, p):
+        t0 = root.residue
+        basis = kernel_mod_p(
+            [[x - t0 * y for x, y in zip(r1, r2)] for r1, r2 in zip(b1, b2)], p
+        )
+        if len(basis) == 2:
+            a, b = basis
+            q = pencil.q2
+            g = (evaluate_form(q, a), polar_form(q, a, b), evaluate_form(q, b))
+            count += any(c % p for c in g)
+    return count
+
+
 def test_kernel_guided_agrees_with_exhaustive_on_random_pencils():
     rng = random.Random(1)
     pencils = [_diagonal_pencil(*F_ZERO_MOD_3)]
@@ -101,7 +123,7 @@ def test_kernel_guided_agrees_with_exhaustive_on_random_pencils():
         pencil = PencilOfQuadrics(_random_form(rng), _random_form(rng))
         if smoothness_check(pencil) == "smooth":
             pencils.append(pencil)
-    loci = nonempty = 0
+    loci = nonempty = planes = 0
     for pencil in pencils:
         f = pencil.char_form
         support = poly_discriminant(f) * int(f.leading())
@@ -119,8 +141,24 @@ def test_kernel_guided_agrees_with_exhaustive_on_random_pencils():
             ), (pencil, p)
             loci += 1
             nonempty += bool(exhaustive.points)
+            planes += _plane_kernels(pencil, p)
     assert loci >= 20
     assert nonempty >= 10
+    assert planes >= 1
+
+
+def test_binary_roots_match_brute_force():
+    for p in (3, 5, 7):
+        line = [(1, 0)] + [(r, 1) for r in range(p)]
+        for alpha, gamma, beta in itertools.product(range(p), repeat=3):
+            if alpha == gamma == beta == 0:
+                continue
+            expected = sorted(
+                normalize_projective(pt, p)
+                for pt in line
+                if (alpha * pt[0] ** 2 + gamma * pt[0] * pt[1] + beta * pt[1] ** 2) % p == 0
+            )
+            assert _binary_roots(alpha, gamma, beta, p) == expected, (alpha, gamma, beta, p)
 
 
 def test_kernel_guided_when_f_vanishes_mod_p():
