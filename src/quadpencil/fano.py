@@ -39,6 +39,11 @@ class GrassmannChart:
             raise ValueError(f"bad pivot pair {self.pivots}")
         object.__setattr__(self, "pivots", (int(i), int(j)))
 
+    @property
+    def non_pivots(self) -> tuple[int, int, int, int]:
+        """The non-pivot columns c_1 < c_2 < c_3 < c_4."""
+        return tuple(c for c in range(NUM_VARIABLES) if c not in self.pivots)
+
 
 def all_charts() -> tuple[GrassmannChart, ...]:
     """The 15 charts in lexicographic pivot order."""
@@ -50,17 +55,34 @@ def all_charts() -> tuple[GrassmannChart, ...]:
 def chart_rows(chart: GrassmannChart) -> tuple[tuple, tuple]:
     """Symbolic rows (rowA, rowB) of the chart matrix, as MultiPoly 6-vectors."""
     i, j = chart.pivots
-    non_pivots = [c for c in range(NUM_VARIABLES) if c not in (i, j)]
     one = MultiPoly.constant(1, NUM_PARAMETERS)
     zero = MultiPoly.zero(NUM_PARAMETERS)
     row_a = [zero] * NUM_VARIABLES
     row_b = [zero] * NUM_VARIABLES
     row_a[i] = one
     row_b[j] = one
-    for k, col in enumerate(non_pivots):
+    for k, col in enumerate(chart.non_pivots):
         row_a[col] = MultiPoly.variable(2 * k, NUM_PARAMETERS)
         row_b[col] = MultiPoly.variable(2 * k + 1, NUM_PARAMETERS)
     return tuple(row_a), tuple(row_b)
+
+
+def polar_jacobian(chart: GrassmannChart, pas, pbs) -> list[list[int]]:
+    """FanoSystem.jacobian at a point, from P*rowA and P*rowB of each form.
+
+    Per form, c_rr = Q(a), c_rs = a^T P b and c_ss = Q(b) for its polar
+    matrix P, so with row A's t_2k and row B's t_2k+1 (0-based) at non-pivot
+    c_k: d c_rr/d t_2k = d c_rs/d t_2k+1 = (Pa)_c_k, d c_rs/d t_2k =
+    d c_ss/d t_2k+1 = (Pb)_c_k, and every other entry is 0.
+    """
+    rows = []
+    for pa, pb in zip(pas, pbs):
+        rr, rs, ss = ([0] * NUM_PARAMETERS for _ in range(3))
+        for k, col in enumerate(chart.non_pivots):
+            rr[2 * k] = rs[2 * k + 1] = pa[col]
+            rs[2 * k] = ss[2 * k + 1] = pb[col]
+        rows += (rr, rs, ss)
+    return rows
 
 
 def chart_point_rows(chart: GrassmannChart, point) -> tuple[list, list]:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from operator import mul
 
 from .exactmath import is_probable_prime, isolate_real_roots, rank_mod_p, solve_mod_p
 from .fano import (
@@ -16,6 +16,7 @@ from .fano import (
     GrassmannChart,
     all_charts,
     fano_system,
+    polar_jacobian,
     verify_fano_point,
 )
 from .pencil import CurveData, PencilOfQuadrics
@@ -59,75 +60,62 @@ class LocalPointCertificate:
     isolating_intervals: tuple[tuple[Fraction, Fraction], ...] | None = None
 
 
-def _half_templates(chart: GrassmannChart):
-    """Ambient-vector builders for the two chart rows.
+def _half_zeros(states, quads, p: int, prefix: tuple[int, ...] = ()) -> list:
+    """Common zeros in F_p^4 of 4-variable quadratics, by nested partial sums.
 
-    Returns (row_a_slots, row_b_slots): each is a 6-list whose entries are
-    either an int constant (pivot columns) or the index 0..3 of the half-tuple
-    parameter occupying that ambient column.
+    Each form is a state (value, linear coefficients) with quadratic
+    coefficients q; fixing x_k adds (lin_k + q_kk x_k) x_k to the value and
+    q_km x_k to each later linear coefficient.
     """
-    i, j = chart.pivots
-    non_pivots = [c for c in range(NUM_VARIABLES) if c not in (i, j)]
-    row_a: list[object] = [0] * NUM_VARIABLES
-    row_b: list[object] = [0] * NUM_VARIABLES
-    row_a[i] = 1
-    row_b[j] = 1
-    for k, col in enumerate(non_pivots):
-        row_a[col] = ("t", k)
-        row_b[col] = ("t", k)
-    return row_a, row_b
+    k = len(prefix)
+    if k == 3:
+        xs = range(p)
+        for (s, lin), q in zip(states, quads):
+            xs = [x for x in xs if (s + (lin[3] + q[3][3] * x) * x) % p == 0]
+        return [prefix + (x,) for x in xs]
+    zeros = []
+    for x in range(p):
+        fixed = [
+            (s + (lin[k] + q[k][k] * x) * x, [c + d * x for c, d in zip(lin, q[k])])
+            for (s, lin), q in zip(states, quads)
+        ]
+        zeros += _half_zeros(fixed, quads, p, prefix + (x,))
+    return zeros
 
 
-def _fill(template, half: tuple[int, ...]) -> list[int]:
-    return [half[s[1]] if isinstance(s, tuple) else s for s in template]
+def _scan_chart(pencil: PencilOfQuadrics, chart: GrassmannChart, p: int) -> list:
+    """All on-system points of one chart over F_p with their Jacobian ranks.
 
-
-def _scan_chart(
-    pencil: PencilOfQuadrics, system: FanoSystem, p: int
-) -> list[tuple[tuple[int, ...], int]]:
-    """All on-fano points of one chart over F_p with their Jacobian ranks.
-
-    Split scan: equations c_rr(Q1), c_rr(Q2) involve only the first-row
-    parameters (t1, t3, t5, t7) and c_ss(Q1), c_ss(Q2) only the second-row
-    parameters (t2, t4, t6, t8), so the p^8 grid is enumerated as two p^4
-    half-grids filtered by the two bilinear polar equations.  The result set
-    is identical to the naive p^8 scan.
+    Works from the polar matrices P alone: row A (1 at pivot i, t_2k at
+    non-pivot c_k) and row B (1 at pivot j, t_2k+1 at c_k) span the line, and
+    its equations are Q(a), a^T P b and Q(b).  Split scan: each form on a row
+    is a 4-variable quadratic (constant q_ii, linear q_i,c_k, quadratic
+    q_c_k,c_l), whose common zeros on the two p^4 half-grids are paired by the
+    polar dots (Pa).b; the Jacobian comes from Pa and Pb (fano.polar_jacobian).
+    Returns sorted (point, rank) pairs, the same as the naive p^8 scan.
     """
-    q1, q2 = pencil.q1, pencil.q2
-    p1 = polar_matrix(q1)
-    p2 = polar_matrix(q2)
-    template_a, template_b = _half_templates(system.chart)
-
-    half_range = list(product(range(p), repeat=4))
-    a_ok = []
-    for half in half_range:
-        amb = _fill(template_a, half)
-        if evaluate_form(q1, amb) % p == 0 and evaluate_form(q2, amb) % p == 0:
-            a_ok.append((half, amb))
-    b_ok = []
-    for half in half_range:
-        amb = _fill(template_b, half)
-        if evaluate_form(q1, amb) % p == 0 and evaluate_form(q2, amb) % p == 0:
-            b_ok.append((half, amb))
+    polars = (polar_matrix(pencil.q1), polar_matrix(pencil.q2))
+    cols = chart.non_pivots
+    quads = [[[P[c][d] // (1 + (c == d)) for d in cols] for c in cols] for P in polars]
+    rows = []
+    for pivot in chart.pivots:
+        states = [(P[pivot][pivot] // 2, [P[pivot][c] for c in cols]) for P in polars]
+        zeros = []
+        for half in _half_zeros(states, quads, p):
+            v = list(half)
+            for c in chart.pivots:  # ascending, so each lands at its column
+                v.insert(c, int(c == pivot))
+            products = [[sum(map(mul, r, v)) % p for r in P] for P in polars]
+            zeros.append((half, v, products))
+        rows.append(zeros)
 
     found = []
-    for half_a, amb_a in a_ok:
-        u1 = [sum(amb_a[i] * p1[i][j] for i in range(6)) % p for j in range(6)]
-        u2 = [sum(amb_a[i] * p2[i][j] for i in range(6)) % p for j in range(6)]
-        for half_b, amb_b in b_ok:
-            if sum(u1[j] * amb_b[j] for j in range(6)) % p:
+    for half_a, _, pas in rows[0]:
+        for half_b, b, pbs in rows[1]:
+            if any(sum(map(mul, pa, b)) % p for pa in pas):
                 continue
-            if sum(u2[j] * amb_b[j] for j in range(6)) % p:
-                continue
-            point = (
-                half_a[0], half_b[0], half_a[1], half_b[1],
-                half_a[2], half_b[2], half_a[3], half_b[3],
-            )
-            jac_rows = [
-                [entry.evaluate_mod(point, p) for entry in row]
-                for row in system.jacobian
-            ]
-            found.append((point, rank_mod_p(jac_rows, p)))
+            point = tuple(t for pair in zip(half_a, half_b) for t in pair)
+            found.append((point, rank_mod_p(polar_jacobian(chart, pas, pbs), p)))
     found.sort()
     return found
 
@@ -154,7 +142,7 @@ def chart_census(pencil: PencilOfQuadrics, prime: int) -> list[CensusEntry]:
         )
     census = []
     for chart in all_charts():
-        points = _scan_chart(pencil, fano_system(pencil, chart), prime)
+        points = _scan_chart(pencil, chart, prime)
         smooth = tuple(pt for pt, rank in points if rank == FANO_CODIMENSION)
         census.append(CensusEntry(chart, len(points), smooth))
     return census
@@ -196,7 +184,7 @@ def search_smooth_points(
         for chart in charts:
             results.extend(
                 (chart, pt, rank)
-                for pt, rank in _scan_chart(pencil, fano_system(pencil, chart), prime)
+                for pt, rank in _scan_chart(pencil, chart, prime)
                 if rank == FANO_CODIMENSION
             )
             if stop_after is not None and len(results) >= stop_after:
@@ -205,12 +193,12 @@ def search_smooth_points(
         for chart in charts:
             system = fano_system(pencil, chart)
             rng = random.Random(seed * 1_000_003 + 53 * chart.pivots[0] + chart.pivots[1])
+            # Only smooth points are remembered (others just fail again).
             seen: set[tuple[int, ...]] = set()
             for _ in range(budget):
                 point = tuple(rng.randrange(prime) for _ in range(NUM_PARAMETERS))
                 if point in seen:
                     continue
-                seen.add(point)
                 if any(eq.evaluate_mod(point, prime) for eq in system.equations):
                     continue
                 jac_rows = [
@@ -219,6 +207,7 @@ def search_smooth_points(
                 ]
                 rank = rank_mod_p(jac_rows, prime)
                 if rank == FANO_CODIMENSION:
+                    seen.add(point)
                     results.append((chart, point, rank))
                     if stop_after is not None and len(results) >= stop_after:
                         break

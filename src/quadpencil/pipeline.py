@@ -11,8 +11,8 @@ The certificate serializes to *canonical JSON*: keys sorted, separators
 ``(",", ":")``, every integer rendered as a decimal string (bad primes
 exceed 2^32 and cross-language consumers must not lose precision),
 rationals as ``"numerator/denominator"`` strings, and no floats anywhere.
-Two runs with the same configuration produce byte-identical documents,
-including under parallel search.
+Two runs with the same configuration produce byte-identical documents, at
+any ``workers`` value (which is accepted and has no effect).
 """
 
 from __future__ import annotations

@@ -392,8 +392,9 @@ def mod2_degeneracy(pencil: PencilOfQuadrics) -> dict:
     """Evidence for reducibility/non-reducedness of X mod 2.
 
     Exhaustive search over the 63 nonzero linear forms of F_2^6 (and all
-    pairs): for each reduced form, every factorization into two linear forms
-    and every square decomposition is reported; whenever one form factors,
+    pairs of those dividing the form; F_2[x] is a UFD, so at most two do):
+    for each reduced form, every factorization into two linear forms and
+    every square decomposition is reported; whenever one form factors,
     the other form is restricted to each factor hyperplane and tested for
     being a square there (non-reducedness evidence).
     """
@@ -409,8 +410,10 @@ def mod2_degeneracy(pencil: PencilOfQuadrics) -> dict:
         if not coeffs:
             classifications[label] = "vanishes identically mod 2"
             continue
+        # A linear form a divides the form iff the form vanishes on a = 0.
+        divisors = [a for a in _ALL_LINEAR_FORMS if not _restrict_to_hyperplane(coeffs, a)]
         factor_pairs = []
-        for a, b in combinations_with_replacement(_ALL_LINEAR_FORMS, 2):
+        for a, b in combinations_with_replacement(divisors, 2):
             if _product_coeffs(a, b) == coeffs:
                 factor_pairs.append((a, b))
         for a, b in factor_pairs:

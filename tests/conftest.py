@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -105,6 +106,18 @@ LIFT_COUNTS_MOD_4 = {
 # A smooth F_3-point of the example's chart and its Newton lift mod 27.
 P3_SMOOTH_POINT = (1, 2, 0, 1, 1, 2, 1, 2)
 P3_LIFT_MOD_27 = (22, 26, 3, 16, 1, 5, 1, 2)
+
+
+def random_form(rng: random.Random) -> QuadraticForm:
+    """All 21 monomials: squares in [-3, 3], mixed ones in {-2, 0, 2} (so the
+    characteristic form of a pencil of two such forms is integral)."""
+    coeffs = {}
+    for i in range(6):
+        for j in range(i, 6):
+            c = rng.randint(-3, 3) if i == j else 2 * rng.randint(-1, 1)
+            if c:
+                coeffs[(i, j)] = c
+    return QuadraticForm(coeffs)
 
 
 def _form_value(coeffs, x) -> int:

@@ -22,8 +22,10 @@ from quadpencil import (
     verify_fano_point,
 )
 from quadpencil.exactmath import rank_mod_p
+from quadpencil.fano import polar_jacobian
+from quadpencil.quadric import polar_matrix
 
-from conftest import BIG_PRIME, BIG_WITNESS, CHART_PIVOTS, F2_WITNESS
+from conftest import BIG_PRIME, BIG_WITNESS, CHART_PIVOTS, F2_WITNESS, random_form
 
 
 def test_there_are_exactly_15_distinct_charts():
@@ -89,6 +91,23 @@ def test_fano_jacobian_entries_are_partial_derivatives(example_pencil):
             assert jac.entry(i, k).evaluate(point) == eq.derivative(k).evaluate(
                 point
             )
+
+
+def test_polar_jacobian_is_the_fano_jacobian(example_pencil):
+    rng = random.Random(6)
+    pencils = [example_pencil, PencilOfQuadrics(random_form(rng), random_form(rng))]
+    for pencil in pencils:
+        polars = [polar_matrix(pencil.q1), polar_matrix(pencil.q2)]
+        for chart in all_charts():
+            system = fano_system(pencil, chart)
+            for _ in range(3):
+                point = [rng.randint(-9, 9) for _ in range(NUM_PARAMETERS)]
+                a, b = chart_point_rows(chart, point)
+                pas = [[sum(x * y for x, y in zip(r, a)) for r in P] for P in polars]
+                pbs = [[sum(x * y for x, y in zip(r, b)) for r in P] for P in polars]
+                assert polar_jacobian(chart, pas, pbs) == [
+                    [entry.evaluate(point) for entry in row] for row in system.jacobian
+                ]
 
 
 def test_verify_fano_point_reports(example_pencil):

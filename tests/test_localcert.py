@@ -2,22 +2,30 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from quadpencil import (
+    NUM_PARAMETERS,
     CurveData,
     GrassmannChart,
+    PencilOfQuadrics,
+    all_charts,
     chart_census,
     curve_data,
     fano_system,
     hensel_certify,
     real_place_report,
     search_smooth_points,
+    verify_fano_point,
     verify_projective_point,
 )
 from quadpencil.exactmath import UniPoly, sturm_count
+from quadpencil.localcert import _scan_chart
 
 from conftest import (
     BIG_PRIME,
@@ -28,6 +36,7 @@ from conftest import (
     P3_LIFT_MOD_27,
     P3_SMOOTH_POINT,
     REAL_ROOTS_PRINTED,
+    random_form,
 )
 
 
@@ -81,6 +90,66 @@ def test_sampling_search_finds_points_at_moderate_primes(example_pencil):
     assert rank == 6
     report = hensel_certify(fano_system(example_pencil, chart), point, 7)
     assert report.liftable is True
+
+
+def _naive_scan(pencil, chart, p):
+    """The p^8 grid through the symbolic Fano system."""
+    system = fano_system(pencil, chart)
+    return [
+        (point, verify_fano_point(system, point, p).jacobian_rank)
+        for point in itertools.product(range(p), repeat=NUM_PARAMETERS)
+        if not any(eq.evaluate_mod(point, p) for eq in system.equations)
+    ]
+
+
+def test_scan_chart_matches_the_naive_scan(example_pencil):
+    rng = random.Random(3)
+    pencils = [example_pencil] + [
+        PencilOfQuadrics(random_form(rng), random_form(rng)) for _ in range(2)
+    ]
+    two_charts = [GrassmannChart(CHART_PIVOTS), GrassmannChart((0, 5))]
+    points = smooth = 0
+    for pencil in pencils:
+        for p, charts in ((2, all_charts()), (3, two_charts)):
+            for chart in charts:
+                found = _scan_chart(pencil, chart, p)
+                assert found == _naive_scan(pencil, chart, p), (pencil, chart, p)
+                points += len(found)
+                smooth += sum(rank == 6 for _, rank in found)
+    assert points >= 300 and smooth >= 10
+
+
+def test_exhaustive_search_finds_only_smooth_points(example_pencil):
+    for p in (5, 7):
+        found = search_smooth_points(example_pencil, p, exhaustive=True)
+        assert found
+        for chart, point, rank in found:
+            report = verify_fano_point(fano_system(example_pencil, chart), point, p)
+            assert report.smooth and report.jacobian_rank == rank == 6
+
+
+def test_sampling_search_memory_stays_flat(example_pencil):
+    # Draws are not stored: 20 000 remembered 8-tuples took about 9 MB.
+    chart = GrassmannChart(CHART_PIVOTS)
+    tracemalloc.start()
+    try:
+        search_smooth_points(example_pencil, BIG_PRIME, budget=20_000, charts=[chart])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_sampling_search_with_repeated_draws(example_pencil):
+    # 20 000 draws from 3^8 = 6561 points repeat many of them.
+    chart = GrassmannChart(CHART_PIVOTS)
+    sampled = search_smooth_points(
+        example_pencil, 3, budget=20_000, charts=[chart], exhaustive=False
+    )
+    exhaustive = search_smooth_points(example_pencil, 3, charts=[chart])
+    points = [point for _, point, _ in sampled]
+    assert sampled and len(points) == len(set(points))
+    assert set(sampled) <= set(exhaustive)
 
 
 def test_search_rejects_bad_arguments(example_pencil):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,6 +29,7 @@ from conftest import (
     REPEATED_ROOT_MOD_BIG,
     SINGULAR_POINT_CANONICAL,
     SINGULAR_POINT_VERBATIM,
+    random_form,
 )
 
 
@@ -84,17 +86,6 @@ def _diagonal_pencil(a, b) -> PencilOfQuadrics:
 F_ZERO_MOD_3 = ((3, 2, 3, 4, 5, 6), (3, 1, 1, 1, 1, 1))
 
 
-def _random_form(rng: random.Random) -> QuadraticForm:
-    """Coefficients in [-3, 3], mixed ones even (so f is integral)."""
-    coeffs = {}
-    for i in range(6):
-        for j in range(i, 6):
-            c = rng.randint(-3, 3) if i == j else 2 * rng.randint(-1, 1)
-            if c:
-                coeffs[(i, j)] = c
-    return QuadraticForm(coeffs)
-
-
 def _plane_kernels(pencil: PencilOfQuadrics, p: int) -> int:
     """2-dimensional kernels of members B1 - t0*B2 at repeated roots t0 of f
     mod p on which Q2 does not vanish identically (decided by root-finding)."""
@@ -120,7 +111,7 @@ def test_kernel_guided_agrees_with_exhaustive_on_random_pencils():
     rng = random.Random(1)
     pencils = [_diagonal_pencil(*F_ZERO_MOD_3)]
     while len(pencils) < 15:
-        pencil = PencilOfQuadrics(_random_form(rng), _random_form(rng))
+        pencil = PencilOfQuadrics(random_form(rng), random_form(rng))
         if smoothness_check(pencil) == "smooth":
             pencils.append(pencil)
     loci = nonempty = planes = 0
@@ -310,3 +301,68 @@ def test_mod2_square_form_detected():
     report = mod2_degeneracy(PencilOfQuadrics(q1, q2))
     squares = report["square_forms"]
     assert any(item["form"] == "Q1" and item["root"] == "u+v" for item in squares)
+
+
+
+def _f2_product(a, b) -> frozenset:
+    """Monomials (i, j), i <= j, of the product of two linear forms over F_2."""
+    return frozenset(
+        (i, j)
+        for i in range(6)
+        for j in range(i, 6)
+        if (a[i] * b[j] + (a[j] * b[i] if i != j else 0)) % 2
+    )
+
+
+def test_mod2_factorizations_match_the_pair_scan():
+    # The oracle is the scan of all 2016 pairs of the 63 nonzero linear forms.
+    forms = [v for v in itertools.product((0, 1), repeat=6) if any(v)]
+    pair_scan: dict = {}
+    for a, b in itertools.combinations_with_replacement(forms, 2):
+        pair_scan.setdefault(_f2_product(a, b), []).append([list(a), list(b)])
+
+    rng = random.Random(2)
+
+    def lift(monomials) -> QuadraticForm:
+        """An integral form whose odd coefficients are exactly `monomials`."""
+        coeffs = {
+            (i, j): ((i, j) in monomials) + 2 * rng.randint(-1, 1)
+            for i in range(6)
+            for j in range(i, 6)
+        }
+        return QuadraticForm({key: c for key, c in coeffs.items() if c})
+
+    all_monomials = [(i, j) for i in range(6) for j in range(i, 6)]
+    quadrics = []
+    for _ in range(100):
+        a = rng.choice(forms)
+        b = rng.choice([f for f in forms if f != a])
+        quadrics.append(lift(_f2_product(a, a)))  # a square
+        quadrics.append(lift(_f2_product(a, b)))  # a product of distinct forms
+        random_monomials = {m for m in all_monomials if rng.random() < 0.5}
+        quadrics.append(lift(random_monomials or {(0, 0)}))
+    rng.shuffle(quadrics)
+
+    counts = {"square": 0, "product": 0, "irreducible": 0}
+    for q1, q2 in zip(quadrics[::2], quadrics[1::2]):
+        # mod2_degeneracy reads only q1 and q2; a random pair need not have an
+        # integral characteristic form, which PencilOfQuadrics requires.
+        report = mod2_degeneracy(SimpleNamespace(q1=q1, q2=q2))
+        for label, q in (("Q1", q1), ("Q2", q2)):
+            expected = pair_scan.get(
+                frozenset(key for key, c in q.coeffs.items() if c % 2), []
+            )
+            got = [
+                entry["factor_vectors"]
+                for entry in report["linear_factorizations"]
+                if entry["form"] == label
+            ]
+            assert got == expected, (q, label)
+            if not expected:
+                counts["irreducible"] += 1
+            elif expected[0][0] == expected[0][1]:
+                counts["square"] += 1
+            else:
+                counts["product"] += 1
+    assert counts["square"] >= 100 and counts["product"] >= 100
+    assert counts["irreducible"] >= 50
