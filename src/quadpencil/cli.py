@@ -15,14 +15,11 @@ from typing import Optional, Sequence
 from .exactmath import is_probable_prime
 from .fano import GrassmannChart, fano_system, verify_fano_point
 from .localcert import (
-    DEFAULT_BUDGET,
-    DEFAULT_SEED,
-    EXHAUSTIVE_PRIME_BOUND,
     EXHAUSTIVE_PRIME_HARD_CAP,
     search_smooth_points,
     verify_projective_point,
 )
-from .parsing import ParseError, parse_input
+from .parsing import ParseError, _is_integer_text, parse_input
 from .pencil import NonIntegralCharacteristicFormError, smoothness_check
 from .pipeline import PipelineConfig, canonical_json, run_pipeline
 from .quadric import NUM_VARIABLES
@@ -55,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
 def _parse_chart(text: str) -> GrassmannChart:
     """Parse 1-based '--chart i,j' into the internal 0-based chart."""
     parts = text.split(",")
-    if len(parts) != 2 or not all(p.strip().isdigit() for p in parts):
+    if len(parts) != 2 or not all(_is_integer_text(p.strip()) for p in parts):
         raise _UsageError(f"--chart expects 'i,j' with integers, got {text!r}")
     i, j = (int(p) for p in parts)
     if not (1 <= i < j <= NUM_VARIABLES):
@@ -68,7 +65,7 @@ def _parse_chart(text: str) -> GrassmannChart:
 def _parse_coords(text: str, expected: int) -> tuple[int, ...]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != expected or not all(
-        p.lstrip("-").isdigit() and p.lstrip("-") for p in parts
+        _is_integer_text(p, signed=True) for p in parts
     ):
         raise _UsageError(
             f"--coords expects {expected} comma-separated integers, got {text!r}"
@@ -125,11 +122,8 @@ def _cmd_analyze(args) -> int:
     cfg = PipelineConfig(
         input_path=args.file,
         good_prime_samples=tuple(args.good_primes),
-        search_budget=args.budget,
         lift_precision=args.lift_precision,
-        prng_seed=args.seed,
         workers=args.workers,
-        large_prime_search=args.search,
     )
     certificate = run_pipeline(cfg)
     lines = [f"verdict: {certificate.verdict}"]
@@ -167,27 +161,11 @@ def _cmd_fano_search(args) -> int:
     parsed = parse_input(args.file)
     prime = _require_prime(args.prime)
     charts = None if args.chart is None else [_parse_chart(args.chart)]
-    exhaustive = True if args.exhaustive else None
-    if args.exhaustive and prime > EXHAUSTIVE_PRIME_HARD_CAP:
-        raise _UsageError(
-            f"--exhaustive is infeasible for p > {EXHAUSTIVE_PRIME_HARD_CAP}"
-        )
-    points = search_smooth_points(
-        parsed.pencil,
-        prime,
-        budget=args.budget,
-        charts=charts,
-        exhaustive=exhaustive,
-        seed=args.seed,
-    )
-    mode = (
-        "exhaustive"
-        if (args.exhaustive or prime <= EXHAUSTIVE_PRIME_BOUND)
-        else "sampling"
-    )
+    # ValueError above the scan cap, which main() maps to exit 3.
+    points = search_smooth_points(parsed.pencil, prime, charts=charts)
     document = {
         "prime": prime,
-        "mode": mode,
+        "mode": "exhaustive",
         "points": [
             {
                 "chart": _chart_ui(chart),
@@ -198,25 +176,14 @@ def _cmd_fano_search(args) -> int:
         ],
         "count": len(points),
     }
-    if mode == "sampling":
-        document["budget"] = args.budget
     if points:
         _emit(document, [f"found {len(points)} smooth point(s) over F_{prime}"])
         return EXIT_POSITIVE
-    if mode == "exhaustive":
-        _emit(
-            document,
-            [f"exhaustive scan: no smooth F_{prime}-point on the searched charts"],
-        )
-        return EXIT_NEGATIVE
     _emit(
         document,
-        [
-            f"sampling search (budget {args.budget} per chart) found nothing; "
-            f"inconclusive"
-        ],
+        [f"exhaustive scan: no smooth F_{prime}-point on the searched charts"],
     )
-    return EXIT_INCOMPLETE
+    return EXIT_NEGATIVE
 
 
 def _cmd_verify_point(args) -> int:
@@ -308,19 +275,7 @@ def _cmd_reduction(args) -> int:
 # Parser construction and entry point
 # ---------------------------------------------------------------------------
 
-def _add_search_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--budget",
-        type=int,
-        default=DEFAULT_BUDGET,
-        help="sampling budget per chart for primes above the exhaustive bound",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=DEFAULT_SEED,
-        help="PRNG seed for the sampling search (recorded for reproducibility)",
-    )
+def _add_workers_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
         type=int,
@@ -343,7 +298,7 @@ def _build_parser() -> _Parser:
         "analyze", help="run the full pipeline and emit the certificate"
     )
     p_analyze.add_argument("file", help="input file with Q1:/Q2: lines")
-    _add_search_options(p_analyze)
+    _add_workers_option(p_analyze)
     p_analyze.add_argument(
         "--lift-precision",
         type=int,
@@ -357,15 +312,6 @@ def _build_parser() -> _Parser:
         dest="good_primes_text",
         help="comma-separated odd primes to sample as good places",
     )
-    p_analyze.add_argument(
-        "--search",
-        action="store_true",
-        help=(
-            "attempt a budgeted sampling search at bad primes beyond the "
-            "exhaustive bound when no witness is supplied (impractical for "
-            "large primes: hit rate is p^-6 per sample)"
-        ),
-    )
     p_analyze.set_defaults(handler=_cmd_analyze)
 
     p_charform = sub.add_parser(
@@ -375,7 +321,11 @@ def _build_parser() -> _Parser:
     p_charform.set_defaults(handler=_cmd_charform)
 
     p_search = sub.add_parser(
-        "fano-search", help="search for smooth F_p-points on the 15 charts"
+        "fano-search",
+        help=(
+            "scan the 15 charts exhaustively for smooth F_p-points "
+            f"(p <= {EXHAUSTIVE_PRIME_HARD_CAP})"
+        ),
     )
     p_search.add_argument("file")
     p_search.add_argument("--prime", type=int, required=True)
@@ -384,12 +334,7 @@ def _build_parser() -> _Parser:
         default=None,
         help="restrict to one chart, as 1-based columns 'i,j'",
     )
-    p_search.add_argument(
-        "--exhaustive",
-        action="store_true",
-        help=f"force a full p^8 scan per chart (p <= {EXHAUSTIVE_PRIME_HARD_CAP})",
-    )
-    _add_search_options(p_search)
+    _add_workers_option(p_search)
     p_search.set_defaults(handler=_cmd_fano_search)
 
     p_verify = sub.add_parser(
@@ -450,7 +395,7 @@ def _normalize_args(args):
         raise _UsageError("workers must be >= 1")
     if getattr(args, "good_primes_text", None) is not None:
         parts = [p.strip() for p in args.good_primes_text.split(",") if p.strip()]
-        if not parts or not all(p.isdigit() for p in parts):
+        if not parts or not all(_is_integer_text(p) for p in parts):
             raise _UsageError(
                 f"--good-primes expects comma-separated primes, got "
                 f"{args.good_primes_text!r}"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import compress
+
 TRIAL_DIVISION_LIMIT = 10**6
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24.
@@ -23,7 +25,7 @@ def _small_primes() -> list[int]:
         for i in range(2, int(limit**0.5) + 1):
             if sieve[i]:
                 sieve[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
-        _sieve_primes = [i for i in range(limit + 1) if sieve[i]]
+        _sieve_primes = list(compress(range(limit + 1), sieve))
     return _sieve_primes
 
 

@@ -3,7 +3,6 @@ and the real place."""
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -15,26 +14,20 @@ from .fano import (
     FanoSystem,
     GrassmannChart,
     all_charts,
-    fano_system,
+    fano_system,  # unused here, but qpbench/worker.py traces this name
     polar_jacobian,
     verify_fano_point,
 )
 from .pencil import CurveData, PencilOfQuadrics
 from .quadric import NUM_VARIABLES, evaluate_form, polar_matrix
 
-# Default evaluation budget per chart for pseudo-random sampling (p > 5).
-DEFAULT_BUDGET = 10**6
-
-# Primes up to this bound are searched exhaustively (p^8 points per chart,
-# via the split scan below, which is equivalent but far cheaper).
+# The pipeline scans primes up to this bound (p^8 points per chart, via the
+# split scan below, which is equivalent but far cheaper).
 EXHAUSTIVE_PRIME_BOUND = 5
 
-# Forced-exhaustive cap: the split scan enumerates 2 * p^4 half-tuples per
-# chart, which stays tractable up to about p = 31 and not much beyond.
+# Scan cap: the split scan enumerates 2 * p^4 half-tuples per chart, which
+# stays tractable up to about p = 31 and not much beyond.
 EXHAUSTIVE_PRIME_HARD_CAP = 31
-
-# Fixed PRNG seed recorded in certificates (64-bit golden-ratio constant).
-DEFAULT_SEED = 0x9E3779B97F4A7C15
 
 
 @dataclass(frozen=True)
@@ -129,19 +122,23 @@ class CensusEntry:
     smooth_points: tuple[tuple[int, ...], ...]
 
 
-def chart_census(pencil: PencilOfQuadrics, prime: int) -> list[CensusEntry]:
-    """Exhaustive census of all 15 charts over F_p (p small).
+def chart_census(
+    pencil: PencilOfQuadrics, prime: int, charts=None
+) -> list[CensusEntry]:
+    """Exhaustive census over F_p of the given charts (all 15 by default).
 
     Deterministic: charts in lexicographic pivot order, points sorted.
+    Raises ValueError above EXHAUSTIVE_PRIME_HARD_CAP.
     """
     if not is_probable_prime(prime):
         raise ValueError(f"{prime} is not prime")
     if prime > EXHAUSTIVE_PRIME_HARD_CAP:
         raise ValueError(
-            f"exhaustive census infeasible for p > {EXHAUSTIVE_PRIME_HARD_CAP}"
+            f"exhaustive scan infeasible for p > {EXHAUSTIVE_PRIME_HARD_CAP}"
         )
     census = []
-    for chart in all_charts():
+    for chart in sorted(all_charts() if charts is None else charts,
+                        key=lambda c: c.pivots):
         points = _scan_chart(pencil, chart, prime)
         smooth = tuple(pt for pt, rank in points if rank == FANO_CODIMENSION)
         census.append(CensusEntry(chart, len(points), smooth))
@@ -149,73 +146,18 @@ def chart_census(pencil: PencilOfQuadrics, prime: int) -> list[CensusEntry]:
 
 
 def search_smooth_points(
-    pencil: PencilOfQuadrics,
-    prime: int,
-    budget: int = DEFAULT_BUDGET,
-    charts=None,
-    exhaustive: bool | None = None,
-    seed: int = DEFAULT_SEED,
-    stop_after: int | None = None,
+    pencil: PencilOfQuadrics, prime: int, charts=None
 ) -> list[tuple[GrassmannChart, tuple[int, ...], int]]:
     """Smooth F_p-points of the Fano system, sorted by (chart pivots, coords).
 
-    Exhaustive scan of every chart for p <= 5 (or when exhaustive=True, up to
-    the hard cap); deterministic seeded pseudo-random sampling of `budget`
-    points per chart otherwise.  A sampling run that finds nothing is not a
-    proof of absence; an exhaustive one is.
+    The smooth points of :func:`chart_census`, each with its Jacobian rank 6,
+    so an empty result proves that none of the charts has one.
     """
-    if not is_probable_prime(prime):
-        raise ValueError(f"{prime} is not prime")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    if charts is None:
-        charts = all_charts()
-    charts = sorted(charts, key=lambda c: c.pivots)
-    do_exhaustive = exhaustive if exhaustive is not None else (
-        prime <= EXHAUSTIVE_PRIME_BOUND
-    )
-    if do_exhaustive and prime > EXHAUSTIVE_PRIME_HARD_CAP:
-        raise ValueError(
-            f"exhaustive scan infeasible for p > {EXHAUSTIVE_PRIME_HARD_CAP}"
-        )
-
-    results: list[tuple[GrassmannChart, tuple[int, ...], int]] = []
-    if do_exhaustive:
-        for chart in charts:
-            results.extend(
-                (chart, pt, rank)
-                for pt, rank in _scan_chart(pencil, chart, prime)
-                if rank == FANO_CODIMENSION
-            )
-            if stop_after is not None and len(results) >= stop_after:
-                break
-    else:
-        for chart in charts:
-            system = fano_system(pencil, chart)
-            rng = random.Random(seed * 1_000_003 + 53 * chart.pivots[0] + chart.pivots[1])
-            # Only smooth points are remembered (others just fail again).
-            seen: set[tuple[int, ...]] = set()
-            for _ in range(budget):
-                point = tuple(rng.randrange(prime) for _ in range(NUM_PARAMETERS))
-                if point in seen:
-                    continue
-                if any(eq.evaluate_mod(point, prime) for eq in system.equations):
-                    continue
-                jac_rows = [
-                    [entry.evaluate_mod(point, prime) for entry in row]
-                    for row in system.jacobian
-                ]
-                rank = rank_mod_p(jac_rows, prime)
-                if rank == FANO_CODIMENSION:
-                    seen.add(point)
-                    results.append((chart, point, rank))
-                    if stop_after is not None and len(results) >= stop_after:
-                        break
-            if stop_after is not None and len(results) >= stop_after:
-                break
-
-    results.sort(key=lambda item: (item[0].pivots, item[1]))
-    return results
+    return [
+        (entry.chart, pt, FANO_CODIMENSION)
+        for entry in chart_census(pencil, prime, charts)
+        for pt in entry.smooth_points
+    ]
 
 
 def hensel_certify(

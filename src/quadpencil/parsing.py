@@ -21,6 +21,7 @@ Chart columns in witness lines (and everywhere in the user interface) are
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -40,6 +41,16 @@ __all__ = [
 ]
 
 _VARIABLE_INDEX = {name: i for i, name in enumerate(VARIABLES)}
+
+
+def _is_integer_text(text: str, signed: bool = False) -> bool:
+    """True for ASCII decimal digits, after one leading '-' when signed.
+
+    str.isdigit alone also accepts digits such as '²', which int() rejects.
+    """
+    if signed:
+        text = text.removeprefix("-")
+    return text.isascii() and text.isdigit()
 
 
 class ParseError(ValueError):
@@ -103,9 +114,9 @@ def _tokenize(text: str, line: int) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if _is_integer_text(ch):
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and _is_integer_text(text[j]):
                 j += 1
             tokens.append(_Token("int", text[i:j], col))
             i = j
@@ -347,20 +358,21 @@ def _parse_int_list(
         )
     values = []
     for part in parts:
-        part = part.strip()
-        if not part or not (part.lstrip("-").isdigit()):
+        if not _is_integer_text(part, signed=True):
             raise ParseError(f"bad integer '{part}' in {what}", line, column)
         values.append(int(part))
+        column += len(part) + 1
     return tuple(values)
 
 
 def _parse_witness_fields(
     body: str, line: int, offset: int
 ) -> dict[str, tuple[str, int]]:
-    """Split ``key=value`` fields, keeping each value's column for errors."""
+    """Split ``key=value`` fields, keeping each key's column for errors."""
     fields: dict[str, tuple[str, int]] = {}
-    for chunk in body.split():
-        column = offset + body.index(chunk) + 1
+    for match in re.finditer(r"\S+", body):
+        chunk = match.group()
+        column = offset + match.start() + 1
         if "=" not in chunk:
             raise ParseError(f"expected key=value, got '{chunk}'", line, column)
         key, value = chunk.split("=", 1)
@@ -371,7 +383,7 @@ def _parse_witness_fields(
 
 
 def _require_prime(value: str, line: int, column: int) -> int:
-    if not value.isdigit():
+    if not _is_integer_text(value):
         raise ParseError(f"bad prime '{value}'", line, column)
     p = int(value)
     if p < 2 or not is_probable_prime(p):
@@ -379,21 +391,25 @@ def _require_prime(value: str, line: int, column: int) -> int:
     return p
 
 
+def _split_label(line_text: str) -> tuple[str, str, int]:
+    """Label, payload and the payload's 0-based offset in 'LABEL: payload'."""
+    head, _, rest = line_text.partition(":")
+    return head.strip(), rest.strip(), len(head) + 1 + len(rest) - len(rest.lstrip())
+
+
 def _parse_witness_line(line_text: str, line: int) -> FanoWitness | SingularWitness:
-    body = line_text.split(":", 1)[1].strip()
-    offset = line_text.index(":") + 1 + (len(line_text.split(":", 1)[1]) - len(line_text.split(":", 1)[1].lstrip()))
-    parts = body.split(None, 1)
-    if not parts:
+    _, body, offset = _split_label(line_text)
+    if not body:
         raise ParseError("empty WITNESS line", line, offset + 1)
-    kind = parts[0]
-    rest = parts[1] if len(parts) > 1 else ""
-    rest_offset = offset + len(kind) + 1
-    fields = _parse_witness_fields(rest, line, rest_offset)
+    kind = body.split()[0]
+    fields = _parse_witness_fields(body[len(kind):], line, offset + len(kind))
 
     def take(name: str) -> tuple[str, int]:
+        """The field's value and the value's column."""
         if name not in fields:
             raise ParseError(f"missing field '{name}='", line, offset + 1)
-        return fields.pop(name)
+        value, column = fields.pop(name)
+        return value, column + len(name) + 1
 
     if kind == "fano":
         p_text, p_col = take("p")
@@ -446,14 +462,18 @@ def _parse_sections(
                 line_number,
                 1,
             )
-        label = stripped.split(":", 1)[0].strip()
-        payload = stripped.split(":", 1)[1].strip()
+        label, payload, offset = _split_label(raw)
         if label in ("Q1", "Q2"):
             if label in forms:
                 raise ParseError(f"duplicate {label}: line", line_number, 1)
-            forms[label] = parse_form(payload, line_number)
+            try:
+                forms[label] = parse_form(payload, line_number)
+            except ParseError as error:  # report the column in the file line
+                raise ParseError(
+                    error.message, line_number, error.column + offset
+                ) from None
         elif label == "WITNESS":
-            witness = _parse_witness_line(stripped, line_number)
+            witness = _parse_witness_line(raw, line_number)
             if isinstance(witness, FanoWitness):
                 fano_witnesses.append(witness)
             else:

@@ -7,6 +7,11 @@ good-prime sampling, reduction reports — and aggregates everything into a
 certificate and turns the verdict into ``"incomplete: <reason>"``; the
 pipeline never fabricates a positive verdict from a failed stage.
 
+Every search is deterministic and exhaustive: at a bad prime p <= 5 the
+census of all 15 charts, at a sampled good prime p <= 5 the smooth points
+of that census.  A bad prime above 5 is certified only from a supplied
+witness; no method searches it yet, so without one it stays incomplete.
+
 The certificate serializes to *canonical JSON*: keys sorted, separators
 ``(",", ":")``, every integer rendered as a decimal string (bad primes
 exceed 2^32 and cross-language consumers must not lose precision),
@@ -25,8 +30,6 @@ from typing import Optional, Sequence, Union
 from .exactmath import FactorizationError, is_probable_prime
 from .fano import FANO_CODIMENSION, GrassmannChart, fano_system, verify_fano_point
 from .localcert import (
-    DEFAULT_BUDGET,
-    DEFAULT_SEED,
     EXHAUSTIVE_PRIME_BOUND,
     chart_census,
     hensel_certify,
@@ -95,23 +98,18 @@ class PipelineConfig:
     """Configuration for :func:`run_pipeline`.
 
     ``supplied_witnesses`` entries are merged with any ``WITNESS:`` lines
-    found in the input file.  ``large_prime_search`` opts in to a budgeted
-    sampling search at bad primes beyond the exhaustive bound when no
-    witness is supplied; it is off by default because the expected hit
-    rate for a codimension-6 system is p^-6 per sample, which is
-    impractical for large p.  ``workers`` is validated (>= 1) but has no
-    effect: every search runs in one thread.  It is not echoed into the
-    certificate.
+    found in the input file; a bad prime above EXHAUSTIVE_PRIME_BOUND is
+    certified only from such a witness, since no method searches it yet.
+    ``good_prime_samples`` must be distinct odd primes.  ``workers`` is
+    validated (>= 1) but has no effect: every search runs in one thread.
+    It is not echoed into the certificate.
     """
 
     input_path: str
     good_prime_samples: tuple[int, ...] = (3, 5, 7, 11, 13)
-    search_budget: int = DEFAULT_BUDGET
     lift_precision: int = 3
-    prng_seed: int = DEFAULT_SEED
     workers: int = 8
     supplied_witnesses: tuple[Union[FanoWitness, SingularWitness], ...] = ()
-    large_prime_search: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "good_prime_samples", tuple(self.good_prime_samples))
@@ -124,14 +122,12 @@ class PipelineConfig:
                     " (singular-locus analysis is invalid in characteristic 2);"
                     " when 2 divides the discriminant it is handled as a bad place"
                 )
-        if self.search_budget < 1:
-            raise ValueError("search_budget must be >= 1")
+        if len(set(self.good_prime_samples)) != len(self.good_prime_samples):
+            raise ValueError("good_prime_samples: a prime is repeated")
         if self.lift_precision < 1:
             raise ValueError("lift_precision must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if not (0 <= self.prng_seed < 2**64):
-            raise ValueError("prng_seed must be a 64-bit unsigned integer")
         for witness in self.supplied_witnesses:
             if not isinstance(witness, (FanoWitness, SingularWitness)):
                 raise ValueError(
@@ -162,7 +158,7 @@ class RationalityCertificate:
     def to_document(self) -> dict:
         """The JSON-able document; every field present, absent stages null."""
         return {
-            "certificate_version": "1",
+            "certificate_version": "2",
             "input": self.input_echo,
             "characteristic_form": (
                 None
@@ -300,7 +296,6 @@ def _bad_prime_stage(
             chosen = (*smooth_point, "verified supplied witness")
 
     census_echo = None
-    searched = None
     if chosen is None:
         if prime <= EXHAUSTIVE_PRIME_BOUND:
             census = chart_census(pencil, prime)
@@ -312,23 +307,10 @@ def _bad_prime_stage(
                 }
                 for entry in census
             ]
-            searched = "exhaustive"
             for entry in census:
                 if entry.smooth_points:
                     chosen = (entry.chart, entry.smooth_points[0], "found by search")
                     break
-        elif cfg.large_prime_search:
-            found = search_smooth_points(
-                pencil,
-                prime,
-                budget=cfg.search_budget,
-                seed=cfg.prng_seed,
-                stop_after=1,
-            )
-            searched = "sampling"
-            if found:
-                chart, point, _rank = found[0]
-                chosen = (chart, point, "found by search")
 
     if chosen is not None:
         chart, point, source = chosen
@@ -339,7 +321,7 @@ def _bad_prime_stage(
         entry["census"] = census_echo
         return entry, None
 
-    if searched == "exhaustive":
+    if census_echo is not None:
         total = sum(item["on_system"] for item in census_echo)
         justification = (
             f"exhaustive census of all 15 charts over F_{prime} found "
@@ -347,18 +329,10 @@ def _bad_prime_stage(
             f"{FANO_CODIMENSION}; no smooth F_{prime}-point exists on any chart"
         )
         reason = f"no smooth Fano point certificate at {prime}"
-    elif searched == "sampling":
-        justification = (
-            f"no supplied witness verified smooth and a sampling search with "
-            f"budget {cfg.search_budget} per chart found no smooth point "
-            f"(not a proof of absence)"
-        )
-        reason = f"no witness at {prime}"
     else:
         justification = (
-            "no witness supplied; a budgeted sampling search is available via "
-            "large_prime_search but is impractical at this size (hit rate "
-            "p^-6 per sample for a codimension-6 system)"
+            f"no supplied witness verified smooth, and no method searches "
+            f"for a smooth point at primes above {EXHAUSTIVE_PRIME_BOUND} yet"
         )
         reason = f"no witness at {prime}"
     entry = {
@@ -504,10 +478,7 @@ def run_pipeline(cfg: PipelineConfig) -> RationalityCertificate:
     }
     config_echo = {
         "good_prime_samples": list(cfg.good_prime_samples),
-        "search_budget": cfg.search_budget,
         "lift_precision": cfg.lift_precision,
-        "prng_seed": cfg.prng_seed,
-        "large_prime_search": cfg.large_prime_search,
     }
     reasons: list[str] = []
     local_certificates: list[dict] = []

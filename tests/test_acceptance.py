@@ -295,7 +295,7 @@ def test_criterion_10_good_primes(capsys):
         singular_locus(pencil, p, method="exhaustive").points == () for p in (3, 5)
     )
     found_smooth = all(
-        len(search_smooth_points(pencil, p, stop_after=1)) >= 1 for p in (3, 5)
+        len(search_smooth_points(pencil, p)) >= 1 for p in (3, 5)
     )
     elapsed = time.perf_counter() - start
     ok = loci_empty and found_smooth and elapsed < 180.0

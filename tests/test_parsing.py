@@ -106,6 +106,11 @@ def test_unexpected_character():
         parse_form("u? v")
     assert info.value.column == 2
     assert "unexpected character '?'" in info.value.message
+    # '²'.isdigit() is True, but int('²') raises: it is not a digit here.
+    with pytest.raises(ParseError) as info:
+        parse_form("u² + v^2")
+    assert info.value.column == 2
+    assert "unexpected character '²'" in info.value.message
 
 
 def test_exponent_above_two_is_rejected():
@@ -275,6 +280,15 @@ def test_form_errors_carry_the_file_line_number():
             "expected key=value, got 'coords'",
         ),
         ("WITNESS:", "empty WITNESS line"),
+        (
+            "WITNESS: fano p=3 chart=2,3 coords=1,1,0,0,1,1,0,--1",
+            "bad integer '--1' in coords",
+        ),
+        ("WITNESS: fano p=³ chart=2,3 coords=1,1,0,0,1,1,0,0", "bad prime '³'"),
+        (
+            "WITNESS: fano p=3 chart=²,3 coords=1,1,0,0,1,1,0,0",
+            "bad integer '²' in chart",
+        ),
     ],
 )
 def test_witness_line_errors(witness_line, fragment):
@@ -282,6 +296,22 @@ def test_witness_line_errors(witness_line, fragment):
         parse_input_text(_file_with(witness_line))
     assert fragment in info.value.message
     assert info.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        (f"Q1: u² + v^2\nQ2: {Q2_TEXT}\n", 1, 6),
+        (f"Q1: {Q1_TEXT}\n  Q2:  u^2 + v?\n", 2, 15),
+        (_file_with("WITNESS: fano p=3 chart=2,3 coords=1,1,0,0,1,1,0,--1"), 3, 50),
+        (_file_with("WITNESS: fano p=³ chart=2,3 coords=1,1,0,0,1,1,0,0"), 3, 17),
+        (_file_with("  WITNESS:  fano  p=3  chart=2,x coords=1,1,0,0,1,1,0,0"), 3, 32),
+    ],
+)
+def test_errors_point_at_the_offending_column_of_the_file(text, line, column):
+    with pytest.raises(ParseError) as info:
+        parse_input_text(text)
+    assert (info.value.line, info.value.column) == (line, column)
 
 
 def test_negative_witness_coordinates_are_preserved():

@@ -38,8 +38,8 @@ INCOMPLETE_AT_2 = "no smooth Fano point certificate at 2"
 
 # sha256 of `analyze` stdout for the bundled files: any change to a
 # certificate byte must be deliberate.
-EXAMPLE_SHA256 = "a5822682f64297e2e132a90f0e6bbcfb69c7d13ad5176a9dc88f7ccc3d3709b4"
-NO_WITNESS_SHA256 = "12487c85bb0c02bf672f0646f157c4504728a3c20d6d2ad963239ceb9f2f564d"
+EXAMPLE_SHA256 = "12317e8b2b9cbd9d24bc12d5c05bcf4667e9217e9f42841f467f583a39ce5342"
+NO_WITNESS_SHA256 = "7399ea7d95f5ff3547e58298e88ff19906af6f2c07bc195ed58f2cb4c005493d"
 
 
 def run_cli(argv) -> tuple[str, str, int]:
@@ -109,7 +109,7 @@ def test_certificate_document_structure(analyze_runs):
         "incomplete_reasons",
         "verdict",
     }
-    assert doc["certificate_version"] == "1"
+    assert doc["certificate_version"] == "2"
     assert doc["smoothness"] == "smooth"
     assert doc["characteristic_form"] == {
         "variable": "t",
@@ -125,10 +125,7 @@ def test_certificate_document_structure(analyze_runs):
     # The worker count must not leak into the certificate.
     assert set(doc["config"]) == {
         "good_prime_samples",
-        "search_budget",
         "lift_precision",
-        "prng_seed",
-        "large_prime_search",
     }
     places = [entry["place"] for entry in doc["local_certificates"]]
     assert places == ["real", "2", str(BIG_PRIME), "3", "5", "7", "11", "13"]
@@ -294,7 +291,7 @@ def test_analyze_without_witnesses(analyze_no_witness):
     assert doc["verdict"] == f"incomplete: {INCOMPLETE_AT_2}"
     big_entry = doc["local_certificates"][2]
     assert big_entry["liftable"] is False
-    assert "impractical" in big_entry["justification"]
+    assert "no method searches" in big_entry["justification"]
     assert doc["input"]["witnesses"] == {"fano": [], "singular": []}
 
 
@@ -406,25 +403,16 @@ def test_fano_search_exhaustive_negative():
     assert doc["count"] == "0"
 
 
-def test_fano_search_sampling_budget_exhausted():
-    args = [
-        "fano-search",
-        EXAMPLE,
-        "--prime",
-        "7",
-        "--budget",
-        "50",
-        "--chart",
-        "2,3",
-    ]
+def test_fano_search_is_exhaustive_above_5():
+    args = ["fano-search", EXAMPLE, "--prime", "7", "--chart", "2,3"]
     out, _, code = run_cli(args)
-    assert code == 2
+    assert code == 0
     doc = json.loads(out)
-    assert doc["mode"] == "sampling"
-    assert doc["budget"] == "50"
-    assert doc["count"] == "0"
+    assert doc["mode"] == "exhaustive"
+    assert int(doc["count"]) > 0
+    assert all(pt["jacobian_rank"] == "6" for pt in doc["points"])
     again, _, code2 = run_cli(args)
-    assert (out, code) == (again, code2)  # seeded determinism
+    assert (again, code2) == (out, code)
 
 
 def test_verify_point_subcommand():
@@ -562,9 +550,9 @@ def test_two_dimensional_kernel_at_a_large_prime(tmp_path):
     [
         ["analyze", "/nonexistent/input.txt"],
         ["analyze", EXAMPLE, "--good-primes", "2,3"],
-        ["analyze", EXAMPLE, "--budget", "0"],
+        ["analyze", EXAMPLE, "--search"],
         ["fano-search", EXAMPLE, "--prime", "6"],
-        ["fano-search", EXAMPLE, "--prime", "37", "--exhaustive"],
+        ["fano-search", EXAMPLE, "--prime", "37"],
         ["verify-point", EXAMPLE, "--prime", "3", "--chart", "9,1", "--coords", "1,1,0,0,1,1,0,0"],
         ["verify-point", EXAMPLE, "--prime", "3", "--chart", "2,3", "--coords", "1,2,3"],
         ["verify-ambient", EXAMPLE, "--coords", "0,0,0,0,0,0"],
@@ -575,6 +563,9 @@ def test_two_dimensional_kernel_at_a_large_prime(tmp_path):
         ["analyze", EXAMPLE, "--workers", "0"],
         ["fano-search", EXAMPLE, "--prime", "3", "--workers", "0"],
         ["fano-search", EXAMPLE, "--prime", "3", "--workers", "-4"],
+        ["analyze", EXAMPLE, "--budget", "5"],
+        ["fano-search", EXAMPLE, "--prime", "7", "--seed", "1"],
+        ["analyze", EXAMPLE, "--good-primes", "3,3"],
     ],
 )
 def test_usage_errors_exit_3(argv):
@@ -627,13 +618,9 @@ def test_pipeline_config_validation():
         PipelineConfig(**good, good_prime_samples=(2, 3))
     with pytest.raises(ValueError):
         PipelineConfig(**good, good_prime_samples=(9,))
-    with pytest.raises(ValueError):
-        PipelineConfig(**good, search_budget=0)
+    with pytest.raises(ValueError, match="repeated"):
+        PipelineConfig(**good, good_prime_samples=(3, 5, 3))
     with pytest.raises(ValueError):
         PipelineConfig(**good, lift_precision=0)
-    with pytest.raises(ValueError):
-        PipelineConfig(**good, prng_seed=-1)
-    with pytest.raises(ValueError):
-        PipelineConfig(**good, prng_seed=2**64)
     with pytest.raises(ValueError):
         PipelineConfig(**good, workers=0)
