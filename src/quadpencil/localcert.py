@@ -22,11 +22,12 @@ from .pencil import CurveData, PencilOfQuadrics
 from .quadric import NUM_VARIABLES, evaluate_form, polar_matrix
 
 # The pipeline scans primes up to this bound (p^8 points per chart, via the
-# split scan below, which is equivalent but far cheaper).
+# Schubert-cell scan below, which is equivalent but far cheaper).
 EXHAUSTIVE_PRIME_BOUND = 5
 
-# Scan cap: the split scan enumerates 2 * p^4 half-tuples per chart, which
-# stays tractable up to about p = 31 and not much beyond.
+# Scan cap: a census of all 15 charts enumerates about 6 * p^4 row tuples
+# (5 p^4 of them with a leading 1 in the first column), which stays
+# tractable up to about p = 31 and not much beyond.
 EXHAUSTIVE_PRIME_HARD_CAP = 31
 
 
@@ -54,17 +55,19 @@ class LocalPointCertificate:
 
 
 def _half_zeros(states, quads, p: int, prefix: tuple[int, ...] = ()) -> list:
-    """Common zeros in F_p^4 of 4-variable quadratics, by nested partial sums.
+    """Common zeros in F_p^n of n-variable quadratics, by nested partial sums.
 
-    Each form is a state (value, linear coefficients) with quadratic
+    Each form is a state (value, n linear coefficients) with quadratic
     coefficients q; fixing x_k adds (lin_k + q_kk x_k) x_k to the value and
     q_km x_k to each later linear coefficient.
     """
-    k = len(prefix)
-    if k == 3:
+    k, n = len(prefix), len(states[0][1])
+    if k == n:  # no free columns
+        return [] if any(s % p for s, _ in states) else [prefix]
+    if k == n - 1:
         xs = range(p)
         for (s, lin), q in zip(states, quads):
-            xs = [x for x in xs if (s + (lin[3] + q[3][3] * x) * x) % p == 0]
+            xs = [x for x in xs if (s + (lin[k] + q[k][k] * x) * x) % p == 0]
         return [prefix + (x,) for x in xs]
     zeros = []
     for x in range(p):
@@ -76,41 +79,59 @@ def _half_zeros(states, quads, p: int, prefix: tuple[int, ...] = ()) -> list:
     return zeros
 
 
-def _scan_chart(pencil: PencilOfQuadrics, chart: GrassmannChart, p: int) -> list:
-    """All on-system points of one chart over F_p with their Jacobian ranks.
+def _cell_lines(pencil: PencilOfQuadrics, cells, p: int) -> list:
+    """Each F_p-line (a, b) of X in the given Schubert cells of Gr(2,6), with rank.
 
-    Works from the polar matrices P alone: row A (1 at pivot i, t_2k at
-    non-pivot c_k) and row B (1 at pivot j, t_2k+1 at c_k) span the line, and
-    its equations are Q(a), a^T P b and Q(b).  Split scan: each form on a row
-    is a 4-variable quadratic (constant q_ii, linear q_i,c_k, quadratic
-    q_c_k,c_l), whose common zeros on the two p^4 half-grids are paired by the
-    polar dots (Pa).b; the Jacobian comes from Pa and Pb (fano.polar_jacobian).
-    Returns sorted (point, rank) pairs, the same as the naive p^8 scan.
+    Cell (i, j) holds the lines with echelon basis a (1 at column i, 0 before
+    i and at j) and b (1 at j, 0 before j), one cell per line.  Each form is a
+    quadratic in a row's free columns; their common zeros (b's once per j) are
+    paired by the dots (Pa).b; fano.polar_jacobian on chart (i, j) gives ranks.
     """
     polars = (polar_matrix(pencil.q1), polar_matrix(pencil.q2))
-    cols = chart.non_pivots
-    quads = [[[P[c][d] // (1 + (c == d)) for d in cols] for c in cols] for P in polars]
-    rows = []
-    for pivot in chart.pivots:
-        states = [(P[pivot][pivot] // 2, [P[pivot][c] for c in cols]) for P in polars]
-        zeros = []
-        for half in _half_zeros(states, quads, p):
-            v = list(half)
-            for c in chart.pivots:  # ascending, so each lands at its column
-                v.insert(c, int(c == pivot))
-            products = [[sum(map(mul, r, v)) % p for r in P] for P in polars]
-            zeros.append((half, v, products))
-        rows.append(zeros)
 
-    found = []
-    for half_a, _, pas in rows[0]:
-        for half_b, b, pbs in rows[1]:
-            if any(sum(map(mul, pa, b)) % p for pa in pas):
-                continue
-            point = tuple(t for pair in zip(half_a, half_b) for t in pair)
-            found.append((point, rank_mod_p(polar_jacobian(chart, pas, pbs), p)))
-    found.sort()
-    return found
+    def row_zeros(lead: int, free):
+        quads = [[[P[c][d] // (1 + (c == d)) for d in free] for c in free] for P in polars]
+        states = [(P[lead][lead] // 2, [P[lead][c] for c in free]) for P in polars]
+        for half in _half_zeros(states, quads, p):
+            entries = {lead: 1, **dict(zip(free, half))}
+            v = [entries.get(c, 0) for c in range(NUM_VARIABLES)]
+            yield v, [[sum(map(mul, r, v)) % p for r in P] for P in polars]
+
+    rows_b = {j: list(row_zeros(j, range(j + 1, NUM_VARIABLES)))
+              for j in {j for _, j in cells}}
+    return [
+        (a, b, rank_mod_p(polar_jacobian(GrassmannChart((i, j)), pas, pbs), p))
+        for i, j in cells
+        for a, pas in row_zeros(i, [c for c in range(i + 1, NUM_VARIABLES) if c != j])
+        for b, pbs in rows_b[j]
+        if not any(sum(map(mul, pa, b)) % p for pa in pas)
+    ]
+
+
+def _chart_points(pencil: PencilOfQuadrics, p: int, charts) -> list:
+    """(chart, sorted (point, rank) pairs) for each chart, in pivot order.
+
+    Scans the cells (i, j) with i <= k and j <= l for a chart (k, l): they hold
+    its lines.  Line (a, b) is in chart (k, l) iff m = a_k b_l - a_l b_k != 0,
+    with chart rows (b_l a - a_l b) / m and (a_k b - b_k a) / m.  Its rank is
+    the same on every chart: on an overlap the charts' six equations differ by
+    the invertible Sym^2 base change of the line's basis, so their Jacobians
+    have equal rank at any point of the system.
+    """
+    charts = sorted(charts, key=lambda c: c.pivots)
+    cells = [(i, j) for i, j in (cell.pivots for cell in all_charts())
+             if any(i <= k and j <= l for k, l in (c.pivots for c in charts))]
+    lines = _cell_lines(pencil, cells, p)
+
+    def read_off(chart):
+        k, l = chart.pivots
+        for a, b, rank in lines:
+            if minor := (a[k] * b[l] - a[l] * b[k]) % p:
+                s = pow(minor, -1, p)
+                yield tuple(t * s % p for c in chart.non_pivots for t in (
+                    b[l] * a[c] - a[l] * b[c], a[k] * b[c] - b[k] * a[c])), rank
+
+    return [(chart, sorted(read_off(chart))) for chart in charts]
 
 
 @dataclass(frozen=True)
@@ -127,6 +148,8 @@ def chart_census(
 ) -> list[CensusEntry]:
     """Exhaustive census over F_p of the given charts (all 15 by default).
 
+    Each F_p-line of X is found once, in its Schubert cell, and then read off
+    in every requested chart that contains it (see _chart_points).
     Deterministic: charts in lexicographic pivot order, points sorted.
     Raises ValueError above EXHAUSTIVE_PRIME_HARD_CAP.
     """
@@ -137,9 +160,9 @@ def chart_census(
             f"exhaustive scan infeasible for p > {EXHAUSTIVE_PRIME_HARD_CAP}"
         )
     census = []
-    for chart in sorted(all_charts() if charts is None else charts,
-                        key=lambda c: c.pivots):
-        points = _scan_chart(pencil, chart, prime)
+    for chart, points in _chart_points(
+        pencil, prime, all_charts() if charts is None else charts
+    ):
         smooth = tuple(pt for pt, rank in points if rank == FANO_CODIMENSION)
         census.append(CensusEntry(chart, len(points), smooth))
     return census

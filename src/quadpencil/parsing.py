@@ -168,7 +168,9 @@ class _FormParser:
         return tok
 
     # A polynomial is represented sparsely as {exponent 6-tuple: int}.
-    def parse(self) -> dict[tuple[int, ...], int]:
+    def parse(
+        self,
+    ) -> tuple[dict[tuple[int, ...], int], dict[tuple[int, ...], int]]:
         result = self._parse_sum()
         trailing = self._peek()
         if trailing is not None:
@@ -177,20 +179,26 @@ class _FormParser:
             )
         return result
 
-    def _parse_sum(self) -> dict[tuple[int, ...], int]:
-        sign = 1
+    def _parse_sum(
+        self,
+    ) -> tuple[dict[tuple[int, ...], int], dict[tuple[int, ...], int]]:
+        """The sum, and the column of the first term giving each monomial."""
+        total: dict[tuple[int, ...], int] = {}
+        columns: dict[tuple[int, ...], int] = {}
         tok = self._peek()
-        if tok is not None and tok.kind in "+-":
-            self._next()
-            sign = -1 if tok.kind == "-" else 1
-        total = _poly_scale(self._parse_term(), sign)
         while True:
+            sign = 1
+            if tok is not None and tok.kind in "+-":
+                self._next()
+                sign = -1 if tok.kind == "-" else 1
+            start = self._peek()
+            term = self._parse_term()
+            for exps in term:
+                columns.setdefault(exps, start.column)
+            total = _poly_add(total, _poly_scale(term, sign))
             tok = self._peek()
             if tok is None or tok.kind not in "+-":
-                return total
-            self._next()
-            sign = -1 if tok.kind == "-" else 1
-            total = _poly_add(total, _poly_scale(self._parse_term(), sign))
+                return total, columns
 
     def _parse_term(self) -> dict[tuple[int, ...], int]:
         product = self._parse_factor()
@@ -200,12 +208,12 @@ class _FormParser:
                 return product
             if tok.kind == "*":
                 self._next()
-                product = _poly_mul(product, self._parse_factor(), self._line)
-            elif tok.kind in ("int", "var", "("):
-                # implicit multiplication: 4vw, 2 x z, 3(u+v)...
-                product = _poly_mul(product, self._parse_factor(), self._line)
-            else:
+                tok = self._peek()
+            elif tok.kind not in ("int", "var", "("):
                 return product
+            # explicit or implicit multiplication: 4*vw, 4vw, 2 x z, 3(u+v)...
+            column = tok.column if tok is not None else self._end_column
+            product = _poly_mul(product, self._parse_factor(), self._line, column)
 
     def _parse_factor(self) -> dict[tuple[int, ...], int]:
         tok = self._next()
@@ -234,7 +242,7 @@ class _FormParser:
             exps[_VARIABLE_INDEX[tok.text]] = exponent
             return {tuple(exps): 1}
         if tok.kind == "(":
-            inner = self._parse_sum()
+            inner, _ = self._parse_sum()
             closing = self._next()
             if closing.kind != ")":
                 raise ParseError("expected ')'", self._line, closing.column)
@@ -262,15 +270,19 @@ def _poly_scale(a: dict[tuple[int, ...], int], s: int) -> dict[tuple[int, ...], 
 
 
 def _poly_mul(
-    a: dict[tuple[int, ...], int], b: dict[tuple[int, ...], int], line: int
+    a: dict[tuple[int, ...], int],
+    b: dict[tuple[int, ...], int],
+    line: int,
+    column: int,
 ) -> dict[tuple[int, ...], int]:
+    """a * b, or a ParseError at the column of factor b past degree 2."""
     out: dict[tuple[int, ...], int] = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
             exps = tuple(x + y for x, y in zip(ea, eb))
             if sum(exps) > 2:
                 raise ParseError(
-                    "non-quadratic monomial: total degree exceeds 2", line, 1
+                    "non-quadratic monomial: total degree exceeds 2", line, column
                 )
             new = out.get(exps, 0) + ca * cb
             if new:
@@ -290,7 +302,7 @@ def parse_form(text: str, line: int = 1) -> QuadraticForm:
     tokens = _tokenize(text, line)
     if not tokens:
         raise ParseError("empty polynomial", line, 1)
-    poly = _FormParser(tokens, line, len(text)).parse()
+    poly, columns = _FormParser(tokens, line, len(text)).parse()
     coeffs: dict[tuple[int, int], int] = {}
     for exps, coeff in poly.items():
         degree = sum(exps)
@@ -299,7 +311,7 @@ def parse_form(text: str, line: int = 1) -> QuadraticForm:
             raise ParseError(
                 f"non-quadratic monomial: '{monomial}' has total degree {degree}",
                 line,
-                1,
+                columns[exps],
             )
         support = [i for i, e in enumerate(exps) if e]
         if len(support) == 1:

@@ -23,8 +23,9 @@ from quadpencil import (
     verify_fano_point,
     verify_projective_point,
 )
-from quadpencil.exactmath import UniPoly, sturm_count
-from quadpencil.localcert import _scan_chart
+from quadpencil.exactmath import UniPoly, rref_mod_p, sturm_count
+from quadpencil.fano import chart_point_rows
+from quadpencil.localcert import _cell_lines, _chart_points
 
 from conftest import (
     BIG_PRIME,
@@ -97,21 +98,44 @@ def _naive_scan(pencil, chart, p):
     ]
 
 
-def test_scan_chart_matches_the_naive_scan(example_pencil):
+def _pencils(example_pencil):
     rng = random.Random(3)
-    pencils = [example_pencil] + [
+    return [example_pencil] + [
         PencilOfQuadrics(random_form(rng), random_form(rng)) for _ in range(2)
     ]
+
+
+def test_scan_chart_matches_the_naive_scan(example_pencil):
     two_charts = [GrassmannChart(CHART_PIVOTS), GrassmannChart((0, 5))]
     points = smooth = 0
-    for pencil in pencils:
+    for pencil in _pencils(example_pencil):
         for p, charts in ((2, all_charts()), (3, two_charts)):
-            for chart in charts:
-                found = _scan_chart(pencil, chart, p)
+            for chart, found in _chart_points(pencil, p, charts):
                 assert found == _naive_scan(pencil, chart, p), (pencil, chart, p)
                 points += len(found)
                 smooth += sum(rank == 6 for _, rank in found)
     assert points >= 300 and smooth >= 10
+
+
+def test_cell_scan_enumerates_each_line_once(example_pencil):
+    cells = [chart.pivots for chart in all_charts()]
+    for pencil in _pencils(example_pencil):
+        for p in (2, 3):
+            naive = set()
+            for chart in all_charts():
+                for point, _ in _naive_scan(pencil, chart, p):
+                    echelon, _ = rref_mod_p(chart_point_rows(chart, point), p)
+                    naive.add(tuple(map(tuple, echelon)))
+            lines = [(tuple(a), tuple(b)) for a, b, _ in _cell_lines(pencil, cells, p)]
+            assert len(lines) == len(set(lines)) == len(naive), (pencil, p)
+            assert set(lines) == naive
+
+
+def test_single_chart_census_equals_its_entry_in_the_full_census(example_pencil):
+    for p in (3, 5):
+        full = chart_census(example_pencil, p)
+        for entry in full:
+            assert chart_census(example_pencil, p, [entry.chart]) == [entry]
 
 
 def test_exhaustive_search_finds_only_smooth_points(example_pencil):

@@ -302,6 +302,8 @@ def test_witness_line_errors(witness_line, fragment):
     "text, line, column",
     [
         (f"Q1: u² + v^2\nQ2: {Q2_TEXT}\n", 1, 6),
+        (f"Q1: x^2 + u + v^2\nQ2: {Q2_TEXT}\n", 1, 11),
+        (f"Q1: x^2 + 3u*v*w\nQ2: {Q2_TEXT}\n", 1, 16),
         (f"Q1: {Q1_TEXT}\n  Q2:  u^2 + v?\n", 2, 15),
         (_file_with("WITNESS: fano p=3 chart=2,3 coords=1,1,0,0,1,1,0,--1"), 3, 50),
         (_file_with("WITNESS: fano p=³ chart=2,3 coords=1,1,0,0,1,1,0,0"), 3, 17),
