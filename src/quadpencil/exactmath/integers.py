@@ -9,24 +9,45 @@ TRIAL_DIVISION_LIMIT = 10**6
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_sieve_primes: list[int] | None = None
+# Primes below _sieved_to, in order; grown in place by _extend_primes.
+_sieve_primes: list[int] = []
+_sieved_to = 0
+# Numbers sieved per extension: the first segment reaches past every prime
+# that trial division on the bundled inputs needs.
+_SEGMENT = 1 << 15
 
 
 class FactorizationError(RuntimeError):
     """Raised when a cofactor cannot be certified prime or split further."""
 
 
-def _small_primes() -> list[int]:
-    global _sieve_primes
-    if _sieve_primes is None:
-        limit = TRIAL_DIVISION_LIMIT
-        sieve = bytearray([1]) * (limit + 1)
+def _extend_primes() -> bool:
+    """Append the primes of the next segment below TRIAL_DIVISION_LIMIT + 1.
+
+    Returns False once the limit is reached.  The first segment is sieved
+    outright; later ones are crossed off by the primes already found, which
+    reach past the square root of the limit.
+    """
+    global _sieved_to
+    lo = _sieved_to
+    hi = min(lo + _SEGMENT, TRIAL_DIVISION_LIMIT + 1)
+    if lo >= hi:
+        return False
+    sieve = bytearray([1]) * (hi - lo)
+    if lo == 0:
         sieve[0] = sieve[1] = 0
-        for i in range(2, int(limit**0.5) + 1):
+        for i in range(2, int((hi - 1) ** 0.5) + 1):
             if sieve[i]:
-                sieve[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
-        _sieve_primes = list(compress(range(limit + 1), sieve))
-    return _sieve_primes
+                sieve[i * i :: i] = bytearray(len(range(i * i, hi, i)))
+    else:
+        for p in _sieve_primes:
+            if p * p >= hi:
+                break
+            start = max(p * p, -(-lo // p) * p)
+            sieve[start - lo :: p] = bytearray(len(range(start, hi, p)))
+    _sieve_primes.extend(compress(range(lo, hi), sieve))
+    _sieved_to = hi
+    return True
 
 
 def is_probable_prime(n: int) -> bool:
@@ -91,12 +112,15 @@ def factor_with_hints(n: int, hints: tuple[int, ...] | list[int] = ()) -> dict[i
         raise ValueError("cannot factor 0")
     n = abs(n)
     factors: dict[int, int] = {}
-    for p in _small_primes():
+    k = 0
+    while k < len(_sieve_primes) or _extend_primes():
+        p = _sieve_primes[k]
         if p * p > n:
             break
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
+        k += 1
     if n == 1:
         return factors
     if n <= TRIAL_DIVISION_LIMIT * TRIAL_DIVISION_LIMIT and is_probable_prime(n):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 
 from .integers import is_probable_prime
 
@@ -206,42 +206,105 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 
 def squarefree_degree6(f: UniPoly) -> bool:
     """True iff deg f = 6 and gcd(f, f') is a nonzero constant."""
-    if f.degree() != 6:
-        return False
-    return poly_gcd(f, f.derivative()).degree() == 0
+    return f.degree() == 6 and len(_sturm_chain(f)[-1]) == 1
 
 
 # ---------------------------------------------------------------------------
 # Sturm sequences and real root isolation
+#
+# Everything here is integer arithmetic.  A chain element is a tuple of ints,
+# lowest degree first; a finite point is a pair (x, den) with den > 0 standing
+# for x / den.
 # ---------------------------------------------------------------------------
 
 
-def _sturm_chain(f: UniPoly) -> list[UniPoly]:
-    chain = [f.primitive_part(), f.derivative().primitive_part()]
-    while not chain[-1].is_zero() and chain[-1].degree() > 0:
-        _, r = chain[-2].divmod(chain[-1])
-        if r.is_zero():
+def _primitive(coeffs) -> tuple[int, ...]:
+    """Integer coefficients divided by their gcd (sign kept)."""
+    g = int_gcd(*coeffs)
+    if g > 1:
+        return tuple(c // g for c in coeffs)
+    return tuple(coeffs)
+
+
+def _positive_prem(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """A positive integer multiple of the remainder of a by b over Q.
+
+    Each step scales by |lc(b)| rather than lc(b), so, unlike the classical
+    pseudo-remainder, the result has the sign of the true remainder.
+    """
+    rem = list(a)
+    db = len(b) - 1
+    scale = abs(b[-1])
+    sign = 1 if b[-1] > 0 else -1
+    for k in range(len(rem) - 1 - db, -1, -1):
+        q = rem[k + db] * sign
+        if q:
+            for i in range(k + db):
+                rem[i] *= scale
+            for i in range(db):
+                rem[k + i] -= q * b[i]
+    rem = rem[:db]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return rem
+
+
+def _sturm_chain(f: UniPoly) -> list[tuple[int, ...]]:
+    """Sturm chain of f, deg f >= 1, as primitive integer tuples.
+
+    Element k is a positive multiple of the k-th element of the Euclidean
+    Sturm sequence over Q (f, f', then minus each remainder), so it has the
+    same sign everywhere.  The last element is gcd(f, f') up to a constant,
+    so f is squarefree iff it has degree 0.
+    """
+    den = lcm(*(Fraction(c).denominator for c in f.coeffs))
+    head = _primitive([int(c * den) for c in f.coeffs])
+    chain = [head, _primitive([k * c for k, c in enumerate(head) if k])]
+    while len(chain[-1]) > 1:
+        r = _positive_prem(chain[-2], chain[-1])
+        if not r:
             break
-        chain.append((-r).primitive_part())
-    return [p for p in chain if not p.is_zero()]
+        chain.append(_primitive([-c for c in r]))
+    return chain
 
 
-def _sign(x) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
+def _squarefree_chain(f: UniPoly) -> list[tuple[int, ...]]:
+    chain = _sturm_chain(f)
+    if len(chain[-1]) != 1:
+        raise ValueError("non-squarefree input")
+    return chain
 
 
-def _sign_at(p: UniPoly, point) -> int:
-    """Sign of p at a rational point or at +/- infinity (point is +-None)."""
-    if point is _NEG_INF:
-        lead = p.leading()
-        return _sign(lead) * (1 if p.degree() % 2 == 0 else -1)
-    if point is _POS_INF:
-        return _sign(p.leading())
-    return _sign(p.evaluate(point))
+def _value(p: tuple[int, ...], dpow: list[int], x: int) -> int:
+    """den^deg(p) * p(x / den) by homogeneous Horner; dpow[j] = den^j."""
+    acc = 0
+    for j, c in enumerate(reversed(p)):
+        acc = acc * x + c * dpow[j]
+    return acc
+
+
+def _powers(den: int, n: int) -> list[int]:
+    dpow = [1]
+    for _ in range(n):
+        dpow.append(dpow[-1] * den)
+    return dpow
+
+
+def _changes(values) -> int:
+    """Sign changes in a sequence, zeros dropped."""
+    changes = 0
+    last = 0
+    for v in values:
+        if v:
+            if last and (v > 0) != (last > 0):
+                changes += 1
+            last = v
+    return changes
+
+
+def _variations(chain: list[tuple[int, ...]], x: int, den: int) -> int:
+    dpow = _powers(den, len(chain[0]) - 1)
+    return _changes(_value(p, dpow, x) for p in chain)
 
 
 class _Infinity:
@@ -264,9 +327,13 @@ def _as_endpoint(x, default):
     return Fraction(x)
 
 
-def _variations(chain: list[UniPoly], point) -> int:
-    signs = [s for s in (_sign_at(p, point) for p in chain) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _variations_at(chain: list[tuple[int, ...]], point) -> int:
+    """Sign variations at a Fraction point or at -/+ infinity."""
+    if point is _POS_INF:
+        return _changes(p[-1] for p in chain)
+    if point is _NEG_INF:
+        return _changes(-p[-1] if len(p) % 2 == 0 else p[-1] for p in chain)
+    return _variations(chain, point.numerator, point.denominator)
 
 
 def sturm_count(f: UniPoly, lo=None, hi=None) -> int:
@@ -276,12 +343,10 @@ def sturm_count(f: UniPoly, lo=None, hi=None) -> int:
     """
     if f.is_zero() or f.degree() < 1:
         return 0
-    if poly_gcd(f, f.derivative()).degree() != 0:
-        raise ValueError("non-squarefree input")
-    chain = _sturm_chain(f)
+    chain = _squarefree_chain(f)
     a = _as_endpoint(lo, _NEG_INF)
     b = _as_endpoint(hi, _POS_INF)
-    return _variations(chain, a) - _variations(chain, b)
+    return _variations_at(chain, a) - _variations_at(chain, b)
 
 
 def _root_bound(f: UniPoly) -> Fraction:
@@ -291,48 +356,77 @@ def _root_bound(f: UniPoly) -> Fraction:
     return Fraction(1) + m / lead
 
 
+def _over_common(a: Fraction, b: Fraction) -> tuple[int, int, int]:
+    den = lcm(a.denominator, b.denominator)
+    return a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den
+
+
 def isolate_real_roots(f: UniPoly, width: Fraction = ISOLATION_WIDTH) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint rational intervals (lo, hi], one real root each, width < 10^-6."""
+    """Disjoint rational intervals (lo, hi], one real root each, width < 10^-6.
+
+    Bisection from the Cauchy bound on integer numerators: a stack entry
+    (lo, hi, den, V(lo), V(hi)) is the interval (lo/den, hi/den] with the
+    Sturm variations at its ends, so the interval holds V(lo) - V(hi) roots.
+    """
     if f.is_zero() or f.degree() < 1:
         return []
-    if poly_gcd(f, f.derivative()).degree() != 0:
-        raise ValueError("non-squarefree input")
-    chain = _sturm_chain(f)
+    chain = _squarefree_chain(f)
+    head = chain[0]
+    deg = len(head) - 1
+    width = Fraction(width)
 
-    def count(lo: Fraction, hi: Fraction) -> int:
-        return _variations(chain, lo) - _variations(chain, hi)
+    def sign(x: int, den: int) -> int:
+        v = _value(head, _powers(den, deg), x)
+        return (v > 0) - (v < 0)
+
+    def variations(point: Fraction) -> int:
+        return _variations(chain, point.numerator, point.denominator)
 
     bound = _root_bound(f)
-    result: list[tuple[Fraction, Fraction]] = []
-    stack = [(-bound, bound, count(-bound, bound))]
+    b, d = bound.numerator, bound.denominator
+    found: list[tuple[int, int, int]] = []
+    stack = [(-b, b, d, _variations(chain, -b, d), _variations(chain, b, d))]
     while stack:
-        lo, hi, n = stack.pop()
-        if n == 0:
-            continue
-        if n == 1 and hi - lo < width:
-            result.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        if f.evaluate(mid) == 0:
-            # mid is itself a root: emit a tight interval around it and
-            # recurse on the two outer pieces.
-            eps = min(width / 4, (hi - lo) / 4)
-            while count(mid - eps, mid + eps) != 1:
-                eps /= 2
-            result.append((mid - eps, mid + eps))
-            left_n = count(lo, mid - eps)
-            right_n = count(mid + eps, hi)
-            if left_n:
-                stack.append((lo, mid - eps, left_n))
-            if right_n:
-                stack.append((mid + eps, hi, right_n))
-            continue
-        left_n = count(lo, mid)
-        if left_n:
-            stack.append((lo, mid, left_n))
-        if n - left_n:
-            stack.append((mid, hi, n - left_n))
-    return sorted(result)
+        lo, hi, den, vlo, vhi = stack.pop()
+        # One root and f(lo) != 0: the root lies in (lo, mid) iff f(mid) and
+        # f(lo) differ in sign, so bisect on the sign of f alone.  The root
+        # stays in (lo, hi], so V(lo) and V(hi) keep their values.
+        s_lo = sign(lo, den) if vlo - vhi == 1 else 0
+        while True:
+            if vlo - vhi == 1 and (hi - lo) * width.denominator < width.numerator * den:
+                found.append((lo, hi, den))
+                break
+            mid, lo, hi, den = lo + hi, 2 * lo, 2 * hi, 2 * den
+            s_mid = sign(mid, den)
+            if s_mid == 0:
+                # mid is itself a root: emit a tight interval around it and
+                # recurse on the two outer pieces.
+                left, right, centre = Fraction(lo, den), Fraction(hi, den), Fraction(mid, den)
+                eps = min(width / 4, (right - left) / 4)
+                while True:
+                    v_in, v_out = variations(centre - eps), variations(centre + eps)
+                    if v_in - v_out == 1:
+                        break
+                    eps /= 2
+                found.append(_over_common(centre - eps, centre + eps))
+                if vlo - v_in:
+                    stack.append((*_over_common(left, centre - eps), vlo, v_in))
+                if v_out - vhi:
+                    stack.append((*_over_common(centre + eps, right), v_out, vhi))
+                break
+            if s_lo:
+                if s_mid == s_lo:
+                    lo = mid
+                else:
+                    hi = mid
+                continue
+            vmid = _variations(chain, mid, den)
+            if vlo - vmid:
+                stack.append((lo, mid, den, vlo, vmid))
+            if vmid - vhi:
+                stack.append((mid, hi, den, vmid, vhi))
+            break
+    return sorted((Fraction(lo, den), Fraction(hi, den)) for lo, hi, den in found)
 
 
 # ---------------------------------------------------------------------------

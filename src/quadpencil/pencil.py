@@ -3,18 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactmath import (
-    ExactMatrix,
     UniPoly,
-    det_poly_matrix,
+    det_poly_matrix,  # unused here, but qpbench/worker.py traces this name
     factor_with_hints,
     poly_discriminant,
     squarefree_degree6,
     sturm_count,
 )
-from .quadric import NUM_VARIABLES, QuadraticForm, gram_matrix
+from .exactmath.unipoly import _bareiss_int_det
+from .quadric import NUM_VARIABLES, QuadraticForm, polar_matrix
 
 # Discriminant normalization exponent for a genus-2 hyperelliptic model
 # z^2 = f(t): the model discriminant is 2^(4g+4) * disc(f) with g = 2.
@@ -33,18 +32,19 @@ class NonIntegralCharacteristicFormError(ArithmeticError):
 class PencilOfQuadrics:
     """The pencil spanned by two integral quadratic forms.
 
-    The characteristic form f(t) = -det(M1 - t*M2) is computed exactly at
-    construction time and cached; instances are immutable.
+    The characteristic form f(t) = -det(M1 - t*M2) of the Gram matrices is
+    computed exactly at construction time and cached; instances are
+    immutable.
     """
 
-    __slots__ = ("q1", "q2", "m1", "m2", "char_form")
+    __slots__ = ("q1", "q2", "char_form")
 
     def __init__(self, q1: QuadraticForm, q2: QuadraticForm):
         object.__setattr__(self, "q1", q1)
         object.__setattr__(self, "q2", q2)
-        object.__setattr__(self, "m1", gram_matrix(q1))
-        object.__setattr__(self, "m2", gram_matrix(q2))
-        object.__setattr__(self, "char_form", _characteristic_form(self.m1, self.m2))
+        object.__setattr__(
+            self, "char_form", _characteristic_form(polar_matrix(q1), polar_matrix(q2))
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("PencilOfQuadrics is immutable")
@@ -53,21 +53,31 @@ class PencilOfQuadrics:
         return f"PencilOfQuadrics({self.q1!r}, {self.q2!r})"
 
 
-def _characteristic_form(m1: ExactMatrix, m2: ExactMatrix) -> UniPoly:
-    entries = []
-    for i in range(NUM_VARIABLES):
-        for j in range(NUM_VARIABLES):
-            a = m1.entry(i, j)
-            b = m2.entry(i, j)
-            entries.append(UniPoly((Fraction(a), -Fraction(b))))
-    matrix = ExactMatrix(NUM_VARIABLES, NUM_VARIABLES, entries)
-    det = det_poly_matrix(matrix)
-    if not isinstance(det, UniPoly):
-        det = UniPoly.constant(det)
-    f = -det
-    if not f.is_integral():
+def _characteristic_form(p1: list[list[int]], p2: list[list[int]]) -> UniPoly:
+    """-det(M1 - t*M2) from the polar matrices P = 2M, in integers.
+
+    g(t) = det(P1 - t*P2) = 2^6 det(M1 - t*M2) has integer coefficients and
+    degree at most 6, so its values at t = 0..6 fix it.  Newton's divided
+    differences of an integer polynomial at consecutive integers are
+    integers, so every division by k below is exact.
+    """
+    n = NUM_VARIABLES
+    g = [
+        _bareiss_int_det([[p1[i][j] - t * p2[i][j] for j in range(n)] for i in range(n)])
+        for t in range(n + 1)
+    ]
+    for k in range(1, n + 1):
+        for i in range(n, k - 1, -1):
+            g[i] = (g[i] - g[i - 1]) // k
+    # Newton form to monomial basis: g = g[0] + t*(g[1] + (t-1)*(g[2] + ...)).
+    coeffs = [g[n]]
+    for k in range(n - 1, -1, -1):
+        coeffs = [g[k] - k * coeffs[0]] + [
+            a - k * b for a, b in zip(coeffs, coeffs[1:])
+        ] + [coeffs[-1]]
+    if any(c % 64 for c in coeffs):
         raise NonIntegralCharacteristicFormError("non-integral characteristic form")
-    return f.to_integer_coeffs()
+    return UniPoly(tuple(-c // 64 for c in coeffs))
 
 
 def characteristic_form(pencil: PencilOfQuadrics) -> UniPoly:

@@ -27,7 +27,13 @@ from quadpencil.exactmath import (
     sqrt_mod_p,
     sturm_count,
 )
-from quadpencil.exactmath.unipoly import poly_gcd, resultant, squarefree_degree6
+from quadpencil.exactmath import integers
+from quadpencil.exactmath.unipoly import (
+    _sturm_chain,
+    poly_gcd,
+    resultant,
+    squarefree_degree6,
+)
 
 from conftest import (
     BIG_PRIME,
@@ -93,6 +99,20 @@ def test_factor_with_hints():
         factor_with_hints(0)
     # Perfect powers of large primes unwrap without hints.
     assert factor_with_hints((10**9 + 7) ** 2) == {10**9 + 7: 2}
+
+
+def test_trial_division_primes_grow_in_order():
+    # 999979 * 999983 sends trial division to the end of the prime list.
+    assert factor_with_hints(999979 * 999983) == {999979: 1, 999983: 1}
+    assert integers._sieved_to == integers.TRIAL_DIVISION_LIMIT + 1
+    limit = integers.TRIAL_DIVISION_LIMIT
+    composite = bytearray(limit + 1)
+    for i in range(2, int(limit**0.5) + 1):
+        if not composite[i]:
+            composite[i * i :: i] = b"\x01" * len(range(i * i, limit + 1, i))
+    assert integers._sieve_primes == [
+        n for n in range(2, limit + 1) if not composite[n]
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +322,114 @@ def test_isolation_handles_rational_roots():
     assert len(intervals) == 3
     for root, (lo, hi) in zip((-1, 0, 1), intervals):
         assert lo < root < hi
+
+
+# Reference: the Sturm chain and bisection in Fraction arithmetic that the
+# integer versions in unipoly.py replace; they must give equal results.
+
+
+def fraction_sturm_chain(f: UniPoly) -> list[UniPoly]:
+    chain = [f.primitive_part(), f.derivative().primitive_part()]
+    while not chain[-1].is_zero() and chain[-1].degree() > 0:
+        _, r = chain[-2].divmod(chain[-1])
+        if r.is_zero():
+            break
+        chain.append((-r).primitive_part())
+    return [p for p in chain if not p.is_zero()]
+
+
+def fraction_isolate(f: UniPoly, width=Fraction(1, 10**6)):
+    chain = fraction_sturm_chain(f)
+
+    def variations(x):
+        values = [p.evaluate(x) for p in chain]
+        signs = [(v > 0) - (v < 0) for v in values if v]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    def count(lo, hi):
+        return variations(lo) - variations(hi)
+
+    lead = abs(Fraction(f.leading()))
+    m = max((abs(Fraction(c)) for c in f.coeffs[:-1]), default=Fraction(0))
+    bound = 1 + m / lead
+    result = []
+    stack = [(-bound, bound, count(-bound, bound))]
+    while stack:
+        lo, hi, n = stack.pop()
+        if n == 0:
+            continue
+        if n == 1 and hi - lo < width:
+            result.append((lo, hi))
+            continue
+        mid = (lo + hi) / 2
+        if f.evaluate(mid) == 0:
+            eps = min(width / 4, (hi - lo) / 4)
+            while count(mid - eps, mid + eps) != 1:
+                eps /= 2
+            result.append((mid - eps, mid + eps))
+            left_n = count(lo, mid - eps)
+            right_n = count(mid + eps, hi)
+            if left_n:
+                stack.append((lo, mid - eps, left_n))
+            if right_n:
+                stack.append((mid + eps, hi, right_n))
+            continue
+        left_n = count(lo, mid)
+        if left_n:
+            stack.append((lo, mid, left_n))
+        if n - left_n:
+            stack.append((mid, hi, n - left_n))
+    return sorted(result)
+
+
+def test_isolation_equals_the_fraction_bisection():
+    rng = random.Random(20261018)
+    checked = 0
+    while checked < 200:
+        f = random_unipoly(rng, 6)
+        if poly_gcd(f, f.derivative()).degree() != 0:
+            continue
+        checked += 1
+        assert isolate_real_roots(f) == fraction_isolate(f), f
+    # Rational roots: each is the midpoint of some bisection step.
+    x3_minus_x = UniPoly((0, -1, 0, 1))
+    assert isolate_real_roots(x3_minus_x) == fraction_isolate(x3_minus_x)
+    # The root 0 is the first midpoint, and 10^-7 is too close for the first
+    # eps around it.
+    close = UniPoly((0, -1, 10**7))
+    assert isolate_real_roots(close) == fraction_isolate(close)
+    # The root 1 is the midpoint of a one-root interval at depth 4.
+    f = UniPoly((6, 1, -6, 9, -9, 6, -7))
+    assert f.evaluate(1) == 0
+    assert isolate_real_roots(f) == fraction_isolate(f)
+    assert isolate_real_roots(f, Fraction(1, 7)) == fraction_isolate(f, Fraction(1, 7))
+
+
+def test_integer_sturm_chain_equals_the_fraction_chain():
+    rng = random.Random(20261019)
+    for trial in range(150):
+        f = random_unipoly(rng, rng.randint(1, 6))
+        if trial % 3 == 0:  # repeated factors
+            g = random_unipoly(rng, rng.randint(1, 2))
+            f = f * g * g
+        if trial % 5 == 0:  # rational coefficients
+            f = f * Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        expected = [
+            tuple(int(c) for c in p.coeffs) for p in fraction_sturm_chain(f)
+        ]
+        assert _sturm_chain(f) == expected, f
+
+
+def test_squarefree_degree6_agrees_with_poly_gcd():
+    rng = random.Random(20261020)
+    for trial in range(150):
+        if trial % 2:
+            g = random_unipoly(rng, rng.randint(1, 3))
+            f = g * g * random_unipoly(rng, 6 - 2 * g.degree())
+        else:
+            f = random_unipoly(rng, rng.choice((5, 6, 6, 6)))
+        expected = f.degree() == 6 and poly_gcd(f, f.derivative()).degree() == 0
+        assert squarefree_degree6(f) == expected, f
 
 
 def test_poly_discriminant_known_values_and_sympy():

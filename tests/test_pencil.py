@@ -14,9 +14,10 @@ from quadpencil import (
     QuadraticForm,
     characteristic_form,
     curve_data,
+    gram_matrix,
     smoothness_check,
 )
-from quadpencil.exactmath import UniPoly
+from quadpencil.exactmath import ExactMatrix, UniPoly, det_poly_matrix
 
 from conftest import BAD_PRIMES, CHAR_FORM_COEFFS, CURVE_DISC
 
@@ -148,6 +149,66 @@ def test_non_integral_characteristic_form_raises():
     q2 = QuadraticForm({(0, 2): 1, (1, 3): 1, (4, 4): 1, (5, 5): 1, (0, 0): 1})
     with pytest.raises(NonIntegralCharacteristicFormError):
         PencilOfQuadrics(q1, q2)
+
+
+def det_poly_matrix_char_form(q1: QuadraticForm, q2: QuadraticForm):
+    """-det(M1 - t*M2) over UniPoly entries with Fraction coefficients.
+
+    Returns None when the result is not integral.
+    """
+    m1, m2 = gram_matrix(q1), gram_matrix(q2)
+    entries = [
+        UniPoly((m1.entry(i, j), -m2.entry(i, j)))
+        for i in range(NUM_VARIABLES)
+        for j in range(NUM_VARIABLES)
+    ]
+    det = det_poly_matrix(ExactMatrix(NUM_VARIABLES, NUM_VARIABLES, entries))
+    if not isinstance(det, UniPoly):
+        det = UniPoly.constant(det)
+    f = -det
+    return f.to_integer_coeffs() if f.is_integral() else None
+
+
+def even_mixed_form(rng: random.Random, bound: int) -> QuadraticForm:
+    coeffs = {}
+    while not coeffs:
+        coeffs = {
+            (i, j): rng.randint(-bound, bound) * (1 if i == j else 2)
+            for i in range(NUM_VARIABLES)
+            for j in range(i, NUM_VARIABLES)
+            if rng.random() < 0.5
+        }
+        coeffs = {k: c for k, c in coeffs.items() if c}
+    return QuadraticForm(coeffs)
+
+
+def test_characteristic_form_equals_the_det_poly_matrix_route():
+    rng = random.Random(20261021)
+    for bound in (1, 9, 10**6):
+        for _ in range(15):
+            q1, q2 = even_mixed_form(rng, bound), even_mixed_form(rng, bound)
+            expected = det_poly_matrix_char_form(q1, q2)
+            assert expected is not None
+            assert PencilOfQuadrics(q1, q2).char_form == expected
+
+
+def test_one_odd_mixed_coefficient_raises_as_the_det_poly_matrix_route():
+    rng = random.Random(20261022)
+    raised = 0
+    for _ in range(30):
+        q1 = even_mixed_form(rng, 9)
+        q2 = dict(even_mixed_form(rng, 9).coeffs)
+        i, j = sorted(rng.sample(range(NUM_VARIABLES), 2))
+        q2[(i, j)] = 2 * rng.randint(-9, 9) + 1
+        q2 = QuadraticForm(q2)
+        expected = det_poly_matrix_char_form(q1, q2)
+        if expected is None:
+            raised += 1
+            with pytest.raises(NonIntegralCharacteristicFormError):
+                PencilOfQuadrics(q1, q2)
+        else:
+            assert PencilOfQuadrics(q1, q2).char_form == expected
+    assert raised >= 20
 
 
 def test_curve_data_of_example(example_pencil):
