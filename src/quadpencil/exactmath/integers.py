@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 from itertools import compress
+from math import gcd, prod
 
 TRIAL_DIVISION_LIMIT = 10**6
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the first 13 primes as bases is deterministic for every
+# n < PSI_13, the least strong pseudoprime to all of them (Sorenson-Webster,
+# "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).  Without 41
+# the bound would be psi_12 = 318665857834031151167461, a strong pseudoprime
+# to the bases 2..37.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3317044064679887385961981
 
 # Primes below _sieved_to, in order; grown in place by _extend_primes.
 _sieve_primes: list[int] = []
@@ -15,6 +21,12 @@ _sieved_to = 0
 # Numbers sieved per extension: the first segment reaches past every prime
 # that trial division on the bundled inputs needs.
 _SEGMENT = 1 << 15
+# _block_products[k] is the product of the k-th block of _BLOCK primes of
+# _sieve_primes; trial division divides only by the blocks sharing a factor
+# with the cofactor.  The last, shorter block is built once the limit is
+# sieved.
+_BLOCK = 128
+_block_products: list[int] = []
 
 
 class FactorizationError(RuntimeError):
@@ -47,14 +59,19 @@ def _extend_primes() -> bool:
             sieve[start - lo :: p] = bytearray(len(range(start, hi, p)))
     _sieve_primes.extend(compress(range(lo, hi), sieve))
     _sieved_to = hi
+    end = len(_sieve_primes)
+    if hi <= TRIAL_DIVISION_LIMIT:
+        end -= end % _BLOCK
+    for start in range(len(_block_products) * _BLOCK, end, _BLOCK):
+        _block_products.append(prod(_sieve_primes[start : start + _BLOCK]))
     return True
 
 
 def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3e24 (probabilistic far beyond)."""
+    """Miller-Rabin, deterministic for n < PSI_13 ~ 3.3e24 (probabilistic beyond)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -101,32 +118,51 @@ def _perfect_power(n: int) -> tuple[int, int] | None:
     return None
 
 
+def _is_proven_prime(n: int) -> bool:
+    """True iff n is a prime below PSI_13, where Miller-Rabin is exact."""
+    return 1 < n < PSI_13 and is_probable_prime(n)
+
+
 def factor_with_hints(n: int, hints: tuple[int, ...] | list[int] = ()) -> dict[int, int]:
     """Complete prime factorization of |n|.
 
-    Strategy: trial division to 10^6, then the hint primes, then Miller-Rabin
-    on the cofactor (with perfect-power unwrapping).  If a composite cofactor
-    survives, raises FactorizationError("unfactored composite cofactor").
+    Trial division to 10^6 stops once the cofactor is proven prime (below
+    PSI_13, tested at entry and after each prime divided out) or once p^2
+    exceeds it.  The primes go by blocks of _BLOCK: a block is divided
+    through only when its product shares a factor with the cofactor.  A
+    cofactor that survives the sweep is divided by the hint primes, then
+    tested by Miller-Rabin (with perfect-power unwrapping).  If a composite
+    cofactor remains, raises FactorizationError("unfactored composite
+    cofactor").
     """
     if n == 0:
         raise ValueError("cannot factor 0")
     n = abs(n)
+    if _is_proven_prime(n):
+        return {n: 1}
     factors: dict[int, int] = {}
     k = 0
-    while k < len(_sieve_primes) or _extend_primes():
-        p = _sieve_primes[k]
-        if p * p > n:
+    while k < len(_block_products) or _extend_primes():
+        if k == len(_block_products):
+            continue  # the new segment completed no block
+        block = _sieve_primes[k * _BLOCK : (k + 1) * _BLOCK]
+        if block[0] * block[0] > n:
             break
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
+        common = gcd(_block_products[k], n)
+        if common > 1:
+            for p in block:
+                if common % p:
+                    continue
+                exponent = 0
+                while n % p == 0:
+                    n //= p
+                    exponent += 1
+                factors[p] = exponent
+                if _is_proven_prime(n):
+                    factors[n] = 1
+                    return factors
         k += 1
     if n == 1:
-        return factors
-    if n <= TRIAL_DIVISION_LIMIT * TRIAL_DIVISION_LIMIT and is_probable_prime(n):
-        # Trial division reached sqrt(n), so a surviving n is prime anyway;
-        # record without further work.
-        factors[n] = factors.get(n, 0) + 1
         return factors
     for h in hints:
         if h > 1 and is_probable_prime(h):

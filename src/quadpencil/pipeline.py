@@ -28,7 +28,13 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .exactmath import FactorizationError, is_probable_prime
-from .fano import FANO_CODIMENSION, GrassmannChart, fano_system, verify_fano_point
+from .fano import (
+    FANO_CODIMENSION,
+    FanoSystem,
+    GrassmannChart,
+    fano_system,
+    verify_fano_point,
+)
 from .localcert import (
     EXHAUSTIVE_PRIME_BOUND,
     chart_census,
@@ -260,12 +266,29 @@ def _point_certificate_entry(cert, kind: str, witness_source: str) -> dict:
     }
 
 
+def _chart_system(
+    systems: dict[GrassmannChart, FanoSystem],
+    pencil: PencilOfQuadrics,
+    chart: GrassmannChart,
+) -> FanoSystem:
+    """The chart's Fano system, built on first use and kept in ``systems``.
+
+    ``run_pipeline`` owns ``systems`` for one run, so witness checks, lifts
+    and searches on one chart share a single build.
+    """
+    if chart not in systems:
+        systems[chart] = fano_system(pencil, chart)
+    return systems[chart]
+
+
 def _verify_supplied_fano(
-    pencil: PencilOfQuadrics, witness: FanoWitness
+    pencil: PencilOfQuadrics,
+    witness: FanoWitness,
+    systems: dict[GrassmannChart, FanoSystem],
 ) -> tuple[dict, Optional[tuple[GrassmannChart, tuple[int, ...]]]]:
     """Verify one supplied witness; return its report and the point if smooth."""
     chart = GrassmannChart((witness.chart[0] - 1, witness.chart[1] - 1))
-    system = fano_system(pencil, chart)
+    system = _chart_system(systems, pencil, chart)
     point = tuple(c % witness.prime for c in witness.coordinates)
     report = verify_fano_point(system, point, witness.prime)
     entry = {
@@ -283,6 +306,7 @@ def _bad_prime_stage(
     prime: int,
     fano_witnesses: Sequence[FanoWitness],
     cfg: PipelineConfig,
+    systems: dict[GrassmannChart, FanoSystem],
 ) -> tuple[dict, Optional[str]]:
     """Local certificate at one bad prime; returns (entry, incomplete reason)."""
     witness_reports = []
@@ -290,7 +314,7 @@ def _bad_prime_stage(
     for witness in fano_witnesses:
         if witness.prime != prime:
             continue
-        entry, smooth_point = _verify_supplied_fano(pencil, witness)
+        entry, smooth_point = _verify_supplied_fano(pencil, witness, systems)
         witness_reports.append(entry)
         if smooth_point is not None and chosen is None:
             chosen = (*smooth_point, "verified supplied witness")
@@ -314,7 +338,7 @@ def _bad_prime_stage(
 
     if chosen is not None:
         chart, point, source = chosen
-        system = fano_system(pencil, chart)
+        system = _chart_system(systems, pencil, chart)
         cert = hensel_certify(system, point, prime, lift_precision=cfg.lift_precision)
         entry = _point_certificate_entry(cert, "bad prime", source)
         entry["supplied_witness_reports"] = witness_reports
@@ -353,7 +377,10 @@ def _bad_prime_stage(
 
 
 def _good_prime_stage(
-    pencil: PencilOfQuadrics, prime: int, cfg: PipelineConfig
+    pencil: PencilOfQuadrics,
+    prime: int,
+    cfg: PipelineConfig,
+    systems: dict[GrassmannChart, FanoSystem],
 ) -> tuple[dict, Optional[str]]:
     """Certificate entry for a sampled good prime."""
     locus = singular_locus(pencil, prime, method="kernel-guided")
@@ -379,7 +406,7 @@ def _good_prime_stage(
         found = search_smooth_points(pencil, prime)
         if found:
             chart, point, _rank = found[0]
-            system = fano_system(pencil, chart)
+            system = _chart_system(systems, pencil, chart)
             cert = hensel_certify(
                 system, point, prime, lift_precision=cfg.lift_precision
             )
@@ -486,6 +513,7 @@ def run_pipeline(cfg: PipelineConfig) -> RationalityCertificate:
     curve_echo: Optional[dict] = None
     char_coeffs: Optional[tuple[int, ...]] = None
     smoothness: Optional[str] = None
+    systems: dict[GrassmannChart, FanoSystem] = {}
 
     def finish(verdict: Optional[str] = None) -> RationalityCertificate:
         if verdict is None:
@@ -556,7 +584,9 @@ def run_pipeline(cfg: PipelineConfig) -> RationalityCertificate:
 
     # Stage 5: local certificates at the bad primes.
     for prime in cd.bad_primes:
-        entry, reason = _bad_prime_stage(pencil, prime, fano_witnesses, cfg)
+        entry, reason = _bad_prime_stage(
+            pencil, prime, fano_witnesses, cfg, systems
+        )
         local_certificates.append(entry)
         if reason is not None:
             reasons.append(reason)
@@ -576,7 +606,7 @@ def run_pipeline(cfg: PipelineConfig) -> RationalityCertificate:
                 }
             )
             continue
-        entry, reason = _good_prime_stage(pencil, prime, cfg)
+        entry, reason = _good_prime_stage(pencil, prime, cfg, systems)
         local_certificates.append(entry)
         if reason is not None:
             reasons.append(reason)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -44,6 +47,10 @@ from conftest import (
 
 _T = sympy.Symbol("t")
 
+# psi_12: the least strong pseudoprime to the bases 2..37 (Sorenson-Webster
+# 2017), = 399165290221 * 798330580441.
+PSI_12 = 318665857834031151167461
+
 
 def _to_sympy(f: UniPoly):
     return sum(int(c) * _T**k for k, c in enumerate(f.coeffs))
@@ -60,9 +67,11 @@ def random_unipoly(rng: random.Random, degree: int, monic: bool = False) -> UniP
 # ---------------------------------------------------------------------------
 
 def test_is_probable_prime():
-    for p in (2, 3, 5, 7, 97, 65537, BIG_PRIME, 2**61 - 1):
+    for p in (2, 3, 5, 7, 41, 97, 65537, BIG_PRIME, 2**61 - 1):
         assert is_probable_prime(p), p
-    for n in (-7, 0, 1, 4, 9, 91, 561, 1105, 6601, 2**61 + 1):
+    # 3825123056546413051 is a strong pseudoprime to the bases 2..31.
+    for n in (-7, 0, 1, 4, 9, 91, 561, 1105, 6601, 2**61 + 1,
+              3825123056546413051, PSI_12):
         assert not is_probable_prime(n), n
 
 
@@ -95,6 +104,9 @@ def test_factor_with_hints():
     }
     with pytest.raises(FactorizationError):
         factor_with_hints(big_semiprime)
+    # Below PSI_13 a composite cofactor is never taken for a prime.
+    with pytest.raises(FactorizationError):
+        factor_with_hints(PSI_12)
     with pytest.raises(ValueError):
         factor_with_hints(0)
     # Perfect powers of large primes unwrap without hints.
@@ -113,6 +125,148 @@ def test_trial_division_primes_grow_in_order():
     assert integers._sieve_primes == [
         n for n in range(2, limit + 1) if not composite[n]
     ]
+
+
+def _reference_factor(n, hints=()):
+    """The per-prime trial-division loop factor_with_hints ran before the
+    block sweep and the early stop, kept as the oracle."""
+    if n == 0:
+        raise ValueError("cannot factor 0")
+    n = abs(n)
+    factors = {}
+    k = 0
+    while k < len(integers._sieve_primes) or integers._extend_primes():
+        p = integers._sieve_primes[k]
+        if p * p > n:
+            break
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+        k += 1
+    if n == 1:
+        return factors
+    limit = integers.TRIAL_DIVISION_LIMIT
+    if n <= limit * limit and is_probable_prime(n):
+        factors[n] = factors.get(n, 0) + 1
+        return factors
+    for h in hints:
+        if h > 1 and is_probable_prime(h):
+            while n % h == 0:
+                factors[h] = factors.get(h, 0) + 1
+                n //= h
+    if n == 1:
+        return factors
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        if m == 1:
+            continue
+        if is_probable_prime(m):
+            factors[m] = factors.get(m, 0) + 1
+            continue
+        power = integers._perfect_power(m)
+        if power is not None:
+            root, k = power
+            stack.extend([root] * k)
+            continue
+        raise FactorizationError("unfactored composite cofactor")
+    return factors
+
+
+def _outcome(factor, n, hints):
+    try:
+        return factor(n, hints)
+    except (FactorizationError, ValueError) as error:
+        return type(error), str(error)
+
+
+def _assert_factors_like_the_reference(cases):
+    for n, hints in cases:
+        got = _outcome(factor_with_hints, n, hints)
+        assert got == _outcome(_reference_factor, n, hints), (n, hints)
+        if isinstance(got, dict) and n:
+            assert got == sympy.factorint(abs(n)), n
+
+
+def _seeded_integers(seed, count, hint_from):
+    """(n, hints) with n of 1..40 digits; a quarter of those above 20 digits
+    are made divisible by a hint prime."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        digits = rng.randint(1, 40)
+        n = rng.randrange(10 ** (digits - 1), 10**digits)
+        hints = ()
+        if digits > 20 and rng.random() < 0.25:
+            h = int(sympy.nextprime(rng.randrange(hint_from, 10 * hint_from)))
+            n = n // h * h
+            hints = (h,)
+        yield rng.choice((n, -n)), hints
+
+
+def test_factoring_matches_the_per_prime_loop_at_a_small_limit(monkeypatch):
+    # The same code with primes to 10^4 in segments of 300 numbers: blocks
+    # span segments, most segments complete no block, the last block is
+    # short, and most cofactors outlive the sweep.  (Each segment holds a
+    # prime, which the reference loop needs.)  At the real limit the
+    # reference loop takes about 10 ms per full sweep.
+    monkeypatch.setattr(integers, "TRIAL_DIVISION_LIMIT", 10**4)
+    monkeypatch.setattr(integers, "_SEGMENT", 300)
+    monkeypatch.setattr(integers, "_sieve_primes", [])
+    monkeypatch.setattr(integers, "_sieved_to", 0)
+    monkeypatch.setattr(integers, "_block_products", [])
+    # Below PSI_13 a prime cofactor ends the sweep; above it Miller-Rabin is
+    # no proof, so every prime to the limit is tried first.
+    p20, p25 = int(sympy.nextprime(10**19)), int(sympy.nextprime(10**25))
+    assert factor_with_hints(p20) == {p20: 1}
+    assert integers._sieved_to == 0
+    assert factor_with_hints(2 * p20) == {2: 1, p20: 1}
+    assert integers._sieved_to < 10**4
+    assert factor_with_hints(2 * p25) == {2: 1, p25: 1}
+    assert integers._sieved_to == 10**4 + 1
+    cases = [(0, ()), (1, ()), (-1, ()), (9973 * 9967, ()), (10007**2, ()),
+             (10007 * 10009, ()), (10007 * 10009, (10009,))]
+    cases += _seeded_integers(20261018, 2000, 10**4)
+    _assert_factors_like_the_reference(cases)
+    assert integers._sieve_primes == list(sympy.primerange(2, 10**4 + 1))
+    assert len(integers._block_products) == -(-1229 // integers._BLOCK)
+
+
+def test_factoring_matches_the_per_prime_loop_at_the_limit():
+    cases = list(_seeded_integers(20261019, 30, 10**9))
+    # 2^12 * P for primes P of 13..30 digits: the shape of a discriminant
+    # whose cofactor after 2 is a large prime.
+    cases += [(2**12 * int(sympy.nextprime(10 ** (d - 1))), ())
+              for d in range(13, 31)]
+    # Products of primes near 10^6, and a square of a prime above it.
+    near = [999953, 999959, 999961, 999979, 999983, 1000003, 1000033]
+    cases += [(p * q, ()) for i, p in enumerate(near) for q in near[i:]]
+    cases += [((10**6 + 3) ** 2, ()), (2**12 * 3 * (10**6 + 3) ** 2, ())]
+    # Composite cofactors above PSI_13: unfactored, unwrapped as a power,
+    # and split by a hint.
+    p7, p13, p18 = (int(sympy.nextprime(10**d)) for d in (7, 13, 18))
+    assert p7 * p18 > integers.PSI_13
+    cases += [(2**12 * p7 * p18, ()), (6 * p13**2, ()),
+              (2**12 * p7 * p18, (p18,)), (PSI_12, ())]
+    _assert_factors_like_the_reference(cases)
+
+
+def test_factoring_a_prime_cofactor_sieves_one_segment():
+    # In a fresh process, 2^12 * 3 * P (P a 20-digit prime) stops once the
+    # cofactor P is proven prime, after the first segment of the sieve.
+    code = (
+        "from quadpencil.exactmath import integers\n"
+        "p = 10**19 + 51\n"
+        "assert integers.is_probable_prime(p)\n"
+        "assert integers.factor_with_hints(2**12 * 3 * p) == {2: 12, 3: 1, p: 1}\n"
+        "print(integers._sieved_to)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.dirname(integers.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    assert int(result.stdout) == 1 << 15
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ from quadpencil import (
     run_pipeline,
     singular_locus,
 )
-from quadpencil import reduction
+from quadpencil import pipeline, reduction
+from quadpencil.fano import fano_system
 from quadpencil.cli import main as cli_main
 
 from conftest import (
@@ -239,6 +240,23 @@ def test_pipeline_computes_every_locus_kernel_guided(monkeypatch):
         ]
         assert loci
         assert all(r["method"] == "kernel-guided" for r in loci)
+
+
+def test_pipeline_builds_each_chart_system_once(monkeypatch):
+    built = []
+
+    def counting_fano_system(pencil, chart):
+        built.append(chart.pivots)
+        return fano_system(pencil, chart)
+
+    monkeypatch.setattr(pipeline, "fano_system", counting_fano_system)
+    run_pipeline(PipelineConfig(input_path=EXAMPLE))
+    # Witnesses at 2 and 149743897 and the lift at 149743897 share chart 2,3
+    # (pivots (1, 2)); the searches at 3 and 5 share chart 1,2 (pivots (0, 1)).
+    assert sorted(built) == [(0, 1), (1, 2)]
+    built.clear()
+    run_pipeline(PipelineConfig(input_path=NO_WITNESS))
+    assert built == [(0, 1)]
 
 
 def test_every_echoed_witness_reverifies_standalone(analyze_runs):
