@@ -1,9 +1,10 @@
-"""Integer factorization: trial division, hint primes, Miller-Rabin, perfect powers."""
+"""Integer factorization: trial division, hint primes, Miller-Rabin (with a strong
+Lucas test from PSI_13 on), perfect powers."""
 
 from __future__ import annotations
 
 from itertools import compress
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 TRIAL_DIVISION_LIMIT = 10**6
 
@@ -68,7 +69,11 @@ def _extend_primes() -> bool:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin, deterministic for n < PSI_13 ~ 3.3e24 (probabilistic beyond)."""
+    """Primality by Miller-Rabin on the bases _MR_BASES, exact for n < PSI_13.
+
+    From PSI_13 on, a strong Lucas test follows (together, the Baillie-PSW
+    test, which has no known pseudoprime); below it nothing is added.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -89,7 +94,62 @@ def is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < PSI_13 or _is_strong_lucas_prp(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _is_strong_lucas_prp(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd n > 41 not divisible by 2..41.
+
+    Parameters by Selfridge's method A: D is the first of 5, -7, 9, -11, ...
+    with (D/n) = -1, P = 1 and Q = (1 - D)/4.  Writing n + 1 = d 2^s, n passes
+    iff U_d = 0 or V_(d 2^r) = 0 mod n for some 0 <= r < s.  A perfect square
+    has no such D, so it is rejected first.
+    """
+    if isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) == 1:
+        D = -D - 2 if D > 0 else -D + 2
+    if j == 0:
+        return False  # gcd(D, n) > 1, and |D| < n
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x: int) -> int:
+        return (x + n if x % 2 else x) // 2 % n
+
+    # U_k, V_k and Q^k mod n, from k = 1 along the bits of d (P = 1).
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def _integer_nth_root(n: int, k: int) -> int:
@@ -131,7 +191,7 @@ def factor_with_hints(n: int, hints: tuple[int, ...] | list[int] = ()) -> dict[i
     exceeds it.  The primes go by blocks of _BLOCK: a block is divided
     through only when its product shares a factor with the cofactor.  A
     cofactor that survives the sweep is divided by the hint primes, then
-    tested by Miller-Rabin (with perfect-power unwrapping).  If a composite
+    tested by is_probable_prime (with perfect-power unwrapping).  If a composite
     cofactor remains, raises FactorizationError("unfactored composite
     cofactor").
     """

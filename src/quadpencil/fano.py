@@ -10,6 +10,7 @@ are exactly the lines contained in X.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .exactmath import ExactMatrix, MultiPoly, is_probable_prime, rank_mod_p
@@ -39,9 +40,9 @@ class GrassmannChart:
             raise ValueError(f"bad pivot pair {self.pivots}")
         object.__setattr__(self, "pivots", (int(i), int(j)))
 
-    @property
+    @cached_property
     def non_pivots(self) -> tuple[int, int, int, int]:
-        """The non-pivot columns c_1 < c_2 < c_3 < c_4."""
+        """The non-pivot columns c_1 < c_2 < c_3 < c_4, computed once per chart."""
         return tuple(c for c in range(NUM_VARIABLES) if c not in self.pivots)
 
 

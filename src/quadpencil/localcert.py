@@ -25,9 +25,11 @@ from .quadric import NUM_VARIABLES, evaluate_form, polar_matrix
 # Schubert-cell scan below, which is equivalent but far cheaper).
 EXHAUSTIVE_PRIME_BOUND = 5
 
-# Scan cap: a census of all 15 charts enumerates about 6 * p^4 row tuples
-# (5 p^4 of them with a leading 1 in the first column), which stays
-# tractable up to about p = 31 and not much beyond.
+# Scan cap: a census of all 15 charts finds the points of X with pivot 0 in
+# about p^4 closed-form steps (p^4 values of four free columns, the fifth
+# solved) and tests about p^4 pairs of points.  At p = 31 that is 10^6 pairs,
+# and `fano-search` on the example takes 1.6-2.3 s (CPython 3.11, 2 cores),
+# the two halves about equal; the cost grows like p^4, so the cap stays here.
 EXHAUSTIVE_PRIME_HARD_CAP = 31
 
 
@@ -54,58 +56,90 @@ class LocalPointCertificate:
     isolating_intervals: tuple[tuple[Fraction, Fraction], ...] | None = None
 
 
-def _half_zeros(states, quads, p: int, prefix: tuple[int, ...] = ()) -> list:
-    """Common zeros in F_p^n of n-variable quadratics, by nested partial sums.
+def _half_zeros(states, quads, p: int) -> list:
+    """Common zeros in F_p^n of two n-variable quadratics, in lexicographic order.
 
     Each form is a state (value, n linear coefficients) with quadratic
     coefficients q; fixing x_k adds (lin_k + q_kk x_k) x_k to the value and
-    q_km x_k to each later linear coefficient.
+    q_km x_k to each later linear coefficient.  Once two coordinates x, y
+    are left, each x updates the value and y's linear coefficient as
+    scalars, and y is solved in closed form: with a1, a2 the coefficients of
+    y^2, a2 Q1 - a1 Q2 = c y + d, so c != 0 leaves the one candidate -d/c,
+    c = 0 and d != 0 none, and c = d = 0 every y.  Each candidate is checked
+    on both forms.
     """
-    k, n = len(prefix), len(states[0][1])
-    if k == n:  # no free columns
-        return [] if any(s % p for s, _ in states) else [prefix]
-    if k == n - 1:
-        xs = range(p)
-        for (s, lin), q in zip(states, quads):
-            xs = [x for x in xs if (s + (lin[k] + q[k][k] * x) * x) % p == 0]
-        return [prefix + (x,) for x in xs]
-    zeros = []
-    for x in range(p):
-        fixed = [
-            (s + (lin[k] + q[k][k] * x) * x, [c + d * x for c, d in zip(lin, q[k])])
-            for (s, lin), q in zip(states, quads)
-        ]
-        zeros += _half_zeros(fixed, quads, p, prefix + (x,))
-    return zeros
+    n = len(states[0][1])
+    if n == 0:
+        return [] if any(s % p for s, _ in states) else [()]
+    if n == 1:  # p candidates, checked directly
+        return [(t,) for t in range(p) if not any(
+            (s + (lin[0] + q[0][0] * t) * t) % p for (s, lin), q in zip(states, quads))]
+    (q1, q2), k, y = quads, n - 2, n - 1
+    a1, a2 = q1[y][y] % p, q2[y][y] % p
+    inverse = [0] + [pow(c, -1, p) for c in range(1, p)]
+
+    def descend(prefix, states) -> list:
+        zeros, m = [], len(prefix)
+        if m < k:
+            for x in range(p):
+                fixed = [
+                    (s + (lin[m] + q[m][m] * x) * x, [c + d * x for c, d in zip(lin, q[m])])
+                    for (s, lin), q in zip(states, quads)
+                ]
+                zeros += descend(prefix + (x,), fixed)
+            return zeros
+        (s1, lin1), (s2, lin2) = states
+        for x in range(p):
+            t1, l1 = s1 + (lin1[k] + q1[k][k] * x) * x, lin1[y] + q1[k][y] * x
+            t2, l2 = s2 + (lin2[k] + q2[k][k] * x) * x, lin2[y] + q2[k][y] * x
+            c, d = (a2 * l1 - a1 * l2) % p, (a2 * t1 - a1 * t2) % p
+            if c:
+                t = -d * inverse[c] % p
+                if (t1 + (l1 + a1 * t) * t) % p == 0 and (t2 + (l2 + a2 * t) * t) % p == 0:
+                    zeros.append(prefix + (x, t))
+            elif not d:
+                zeros += [prefix + (x, t) for t in range(p) if (t1 + (l1 + a1 * t) * t) % p == 0
+                          and (t2 + (l2 + a2 * t) * t) % p == 0]
+        return zeros
+
+    return descend((), states)
 
 
 def _cell_lines(pencil: PencilOfQuadrics, cells, p: int) -> list:
     """Each F_p-line (a, b) of X in the given Schubert cells of Gr(2,6), with rank.
 
     Cell (i, j) holds the lines with echelon basis a (1 at column i, 0 before
-    i and at j) and b (1 at j, 0 before j), one cell per line.  Each form is a
-    quadratic in a row's free columns; their common zeros (b's once per j) are
-    paired by the dots (Pa).b; fano.polar_jacobian on chart (i, j) gives ranks.
+    i and at j) and b (1 at j, 0 before j), one cell per line.  The points of
+    X with each pivot are found once (each form is a quadratic in the free
+    columns after the pivot); row a of cell (i, j) is those with pivot i and
+    a_j = 0.  Pairs are kept when (Pb).a = 0 for both polar matrices P, and
+    fano.polar_jacobian on chart (i, j) gives each line's rank.
     """
     polars = (polar_matrix(pencil.q1), polar_matrix(pencil.q2))
 
-    def row_zeros(lead: int, free):
+    def points(lead: int) -> list:
+        free = range(lead + 1, NUM_VARIABLES)
         quads = [[[P[c][d] // (1 + (c == d)) for d in free] for c in free] for P in polars]
         states = [(P[lead][lead] // 2, [P[lead][c] for c in free]) for P in polars]
-        for half in _half_zeros(states, quads, p):
-            entries = {lead: 1, **dict(zip(free, half))}
-            v = [entries.get(c, 0) for c in range(NUM_VARIABLES)]
-            yield v, [[sum(map(mul, r, v)) % p for r in P] for P in polars]
+        return [(0,) * lead + (1,) + half for half in _half_zeros(states, quads, p)]
 
-    rows_b = {j: list(row_zeros(j, range(j + 1, NUM_VARIABLES)))
-              for j in {j for _, j in cells}}
-    return [
-        (a, b, rank_mod_p(polar_jacobian(GrassmannChart((i, j)), pas, pbs), p))
-        for i, j in cells
-        for a, pas in row_zeros(i, [c for c in range(i + 1, NUM_VARIABLES) if c != j])
-        for b, pbs in rows_b[j]
-        if not any(sum(map(mul, pa, b)) % p for pa in pas)
-    ]
+    def polar_products(v) -> list:
+        return [[sum(map(mul, r, v)) % p for r in P] for P in polars]
+
+    rows = {lead: points(lead) for lead in {c for cell in cells for c in cell}}
+    rows_b = {j: [(b, polar_products(b)) for b in rows[j]] for j in {j for _, j in cells}}
+    lines = []
+    for i, j in cells:
+        chart = GrassmannChart((i, j))
+        for a in rows[i]:
+            if a[j]:
+                continue
+            pas = None
+            for b, pbs in rows_b[j]:
+                if sum(map(mul, pbs[0], a)) % p == 0 and sum(map(mul, pbs[1], a)) % p == 0:
+                    pas = pas or polar_products(a)
+                    lines.append((a, b, rank_mod_p(polar_jacobian(chart, pas, pbs), p)))
+    return lines
 
 
 def _chart_points(pencil: PencilOfQuadrics, p: int, charts) -> list:

@@ -75,6 +75,35 @@ def test_is_probable_prime():
         assert not is_probable_prime(n), n
 
 
+def test_primality_from_psi_13_on_adds_a_strong_lucas_test():
+    # PSI_13 is a strong pseudoprime to all 13 Miller-Rabin bases 2..41.
+    assert integers.PSI_13 == 1287836182261 * 2575672364521
+    assert not is_probable_prime(integers.PSI_13)
+    with pytest.raises(FactorizationError):
+        factor_with_hints(integers.PSI_13)
+    for k in (89, 107, 127):
+        assert is_probable_prime(2**k - 1), k
+    rng = random.Random(13)
+    odd = [rng.randrange(integers.PSI_13, 2**128) | 1 for _ in range(300)]
+    near = [int(sympy.nextprime(rng.randrange(2**41 - 2**36, 2**41 + 2**36)))
+            for _ in range(40)]
+    semiprimes = [a * b for a, b in zip(near, near[1:])]
+    assert min(semiprimes) > integers.PSI_13
+    for n in odd + semiprimes + near:
+        assert is_probable_prime(n) == sympy.isprime(n), n
+    assert sum(map(is_probable_prime, odd)) >= 3
+
+
+def test_strong_lucas_test_matches_sympy():
+    from sympy.ntheory.primetest import is_strong_lucas_prp
+
+    # 5459, 5777, 10877, 16109 and 18971 are strong Lucas pseudoprimes.
+    for n in range(43, 20000, 2):
+        if all(n % q for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)):
+            assert integers._is_strong_lucas_prp(n) == is_strong_lucas_prp(n), n
+    assert not integers._is_strong_lucas_prp(10007**2)
+
+
 def test_sqrt_mod_p_properties():
     for p in (3, 5, 7, 11, 13, 97, 10007):
         residues = 0

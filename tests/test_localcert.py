@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -23,9 +24,11 @@ from quadpencil import (
     verify_fano_point,
     verify_projective_point,
 )
-from quadpencil.exactmath import UniPoly, rref_mod_p, sturm_count
-from quadpencil.fano import chart_point_rows
-from quadpencil.localcert import _cell_lines, _chart_points
+from quadpencil import localcert
+from quadpencil.exactmath import UniPoly, rank_mod_p, rref_mod_p, sturm_count
+from quadpencil.fano import chart_point_rows, polar_jacobian
+from quadpencil.localcert import _cell_lines, _chart_points, _half_zeros
+from quadpencil.quadric import NUM_VARIABLES, polar_matrix
 
 from conftest import (
     BIG_PRIME,
@@ -129,6 +132,121 @@ def test_cell_scan_enumerates_each_line_once(example_pencil):
             lines = [(tuple(a), tuple(b)) for a, b, _ in _cell_lines(pencil, cells, p)]
             assert len(lines) == len(set(lines)) == len(naive), (pencil, p)
             assert set(lines) == naive
+
+
+def _brute_half_zeros(states, quads, p):
+    """Common zeros in F_p^n of the forms s + lin.x + sum_{k <= m} q_km x_k x_m."""
+    n = len(states[0][1])
+    pairs = [(k, m) for k in range(n) for m in range(k, n)]
+
+    def value(state, q, x):
+        s, lin = state
+        return s + sum(map(mul, lin, x)) + sum(q[k][m] * x[k] * x[m] for k, m in pairs)
+
+    return [x for x in itertools.product(range(p), repeat=n)
+            if all(value(st, q, x) % p == 0 for st, q in zip(states, quads))]
+
+
+def _half_zero_cases(rng, n, p):
+    """Seeded pairs of n-variable forms [s, lin, q] as (states, quads).
+
+    Random pairs, then the degenerate tails: both y^2 coefficients 0 mod p;
+    Q2 = lam Q1 + mu (x_0^2 - x_0), whose combination a2 Q1 - a1 Q2 vanishes
+    identically in y where x_0 is 0 or 1 and is a nonzero constant elsewhere;
+    and proportional forms, Q2 = 0 among them.
+    """
+    def noise():
+        return p * rng.randint(-2, 2)
+
+    def form():
+        return [rng.randint(-20, 20), [rng.randint(-20, 20) for _ in range(n)],
+                [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]]
+
+    def times(lam, f):
+        s, lin, q = f
+        return [lam * s + noise(), [lam * c + noise() for c in lin],
+                [[lam * c + noise() for c in row] for row in q]]
+
+    pairs = [(form(), form()) for _ in range(3)]
+    if n:
+        f, g = form(), form()
+        f[2][-1][-1], g[2][-1][-1] = noise(), noise()
+        pairs.append((f, g))
+        f, mu = form(), rng.randrange(1, p)
+        g = times(rng.randrange(1, p), f)
+        g[2][0][0] += mu
+        g[1][0] -= mu
+        pairs.append((f, g))
+    f = form()
+    pairs += [(f, times(lam, f)) for lam in (1, p, rng.randrange(2, 2 * p))]
+    return [([(f[0], f[1]), (g[0], g[1])], [f[2], g[2]]) for f, g in pairs]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_half_zeros_match_brute_force(p):
+    rng = random.Random(p)
+    zeros = 0
+    for n in range(6):
+        for states, quads in _half_zero_cases(rng, n, p):
+            found = _half_zeros(states, quads, p)
+            assert found == _brute_half_zeros(states, quads, p), (n, states, quads)
+            zeros += len(found)
+    assert zeros > 0
+
+
+def _per_cell_half_zeros(states, quads, p, prefix=()):
+    """_half_zeros before the closed-form tail: every last coordinate is tried."""
+    k, n = len(prefix), len(states[0][1])
+    if k == n:
+        return [] if any(s % p for s, _ in states) else [prefix]
+    if k == n - 1:
+        xs = range(p)
+        for (s, lin), q in zip(states, quads):
+            xs = [x for x in xs if (s + (lin[k] + q[k][k] * x) * x) % p == 0]
+        return [prefix + (x,) for x in xs]
+    zeros = []
+    for x in range(p):
+        fixed = [
+            (s + (lin[k] + q[k][k] * x) * x, [c + d * x for c, d in zip(lin, q[k])])
+            for (s, lin), q in zip(states, quads)
+        ]
+        zeros += _per_cell_half_zeros(fixed, quads, p, prefix + (x,))
+    return zeros
+
+
+def _per_cell_lines(pencil, cells, p):
+    """_cell_lines before the per-pivot point lists: row a is enumerated again
+    for every cell, with a_j = 0 built in, and paired by (Pa).b."""
+    polars = (polar_matrix(pencil.q1), polar_matrix(pencil.q2))
+
+    def row_zeros(lead, free):
+        quads = [[[P[c][d] // (1 + (c == d)) for d in free] for c in free] for P in polars]
+        states = [(P[lead][lead] // 2, [P[lead][c] for c in free]) for P in polars]
+        for half in _per_cell_half_zeros(states, quads, p):
+            entries = {lead: 1, **dict(zip(free, half))}
+            v = [entries.get(c, 0) for c in range(NUM_VARIABLES)]
+            yield v, [[sum(map(mul, r, v)) % p for r in P] for P in polars]
+
+    rows_b = {j: list(row_zeros(j, range(j + 1, NUM_VARIABLES)))
+              for j in {j for _, j in cells}}
+    return [
+        (a, b, rank_mod_p(polar_jacobian(GrassmannChart((i, j)), pas, pbs), p))
+        for i, j in cells
+        for a, pas in row_zeros(i, [c for c in range(i + 1, NUM_VARIABLES) if c != j])
+        for b, pbs in rows_b[j]
+        if not any(sum(map(mul, pa, b)) % p for pa in pas)
+    ]
+
+
+def test_chart_points_match_the_per_cell_scan(example_pencil, monkeypatch):
+    some_charts = [GrassmannChart(CHART_PIVOTS), GrassmannChart((0, 5)),
+                   GrassmannChart((4, 5))]
+    runs = [(pencil, p, charts) for pencil in _pencils(example_pencil)
+            for p in (5, 7) for charts in (all_charts(), some_charts)]
+    found = [_chart_points(*run) for run in runs]
+    monkeypatch.setattr(localcert, "_cell_lines", _per_cell_lines)
+    assert found == [_chart_points(*run) for run in runs]
+    assert sum(len(points) for entries in found for _, points in entries) >= 1000
 
 
 def test_single_chart_census_equals_its_entry_in_the_full_census(example_pencil):
