@@ -5,128 +5,80 @@ P^5 through its characteristic form f(t) = -det(M1 - t*M2), the genus-2
 curve z^2 = f(t), and the Fano variety of lines on X, and certifies local
 points at the real place and at every prime — entirely in exact rational
 and modular arithmetic, with no floating point anywhere.
+
+Each public name is imported from its submodule on first use, so that a
+command loads only the modules it runs.
 """
 
-from .quadric import (
-    NUM_VARIABLES,
-    VARIABLES,
-    QuadraticForm,
-    evaluate_form,
-    gradient_at,
-    gram_matrix,
-    polar_form,
-    restrict_to_line,
-)
-from .pencil import (
-    CurveData,
-    NonIntegralCharacteristicFormError,
-    PencilOfQuadrics,
-    characteristic_form,
-    curve_data,
-    smoothness_check,
-)
-from .fano import (
-    FANO_CODIMENSION,
-    NUM_PARAMETERS,
-    FanoPointReport,
-    FanoSystem,
-    GrassmannChart,
-    all_charts,
-    chart_point_rows,
-    chart_rows,
-    fano_jacobian,
-    fano_system,
-    verify_fano_point,
-)
-from .localcert import (
-    CensusEntry,
-    LocalPointCertificate,
-    chart_census,
-    hensel_certify,
-    real_place_report,
-    search_smooth_points,
-    verify_projective_point,
-)
-from .reduction import (
-    DegenerateReductionError,
-    SingularLocusReport,
-    cone_check,
-    mod2_degeneracy,
-    normalize_projective,
-    reduce_pencil,
-    singular_locus,
-)
-from .parsing import (
-    FanoWitness,
-    ParsedInput,
-    ParseError,
-    SingularWitness,
-    parse_form,
-    parse_input,
-    parse_input_text,
-    pretty_print,
-)
-from .pipeline import (
-    DEGENERATE_VERDICT,
-    POSITIVE_VERDICT,
-    PipelineConfig,
-    RationalityCertificate,
-    canonical_json,
-    run_pipeline,
-)
+from importlib import import_module
 
-__all__ = [
-    "CensusEntry",
-    "CurveData",
-    "DEGENERATE_VERDICT",
-    "DegenerateReductionError",
-    "FANO_CODIMENSION",
-    "FanoPointReport",
-    "FanoSystem",
-    "FanoWitness",
-    "GrassmannChart",
-    "LocalPointCertificate",
-    "NUM_PARAMETERS",
-    "NUM_VARIABLES",
-    "NonIntegralCharacteristicFormError",
-    "POSITIVE_VERDICT",
-    "ParseError",
-    "ParsedInput",
-    "PencilOfQuadrics",
-    "PipelineConfig",
-    "QuadraticForm",
-    "RationalityCertificate",
-    "SingularLocusReport",
-    "SingularWitness",
-    "VARIABLES",
-    "all_charts",
-    "canonical_json",
-    "characteristic_form",
-    "chart_census",
-    "chart_point_rows",
-    "chart_rows",
-    "cone_check",
-    "curve_data",
-    "evaluate_form",
-    "fano_jacobian",
-    "fano_system",
-    "gradient_at",
-    "gram_matrix",
-    "hensel_certify",
-    "mod2_degeneracy",
-    "normalize_projective",
-    "parse_form",
-    "parse_input",
-    "parse_input_text",
-    "polar_form",
-    "pretty_print",
-    "real_place_report",
-    "reduce_pencil",
-    "restrict_to_line",
-    "run_pipeline",
-    "search_smooth_points",
-    "singular_locus",
-    "smoothness_check",
-    "verify_fano_point",
-    "verify_projective_point",
-]
+# Public name -> the submodule that defines it.
+_EXPORTS = {
+    "NUM_VARIABLES": "quadric",
+    "VARIABLES": "quadric",
+    "QuadraticForm": "quadric",
+    "evaluate_form": "quadric",
+    "gradient_at": "quadric",
+    "gram_matrix": "quadric",
+    "polar_form": "quadric",
+    "restrict_to_line": "quadric",
+    "CurveData": "pencil",
+    "NonIntegralCharacteristicFormError": "pencil",
+    "PencilOfQuadrics": "pencil",
+    "characteristic_form": "pencil",
+    "curve_data": "pencil",
+    "smoothness_check": "pencil",
+    "FANO_CODIMENSION": "fano",
+    "NUM_PARAMETERS": "fano",
+    "FanoPointReport": "fano",
+    "FanoSystem": "fano",
+    "GrassmannChart": "fano",
+    "all_charts": "fano",
+    "chart_point_rows": "fano",
+    "chart_rows": "fano",
+    "fano_jacobian": "fano",
+    "fano_system": "fano",
+    "verify_fano_point": "fano",
+    "CensusEntry": "localcert",
+    "LocalPointCertificate": "localcert",
+    "chart_census": "localcert",
+    "hensel_certify": "localcert",
+    "real_place_report": "localcert",
+    "search_smooth_points": "localcert",
+    "verify_projective_point": "localcert",
+    "DegenerateReductionError": "reduction",
+    "SingularLocusReport": "reduction",
+    "cone_check": "reduction",
+    "mod2_degeneracy": "reduction",
+    "normalize_projective": "reduction",
+    "reduce_pencil": "reduction",
+    "singular_locus": "reduction",
+    "FanoWitness": "parsing",
+    "ParsedInput": "parsing",
+    "ParseError": "parsing",
+    "SingularWitness": "parsing",
+    "canonical_json": "parsing",
+    "parse_form": "parsing",
+    "parse_input": "parsing",
+    "parse_input_text": "parsing",
+    "pretty_print": "parsing",
+    "DEGENERATE_VERDICT": "pipeline",
+    "POSITIVE_VERDICT": "pipeline",
+    "PipelineConfig": "pipeline",
+    "RationalityCertificate": "pipeline",
+    "run_pipeline": "pipeline",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

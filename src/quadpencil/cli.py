@@ -13,22 +13,18 @@ import sys
 from typing import Optional, Sequence
 
 from .exactmath import is_probable_prime
-from .fano import GrassmannChart, fano_system, verify_fano_point
-from .localcert import (
+from .fano import (
     EXHAUSTIVE_PRIME_HARD_CAP,
-    search_smooth_points,
-    verify_projective_point,
+    GrassmannChart,
+    fano_system,
+    verify_fano_point,
 )
-from .parsing import ParseError, _is_integer_text, parse_input
+from .parsing import ParseError, _is_integer_text, canonical_json, parse_input
 from .pencil import NonIntegralCharacteristicFormError, smoothness_check
-from .pipeline import PipelineConfig, canonical_json, run_pipeline
 from .quadric import NUM_VARIABLES
-from .reduction import (
-    DegenerateReductionError,
-    cone_check,
-    mod2_degeneracy,
-    singular_locus,
-)
+
+# The pipeline, localcert and reduction modules are imported by the handlers
+# that use them, so that a command loads only the modules it runs.
 
 __all__ = ["main"]
 
@@ -119,6 +115,8 @@ def _emit(document: dict | None, summary_lines: Sequence[str]) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_analyze(args) -> int:
+    from .pipeline import PipelineConfig, run_pipeline
+
     cfg = PipelineConfig(
         input_path=args.file,
         good_prime_samples=tuple(args.good_primes),
@@ -158,6 +156,8 @@ def _cmd_charform(args) -> int:
 
 
 def _cmd_fano_search(args) -> int:
+    from .localcert import search_smooth_points
+
     parsed = parse_input(args.file)
     prime = _require_prime(args.prime)
     charts = None if args.chart is None else [_parse_chart(args.chart)]
@@ -212,6 +212,8 @@ def _cmd_verify_point(args) -> int:
 
 
 def _cmd_verify_ambient(args) -> int:
+    from .localcert import verify_projective_point
+
     parsed = parse_input(args.file)
     coords = _parse_coords(args.coords, 6)
     prime: Optional[int] = None
@@ -232,6 +234,13 @@ def _cmd_verify_ambient(args) -> int:
 
 
 def _cmd_reduction(args) -> int:
+    from .reduction import (
+        DegenerateReductionError,
+        cone_check,
+        mod2_degeneracy,
+        singular_locus,
+    )
+
     parsed = parse_input(args.file)
     prime = _require_prime(args.prime)
     if prime == 2:

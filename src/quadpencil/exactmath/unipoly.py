@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd, lcm
+from typing import NamedTuple
 
 from .integers import is_probable_prime
 
@@ -16,18 +16,22 @@ BRUTE_FORCE_ROOT_LIMIT = 1 << 16
 _SPLIT_SHIFT_CAP = 64
 
 
-@dataclass(frozen=True)
-class PrimeFieldElement:
-    """A residue in [0, p) for a certified prime modulus p."""
-
+class _PrimeFieldElementFields(NamedTuple):
     residue: int
     modulus: int
 
-    def __post_init__(self) -> None:
-        if not is_probable_prime(self.modulus):
-            raise ValueError(f"modulus {self.modulus} is not prime")
-        if not 0 <= self.residue < self.modulus:
+
+class PrimeFieldElement(_PrimeFieldElementFields):
+    """A residue in [0, p) for a certified prime modulus p."""
+
+    __slots__ = ()
+
+    def __new__(cls, residue: int, modulus: int) -> "PrimeFieldElement":
+        if not is_probable_prime(modulus):
+            raise ValueError(f"modulus {modulus} is not prime")
+        if not 0 <= residue < modulus:
             raise ValueError("residue out of range")
+        return super().__new__(cls, residue, modulus)
 
 
 class UniPoly:

@@ -9,9 +9,9 @@ are exactly the lines contained in X.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from .exactmath import ExactMatrix, MultiPoly, is_probable_prime, rank_mod_p
 from .pencil import PencilOfQuadrics
@@ -20,9 +20,21 @@ from .quadric import NUM_VARIABLES, restrict_to_line
 NUM_PARAMETERS = 8
 FANO_CODIMENSION = 6
 
+# Scan cap of localcert's exhaustive F_p search, defined here so that the
+# CLI can quote it without importing localcert.  A census of all 15 charts
+# finds the points of X with pivot 0 in about p^4 closed-form steps (p^4
+# values of four free columns, the fifth solved) and tests about p^4 pairs of
+# points.  At p = 31 that is 10^6 pairs, and `fano-search` on the example
+# takes 1.6-2.3 s (CPython 3.11, 2 cores), the two halves about equal; the
+# cost grows like p^4, so the cap stays here.
+EXHAUSTIVE_PRIME_HARD_CAP = 31
 
-@dataclass(frozen=True)
-class GrassmannChart:
+
+class _GrassmannChartFields(NamedTuple):
+    pivots: tuple[int, int]
+
+
+class GrassmannChart(_GrassmannChartFields):
     """One of the 15 standard charts of Gr(2,6), named by its pivot columns.
 
     pivots are 0-based ambient column indices (i, j) with i < j.  The two rows
@@ -32,13 +44,13 @@ class GrassmannChart:
     chart parametrizes the line [r:s] -> r*rowA + s*rowB.
     """
 
-    pivots: tuple[int, int]
+    # No __slots__: the instance dict holds the cached non_pivots.
 
-    def __post_init__(self) -> None:
-        i, j = self.pivots
+    def __new__(cls, pivots: tuple[int, int]) -> "GrassmannChart":
+        i, j = pivots
         if not (0 <= i < j < NUM_VARIABLES):
-            raise ValueError(f"bad pivot pair {self.pivots}")
-        object.__setattr__(self, "pivots", (int(i), int(j)))
+            raise ValueError(f"bad pivot pair {pivots}")
+        return super().__new__(cls, (int(i), int(j)))
 
     @cached_property
     def non_pivots(self) -> tuple[int, int, int, int]:
@@ -136,8 +148,7 @@ def fano_jacobian(system: FanoSystem) -> ExactMatrix:
     return ExactMatrix(FANO_CODIMENSION, NUM_PARAMETERS, entries)
 
 
-@dataclass(frozen=True)
-class FanoPointReport:
+class FanoPointReport(NamedTuple):
     """Verification result for one chart point over F_p."""
 
     on_fano: bool

@@ -3,12 +3,13 @@ and the real place."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
 from .exactmath import is_probable_prime, isolate_real_roots, rank_mod_p, solve_mod_p
 from .fano import (
+    EXHAUSTIVE_PRIME_HARD_CAP,
     FANO_CODIMENSION,
     NUM_PARAMETERS,
     FanoSystem,
@@ -25,16 +26,8 @@ from .quadric import NUM_VARIABLES, evaluate_form, polar_matrix
 # Schubert-cell scan below, which is equivalent but far cheaper).
 EXHAUSTIVE_PRIME_BOUND = 5
 
-# Scan cap: a census of all 15 charts finds the points of X with pivot 0 in
-# about p^4 closed-form steps (p^4 values of four free columns, the fifth
-# solved) and tests about p^4 pairs of points.  At p = 31 that is 10^6 pairs,
-# and `fano-search` on the example takes 1.6-2.3 s (CPython 3.11, 2 cores),
-# the two halves about equal; the cost grows like p^4, so the cap stays here.
-EXHAUSTIVE_PRIME_HARD_CAP = 31
 
-
-@dataclass(frozen=True)
-class LocalPointCertificate:
+class LocalPointCertificate(NamedTuple):
     """A local witness at one place with its smoothness/liftability verdict.
 
     place is a prime for finite places or the string "real".  For finite
@@ -168,8 +161,7 @@ def _chart_points(pencil: PencilOfQuadrics, p: int, charts) -> list:
     return [(chart, sorted(read_off(chart))) for chart in charts]
 
 
-@dataclass(frozen=True)
-class CensusEntry:
+class CensusEntry(NamedTuple):
     """Exhaustive per-chart tally of F_p points of the Fano system."""
 
     chart: GrassmannChart

@@ -1,4 +1,4 @@
-"""Plain-text input parsing: polynomial syntax and the pencil input file.
+"""Text in and text out: the pencil input file and canonical JSON output.
 
 The accepted polynomial syntax is integer-coefficient arithmetic over the
 six variables ``u, v, w, x, y, z``:
@@ -17,13 +17,16 @@ An input *file* consists of two lines ``Q1: <poly>`` and ``Q2: <poly>``
 
 Chart columns in witness lines (and everywhere in the user interface) are
 1-based; internally charts are stored as 0-based pivot pairs.
+
+Output documents serialize through :func:`canonical_json`.
 """
 
 from __future__ import annotations
 
+import json
 import re
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from fractions import Fraction
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .exactmath import is_probable_prime
 from .quadric import NUM_VARIABLES, VARIABLES, QuadraticForm
@@ -38,6 +41,8 @@ __all__ = [
     "pretty_print",
     "parse_input",
     "parse_input_text",
+    "read_input_text",
+    "canonical_json",
 ]
 
 _VARIABLE_INDEX = {name: i for i, name in enumerate(VARIABLES)}
@@ -63,8 +68,7 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class FanoWitness:
+class FanoWitness(NamedTuple):
     """A supplied candidate point on a Fano chart over F_p.
 
     ``chart`` holds 1-based column indices exactly as written in the
@@ -76,16 +80,14 @@ class FanoWitness:
     coordinates: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SingularWitness:
+class SingularWitness(NamedTuple):
     """A supplied candidate singular point of a mod-p reduction."""
 
     prime: int
     coordinates: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ParsedInput:
+class ParsedInput(NamedTuple):
     """The result of parsing an input file: the pencil plus witnesses."""
 
     pencil: PencilOfQuadrics
@@ -97,8 +99,7 @@ class ParsedInput:
 # Polynomial tokenizer / parser
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "int" | "var" | "+" | "-" | "*" | "^" | "(" | ")"
     text: str
     column: int
@@ -513,7 +514,62 @@ def parse_input_text(text: str) -> ParsedInput:
     )
 
 
+def read_input_text(path: str) -> str:
+    """The UTF-8 text of an input file; an undecodable byte is a ParseError."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as error:
+        # The sentinel keeps a last line to count from when the bad byte
+        # starts one; lines are counted as _parse_sections counts them.
+        lines = (data[: error.start].decode("utf-8") + "\0").splitlines()
+        raise ParseError(
+            f"invalid UTF-8 byte 0x{data[error.start]:02x}", len(lines), len(lines[-1])
+        ) from None
+
+
 def parse_input(path: str) -> ParsedInput:
     """Parse an input file by path. See the module docstring for the format."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_input_text(handle.read())
+    return parse_input_text(read_input_text(path))
+
+
+# ---------------------------------------------------------------------------
+# Canonical JSON
+# ---------------------------------------------------------------------------
+
+def _canonical_value(value):
+    """Map a certificate value onto the canonical JSON subset."""
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    # Exact types only: records are tuples too, and must not pass as lists.
+    if type(value) in (list, tuple):
+        return [_canonical_value(item) for item in value]
+    if isinstance(value, dict):
+        out = {}
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"non-string certificate key: {key!r}")
+            out[key] = _canonical_value(item)
+        return out
+    raise TypeError(f"value {value!r} has no canonical JSON encoding")
+
+
+def canonical_json(document) -> str:
+    """Serialize to canonical JSON: sorted keys, ints as decimal strings.
+
+    ``document`` is a dict, or an object with ``to_document()`` such as a
+    RationalityCertificate.
+    """
+    if not isinstance(document, dict):
+        document = document.to_document()
+    return json.dumps(
+        _canonical_value(document),
+        sort_keys=True,
+        separators=(",", ":"),
+        ensure_ascii=True,
+    )

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactmath import (
     UniPoly,
@@ -99,8 +99,7 @@ def smoothness_check(pencil: PencilOfQuadrics) -> str:
     return "singular"
 
 
-@dataclass(frozen=True)
-class CurveData:
+class CurveData(NamedTuple):
     """Data of the genus-2 curve z^2 = f(t) attached to a smooth pencil.
 
     disc is the discriminant of the hyperelliptic model, i.e. 2^12 * disc(f)

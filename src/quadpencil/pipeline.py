@@ -22,10 +22,7 @@ any ``workers`` value (which is accepted and has no effect).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .exactmath import FactorizationError, is_probable_prime
 from .fano import (
@@ -42,7 +39,14 @@ from .localcert import (
     real_place_report,
     search_smooth_points,
 )
-from .parsing import FanoWitness, SingularWitness, _parse_sections, pretty_print
+from .parsing import (
+    FanoWitness,
+    SingularWitness,
+    _parse_sections,
+    canonical_json,  # re-exported: callers and qpbench/worker.py use this name
+    pretty_print,
+    read_input_text,
+)
 from .pencil import (
     NonIntegralCharacteristicFormError,
     PencilOfQuadrics,
@@ -99,8 +103,15 @@ def _validate_prime(p: int, what: str) -> None:
         raise ValueError(f"{what}: {p!r} is not prime")
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class _PipelineConfigFields(NamedTuple):
+    input_path: str
+    good_prime_samples: tuple[int, ...] = (3, 5, 7, 11, 13)
+    lift_precision: int = 3
+    workers: int = 8
+    supplied_witnesses: tuple[Union[FanoWitness, SingularWitness], ...] = ()
+
+
+class PipelineConfig(_PipelineConfigFields):
     """Configuration for :func:`run_pipeline`.
 
     ``supplied_witnesses`` entries are merged with any ``WITNESS:`` lines
@@ -111,15 +122,14 @@ class PipelineConfig:
     It is not echoed into the certificate.
     """
 
-    input_path: str
-    good_prime_samples: tuple[int, ...] = (3, 5, 7, 11, 13)
-    lift_precision: int = 3
-    workers: int = 8
-    supplied_witnesses: tuple[Union[FanoWitness, SingularWitness], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "good_prime_samples", tuple(self.good_prime_samples))
-        object.__setattr__(self, "supplied_witnesses", tuple(self.supplied_witnesses))
+    def __new__(cls, *args, **kwargs) -> "PipelineConfig":
+        self = super().__new__(cls, *args, **kwargs)
+        self = self._replace(
+            good_prime_samples=tuple(self.good_prime_samples),
+            supplied_witnesses=tuple(self.supplied_witnesses),
+        )
         for p in self.good_prime_samples:
             _validate_prime(p, "good_prime_samples")
             if p == 2:
@@ -140,10 +150,10 @@ class PipelineConfig:
                     "supplied_witnesses entries must be FanoWitness or SingularWitness"
                 )
             _validate_prime(witness.prime, "witness prime")
+        return self
 
 
-@dataclass(frozen=True)
-class RationalityCertificate:
+class RationalityCertificate(NamedTuple):
     """Aggregate result of the pipeline; serialize with :func:`canonical_json`."""
 
     input_echo: dict
@@ -183,41 +193,6 @@ class RationalityCertificate:
             "incomplete_reasons": list(self.incomplete_reasons),
             "verdict": self.verdict,
         }
-
-
-def _canonical_value(value):
-    """Map a certificate value onto the canonical JSON subset."""
-    if value is None or isinstance(value, (bool, str)):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, (list, tuple)):
-        return [_canonical_value(item) for item in value]
-    if isinstance(value, dict):
-        out = {}
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"non-string certificate key: {key!r}")
-            out[key] = _canonical_value(item)
-        return out
-    raise TypeError(f"value {value!r} has no canonical JSON encoding")
-
-
-def canonical_json(certificate: Union[RationalityCertificate, dict]) -> str:
-    """Serialize to canonical JSON: sorted keys, ints as decimal strings."""
-    document = (
-        certificate.to_document()
-        if isinstance(certificate, RationalityCertificate)
-        else certificate
-    )
-    return json.dumps(
-        _canonical_value(document),
-        sort_keys=True,
-        separators=(",", ":"),
-        ensure_ascii=True,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +460,7 @@ def run_pipeline(cfg: PipelineConfig) -> RationalityCertificate:
     input errors, not stage failures); every later failure is embedded in
     the certificate with an ``incomplete`` verdict.
     """
-    with open(cfg.input_path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    forms, file_fano, file_singular = _parse_sections(text)
+    forms, file_fano, file_singular = _parse_sections(read_input_text(cfg.input_path))
 
     fano_witnesses = list(file_fano)
     singular_witnesses = list(file_singular)

@@ -3,8 +3,8 @@ degeneracy evidence."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
+from typing import NamedTuple
 
 from .exactmath import (
     is_probable_prime,
@@ -146,8 +146,7 @@ def _assert_complete_intersection(
         )
 
 
-@dataclass(frozen=True)
-class SingularLocusReport:
+class SingularLocusReport(NamedTuple):
     """Singular points of X_p with ambient Jacobian ranks.
 
     points are canonical projective representatives (first nonzero coordinate

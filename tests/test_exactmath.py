@@ -731,3 +731,5 @@ def test_prime_field_element_validation():
         PrimeFieldElement(1, 6)
     with pytest.raises(ValueError):
         PrimeFieldElement(7, 7)
+    with pytest.raises(AttributeError):
+        element.residue = 5

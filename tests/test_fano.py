@@ -46,6 +46,16 @@ def test_chart_validation():
         GrassmannChart((0, 6))
 
 
+def test_chart_is_an_immutable_record():
+    chart = GrassmannChart((1, 2))
+    assert repr(chart) == "GrassmannChart(pivots=(1, 2))"
+    assert chart == ((1, 2),) and hash(chart) == hash(((1, 2),))
+    with pytest.raises(AttributeError):
+        chart.pivots = (0, 1)
+    assert chart.non_pivots == (0, 3, 4, 5)
+    assert chart.non_pivots is chart.non_pivots
+
+
 def test_chart_rows_have_identity_at_pivots():
     for chart in all_charts():
         row_a, row_b = chart_rows(chart)

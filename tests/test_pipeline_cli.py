@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from quadpencil import (
+    GrassmannChart,
     PipelineConfig,
     canonical_json,
     parse_input,
@@ -600,6 +601,22 @@ def test_input_syntax_error_exits_3(tmp_path):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize(
+    "options",
+    [
+        ["analyze"],
+        ["verify-point", "--prime", "3", "--chart", "2,3", "--coords", "0,0,0,0,0,0,0,0"],
+    ],
+)
+def test_undecodable_input_exits_3_with_line_and_column(tmp_path, options):
+    # Line 2 holds 14 characters (16 bytes) before the Latin-1 byte 0xe9.
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("Q1: uv + wx + yz\n# déjà vu: caf".encode() + b"\xe9\nQ2: uw\n")
+    out, err, code = run_cli([options[0], str(path), *options[1:]])
+    assert (out, code) == ("", 3)
+    assert err == "input error: line 2, column 15: invalid UTF-8 byte 0xe9\n"
+
+
 # ---------------------------------------------------------------------------
 # Canonical JSON and configuration validation
 # ---------------------------------------------------------------------------
@@ -611,6 +628,9 @@ def test_canonical_json_conventions():
         canonical_json({"x": 1.5})
     with pytest.raises(TypeError):
         canonical_json({1: "x"})
+    # A record is a tuple, but has no canonical encoding of its own.
+    with pytest.raises(TypeError, match="no canonical JSON encoding"):
+        canonical_json({"x": GrassmannChart((0, 1))})
 
 
 def test_certificate_json_has_no_numeric_leaves(analyze_runs):
@@ -642,3 +662,9 @@ def test_pipeline_config_validation():
         PipelineConfig(**good, lift_precision=0)
     with pytest.raises(ValueError):
         PipelineConfig(**good, workers=0)
+    with pytest.raises(ValueError, match="2 is not usable"):
+        PipelineConfig(**good, good_prime_samples=(2,))
+    cfg = PipelineConfig(**good, good_prime_samples=[3, 5])
+    assert cfg.good_prime_samples == (3, 5)
+    with pytest.raises(AttributeError):
+        cfg.workers = 2
