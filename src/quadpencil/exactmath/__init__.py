@@ -22,6 +22,7 @@ from .unipoly import (
     isolate_real_roots,
     poly_discriminant,
     repeated_roots_mod_p,
+    roots_mod_p,
     squarefree_degree6,
     sturm_count,
 )
@@ -41,6 +42,7 @@ __all__ = [
     "poly_discriminant",
     "rank_mod_p",
     "repeated_roots_mod_p",
+    "roots_mod_p",
     "rref_mod_p",
     "solve_mod_p",
     "sqrt_mod_p",

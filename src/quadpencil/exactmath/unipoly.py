@@ -10,8 +10,6 @@ from .integers import is_probable_prime
 
 ISOLATION_WIDTH = Fraction(1, 10**6)
 
-BRUTE_FORCE_ROOT_LIMIT = 1 << 16
-
 # Deterministic shift sweep bound for big-prime root splitting.
 _SPLIT_SHIFT_CAP = 64
 
@@ -589,11 +587,31 @@ def _pm_roots_of_split(h: list[int], p: int) -> list[int]:
     raise RuntimeError(f"root splitting failed after {_SPLIT_SHIFT_CAP} deterministic shifts")
 
 
-def repeated_roots_mod_p(f: UniPoly, p: int) -> list[PrimeFieldElement]:
-    """All roots in F_p of gcd(f mod p, f' mod p).
+def roots_mod_p(coeffs, p: int) -> list[int]:
+    """The distinct roots in F_p of an integer polynomial, ascending.
 
-    Brute-force evaluation for p < 2^16, gcd ladder with t^p - t above.
+    coeffs are lowest degree first and p is prime.  gcd(f, t^p - t) is the
+    product of t - r over the roots r, split by _pm_roots_of_split, so the
+    cost is polynomial in log p, with no loop over F_p.  Raises ValueError
+    when f is identically zero mod p.
     """
+    f = _pm_trim([int(c) % p for c in coeffs])
+    if not f:
+        raise ValueError("f is identically zero mod p")
+    if len(f) == 1:
+        return []
+    if len(f) == 2:
+        return [-f[0] * pow(f[1], -1, p) % p]
+    tp = _pm_powmod([0, 1], p, f, p) + [0, 0]
+    tp[1] -= 1
+    h = _pm_gcd(f, tp, p)
+    if p == 2 and len(h) == 3:  # h = t^2 + t: no shift splits it over F_2
+        return [0, 1]
+    return _pm_roots_of_split(h, p)
+
+
+def repeated_roots_mod_p(f: UniPoly, p: int) -> list[PrimeFieldElement]:
+    """All roots in F_p of gcd(f mod p, f' mod p), by :func:`roots_mod_p`."""
     if not is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
     f = f.to_integer_coeffs()
@@ -601,25 +619,7 @@ def repeated_roots_mod_p(f: UniPoly, p: int) -> list[PrimeFieldElement]:
     if not fp:
         raise ValueError("f is identically zero mod p")
     dfp = _pm_trim([k * c % p for k, c in enumerate(fp) if k > 0])
-    if not dfp:
-        # f' vanishes mod p (e.g. an inseparable power pattern): every root of
-        # f mod p is repeated; fall through with g = f itself.
-        g = fp
-    else:
-        g = _pm_gcd(fp, dfp, p)
-    if len(g) - 1 <= 0:
-        return []
-    if p < BRUTE_FORCE_ROOT_LIMIT:
-        roots = []
-        for r in range(p):
-            acc = 0
-            for c in reversed(g):
-                acc = (acc * r + c) % p
-            if acc == 0:
-                roots.append(r)
-        return [PrimeFieldElement(r, p) for r in roots]
-    # distinct-root part: gcd(g, t^p - t)
-    tp = _pm_powmod([0, 1], p, g, p)
-    tp_minus_t = _pm_trim([(c - (1 if i == 1 else 0)) % p for i, c in enumerate(tp + [0, 0][: max(0, 2 - len(tp))])])
-    h = _pm_gcd(g, tp_minus_t, p)
-    return [PrimeFieldElement(r, p) for r in _pm_roots_of_split(h, p)]
+    # When f' vanishes mod p (e.g. an inseparable power pattern), every root
+    # of f mod p is repeated, so g = f itself.
+    g = _pm_gcd(fp, dfp, p) if dfp else fp
+    return [PrimeFieldElement(r, p) for r in roots_mod_p(g, p)]

@@ -7,7 +7,16 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .exactmath import is_probable_prime, isolate_real_roots, rank_mod_p, solve_mod_p
+from .exactmath import (
+    is_probable_prime,
+    isolate_real_roots,
+    kernel_mod_p,
+    rank_mod_p,
+    roots_mod_p,
+    rref_mod_p,
+    solve_mod_p,
+)
+from .exactmath.unipoly import _pm_gcd
 from .fano import (
     EXHAUSTIVE_PRIME_HARD_CAP,
     FANO_CODIMENSION,
@@ -22,9 +31,15 @@ from .fano import (
 from .pencil import CurveData, PencilOfQuadrics
 from .quadric import NUM_VARIABLES, evaluate_form, polar_matrix
 
-# The pipeline scans primes up to this bound (p^8 points per chart, via the
-# Schubert-cell scan below, which is equivalent but far cheaper).
+# The pipeline searches primes up to this bound: bad primes by the census
+# (p^8 points per chart, via the Schubert-cell scan below, which is
+# equivalent but far cheaper), sampled good primes by a line through a point.
 EXHAUSTIVE_PRIME_BOUND = 5
+
+# Planes that smooth_line_through_point draws before it gives up.
+MAX_LINE_PLANES = 50
+
+_MASK64 = (1 << 64) - 1
 
 
 class LocalPointCertificate(NamedTuple):
@@ -139,11 +154,10 @@ def _chart_points(pencil: PencilOfQuadrics, p: int, charts) -> list:
     """(chart, sorted (point, rank) pairs) for each chart, in pivot order.
 
     Scans the cells (i, j) with i <= k and j <= l for a chart (k, l): they hold
-    its lines.  Line (a, b) is in chart (k, l) iff m = a_k b_l - a_l b_k != 0,
-    with chart rows (b_l a - a_l b) / m and (a_k b - b_k a) / m.  Its rank is
-    the same on every chart: on an overlap the charts' six equations differ by
-    the invertible Sym^2 base change of the line's basis, so their Jacobians
-    have equal rank at any point of the system.
+    its lines, read off by _chart_coordinates.  A line's rank is the same on
+    every chart: on an overlap the charts' six equations differ by the
+    invertible Sym^2 base change of the line's basis, so their Jacobians have
+    equal rank at any point of the system.
     """
     charts = sorted(charts, key=lambda c: c.pivots)
     cells = [(i, j) for i, j in (cell.pivots for cell in all_charts())
@@ -151,14 +165,26 @@ def _chart_points(pencil: PencilOfQuadrics, p: int, charts) -> list:
     lines = _cell_lines(pencil, cells, p)
 
     def read_off(chart):
-        k, l = chart.pivots
         for a, b, rank in lines:
-            if minor := (a[k] * b[l] - a[l] * b[k]) % p:
-                s = pow(minor, -1, p)
-                yield tuple(t * s % p for c in chart.non_pivots for t in (
-                    b[l] * a[c] - a[l] * b[c], a[k] * b[c] - b[k] * a[c])), rank
+            if (coords := _chart_coordinates(chart, a, b, p)) is not None:
+                yield coords, rank
 
     return [(chart, sorted(read_off(chart))) for chart in charts]
+
+
+def _chart_coordinates(chart: GrassmannChart, a, b, p: int):
+    """Chart coordinates of the line <a, b> mod p, or None if the chart misses it.
+
+    Line (a, b) is in chart (k, l) iff m = a_k b_l - a_l b_k != 0, with chart
+    rows (b_l a - a_l b) / m and (a_k b - b_k a) / m.
+    """
+    k, l = chart.pivots
+    minor = (a[k] * b[l] - a[l] * b[k]) % p
+    if not minor:
+        return None
+    s = pow(minor, -1, p)
+    return tuple(t * s % p for c in chart.non_pivots for t in (
+        b[l] * a[c] - a[l] * b[c], a[k] * b[c] - b[k] * a[c]))
 
 
 class CensusEntry(NamedTuple):
@@ -207,6 +233,144 @@ def search_smooth_points(
         for entry in chart_census(pencil, prime, charts)
         for pt in entry.smooth_points
     ]
+
+
+def _product(f, g) -> list[int]:
+    """Product of two integer polynomials, coefficients lowest degree first."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
+def _conic_pair_zeros(A, B, p: int) -> list[tuple[int, int, int]] | None:
+    """Common zeros in P^2(F_p) of two ternary quadratic forms, p odd.
+
+    A form is (f00, f01, f02, f11, f12, f22), the coefficients of s_i s_j.
+    Each zero is scaled to last nonzero coordinate 1, and the list is sorted.
+    None means A and B share a component over the algebraic closure.
+
+    On s2 = 0 the zeros are the common roots of the binary forms f(s0, s1, 0),
+    one gcd.  On s2 = 1, the shear s0 = x + c y with c in {0, 1, 2} gives A
+    or B a y^2 coefficient f(c, 1, 0) != 0, so they share no line
+    x = const.  Then Res_y(A, B) = (a2 b0 - b2 a0)^2 - (a2 b1 - b2 a1)(a1 b0 -
+    a0 b1), with a_k the coefficient of y^k, is a quartic in x; it vanishes
+    identically only for a shared component, and each of its roots gives the
+    common roots y by a gcd.  Every step is polynomial in log p, with no loop
+    over F_p.
+    """
+    at_infinity = [(f[3], f[1], f[0]) for f in (A, B)]  # f(t, 1, 0)
+    if not any(c % p for pair in at_infinity for c in pair):
+        return None  # both contain the line s2 = 0
+    zeros = [(t, 1, 0) for t in roots_mod_p(_pm_gcd(*at_infinity, p), p)]
+    if A[0] % p == 0 and B[0] % p == 0:
+        zeros.append((1, 0, 0))
+    c = next(c for c in range(3) if any((f[0] * c * c + f[1] * c + f[3]) % p for f in (A, B)))
+
+    def sheared(f):  # f(x + c y, y, 1): the y^2, y and 1 coefficients, in x
+        return ((f[0] * c * c + f[1] * c + f[3]) % p,
+                [f[4] + f[2] * c, f[1] + 2 * f[0] * c],
+                [f[5], f[2], f[0]])
+
+    (a2, a1, a0), (b2, b1, b0) = sheared(A), sheared(B)
+    u = [a2 * t - b2 * s for s, t in zip(a0, b0)]
+    v = [a2 * t - b2 * s for s, t in zip(a1, b1)]
+    w = [s - t for s, t in zip(_product(a1, b0), _product(a0, b1))]
+    resultant = [s - t for s, t in zip(_product(u, u), _product(v, w))]
+    if not any(t % p for t in resultant):
+        return None
+    for x in roots_mod_p(resultant, p):
+        powers = (1, x, x * x)
+        in_y = [[sum(map(mul, f0, powers)), sum(map(mul, f1, powers)), f2]
+                for f2, f1, f0 in ((a2, a1, a0), (b2, b1, b0))]
+        zeros += [((x + c * y) % p, y, 1) for y in roots_mod_p(_pm_gcd(*in_y, p), p)]
+    return sorted(zeros)
+
+
+def _splitmix64(seed: int):
+    """SplitMix64 (Steele, Lea and Flood 2014): 64-bit words from an integer seed.
+
+    Integer arithmetic only, so a seed gives the same words on every Python.
+    """
+    state = seed & _MASK64
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+        yield z ^ (z >> 31)
+
+
+def smooth_line_through_point(
+    pencil: PencilOfQuadrics, prime: int, charts=()
+) -> tuple[GrassmannChart, tuple[int, ...]] | None:
+    """A smooth F_p-point (chart, coordinates) of the Fano system, or None.
+
+    Q1 and Q2 restricted to a random plane of P^5 are two conics; a common
+    zero is a point x of X_p.  If [P1 x; P2 x] has rank 2, the lines of X_p
+    through x are <x, y> with y in its 4-dimensional kernel K and
+    Q1(y) = Q2(y) = 0: on a complement of x in K two conics again, whose
+    common zeros are those lines (Reid 1972: a general point of a smooth X
+    lies on 4 lines).  A line's echelon basis names its Schubert cell, where
+    fano.polar_jacobian must have rank 6.  It is expressed in the first of
+    ``charts``, in pivot order, that contains it, and in its cell's chart
+    otherwise.  Gives up after MAX_LINE_PLANES planes.
+
+    The planes come from SplitMix64 seeded by the forms' coefficients and p,
+    so the result is deterministic.  p must be an odd prime; the cost is
+    polynomial in log p.
+    """
+    if prime == 2 or not is_probable_prime(prime):
+        raise ValueError(f"{prime} is not an odd prime")
+    p = prime
+    polars = (polar_matrix(pencil.q1), polar_matrix(pencil.q2))
+    seed = p
+    for q in (pencil.q1, pencil.q2):
+        for (i, j), c in q.monomials():
+            seed = next(_splitmix64(seed ^ (NUM_VARIABLES * i + j) ^ (c << 8)))
+    words = _splitmix64(seed)
+    limbs = p.bit_length() // 64 + 1
+    half = (p + 1) // 2  # 1/2 mod p: Q(v) = v.Pv / 2
+
+    def draw() -> int:
+        value = 0
+        for _ in range(limbs):
+            value = value << 64 | next(words)
+        return value % p
+
+    def products(v) -> list:
+        return [[sum(map(mul, r, v)) % p for r in P] for P in polars]
+
+    def zeros_on(basis) -> list:
+        pvs = [products(v) for v in basis]
+        conics = [tuple(
+            sum(map(mul, basis[i], pvs[j][f])) * (half if i == j else 1) % p
+            for i in range(3) for j in range(i, 3)) for f in range(2)]
+        zeros = _conic_pair_zeros(*conics, p) or ()
+        return [[sum(s * v[c] for s, v in zip(z, basis)) % p for c in range(NUM_VARIABLES)]
+                for z in zeros]
+
+    preferred = sorted(charts, key=lambda chart: chart.pivots)
+    for _ in range(MAX_LINE_PLANES):
+        for x in zeros_on([[draw() for _ in range(NUM_VARIABLES)] for _ in range(3)]):
+            kernel = kernel_mod_p(products(x), p)
+            if len(kernel) != 4:
+                continue  # a singular point of X_p, or x = 0
+            # Kernel vector k has its last nonzero entry, 1, at its free
+            # column, where the others are 0; so x has a nonzero coefficient
+            # on k iff x is nonzero there, and the other three span a
+            # complement of x in the kernel.
+            drop = next(k for k in kernel if x[max(c for c, t in enumerate(k) if t)])
+            for y in zeros_on([k for k in kernel if k is not drop]):
+                (a, b), pivots = rref_mod_p([x, y], p)
+                cell = GrassmannChart(pivots)
+                jacobian = polar_jacobian(cell, products(a), products(b))
+                if rank_mod_p(jacobian, p) < FANO_CODIMENSION:
+                    continue
+                for chart in (*preferred, cell):
+                    if (coords := _chart_coordinates(chart, a, b, p)) is not None:
+                        return chart, coords
+    return None
 
 
 def hensel_certify(

@@ -7,10 +7,13 @@ good-prime sampling, reduction reports — and aggregates everything into a
 certificate and turns the verdict into ``"incomplete: <reason>"``; the
 pipeline never fabricates a positive verdict from a failed stage.
 
-Every search is deterministic and exhaustive: at a bad prime p <= 5 the
-census of all 15 charts, at a sampled good prime p <= 5 the smooth points
-of that census.  A bad prime above 5 is certified only from a supplied
-witness; no method searches it yet, so without one it stays incomplete.
+Every search is deterministic.  At a bad prime p <= 5 it is the exhaustive
+census of all 15 charts.  At a sampled good prime p <= 5 the constructive
+point is a smooth line through a point of X_p, from planes drawn by a
+seeded integer generator (``localcert.smooth_line_through_point``); the
+census is the fallback if ``localcert.MAX_LINE_PLANES`` planes give none.
+A bad prime above 5 is certified only from a supplied witness; no method
+searches it yet, so without one it stays incomplete.
 
 The certificate serializes to *canonical JSON*: keys sorted, separators
 ``(",", ":")``, every integer rendered as a decimal string (bad primes
@@ -38,6 +41,7 @@ from .localcert import (
     hensel_certify,
     real_place_report,
     search_smooth_points,
+    smooth_line_through_point,
 )
 from .parsing import (
     FanoWitness,
@@ -117,7 +121,9 @@ class PipelineConfig(_PipelineConfigFields):
     ``supplied_witnesses`` entries are merged with any ``WITNESS:`` lines
     found in the input file; a bad prime above EXHAUSTIVE_PRIME_BOUND is
     certified only from such a witness, since no method searches it yet.
-    ``good_prime_samples`` must be distinct odd primes.  ``workers`` is
+    ``good_prime_samples`` must be distinct odd primes; those up to
+    EXHAUSTIVE_PRIME_BOUND also get a constructive point, a smooth line
+    through a point of X_p (the census if that fails).  ``workers`` is
     validated (>= 1) but has no effect: every search runs in one thread.
     It is not echoed into the certificate.
     """
@@ -174,7 +180,7 @@ class RationalityCertificate(NamedTuple):
     def to_document(self) -> dict:
         """The JSON-able document; every field present, absent stages null."""
         return {
-            "certificate_version": "2",
+            "certificate_version": "3",
             "input": self.input_echo,
             "characteristic_form": (
                 None
@@ -378,9 +384,13 @@ def _good_prime_stage(
         f"(Lang) lifting to a Q_{prime}-point (Hensel); see external_inputs"
     )
     if prime <= EXHAUSTIVE_PRIME_BOUND:
-        found = search_smooth_points(pencil, prime)
-        if found:
-            chart, point, _rank = found[0]
+        found = smooth_line_through_point(pencil, prime, systems)
+        if found is None:
+            census = search_smooth_points(pencil, prime)
+            found = census[0][:2] if census else None
+        entry["constructive_point"] = None
+        if found is not None:
+            chart, point = found
             system = _chart_system(systems, pencil, chart)
             cert = hensel_certify(
                 system, point, prime, lift_precision=cfg.lift_precision
@@ -388,10 +398,6 @@ def _good_prime_stage(
             entry["constructive_point"] = _point_certificate_entry(
                 cert, "good prime", "found by search"
             )
-            entry["smooth_point_count"] = len(found)
-        else:
-            entry["constructive_point"] = None
-            entry["smooth_point_count"] = 0
     return entry, None
 
 

@@ -25,6 +25,7 @@ from quadpencil.exactmath import (
     poly_discriminant,
     rank_mod_p,
     repeated_roots_mod_p,
+    roots_mod_p,
     rref_mod_p,
     solve_mod_p,
     sqrt_mod_p,
@@ -721,6 +722,50 @@ def test_repeated_roots_guards():
         repeated_roots_mod_p(f, 6)
     with pytest.raises(ValueError, match="identically zero"):
         repeated_roots_mod_p(UniPoly((3, 3, 3)), 3)
+
+
+def _value_mod(coeffs, r: int, p: int) -> int:
+    return sum(c * r**k for k, c in enumerate(coeffs)) % p
+
+
+def test_roots_mod_p_match_evaluation():
+    rng = random.Random(20261018)
+    for p in (2, 3, 5, 7, 11, 13, 31, 97):
+        for _ in range(40):
+            if rng.random() < 0.5:
+                coeffs = [rng.randint(-20, 20) for _ in range(rng.randint(1, 7))]
+            else:  # a product of linear factors, with repeats, times a constant
+                coeffs = [rng.randint(1, p - 1) if p > 2 else 1]
+                for _ in range(rng.randint(1, 6)):
+                    r = rng.randrange(p)
+                    coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+            if all(c % p == 0 for c in coeffs):
+                continue
+            expected = [r for r in range(p) if _value_mod(coeffs, r, p) == 0]
+            assert roots_mod_p(coeffs, p) == expected, (coeffs, p)
+
+
+def test_roots_mod_p_of_zero_and_constant_polynomials():
+    for coeffs in ([], [0], [7, 14, 0, 21]):
+        with pytest.raises(ValueError, match="identically zero"):
+            roots_mod_p(coeffs, 7)
+    assert roots_mod_p([5], 7) == []
+    assert roots_mod_p([5, 7, 0, 14], 7) == []  # constant mod 7
+    assert roots_mod_p([3, 7], 7) == []
+
+
+def test_roots_mod_p_of_a_split_quartic_at_a_25_digit_prime():
+    p = 2456707290572634878240383
+    assert is_probable_prime(p)
+    roots = [3, 10**20 + 39, p - 5, 1234567890123456789012345]
+    coeffs = [1]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    assert roots_mod_p(coeffs, p) == sorted(roots)
+    # Times t^2 - n for a non-residue n: the quadratic adds no root.
+    n = next(n for n in range(2, 100) if pow(n, (p - 1) // 2, p) == p - 1)
+    sextic = [a - n * b for a, b in zip([0, 0] + coeffs, coeffs + [0, 0])]
+    assert roots_mod_p(sextic, p) == sorted(roots)
 
 
 def test_prime_field_element_validation():

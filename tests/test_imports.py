@@ -11,7 +11,7 @@ import pytest
 
 import quadpencil
 
-from conftest import BIG_PRIME, BIG_WITNESS, CHART_UI, EXAMPLE_PATH
+from conftest import BIG_PRIME, BIG_WITNESS, CHART_UI, EXAMPLE_PATH, NO_WITNESS_PATH
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -97,8 +97,22 @@ def loaded_modules(argv) -> tuple[int | None, set[str]]:
 def test_each_command_loads_only_what_it_runs(argv, exit_code, heavy):
     code, modules = loaded_modules(argv)
     assert code == exit_code
-    assert "dataclasses" not in modules
+    # hashlib costs about 5 ms per process (its OpenSSL part alone 4 ms).
+    assert not {"dataclasses", "hashlib"} & modules
     assert modules & HEAVY == heavy
+
+
+@pytest.mark.parametrize("path", [EXAMPLE_PATH, NO_WITNESS_PATH])
+def test_analyze_bytes_do_not_depend_on_the_hash_seed(path):
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-m", "quadpencil.cli", "analyze", path],
+            env={**os.environ, "PYTHONPATH": SRC, "PYTHONHASHSEED": seed},
+            capture_output=True,
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def test_bare_package_import_loads_no_submodule():

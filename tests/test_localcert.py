@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import os
 import random
 from fractions import Fraction
 from operator import mul
@@ -19,6 +21,7 @@ from quadpencil import (
     curve_data,
     fano_system,
     hensel_certify,
+    parse_input,
     real_place_report,
     search_smooth_points,
     verify_fano_point,
@@ -27,7 +30,13 @@ from quadpencil import (
 from quadpencil import localcert
 from quadpencil.exactmath import UniPoly, rank_mod_p, rref_mod_p, sturm_count
 from quadpencil.fano import chart_point_rows, polar_jacobian
-from quadpencil.localcert import _cell_lines, _chart_points, _half_zeros
+from quadpencil.localcert import (
+    _cell_lines,
+    _chart_points,
+    _conic_pair_zeros,
+    _half_zeros,
+    smooth_line_through_point,
+)
 from quadpencil.quadric import NUM_VARIABLES, polar_matrix
 
 from conftest import (
@@ -36,11 +45,24 @@ from conftest import (
     CHART_PIVOTS,
     F2_ON_FANO_COUNTS,
     F2_WITNESS,
+    NO_WITNESS_PATH,
     P3_LIFT_MOD_27,
     P3_SMOOTH_POINT,
     REAL_ROOTS_PRINTED,
     random_form,
 )
+
+
+def _load_exact():
+    """qpbench/exact.py, the benchmark's independent integer model."""
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "qpbench", "exact.py")
+    spec = importlib.util.spec_from_file_location("qpbench_exact", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+exact = _load_exact()
 
 
 def _ui(chart: GrassmannChart) -> tuple[int, int]:
@@ -270,6 +292,134 @@ def test_search_rejects_bad_arguments(example_pencil):
         search_smooth_points(example_pencil, 6)
     with pytest.raises(ValueError):
         search_smooth_points(example_pencil, 37)
+
+
+def _conic_value(f, s) -> int:
+    f00, f01, f02, f11, f12, f22 = f
+    s0, s1, s2 = s
+    return (f00 * s0 * s0 + f01 * s0 * s1 + f02 * s0 * s2
+            + f11 * s1 * s1 + f12 * s1 * s2 + f22 * s2 * s2)
+
+
+def _times(l, m) -> tuple:
+    """The product of two ternary linear forms, as a conic."""
+    return tuple(l[i] * m[j] + (l[j] * m[i] if i != j else 0)
+                 for i in range(3) for j in range(i, 3))
+
+
+def _share_component(A, B, p, plane) -> bool:
+    """True iff A and B are proportional mod p or both vanish on an F_p-line.
+
+    A component shared over the algebraic closure is defined over F_p (it is
+    the gcd or a Galois-stable factor of it), so these are the only cases.
+    """
+    if any(all((a * lam - b) % p == 0 for a, b in zip(A, B)) for lam in range(p)):
+        return True
+    if all(b % p == 0 for b in B):
+        return True
+    return any(
+        all(_conic_value(A, s) % p == 0 == _conic_value(B, s) % p
+            for s in plane if sum(map(mul, n, s)) % p == 0)
+        for n in plane
+    )
+
+
+def _conic_pairs(rng, p) -> list:
+    """Seeded conic pairs mod p, with the degenerate kinds added on purpose."""
+    def form():
+        return [rng.randrange(p) for _ in range(6)]
+
+    def linear():
+        return [rng.randrange(p) for _ in range(3)]
+
+    pairs = [(form(), form()) for _ in range(60)]
+    for _ in range(8):
+        line = linear()
+        pairs.append((_times(line, linear()), _times(line, linear())))  # shared line
+        f = form()
+        pairs += [(f, f), (f, [rng.randrange(1, p) * c for c in f])]  # equal conics
+        # Common zeros only on s2 = 0: A = (s0 + k s1) s1, B = A + m s2^2.
+        k, lam, m = rng.randrange(p), rng.randrange(1, p), rng.randrange(1, p)
+        a = [lam * c for c in _times((1, k, 0), (0, 1, 0))]
+        pairs.append((a, [c + m * (i == 5) for i, c in enumerate(a)]))
+    return pairs
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_conic_pair_zeros_match_brute_force(p):
+    rng = random.Random(100 + p)
+    plane = sorted({(x, y, 1) for x in range(p) for y in range(p)}
+                   | {(x, 1, 0) for x in range(p)} | {(1, 0, 0)})
+    assert len(plane) == p * p + p + 1
+    kinds = {"finite": 0, "shared": 0, "at infinity only": 0}
+    for A, B in _conic_pairs(rng, p):
+        zeros = _conic_pair_zeros(A, B, p)
+        common = [s for s in plane
+                  if _conic_value(A, s) % p == 0 == _conic_value(B, s) % p]
+        assert (zeros is None) == _share_component(A, B, p, plane), (A, B)
+        if zeros is None:
+            kinds["shared"] += 1
+            continue
+        assert zeros == common, (A, B)
+        kinds["finite"] += 1
+        kinds["at infinity only"] += bool(zeros) and all(s[2] == 0 for s in zeros)
+    assert min(kinds.values()) >= 8, kinds
+
+
+def _good_places(rng, count):
+    """Seeded small-coefficient smooth pencils and their good primes 3 and 5.
+
+    A prime is good when it divides neither disc(f) nor the leading
+    coefficient of f (the curve discriminant's other factor is 2^12).
+    """
+    places = []
+    while len(places) < count:
+        q1, q2 = random_form(rng), random_form(rng)
+        f = exact.char_form(q1.coeffs, q2.coeffs)
+        if not exact.is_smooth(f):
+            continue
+        bad = exact.discriminant(f) * f[-1]
+        places += [(q1, q2, p) for p in (3, 5) if bad % p]
+    return places
+
+
+def test_lines_through_points_at_good_primes_recheck_independently():
+    preferred = [GrassmannChart((0, 3)), GrassmannChart((1, 2))]  # pivot order
+    for q1, q2, p in _good_places(random.Random(20261018), 20):
+        pencil = PencilOfQuadrics(q1, q2)
+        chart, coords = smooth_line_through_point(pencil, p)
+        ui = _ui(chart)
+        assert not any(r % p for r in exact.line_residuals(q1.coeffs, q2.coeffs, ui, coords))
+        assert exact.rank_mod(exact.line_jacobian(q1.coeffs, q2.coeffs, ui, coords), p) == 6
+        cert = hensel_certify(fano_system(pencil, chart), coords, p)
+        assert cert.liftable is True and cert.lift_modulus == p**3
+        # Without preferred charts the line comes in its Schubert cell's
+        # chart; with them, in the first one that contains it.
+        a, b = exact.line_rows(ui, coords)
+        assert rref_mod_p([a, b], p) == ([[x % p for x in a], [x % p for x in b]],
+                                         list(chart.pivots))
+        chart2, coords2 = smooth_line_through_point(pencil, p, preferred[::-1])
+        holding = [c for c in preferred
+                   if (a[c.pivots[0]] * b[c.pivots[1]] - a[c.pivots[1]] * b[c.pivots[0]]) % p]
+        assert chart2 == (holding + [chart])[0]
+        a2, b2 = exact.line_rows(_ui(chart2), coords2)
+        assert rank_mod_p([a, b, a2, b2], p) == 2
+
+
+def test_line_through_a_point_at_a_large_bad_prime():
+    # No loop over F_p: one plane search at the bad prime 149743897, where
+    # X_p has one singular point, takes milliseconds.
+    pencil = parse_input(NO_WITNESS_PATH).pencil
+    chart, coords = smooth_line_through_point(pencil, BIG_PRIME)
+    assert smooth_line_through_point(pencil, BIG_PRIME) == (chart, coords)
+    cert = hensel_certify(fano_system(pencil, chart), coords, BIG_PRIME)
+    assert cert.jacobian_rank == 6 and cert.lift_modulus == BIG_PRIME**3
+
+
+def test_line_through_a_point_rejects_bad_primes(example_pencil):
+    for p in (2, 9):
+        with pytest.raises(ValueError, match="not an odd prime"):
+            smooth_line_through_point(example_pencil, p)
 
 
 def test_hensel_lift_at_3_matches_frozen_value(example_pencil):

@@ -16,6 +16,7 @@ from quadpencil import (
     canonical_json,
     parse_input,
     run_pipeline,
+    search_smooth_points,
     singular_locus,
 )
 from quadpencil import pipeline, reduction
@@ -40,8 +41,8 @@ INCOMPLETE_AT_2 = "no smooth Fano point certificate at 2"
 
 # sha256 of `analyze` stdout for the bundled files: any change to a
 # certificate byte must be deliberate.
-EXAMPLE_SHA256 = "12317e8b2b9cbd9d24bc12d5c05bcf4667e9217e9f42841f467f583a39ce5342"
-NO_WITNESS_SHA256 = "7399ea7d95f5ff3547e58298e88ff19906af6f2c07bc195ed58f2cb4c005493d"
+EXAMPLE_SHA256 = "2468578b47f26a161cb1c7aa32f6042c8ca0e1a474d9529748c0b420463a3950"
+NO_WITNESS_SHA256 = "73d6fcff43b54387e4611a1b0f63a97712d35411c54f9535abb62d12043258d5"
 
 
 def run_cli(argv) -> tuple[str, str, int]:
@@ -111,7 +112,7 @@ def test_certificate_document_structure(analyze_runs):
         "incomplete_reasons",
         "verdict",
     }
-    assert doc["certificate_version"] == "2"
+    assert doc["certificate_version"] == "3"
     assert doc["smoothness"] == "smooth"
     assert doc["characteristic_form"] == {
         "variable": "t",
@@ -192,7 +193,8 @@ def test_good_prime_entries_certify_smooth_reduction(analyze_runs):
     for entry in good[:2]:
         point = entry["constructive_point"]
         assert point["liftable"] is True
-        assert int(entry["smooth_point_count"]) > 0
+        assert point["jacobian_rank"] == "6"
+        assert point["lift_modulus"] == str(int(entry["place"]) ** 3)
 
 
 def test_reduction_reports(analyze_runs):
@@ -253,11 +255,27 @@ def test_pipeline_builds_each_chart_system_once(monkeypatch):
     monkeypatch.setattr(pipeline, "fano_system", counting_fano_system)
     run_pipeline(PipelineConfig(input_path=EXAMPLE))
     # Witnesses at 2 and 149743897 and the lift at 149743897 share chart 2,3
-    # (pivots (1, 2)); the searches at 3 and 5 share chart 1,2 (pivots (0, 1)).
-    assert sorted(built) == [(0, 1), (1, 2)]
+    # (pivots (1, 2)), and the lines found at 3 and 5 lie in it, so they are
+    # expressed there too.
+    assert built == [(1, 2)]
     built.clear()
+    # No chart is built before 3, whose line comes in its Schubert cell's
+    # chart 1,3 (pivots (0, 2)); the line at 5 lies in that chart too.
     run_pipeline(PipelineConfig(input_path=NO_WITNESS))
-    assert built == [(0, 1)]
+    assert built == [(0, 2)]
+
+
+def test_good_prime_search_falls_back_to_the_census(monkeypatch):
+    monkeypatch.setattr(pipeline, "smooth_line_through_point", lambda *args: None)
+    certificate = run_pipeline(PipelineConfig(input_path=NO_WITNESS))
+    pencil = parse_input(NO_WITNESS).pencil
+    good = [e for e in certificate.local_certificates if e["kind"] == "good prime"]
+    for entry in good[:2]:
+        chart, point, _ = search_smooth_points(pencil, int(entry["place"]))[0]
+        constructive = entry["constructive_point"]
+        assert constructive["chart"] == [c + 1 for c in chart.pivots]
+        assert constructive["coordinates"] == list(point)
+        assert constructive["liftable"] is True
 
 
 def test_every_echoed_witness_reverifies_standalone(analyze_runs):
