@@ -36,7 +36,6 @@ _EXPORTS = {
     "all_charts": "fano",
     "chart_point_rows": "fano",
     "chart_rows": "fano",
-    "fano_jacobian": "fano",
     "fano_system": "fano",
     "verify_fano_point": "fano",
     "CensusEntry": "localcert",

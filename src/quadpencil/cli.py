@@ -16,6 +16,7 @@ from .exactmath import is_probable_prime
 from .fano import (
     EXHAUSTIVE_PRIME_HARD_CAP,
     GrassmannChart,
+    _chart_ui,
     fano_system,
     verify_fano_point,
 )
@@ -73,10 +74,6 @@ def _require_prime(p: int) -> int:
     if p < 2 or not is_probable_prime(p):
         raise _UsageError(f"--prime {p} is not prime")
     return p
-
-
-def _chart_ui(chart: GrassmannChart) -> list[int]:
-    return [chart.pivots[0] + 1, chart.pivots[1] + 1]
 
 
 def _format_char_form(coeffs: Sequence[int]) -> str:
@@ -235,7 +232,7 @@ def _cmd_verify_ambient(args) -> int:
 
 def _cmd_reduction(args) -> int:
     from .reduction import (
-        DegenerateReductionError,
+        EXHAUSTIVE_LOCUS_PRIME_BOUND,
         cone_check,
         mod2_degeneracy,
         singular_locus,
@@ -244,23 +241,19 @@ def _cmd_reduction(args) -> int:
     parsed = parse_input(args.file)
     prime = _require_prime(args.prime)
     if prime == 2:
-        try:
-            report = dict(mod2_degeneracy(parsed.pencil))
-        except DegenerateReductionError as error:
-            _emit({"error": str(error)}, [f"error: {error}"])
-            return EXIT_INCOMPLETE
+        report = dict(mod2_degeneracy(parsed.pencil))
         report["prime"] = 2
         _emit(report, [f"mod 2: {report['verdict']}"])
         return EXIT_POSITIVE
-    if args.method == "exhaustive" and prime > 13:
-        raise _UsageError("--method exhaustive requires p <= 13")
+    if args.method == "exhaustive" and prime > EXHAUSTIVE_LOCUS_PRIME_BOUND:
+        raise _UsageError(
+            f"--method exhaustive requires p <= {EXHAUSTIVE_LOCUS_PRIME_BOUND}"
+        )
     try:
         locus = singular_locus(parsed.pencil, prime, method=args.method)
-    except DegenerateReductionError as error:
-        _emit({"error": str(error)}, [f"error: {error}"])
-        return EXIT_INCOMPLETE
     except ValueError as error:
-        # not a complete intersection mod p, or an infeasible method request
+        # a form vanishes mod p, not a complete intersection mod p, or an
+        # infeasible method request
         _emit({"error": str(error)}, [f"error: {error}"])
         return EXIT_INCOMPLETE
     document = {
@@ -372,8 +365,11 @@ def _build_parser() -> _Parser:
     p_reduction.add_argument(
         "--method",
         choices=("exhaustive", "kernel-guided"),
-        default=None,
-        help="singular-locus strategy (default: exhaustive for p <= 13)",
+        default="kernel-guided",
+        help=(
+            "singular-locus strategy (default: kernel-guided, at every odd "
+            "prime; exhaustive scans P^5(F_p) and needs a small p)"
+        ),
     )
     p_reduction.set_defaults(handler=_cmd_reduction)
 

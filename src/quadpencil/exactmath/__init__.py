@@ -4,10 +4,8 @@ from .integers import (
     FactorizationError,
     factor_with_hints,
     is_probable_prime,
-    sqrt_mod_p,
 )
 from .matrix import (
-    ExactMatrix,
     det_cofactor,
     det_poly_matrix,
     kernel_mod_p,
@@ -17,7 +15,6 @@ from .matrix import (
 )
 from .multipoly import MultiPoly
 from .unipoly import (
-    PrimeFieldElement,
     UniPoly,
     isolate_real_roots,
     poly_discriminant,
@@ -28,10 +25,8 @@ from .unipoly import (
 )
 
 __all__ = [
-    "ExactMatrix",
     "FactorizationError",
     "MultiPoly",
-    "PrimeFieldElement",
     "UniPoly",
     "det_cofactor",
     "det_poly_matrix",
@@ -45,7 +40,6 @@ __all__ = [
     "roots_mod_p",
     "rref_mod_p",
     "solve_mod_p",
-    "sqrt_mod_p",
     "squarefree_degree6",
     "sturm_count",
 ]

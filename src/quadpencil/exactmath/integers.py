@@ -246,39 +246,3 @@ def factor_with_hints(n: int, hints: tuple[int, ...] | list[int] = ()) -> dict[i
             continue
         raise FactorizationError("unfactored composite cofactor")
     return factors
-
-def sqrt_mod_p(a: int, p: int) -> int | None:
-    """A square root of a modulo the odd prime p, or None for a non-residue.
-
-    Deterministic Tonelli-Shanks: the needed non-residue is found by
-    sequential search from 2.  The smaller of the two roots is returned.
-    """
-    if p == 2 or not is_probable_prime(p):
-        raise ValueError("sqrt_mod_p requires an odd prime")
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return min(r, p - r)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c = s, pow(z, q, p)
-    t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t = t * c % p
-        r = r * b % p
-    return min(r, p - r)

@@ -1,4 +1,7 @@
-"""Exact matrices over Q, Z, F_p, or polynomial rings; determinants and kernels."""
+"""Exact matrices over Q, Z, F_p, or polynomial rings; determinants and kernels.
+
+A matrix is a list of rows throughout.
+"""
 
 from __future__ import annotations
 
@@ -9,54 +12,12 @@ from .unipoly import UniPoly
 MAX_DET_DIMENSION = 16
 
 
-class ExactMatrix:
-    """Immutable rows x cols matrix with exact ring entries (row-major)."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(entries)
-        if len(entries) != rows * cols:
-            raise ValueError("entries length must be rows * cols")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactMatrix is immutable")
-
-    @classmethod
-    def from_rows(cls, row_lists) -> "ExactMatrix":
-        row_lists = [list(r) for r in row_lists]
-        rows = len(row_lists)
-        cols = len(row_lists[0]) if rows else 0
-        if any(len(r) != cols for r in row_lists):
-            raise ValueError("ragged rows")
-        return cls(rows, cols, [e for r in row_lists for e in r])
-
-    def entry(self, i: int, j: int):
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> list:
-        return list(self.entries[i * self.cols : (i + 1) * self.cols])
-
-    def to_rows(self) -> list[list]:
-        return [self.row(i) for i in range(self.rows)]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and all(a == b for a, b in zip(self.entries, other.entries))
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self) -> str:
-        return f"ExactMatrix.from_rows({self.to_rows()!r})"
+def _square_rows(rows) -> list[list]:
+    """A fresh copy of the rows, rejecting a matrix that is not square."""
+    a = [list(r) for r in rows]
+    if any(len(r) != len(a) for r in a):
+        raise ValueError("non-square input")
+    return a
 
 
 def _is_zero(x) -> bool:
@@ -81,19 +42,18 @@ def _exact_div(num, den):
     return q
 
 
-def det_poly_matrix(m: ExactMatrix) -> UniPoly | Fraction | int:
-    """Fraction-free (Bareiss) determinant; entries int, Fraction, or UniPoly.
+def det_poly_matrix(rows) -> UniPoly | Fraction | int:
+    """Fraction-free (Bareiss) determinant of a square list of rows.
 
-    Dimension is capped at 16.  For cross-checking see det_cofactor.
+    Entries are int, Fraction, or UniPoly.  Dimension is capped at 16.  For
+    cross-checking see det_cofactor.
     """
-    if m.rows != m.cols:
-        raise ValueError("non-square input")
-    n = m.rows
+    a = _square_rows(rows)
+    n = len(a)
     if n > MAX_DET_DIMENSION:
         raise ValueError(f"dimension {n} exceeds cap {MAX_DET_DIMENSION}")
     if n == 0:
         return 1
-    a = m.to_rows()
     sign = 1
     prev = None
     for k in range(n - 1):
@@ -117,11 +77,9 @@ def det_poly_matrix(m: ExactMatrix) -> UniPoly | Fraction | int:
     return result
 
 
-def det_cofactor(m: ExactMatrix):
+def det_cofactor(rows):
     """Cofactor-expansion determinant (exponential; cross-check oracle)."""
-    if m.rows != m.cols:
-        raise ValueError("non-square input")
-    rows = m.to_rows()
+    rows = _square_rows(rows)
 
     def rec(r: list[list]):
         n = len(r)
@@ -149,12 +107,6 @@ def det_cofactor(m: ExactMatrix):
 # ---------------------------------------------------------------------------
 
 
-def _as_rows(matrix) -> list[list]:
-    if isinstance(matrix, ExactMatrix):
-        return matrix.to_rows()
-    return [list(r) for r in matrix]
-
-
 def rref_mod_p(matrix, p: int) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form over F_p and its pivot columns.
 
@@ -164,7 +116,7 @@ def rref_mod_p(matrix, p: int) -> tuple[list[list[int]], list[int]]:
     since no later column can then hold one.  Works for every prime,
     including 2; this is the only elimination loop of the package.
     """
-    rows = [[int(x) % p for x in r] for r in _as_rows(matrix)]
+    rows = [[int(x) % p for x in r] for r in matrix]
     pivots: list[int] = []
     if not rows:
         return rows, pivots
@@ -218,7 +170,7 @@ def kernel_mod_p(matrix, p: int) -> list[list[int]]:
 
 def solve_mod_p(matrix, rhs: list[int], p: int) -> list[int] | None:
     """One solution of A x = rhs over F_p (free variables set to 0), or None."""
-    rows = _as_rows(matrix)
+    rows = [list(r) for r in matrix]
     if len(rows) != len(rhs):
         raise ValueError("rhs length mismatch")
     if not rows:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd, lcm
-from typing import NamedTuple
 
 from .integers import is_probable_prime
 
@@ -12,24 +11,6 @@ ISOLATION_WIDTH = Fraction(1, 10**6)
 
 # Deterministic shift sweep bound for big-prime root splitting.
 _SPLIT_SHIFT_CAP = 64
-
-
-class _PrimeFieldElementFields(NamedTuple):
-    residue: int
-    modulus: int
-
-
-class PrimeFieldElement(_PrimeFieldElementFields):
-    """A residue in [0, p) for a certified prime modulus p."""
-
-    __slots__ = ()
-
-    def __new__(cls, residue: int, modulus: int) -> "PrimeFieldElement":
-        if not is_probable_prime(modulus):
-            raise ValueError(f"modulus {modulus} is not prime")
-        if not 0 <= residue < modulus:
-            raise ValueError("residue out of range")
-        return super().__new__(cls, residue, modulus)
 
 
 class UniPoly:
@@ -610,8 +591,8 @@ def roots_mod_p(coeffs, p: int) -> list[int]:
     return _pm_roots_of_split(h, p)
 
 
-def repeated_roots_mod_p(f: UniPoly, p: int) -> list[PrimeFieldElement]:
-    """All roots in F_p of gcd(f mod p, f' mod p), by :func:`roots_mod_p`."""
+def repeated_roots_mod_p(f: UniPoly, p: int) -> list[int]:
+    """The roots in F_p of gcd(f mod p, f' mod p), ascending, by :func:`roots_mod_p`."""
     if not is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
     f = f.to_integer_coeffs()
@@ -622,4 +603,4 @@ def repeated_roots_mod_p(f: UniPoly, p: int) -> list[PrimeFieldElement]:
     # When f' vanishes mod p (e.g. an inseparable power pattern), every root
     # of f mod p is repeated, so g = f itself.
     g = _pm_gcd(fp, dfp, p) if dfp else fp
-    return [PrimeFieldElement(r, p) for r in roots_mod_p(g, p)]
+    return roots_mod_p(g, p)

@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple
 
-from .exactmath import ExactMatrix, MultiPoly, is_probable_prime, rank_mod_p
+from .exactmath import MultiPoly, is_probable_prime, rank_mod_p
 from .pencil import PencilOfQuadrics
 from .quadric import NUM_VARIABLES, restrict_to_line
 
@@ -56,6 +56,11 @@ class GrassmannChart(_GrassmannChartFields):
     def non_pivots(self) -> tuple[int, int, int, int]:
         """The non-pivot columns c_1 < c_2 < c_3 < c_4, computed once per chart."""
         return tuple(c for c in range(NUM_VARIABLES) if c not in self.pivots)
+
+
+def _chart_ui(chart: GrassmannChart) -> list[int]:
+    """1-based column indices, the only chart labelling shown externally."""
+    return [chart.pivots[0] + 1, chart.pivots[1] + 1]
 
 
 def all_charts() -> tuple[GrassmannChart, ...]:
@@ -140,12 +145,6 @@ def fano_system(pencil: PencilOfQuadrics, chart: GrassmannChart) -> FanoSystem:
         pencil.q2, row_a, row_b
     )
     return FanoSystem(chart, equations)
-
-
-def fano_jacobian(system: FanoSystem) -> ExactMatrix:
-    """The 6x8 matrix of partial derivatives d(equation_i)/d(t_j)."""
-    entries = [entry for row in system.jacobian for entry in row]
-    return ExactMatrix(FANO_CODIMENSION, NUM_PARAMETERS, entries)
 
 
 class FanoPointReport(NamedTuple):

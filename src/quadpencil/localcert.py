@@ -113,6 +113,11 @@ def _half_zeros(states, quads, p: int) -> list:
     return descend((), states)
 
 
+def _polar_products(polars, v, p: int) -> list:
+    """P v mod p for each polar matrix P in polars."""
+    return [[sum(map(mul, r, v)) % p for r in P] for P in polars]
+
+
 def _cell_lines(pencil: PencilOfQuadrics, cells, p: int) -> list:
     """Each F_p-line (a, b) of X in the given Schubert cells of Gr(2,6), with rank.
 
@@ -131,11 +136,11 @@ def _cell_lines(pencil: PencilOfQuadrics, cells, p: int) -> list:
         states = [(P[lead][lead] // 2, [P[lead][c] for c in free]) for P in polars]
         return [(0,) * lead + (1,) + half for half in _half_zeros(states, quads, p)]
 
-    def polar_products(v) -> list:
-        return [[sum(map(mul, r, v)) % p for r in P] for P in polars]
-
     rows = {lead: points(lead) for lead in {c for cell in cells for c in cell}}
-    rows_b = {j: [(b, polar_products(b)) for b in rows[j]] for j in {j for _, j in cells}}
+    rows_b = {
+        j: [(b, _polar_products(polars, b, p)) for b in rows[j]]
+        for j in {j for _, j in cells}
+    }
     lines = []
     for i, j in cells:
         chart = GrassmannChart((i, j))
@@ -145,7 +150,7 @@ def _cell_lines(pencil: PencilOfQuadrics, cells, p: int) -> list:
             pas = None
             for b, pbs in rows_b[j]:
                 if sum(map(mul, pbs[0], a)) % p == 0 and sum(map(mul, pbs[1], a)) % p == 0:
-                    pas = pas or polar_products(a)
+                    pas = pas or _polar_products(polars, a, p)
                     lines.append((a, b, rank_mod_p(polar_jacobian(chart, pas, pbs), p)))
     return lines
 
@@ -338,11 +343,8 @@ def smooth_line_through_point(
             value = value << 64 | next(words)
         return value % p
 
-    def products(v) -> list:
-        return [[sum(map(mul, r, v)) % p for r in P] for P in polars]
-
     def zeros_on(basis) -> list:
-        pvs = [products(v) for v in basis]
+        pvs = [_polar_products(polars, v, p) for v in basis]
         conics = [tuple(
             sum(map(mul, basis[i], pvs[j][f])) * (half if i == j else 1) % p
             for i in range(3) for j in range(i, 3)) for f in range(2)]
@@ -353,7 +355,7 @@ def smooth_line_through_point(
     preferred = sorted(charts, key=lambda chart: chart.pivots)
     for _ in range(MAX_LINE_PLANES):
         for x in zeros_on([[draw() for _ in range(NUM_VARIABLES)] for _ in range(3)]):
-            kernel = kernel_mod_p(products(x), p)
+            kernel = kernel_mod_p(_polar_products(polars, x, p), p)
             if len(kernel) != 4:
                 continue  # a singular point of X_p, or x = 0
             # Kernel vector k has its last nonzero entry, 1, at its free
@@ -364,7 +366,9 @@ def smooth_line_through_point(
             for y in zeros_on([k for k in kernel if k is not drop]):
                 (a, b), pivots = rref_mod_p([x, y], p)
                 cell = GrassmannChart(pivots)
-                jacobian = polar_jacobian(cell, products(a), products(b))
+                jacobian = polar_jacobian(
+                    cell, _polar_products(polars, a, p), _polar_products(polars, b, p)
+                )
                 if rank_mod_p(jacobian, p) < FANO_CODIMENSION:
                     continue
                 for chart in (*preferred, cell):

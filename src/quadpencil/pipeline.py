@@ -32,6 +32,7 @@ from .fano import (
     FANO_CODIMENSION,
     FanoSystem,
     GrassmannChart,
+    _chart_ui,
     fano_system,
     verify_fano_point,
 )
@@ -205,11 +206,6 @@ class RationalityCertificate(NamedTuple):
 # Stage helpers
 # ---------------------------------------------------------------------------
 
-def _chart_ui(chart: GrassmannChart) -> list[int]:
-    """1-based column indices, the only chart labelling shown externally."""
-    return [chart.pivots[0] + 1, chart.pivots[1] + 1]
-
-
 def _witness_echo(
     fano: Sequence[FanoWitness], singular: Sequence[SingularWitness]
 ) -> dict:
@@ -364,7 +360,7 @@ def _good_prime_stage(
     systems: dict[GrassmannChart, FanoSystem],
 ) -> tuple[dict, Optional[str]]:
     """Certificate entry for a sampled good prime."""
-    locus = singular_locus(pencil, prime, method="kernel-guided")
+    locus = singular_locus(pencil, prime)
     entry: dict = {
         "place": str(prime),
         "kind": "good prime",
@@ -413,7 +409,7 @@ def _reduction_stage(
         report["kind"] = "mod2-degeneracy"
         return report, None
     try:
-        locus = singular_locus(pencil, prime, method="kernel-guided")
+        locus = singular_locus(pencil, prime)
     except ValueError as error:
         entry = {
             "prime": str(prime),

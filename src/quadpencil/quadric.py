@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactmath import ExactMatrix
-
 VARIABLES = ("u", "v", "w", "x", "y", "z")
 NUM_VARIABLES = 6
 
@@ -62,8 +60,8 @@ class QuadraticForm:
         return f"QuadraticForm({dict(self.monomials())!r})"
 
 
-def gram_matrix(q: QuadraticForm) -> ExactMatrix:
-    """Symmetric rational Gram matrix M with v^T M v = q(v).
+def gram_matrix(q: QuadraticForm) -> list[list[Fraction]]:
+    """Rows of the symmetric rational Gram matrix M with v^T M v = q(v).
 
     Diagonal entries are the square coefficients; off-diagonal entries are half
     the mixed coefficients (so they may be half-integers).
@@ -76,7 +74,7 @@ def gram_matrix(q: QuadraticForm) -> ExactMatrix:
             half = Fraction(c, 2)
             rows[i][j] = half
             rows[j][i] = half
-    return ExactMatrix.from_rows(rows)
+    return rows
 
 
 def polar_matrix(q: QuadraticForm) -> list[list[int]]:

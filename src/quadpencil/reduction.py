@@ -11,8 +11,8 @@ from .exactmath import (
     kernel_mod_p,
     rank_mod_p,
     repeated_roots_mod_p,
+    roots_mod_p,
     rref_mod_p,
-    sqrt_mod_p,
 )
 from .pencil import PencilOfQuadrics
 from .quadric import (
@@ -21,11 +21,12 @@ from .quadric import (
     QuadraticForm,
     evaluate_form,
     gradient_at,
-    polar_form,
     polar_matrix,
+    restrict_to_line,
 )
 
-# Largest prime for which the exhaustive P^5(F_p) scan is offered.
+# Largest prime for which the exhaustive P^5(F_p) scan, the test oracle of
+# the kernel-guided method, is offered.
 EXHAUSTIVE_LOCUS_PRIME_BOUND = 13
 
 # Hard cap on kernel-subspace candidates in the kernel-guided method, and
@@ -79,21 +80,13 @@ def normalize_projective(v, p: int) -> tuple[int, ...]:
 def _binary_roots(alpha: int, gamma: int, beta: int, p: int) -> list[tuple[int, int]]:
     """Projective F_p-roots (r : s) of g = alpha*r^2 + gamma*r*s + beta*s^2.
 
-    p is odd and g is not identically 0 mod p; roots are normalized and
-    sorted.  A square root mod p of the discriminant decides them.
+    g is not identically 0 mod p; roots are normalized and sorted.  The
+    roots with s = 1 are those of g(t, 1); (1 : 0) is one iff p divides alpha.
     """
+    roots = [(t, 1) for t in roots_mod_p([beta, gamma, alpha], p)]
     if alpha % p == 0:
-        # g = s * (gamma*r + beta*s)
-        candidates = [(1, 0), (beta, -gamma)]
-    else:
-        root = sqrt_mod_p((gamma * gamma - 4 * alpha * beta) % p, p)
-        if root is None:
-            return []
-        inv2a = pow(2 * alpha, -1, p)
-        candidates = [((-gamma + sign * root) * inv2a, 1) for sign in (1, -1)]
-    return sorted(
-        {normalize_projective(c, p) for c in candidates if c[0] % p or c[1] % p}
-    )
+        roots.append((1, 0))
+    return sorted(normalize_projective(c, p) for c in roots)
 
 
 def _linear_factors_mod_p(q: QuadraticForm, p: int) -> list[tuple[int, ...]]:
@@ -101,7 +94,7 @@ def _linear_factors_mod_p(q: QuadraticForm, p: int) -> list[tuple[int, ...]]:
 
     A quadratic form has a linear factor only when its polar matrix has rank
     <= 2; rank 1 gives a squared factor, rank 2 a binary quadratic whose
-    splitting is decided by a square root mod p.
+    splitting is decided by its roots mod p.
     """
     rows, pivots = rref_mod_p(polar_matrix(q), p)
     if len(pivots) > 2:
@@ -113,10 +106,9 @@ def _linear_factors_mod_p(q: QuadraticForm, p: int) -> list[tuple[int, ...]]:
     # the factor s*l1 - r*l2.
     l1, l2 = rows[0], rows[1]
     e1, e2 = ([int(k == c) for k in range(NUM_VARIABLES)] for c in pivots)
-    g = (evaluate_form(q, e1), polar_form(q, e1, e2), evaluate_form(q, e2))
     factors = {
         normalize_projective([(s * a - r * b) % p for a, b in zip(l1, l2)], p)
-        for r, s in _binary_roots(*g, p)
+        for r, s in _binary_roots(*restrict_to_line(q, e1, e2), p)
     }
     return sorted(factors)
 
@@ -199,7 +191,7 @@ def _kernel_points(r1: QuadraticForm, r2: QuadraticForm, basis, p: int):
     if dim == 2:
         a, b = basis
         for q in (r2, r1):
-            g = [evaluate_form(q, a), polar_form(q, a, b), evaluate_form(q, b)]
+            g = restrict_to_line(q, a, b)
             if any(c % p for c in g):
                 for r, s in _binary_roots(*g, p):
                     yield [(r * x + s * y) % p for x, y in zip(a, b)]
@@ -239,7 +231,7 @@ def _kernel_guided_locus(
     b1 = polar_matrix(pencil.q1)
     b2 = polar_matrix(pencil.q2)
     if any(c % p for c in f.coeffs):
-        members = [root.residue for root in repeated_roots_mod_p(f, p)]
+        members = repeated_roots_mod_p(f, p)
     else:
         _check_candidate_cap(p + 1)
         members = list(range(p))
@@ -274,13 +266,12 @@ def _kernel_guided_locus(
 
 
 def singular_locus(
-    pencil: PencilOfQuadrics, prime: int, method: str | None = None
+    pencil: PencilOfQuadrics, prime: int, method: str = "kernel-guided"
 ) -> SingularLocusReport:
-    """Singular points of X mod p (p odd), exhaustively or kernel-guided.
+    """Singular points of X mod p (p odd), kernel-guided or exhaustively.
 
-    method None picks "exhaustive" for p <= 13 and "kernel-guided" above;
-    both can be requested explicitly for cross-validation.  run_pipeline
-    always requests "kernel-guided"; the exhaustive scan is the oracle.
+    "kernel-guided" runs at every odd prime; "exhaustive", the scan of
+    P^5(F_p) that tests use as the oracle, only for p <= 13.
     p = 2 is rejected (see mod2_degeneracy); non-complete-intersection
     reductions are rejected.
     """
@@ -293,10 +284,6 @@ def singular_locus(
         )
     r1, r2 = reduce_pencil(pencil, prime)
     _assert_complete_intersection(r1, r2, prime)
-    if method is None:
-        method = (
-            "exhaustive" if prime <= EXHAUSTIVE_LOCUS_PRIME_BOUND else "kernel-guided"
-        )
     if method == "exhaustive":
         if prime > EXHAUSTIVE_LOCUS_PRIME_BOUND:
             raise ValueError(

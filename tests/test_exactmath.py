@@ -12,9 +12,7 @@ import pytest
 import sympy
 
 from quadpencil.exactmath import (
-    ExactMatrix,
     FactorizationError,
-    PrimeFieldElement,
     UniPoly,
     det_cofactor,
     det_poly_matrix,
@@ -28,7 +26,6 @@ from quadpencil.exactmath import (
     roots_mod_p,
     rref_mod_p,
     solve_mod_p,
-    sqrt_mod_p,
     sturm_count,
 )
 from quadpencil.exactmath import integers
@@ -103,24 +100,6 @@ def test_strong_lucas_test_matches_sympy():
         if all(n % q for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)):
             assert integers._is_strong_lucas_prp(n) == is_strong_lucas_prp(n), n
     assert not integers._is_strong_lucas_prp(10007**2)
-
-
-def test_sqrt_mod_p_properties():
-    for p in (3, 5, 7, 11, 13, 97, 10007):
-        residues = 0
-        for a in range(p):
-            r = sqrt_mod_p(a, p)
-            if r is None:
-                assert pow(a, (p - 1) // 2, p) == p - 1
-            else:
-                residues += 1
-                assert r * r % p == a
-                assert r <= p - r  # the smaller of the two roots
-        assert residues == (p + 1) // 2  # squares including 0
-    with pytest.raises(ValueError):
-        sqrt_mod_p(1, 2)
-    with pytest.raises(ValueError):
-        sqrt_mod_p(1, 15)
 
 
 def test_factor_with_hints():
@@ -380,9 +359,7 @@ def test_fraction_free_det_matches_cofactor_on_integers():
     rng = random.Random(20260402)
     for _ in range(60):
         n = rng.randint(2, 5)
-        m = ExactMatrix.from_rows(
-            [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        )
+        m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         assert det_poly_matrix(m) == det_cofactor(m)
 
 
@@ -390,22 +367,17 @@ def test_fraction_free_det_matches_cofactor_on_fractions():
     rng = random.Random(20260403)
     for _ in range(40):
         n = rng.randint(2, 4)
-        m = ExactMatrix.from_rows(
-            [
-                [
-                    Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-                    for _ in range(n)
-                ]
-                for _ in range(n)
-            ]
-        )
+        m = [
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+            for _ in range(n)
+        ]
         assert det_poly_matrix(m) == det_cofactor(m)
 
 
 def test_det_with_polynomial_entries():
     x = UniPoly.x()
     one = UniPoly.constant(1)
-    m = ExactMatrix.from_rows([[x, one], [one, x]])
+    m = [[x, one], [one, x]]
     assert det_poly_matrix(m) == UniPoly((-1, 0, 1))  # x^2 - 1
     assert det_cofactor(m) == UniPoly((-1, 0, 1))
     rng = random.Random(20260404)
@@ -418,16 +390,13 @@ def test_det_with_polynomial_entries():
             ]
             for _ in range(n)
         ]
-        m = ExactMatrix.from_rows(rows)
-        assert det_poly_matrix(m) == det_cofactor(m)
+        assert det_poly_matrix(rows) == det_cofactor(rows)
 
 
 def test_det_validations():
     with pytest.raises(ValueError, match="non-square"):
-        det_poly_matrix(ExactMatrix.from_rows([[1, 2]]))
-    big = ExactMatrix.from_rows(
-        [[1 if i == j else 0 for j in range(17)] for i in range(17)]
-    )
+        det_poly_matrix([[1, 2]])
+    big = [[1 if i == j else 0 for j in range(17)] for i in range(17)]
     with pytest.raises(ValueError, match="exceeds cap"):
         det_poly_matrix(big)
 
@@ -669,8 +638,7 @@ def test_resultant_properties():
 def test_repeated_roots_of_the_example_form_at_the_big_prime():
     f = UniPoly(CHAR_FORM_COEFFS)
     roots = repeated_roots_mod_p(f, BIG_PRIME)
-    assert [r.residue for r in roots] == [REPEATED_ROOT_MOD_BIG]
-    assert all(r.modulus == BIG_PRIME for r in roots)
+    assert roots == [REPEATED_ROOT_MOD_BIG]
 
 
 def test_repeated_roots_match_brute_force():
@@ -692,7 +660,7 @@ def test_repeated_roots_match_brute_force():
             for r in range(p)
             if value(coeffs, r) == 0 and value(deriv, r) == 0
         }
-        got = {e.residue for e in repeated_roots_mod_p(f, p)}
+        got = set(repeated_roots_mod_p(f, p))
         assert got == expected
         # An F_p-rational repeated root forces p | disc(f) (the converse can
         # fail: the repeated root may live in an extension field).
@@ -707,13 +675,13 @@ def test_repeated_roots_large_prime_ladder():
     f = (x - a) * (x - a) * UniPoly((1, 0, 1)) * UniPoly((2, 0, 1))
     q = 2**31 - 1
     roots = repeated_roots_mod_p(f, q)
-    assert [r.residue for r in roots] == [12345]
+    assert roots == [12345]
 
 
 def test_repeated_roots_inseparable_branch():
     # f' vanishes mod 3 for x^3 + 1 = (x + 1)^3; every root is repeated.
     roots = repeated_roots_mod_p(UniPoly((1, 0, 0, 1)), 3)
-    assert [r.residue for r in roots] == [2]
+    assert roots == [2]
 
 
 def test_repeated_roots_guards():
@@ -766,15 +734,3 @@ def test_roots_mod_p_of_a_split_quartic_at_a_25_digit_prime():
     n = next(n for n in range(2, 100) if pow(n, (p - 1) // 2, p) == p - 1)
     sextic = [a - n * b for a, b in zip([0, 0] + coeffs, coeffs + [0, 0])]
     assert roots_mod_p(sextic, p) == sorted(roots)
-
-
-def test_prime_field_element_validation():
-    element = PrimeFieldElement(4, 7)
-    assert element.residue == 4
-    assert element.modulus == 7
-    with pytest.raises(ValueError):
-        PrimeFieldElement(1, 6)
-    with pytest.raises(ValueError):
-        PrimeFieldElement(7, 7)
-    with pytest.raises(AttributeError):
-        element.residue = 5

@@ -17,7 +17,6 @@ from quadpencil import (
     chart_point_rows,
     chart_rows,
     evaluate_form,
-    fano_jacobian,
     fano_system,
     verify_fano_point,
 )
@@ -92,15 +91,15 @@ def test_fano_system_vanishes_at_the_supplied_witnesses(example_pencil):
 
 def test_fano_jacobian_entries_are_partial_derivatives(example_pencil):
     system = fano_system(example_pencil, GrassmannChart(CHART_PIVOTS))
-    jac = fano_jacobian(system)
+    jac = system.jacobian
+    assert len(jac) == FANO_CODIMENSION
     rng = random.Random(5)
     point = tuple(rng.randint(-4, 4) for _ in range(NUM_PARAMETERS))
-    for i, eq in enumerate(system.equations):
+    for row, eq in zip(jac, system.equations):
+        assert len(row) == NUM_PARAMETERS
         for k in range(NUM_PARAMETERS):
-            assert jac.entry(i, k) == eq.derivative(k)
-            assert jac.entry(i, k).evaluate(point) == eq.derivative(k).evaluate(
-                point
-            )
+            assert row[k] == eq.derivative(k)
+            assert row[k].evaluate(point) == eq.derivative(k).evaluate(point)
 
 
 def test_polar_jacobian_is_the_fano_jacobian(example_pencil):

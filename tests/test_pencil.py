@@ -17,7 +17,7 @@ from quadpencil import (
     gram_matrix,
     smoothness_check,
 )
-from quadpencil.exactmath import ExactMatrix, UniPoly, det_poly_matrix
+from quadpencil.exactmath import UniPoly, det_poly_matrix
 
 from conftest import BAD_PRIMES, CHAR_FORM_COEFFS, CURVE_DISC
 
@@ -157,12 +157,10 @@ def det_poly_matrix_char_form(q1: QuadraticForm, q2: QuadraticForm):
     Returns None when the result is not integral.
     """
     m1, m2 = gram_matrix(q1), gram_matrix(q2)
-    entries = [
-        UniPoly((m1.entry(i, j), -m2.entry(i, j)))
-        for i in range(NUM_VARIABLES)
-        for j in range(NUM_VARIABLES)
+    rows = [
+        [UniPoly((a, -b)) for a, b in zip(r1, r2)] for r1, r2 in zip(m1, m2)
     ]
-    det = det_poly_matrix(ExactMatrix(NUM_VARIABLES, NUM_VARIABLES, entries))
+    det = det_poly_matrix(rows)
     if not isinstance(det, UniPoly):
         det = UniPoly.constant(det)
     f = -det

@@ -40,7 +40,7 @@ def test_gram_agrees_with_evaluation_on_500_random_vectors():
         v = tuple(rng.randint(-20, 20) for _ in range(NUM_VARIABLES))
         direct = evaluate_form(q, v)
         via_gram = sum(
-            Fraction(v[i]) * m.entry(i, j) * v[j]
+            Fraction(v[i]) * m[i][j] * v[j]
             for i in range(NUM_VARIABLES)
             for j in range(NUM_VARIABLES)
         )
@@ -54,17 +54,17 @@ def test_gram_matrix_is_symmetric_with_half_integer_off_diagonals():
         m = gram_matrix(q)
         for i in range(NUM_VARIABLES):
             for j in range(NUM_VARIABLES):
-                assert m.entry(i, j) == m.entry(j, i)
-                assert (2 * m.entry(i, j)).denominator == 1
+                assert m[i][j] == m[j][i]
+                assert (2 * m[i][j]).denominator == 1
 
 
 def test_gram_matrix_of_the_example_form(example_q1):
     m = gram_matrix(example_q1)
-    assert m.entry(0, 1) == Fraction(1, 2)
-    assert m.entry(1, 2) == -2
-    assert m.entry(3, 3) == 1
-    assert m.entry(5, 5) == -1
-    assert m.entry(0, 0) == 0
+    assert m[0][1] == Fraction(1, 2)
+    assert m[1][2] == -2
+    assert m[3][3] == 1
+    assert m[5][5] == -1
+    assert m[0][0] == 0
 
 
 def test_evaluate_form_is_homogeneous_of_degree_two():
@@ -88,7 +88,7 @@ def test_gradient_matches_finite_difference_structure():
         grad = gradient_at(q, v)
         for i in range(NUM_VARIABLES):
             expected = 2 * sum(
-                m.entry(i, j) * v[j] for j in range(NUM_VARIABLES)
+                m[i][j] * v[j] for j in range(NUM_VARIABLES)
             )
             assert grad[i] == expected
 
@@ -113,10 +113,7 @@ def test_polar_matrix_is_twice_the_gram_matrix_and_gives_the_polar_form():
         q = random_form(rng)
         rows = polar_matrix(q)
         m = gram_matrix(q)
-        assert rows == [
-            [2 * m.entry(i, j) for j in range(NUM_VARIABLES)]
-            for i in range(NUM_VARIABLES)
-        ]
+        assert rows == [[2 * x for x in row] for row in m]
         assert all(isinstance(x, int) for row in rows for x in row)
         a = tuple(rng.randint(-8, 8) for _ in range(NUM_VARIABLES))
         b = tuple(rng.randint(-8, 8) for _ in range(NUM_VARIABLES))

@@ -61,7 +61,7 @@ def test_singular_point_lies_on_the_reduction(example_pencil):
 def test_singular_locus_empty_at_good_small_primes(example_pencil):
     for p in (3, 5, 7, 11, 13):
         report = singular_locus(example_pencil, p)
-        assert report.method == "exhaustive"
+        assert report.method == "kernel-guided"
         assert report.points == ()
         assert cone_check(report) is True
 
@@ -94,8 +94,7 @@ def _plane_kernels(pencil: PencilOfQuadrics, p: int) -> int:
         return 0
     b1, b2 = polar_matrix(pencil.q1), polar_matrix(pencil.q2)
     count = 0
-    for root in repeated_roots_mod_p(f, p):
-        t0 = root.residue
+    for t0 in repeated_roots_mod_p(f, p):
         basis = kernel_mod_p(
             [[x - t0 * y for x, y in zip(r1, r2)] for r1, r2 in zip(b1, b2)], p
         )
@@ -139,17 +138,27 @@ def test_kernel_guided_agrees_with_exhaustive_on_random_pencils():
 
 
 def test_binary_roots_match_brute_force():
-    for p in (3, 5, 7):
+    # Every triple at p <= 7.  At p = 1009, seeded triples: ten have two
+    # chosen roots, so that roots_mod_p splits a product of two linear
+    # factors, and three have alpha = 0 or a double root.
+    rng = random.Random(1009)
+    seeded = [tuple(rng.randrange(1009) for _ in range(3)) for _ in range(20)]
+    for _ in range(10):
+        a, r1, r2 = rng.randrange(1, 1009), rng.randrange(1009), rng.randrange(1009)
+        seeded.append((a, -a * (r1 + r2), a * r1 * r2))
+    seeded += [(0, 5, 7), (0, 0, 3), (4, 0, 0)]
+    cases = [(p, g) for p in (3, 5, 7) for g in itertools.product(range(p), repeat=3)]
+    cases += [(1009, g) for g in seeded]
+    for p, (alpha, gamma, beta) in cases:
+        if alpha % p == gamma % p == beta % p == 0:
+            continue
         line = [(1, 0)] + [(r, 1) for r in range(p)]
-        for alpha, gamma, beta in itertools.product(range(p), repeat=3):
-            if alpha == gamma == beta == 0:
-                continue
-            expected = sorted(
-                normalize_projective(pt, p)
-                for pt in line
-                if (alpha * pt[0] ** 2 + gamma * pt[0] * pt[1] + beta * pt[1] ** 2) % p == 0
-            )
-            assert _binary_roots(alpha, gamma, beta, p) == expected, (alpha, gamma, beta, p)
+        expected = sorted(
+            normalize_projective(pt, p)
+            for pt in line
+            if (alpha * pt[0] ** 2 + gamma * pt[0] * pt[1] + beta * pt[1] ** 2) % p == 0
+        )
+        assert _binary_roots(alpha, gamma, beta, p) == expected, (alpha, gamma, beta, p)
 
 
 def test_kernel_guided_when_f_vanishes_mod_p():
