@@ -277,15 +277,6 @@ def _cmd_reduction(args) -> int:
 # Parser construction and entry point
 # ---------------------------------------------------------------------------
 
-def _add_workers_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=8,
-        help="accepted for compatibility (must be >= 1); has no effect",
-    )
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="quadpencil",
@@ -300,7 +291,12 @@ def _build_parser() -> _Parser:
         "analyze", help="run the full pipeline and emit the certificate"
     )
     p_analyze.add_argument("file", help="input file with Q1:/Q2: lines")
-    _add_workers_option(p_analyze)
+    p_analyze.add_argument(
+        "--workers",
+        type=int,
+        default=8,
+        help="accepted for compatibility (must be >= 1); has no effect",
+    )
     p_analyze.add_argument(
         "--lift-precision",
         type=int,
@@ -336,7 +332,6 @@ def _build_parser() -> _Parser:
         default=None,
         help="restrict to one chart, as 1-based columns 'i,j'",
     )
-    _add_workers_option(p_search)
     p_search.set_defaults(handler=_cmd_fano_search)
 
     p_verify = sub.add_parser(
@@ -396,8 +391,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _normalize_args(args):
-    if getattr(args, "workers", 1) < 1:
-        raise _UsageError("workers must be >= 1")
+    """Parse analyze's --good-primes text into ints.
+
+    PipelineConfig checks the values (odd primes, workers >= 1); main() maps
+    its ValueError to exit 3.
+    """
     if getattr(args, "good_primes_text", None) is not None:
         parts = [p.strip() for p in args.good_primes_text.split(",") if p.strip()]
         if not parts or not all(_is_integer_text(p) for p in parts):
@@ -406,9 +404,6 @@ def _normalize_args(args):
                 f"{args.good_primes_text!r}"
             )
         args.good_primes = tuple(int(p) for p in parts)
-        for p in args.good_primes:
-            if p == 2 or not is_probable_prime(p):
-                raise _UsageError(f"--good-primes entries must be odd primes, got {p}")
     return args
 
 

@@ -9,6 +9,7 @@ from .matrix import (
     det_cofactor,
     det_poly_matrix,
     kernel_mod_p,
+    poly_discriminant,
     rank_mod_p,
     rref_mod_p,
     solve_mod_p,
@@ -17,7 +18,6 @@ from .multipoly import MultiPoly
 from .unipoly import (
     UniPoly,
     isolate_real_roots,
-    poly_discriminant,
     repeated_roots_mod_p,
     roots_mod_p,
     squarefree_degree6,

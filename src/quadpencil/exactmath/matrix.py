@@ -6,6 +6,7 @@ A matrix is a list of rows throughout.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import floordiv
 
 from .unipoly import UniPoly
 
@@ -43,10 +44,12 @@ def _exact_div(num, den):
 
 
 def det_poly_matrix(rows) -> UniPoly | Fraction | int:
-    """Fraction-free (Bareiss) determinant of a square list of rows.
+    """Fraction-free (Bareiss 1968) determinant of a square list of rows.
 
-    Entries are int, Fraction, or UniPoly.  Dimension is capped at 16.  For
-    cross-checking see det_cofactor.
+    Entries are int, Fraction, or UniPoly.  Each step divides exactly by the
+    previous pivot: floor division when every entry is an int, _exact_div
+    otherwise.  Dimension is capped at 16.  For cross-checking see
+    det_cofactor.
     """
     a = _square_rows(rows)
     n = len(a)
@@ -54,8 +57,9 @@ def det_poly_matrix(rows) -> UniPoly | Fraction | int:
         raise ValueError(f"dimension {n} exceeds cap {MAX_DET_DIMENSION}")
     if n == 0:
         return 1
+    div = floordiv if all(isinstance(x, int) for r in a for x in r) else _exact_div
     sign = 1
-    prev = None
+    prev = 1
     for k in range(n - 1):
         if _is_zero(a[k][k]):
             pivot = next((i for i in range(k + 1, n) if not _is_zero(a[i][k])), None)
@@ -66,15 +70,10 @@ def det_poly_matrix(rows) -> UniPoly | Fraction | int:
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                val = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                if prev is not None:
-                    val = _exact_div(val, prev)
-                a[i][j] = val
+                a[i][j] = div(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
         prev = a[k][k]
     result = a[n - 1][n - 1]
-    if sign < 0:
-        result = -result
-    return result
+    return -result if sign < 0 else result
 
 
 def det_cofactor(rows):
@@ -100,6 +99,53 @@ def det_cofactor(rows):
         return total
 
     return rec(rows)
+
+
+# ---------------------------------------------------------------------------
+# Discriminants via the Sylvester resultant
+# ---------------------------------------------------------------------------
+
+
+def _sylvester_rows(f: UniPoly, g: UniPoly) -> list[list]:
+    m, n = f.degree(), g.degree()
+    size = m + n
+    fl = list(reversed(f.coeffs))  # highest degree first
+    gl = list(reversed(g.coeffs))
+    rows = []
+    for i in range(n):
+        rows.append([0] * i + fl + [0] * (size - m - 1 - i))
+    for i in range(m):
+        rows.append([0] * i + gl + [0] * (size - n - 1 - i))
+    return rows
+
+
+def resultant(f: UniPoly, g: UniPoly) -> int:
+    """Resultant of two integer polynomials (Sylvester + Bareiss)."""
+    f = f.to_integer_coeffs()
+    g = g.to_integer_coeffs()
+    if f.is_zero() or g.is_zero():
+        return 0
+    if f.degree() == 0:
+        return int(f.leading()) ** g.degree()
+    if g.degree() == 0:
+        return int(g.leading()) ** f.degree()
+    return det_poly_matrix(_sylvester_rows(f, g))
+
+
+def poly_discriminant(f: UniPoly) -> int:
+    """disc(f) = (-1)^(d(d-1)/2) * Res(f, f') / lc(f), for integer f, deg >= 2."""
+    d = f.degree()
+    if d < 2:
+        raise ValueError("degree < 2")
+    f = f.to_integer_coeffs()
+    res = resultant(f, f.derivative())
+    sign = -1 if (d * (d - 1) // 2) % 2 else 1
+    lead = int(f.leading())
+    value = sign * res
+    q, r = divmod(value, lead)
+    if r:
+        raise ArithmeticError("resultant not divisible by leading coefficient")
+    return q
 
 
 # ---------------------------------------------------------------------------

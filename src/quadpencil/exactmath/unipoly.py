@@ -290,46 +290,16 @@ def _variations(chain: list[tuple[int, ...]], x: int, den: int) -> int:
     return _changes(_value(p, dpow, x) for p in chain)
 
 
-class _Infinity:
-    pass
+def sturm_count(f: UniPoly) -> int:
+    """Exact number of real roots of squarefree f, V(-infinity) - V(+infinity).
 
-
-_NEG_INF = _Infinity()
-_POS_INF = _Infinity()
-
-
-def _as_endpoint(x, default):
-    if x is None:
-        return default
-    if isinstance(x, float):
-        if x == float("-inf"):
-            return _NEG_INF
-        if x == float("inf"):
-            return _POS_INF
-        raise TypeError("endpoints must be exact rationals or +/-infinity")
-    return Fraction(x)
-
-
-def _variations_at(chain: list[tuple[int, ...]], point) -> int:
-    """Sign variations at a Fraction point or at -/+ infinity."""
-    if point is _POS_INF:
-        return _changes(p[-1] for p in chain)
-    if point is _NEG_INF:
-        return _changes(-p[-1] if len(p) % 2 == 0 else p[-1] for p in chain)
-    return _variations(chain, point.numerator, point.denominator)
-
-
-def sturm_count(f: UniPoly, lo=None, hi=None) -> int:
-    """Exact number of real roots of squarefree f in (lo, hi].
-
-    None endpoints mean -infinity / +infinity respectively.
+    At +/-infinity each chain element has the sign of its leading term.
     """
-    if f.is_zero() or f.degree() < 1:
+    if f.degree() < 1:
         return 0
     chain = _squarefree_chain(f)
-    a = _as_endpoint(lo, _NEG_INF)
-    b = _as_endpoint(hi, _POS_INF)
-    return _variations_at(chain, a) - _variations_at(chain, b)
+    at_neg_inf = _changes(-p[-1] if len(p) % 2 == 0 else p[-1] for p in chain)
+    return at_neg_inf - _changes(p[-1] for p in chain)
 
 
 def _root_bound(f: UniPoly) -> Fraction:
@@ -410,76 +380,6 @@ def isolate_real_roots(f: UniPoly, width: Fraction = ISOLATION_WIDTH) -> list[tu
                 stack.append((mid, hi, den, vmid, vhi))
             break
     return sorted((Fraction(lo, den), Fraction(hi, den)) for lo, hi, den in found)
-
-
-# ---------------------------------------------------------------------------
-# Discriminants via the Sylvester resultant
-# ---------------------------------------------------------------------------
-
-
-def _sylvester_rows(f: UniPoly, g: UniPoly) -> list[list]:
-    m, n = f.degree(), g.degree()
-    size = m + n
-    fl = list(reversed(f.coeffs))  # highest degree first
-    gl = list(reversed(g.coeffs))
-    rows = []
-    for i in range(n):
-        rows.append([0] * i + fl + [0] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + gl + [0] * (size - n - 1 - i))
-    return rows
-
-
-def _bareiss_int_det(rows: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def resultant(f: UniPoly, g: UniPoly) -> int:
-    """Resultant of two integer polynomials (Sylvester + Bareiss)."""
-    f = f.to_integer_coeffs()
-    g = g.to_integer_coeffs()
-    if f.is_zero() or g.is_zero():
-        return 0
-    if f.degree() == 0:
-        return int(f.leading()) ** g.degree()
-    if g.degree() == 0:
-        return int(g.leading()) ** f.degree()
-    return _bareiss_int_det(_sylvester_rows(f, g))
-
-
-def poly_discriminant(f: UniPoly) -> int:
-    """disc(f) = (-1)^(d(d-1)/2) * Res(f, f') / lc(f), for integer f, deg >= 2."""
-    d = f.degree()
-    if d < 2:
-        raise ValueError("degree < 2")
-    f = f.to_integer_coeffs()
-    res = resultant(f, f.derivative())
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    lead = int(f.leading())
-    value = sign * res
-    q, r = divmod(value, lead)
-    if r:
-        raise ArithmeticError("resultant not divisible by leading coefficient")
-    return q
 
 
 # ---------------------------------------------------------------------------

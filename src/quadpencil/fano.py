@@ -107,11 +107,28 @@ def chart_point_rows(chart: GrassmannChart, point) -> tuple[list, list]:
     """The two integer basis vectors of the line at a concrete chart point."""
     if len(point) != NUM_PARAMETERS:
         raise ValueError("expected 8 chart coordinates")
-    row_a_sym, row_b_sym = chart_rows(chart)
-    point = [int(c) for c in point]
-    row_a = [entry.evaluate(point) for entry in row_a_sym]
-    row_b = [entry.evaluate(point) for entry in row_b_sym]
+    row_a = [0] * NUM_VARIABLES
+    row_b = [0] * NUM_VARIABLES
+    row_a[chart.pivots[0]] = row_b[chart.pivots[1]] = 1
+    for k, col in enumerate(chart.non_pivots):
+        row_a[col], row_b[col] = int(point[2 * k]), int(point[2 * k + 1])
     return row_a, row_b
+
+
+def _chart_coordinates(chart: GrassmannChart, a, b, p: int):
+    """Chart coordinates of the line <a, b> mod p, or None if the chart misses it.
+
+    The inverse of chart_point_rows mod p.  Line (a, b) is in chart (k, l)
+    iff m = a_k b_l - a_l b_k != 0, with chart rows (b_l a - a_l b) / m and
+    (a_k b - b_k a) / m.
+    """
+    k, l = chart.pivots
+    minor = (a[k] * b[l] - a[l] * b[k]) % p
+    if not minor:
+        return None
+    s = pow(minor, -1, p)
+    return tuple(t * s % p for c in chart.non_pivots for t in (
+        b[l] * a[c] - a[l] * b[c], a[k] * b[c] - b[k] * a[c]))
 
 
 class FanoSystem:

@@ -23,6 +23,7 @@ from .fano import (
     NUM_PARAMETERS,
     FanoSystem,
     GrassmannChart,
+    _chart_coordinates,
     all_charts,
     fano_system,  # unused here, but qpbench/worker.py traces this name
     polar_jacobian,
@@ -175,21 +176,6 @@ def _chart_points(pencil: PencilOfQuadrics, p: int, charts) -> list:
                 yield coords, rank
 
     return [(chart, sorted(read_off(chart))) for chart in charts]
-
-
-def _chart_coordinates(chart: GrassmannChart, a, b, p: int):
-    """Chart coordinates of the line <a, b> mod p, or None if the chart misses it.
-
-    Line (a, b) is in chart (k, l) iff m = a_k b_l - a_l b_k != 0, with chart
-    rows (b_l a - a_l b) / m and (a_k b - b_k a) / m.
-    """
-    k, l = chart.pivots
-    minor = (a[k] * b[l] - a[l] * b[k]) % p
-    if not minor:
-        return None
-    s = pow(minor, -1, p)
-    return tuple(t * s % p for c in chart.non_pivots for t in (
-        b[l] * a[c] - a[l] * b[c], a[k] * b[c] - b[k] * a[c]))
 
 
 class CensusEntry(NamedTuple):

@@ -6,13 +6,12 @@ from typing import NamedTuple
 
 from .exactmath import (
     UniPoly,
-    det_poly_matrix,  # unused here, but qpbench/worker.py traces this name
+    det_poly_matrix,
     factor_with_hints,
     poly_discriminant,
     squarefree_degree6,
     sturm_count,
 )
-from .exactmath.unipoly import _bareiss_int_det
 from .quadric import NUM_VARIABLES, QuadraticForm, polar_matrix
 
 # Discriminant normalization exponent for a genus-2 hyperelliptic model
@@ -63,7 +62,7 @@ def _characteristic_form(p1: list[list[int]], p2: list[list[int]]) -> UniPoly:
     """
     n = NUM_VARIABLES
     g = [
-        _bareiss_int_det([[p1[i][j] - t * p2[i][j] for j in range(n)] for i in range(n)])
+        det_poly_matrix([[p1[i][j] - t * p2[i][j] for j in range(n)] for i in range(n)])
         for t in range(n + 1)
     ]
     for k in range(1, n + 1):

@@ -20,8 +20,8 @@ from quadpencil import (
     fano_system,
     verify_fano_point,
 )
-from quadpencil.exactmath import rank_mod_p
-from quadpencil.fano import polar_jacobian
+from quadpencil.exactmath import rank_mod_p, rref_mod_p
+from quadpencil.fano import _chart_coordinates, polar_jacobian
 from quadpencil.quadric import polar_matrix
 
 from conftest import BIG_PRIME, BIG_WITNESS, CHART_PIVOTS, F2_WITNESS, random_form
@@ -79,6 +79,26 @@ def test_example_chart_matrix_layout():
     row_a, row_b = chart_point_rows(chart, point)
     assert list(row_a) == [1, 1, 0, 3, 5, 7]
     assert list(row_b) == [2, 0, 1, 4, 6, 8]
+
+
+def test_chart_point_rows_are_the_symbolic_rows_and_invert_chart_coordinates():
+    rng = random.Random(14)
+    p = 101
+    for chart in all_charts():
+        row_a, row_b = chart_rows(chart)
+        for _ in range(5):
+            point = [rng.randint(-99, 99) for _ in range(NUM_PARAMETERS)]
+            a, b = chart_point_rows(chart, point)
+            assert a == [entry.evaluate(point) for entry in row_a]
+            assert b == [entry.evaluate(point) for entry in row_b]
+            assert _chart_coordinates(chart, a, b, p) == tuple(c % p for c in point)
+            # Every chart that holds the line reads off coordinates whose
+            # rows span the same line mod p.
+            line = rref_mod_p([a, b], p)
+            for other in all_charts():
+                coords = _chart_coordinates(other, a, b, p)
+                if coords is not None:
+                    assert rref_mod_p(chart_point_rows(other, coords), p) == line
 
 
 def test_fano_system_vanishes_at_the_supplied_witnesses(example_pencil):

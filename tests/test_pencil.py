@@ -7,6 +7,7 @@ import random
 import pytest
 import sympy
 
+import quadpencil.pencil
 from quadpencil import (
     NUM_VARIABLES,
     NonIntegralCharacteristicFormError,
@@ -188,6 +189,21 @@ def test_characteristic_form_equals_the_det_poly_matrix_route():
             expected = det_poly_matrix_char_form(q1, q2)
             assert expected is not None
             assert PencilOfQuadrics(q1, q2).char_form == expected
+
+
+def test_characteristic_form_takes_seven_determinants(monkeypatch, example_pencil):
+    """g(t) = det(P1 - t*P2) at t = 0..6, each through pencil.det_poly_matrix."""
+    sizes = []
+    det = quadpencil.pencil.det_poly_matrix
+
+    def counted(rows):
+        sizes.append(len(rows))
+        return det(rows)
+
+    monkeypatch.setattr(quadpencil.pencil, "det_poly_matrix", counted)
+    pencil = PencilOfQuadrics(example_pencil.q1, example_pencil.q2)
+    assert sizes == [NUM_VARIABLES] * 7
+    assert pencil.char_form == UniPoly(CHAR_FORM_COEFFS)
 
 
 def test_one_odd_mixed_coefficient_raises_as_the_det_poly_matrix_route():
