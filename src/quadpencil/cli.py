@@ -20,7 +20,13 @@ from .fano import (
     fano_system,
     verify_fano_point,
 )
-from .parsing import ParseError, _is_integer_text, canonical_json, parse_input
+from .parsing import (
+    ParseError,
+    _is_integer_text,
+    _join_signed_terms,
+    canonical_json,
+    parse_input,
+)
 from .pencil import NonIntegralCharacteristicFormError, smoothness_check
 from .quadric import NUM_VARIABLES
 
@@ -78,26 +84,9 @@ def _require_prime(p: int) -> int:
 
 def _format_char_form(coeffs: Sequence[int]) -> str:
     """Human rendering of an integer polynomial in t, highest degree first."""
-    pieces: list[str] = []
-    for degree in range(len(coeffs) - 1, -1, -1):
-        coeff = coeffs[degree]
-        if coeff == 0:
-            continue
-        if degree == 0:
-            monomial = ""
-        elif degree == 1:
-            monomial = "t"
-        else:
-            monomial = f"t^{degree}"
-        magnitude = abs(coeff)
-        body = monomial if (magnitude == 1 and monomial) else (
-            f"{magnitude}{monomial}" if monomial else str(magnitude)
-        )
-        if not pieces:
-            pieces.append(body if coeff > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(pieces) if pieces else "0"
+    monomials = ["", "t"] + [f"t^{k}" for k in range(2, len(coeffs))]
+    terms = [(coeffs[k], monomials[k]) for k in range(len(coeffs) - 1, -1, -1)]
+    return _join_signed_terms(terms) or "0"
 
 
 def _emit(document: dict | None, summary_lines: Sequence[str]) -> None:
@@ -132,12 +121,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_charform(args) -> int:
-    try:
-        parsed = parse_input(args.file)
-    except NonIntegralCharacteristicFormError as error:
-        _emit({"error": str(error)}, [f"error: {error}"])
-        return EXIT_INCOMPLETE
-    pencil = parsed.pencil
+    pencil = parse_input(args.file).pencil
     coeffs = list(pencil.char_form.coeffs)
     verdict = smoothness_check(pencil)
     document = {
@@ -379,6 +363,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as error:
         sys.stderr.write(f"error: {error}\n")
         return EXIT_INPUT_ERROR
+    except NonIntegralCharacteristicFormError as error:
+        # Every subcommand but analyze, which records it in the certificate.
+        _emit({"error": str(error)}, [f"error: {error}"])
+        return EXIT_INCOMPLETE
     except ParseError as error:
         sys.stderr.write(f"input error: {error}\n")
         return EXIT_INPUT_ERROR

@@ -1,12 +1,9 @@
-"""Exact matrices over Q, Z, F_p, or polynomial rings; determinants and kernels.
+"""Exact matrices over Z or F_p: determinants, discriminants and kernels.
 
 A matrix is a list of rows throughout.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from operator import floordiv
 
 from .unipoly import UniPoly
 
@@ -21,35 +18,13 @@ def _square_rows(rows) -> list[list]:
     return a
 
 
-def _is_zero(x) -> bool:
-    if isinstance(x, UniPoly):
-        return x.is_zero()
-    return x == 0
+def det_poly_matrix(rows) -> int:
+    """Fraction-free (Bareiss 1968) determinant of a square integer matrix.
 
-
-def _exact_div(num, den):
-    """Exact division in the entry ring (int, Fraction, or UniPoly)."""
-    if isinstance(num, UniPoly) or isinstance(den, UniPoly):
-        if not isinstance(num, UniPoly):
-            num = UniPoly.constant(num)
-        if not isinstance(den, UniPoly):
-            den = UniPoly.constant(den)
-        return num.exact_div(den)
-    if isinstance(num, Fraction) or isinstance(den, Fraction):
-        return Fraction(num) / Fraction(den)
-    q, r = divmod(num, den)
-    if r:
-        raise ArithmeticError("inexact integer division in Bareiss elimination")
-    return q
-
-
-def det_poly_matrix(rows) -> UniPoly | Fraction | int:
-    """Fraction-free (Bareiss 1968) determinant of a square list of rows.
-
-    Entries are int, Fraction, or UniPoly.  Each step divides exactly by the
-    previous pivot: floor division when every entry is an int, _exact_div
-    otherwise.  Dimension is capped at 16.  For cross-checking see
-    det_cofactor.
+    Entries are ints.  Each step divides exactly by the previous pivot, so
+    floor division is exact.  Dimension is capped at 16.  The name is kept
+    for the benchmark's tracer, which wraps ``pencil.det_poly_matrix``.  For
+    cross-checking see det_cofactor.
     """
     a = _square_rows(rows)
     n = len(a)
@@ -57,20 +32,18 @@ def det_poly_matrix(rows) -> UniPoly | Fraction | int:
         raise ValueError(f"dimension {n} exceeds cap {MAX_DET_DIMENSION}")
     if n == 0:
         return 1
-    div = floordiv if all(isinstance(x, int) for r in a for x in r) else _exact_div
     sign = 1
     prev = 1
     for k in range(n - 1):
-        if _is_zero(a[k][k]):
-            pivot = next((i for i in range(k + 1, n) if not _is_zero(a[i][k])), None)
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
             if pivot is None:
-                zero = a[0][0]
-                return zero - zero if isinstance(zero, UniPoly) else 0
+                return 0
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                a[i][j] = div(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     result = a[n - 1][n - 1]
     return -result if sign < 0 else result
@@ -84,18 +57,13 @@ def det_cofactor(rows):
         n = len(r)
         if n == 1:
             return r[0][0]
-        total = None
+        total = 0
         for j in range(n):
-            if _is_zero(r[0][j]):
+            if r[0][j] == 0:
                 continue
             minor = [row[:j] + row[j + 1 :] for row in r[1:]]
             term = r[0][j] * rec(minor)
-            if j % 2:
-                term = -term
-            total = term if total is None else total + term
-        if total is None:
-            zero = r[0][0]
-            return zero - zero if isinstance(zero, UniPoly) else 0
+            total = total - term if j % 2 else total + term
         return total
 
     return rec(rows)
@@ -121,14 +89,12 @@ def _sylvester_rows(f: UniPoly, g: UniPoly) -> list[list]:
 
 def resultant(f: UniPoly, g: UniPoly) -> int:
     """Resultant of two integer polynomials (Sylvester + Bareiss)."""
-    f = f.to_integer_coeffs()
-    g = g.to_integer_coeffs()
     if f.is_zero() or g.is_zero():
         return 0
     if f.degree() == 0:
-        return int(f.leading()) ** g.degree()
+        return f.leading() ** g.degree()
     if g.degree() == 0:
-        return int(g.leading()) ** f.degree()
+        return g.leading() ** f.degree()
     return det_poly_matrix(_sylvester_rows(f, g))
 
 
@@ -137,10 +103,9 @@ def poly_discriminant(f: UniPoly) -> int:
     d = f.degree()
     if d < 2:
         raise ValueError("degree < 2")
-    f = f.to_integer_coeffs()
     res = resultant(f, f.derivative())
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    lead = int(f.leading())
+    lead = f.leading()
     value = sign * res
     q, r = divmod(value, lead)
     if r:

@@ -1,4 +1,4 @@
-"""Dense univariate polynomials over Z, Q, or F_p, with Sturm machinery."""
+"""Dense univariate integer polynomials: Sturm machinery and roots mod p."""
 
 from __future__ import annotations
 
@@ -14,9 +14,8 @@ _SPLIT_SHIFT_CAP = 64
 
 
 class UniPoly:
-    """Immutable dense polynomial; coefficients lowest degree first.
+    """Immutable dense polynomial with integer coefficients, lowest degree first.
 
-    Coefficients may be ints or Fractions (they interoperate exactly).
     The zero polynomial has an empty coefficient tuple and degree -1.
     """
 
@@ -24,6 +23,8 @@ class UniPoly:
 
     def __init__(self, coeffs=()):
         cs = list(coeffs)
+        if not all(isinstance(c, int) for c in cs):
+            raise ValueError("UniPoly coefficients must be ints")
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -31,89 +32,24 @@ class UniPoly:
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("UniPoly is immutable")
 
-    # -- constructors ---------------------------------------------------
-    @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls(())
-
-    @classmethod
-    def constant(cls, c) -> "UniPoly":
-        return cls((c,))
-
-    @classmethod
-    def x(cls) -> "UniPoly":
-        return cls((0, 1))
-
-    # -- structure ------------------------------------------------------
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading(self):
+    def leading(self) -> int:
         if not self.coeffs:
             return 0
         return self.coeffs[-1]
 
-    def coefficient(self, k: int):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return 0
-
-    def is_integral(self) -> bool:
-        return all(
-            (isinstance(c, int)) or (isinstance(c, Fraction) and c.denominator == 1)
-            for c in self.coeffs
-        )
-
-    def to_integer_coeffs(self) -> "UniPoly":
-        if not self.is_integral():
-            raise ValueError("polynomial has non-integer coefficients")
-        return UniPoly(tuple(int(c) for c in self.coeffs))
-
-    # -- ring operations -------------------------------------------------
     def __eq__(self, other) -> bool:
         if not isinstance(other, UniPoly):
             return NotImplemented
-        if len(self.coeffs) != len(other.coeffs):
-            return False
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
+        return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(tuple(Fraction(c) for c in self.coeffs))
-
-    def __add__(self, other) -> "UniPoly":
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return UniPoly(out)
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other) -> "UniPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "UniPoly":
-        if isinstance(other, UniPoly):
-            if self.is_zero() or other.is_zero():
-                return UniPoly.zero()
-            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return UniPoly(out)
-        return UniPoly(tuple(c * other for c in self.coeffs))
-
-    __rmul__ = __mul__
+        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         return f"UniPoly({list(self.coeffs)!r})"
@@ -127,64 +63,6 @@ class UniPoly:
 
     def derivative(self) -> "UniPoly":
         return UniPoly(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
-
-    def divmod(self, divisor: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        """Division with remainder over Q (coefficients promoted to Fraction)."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = [Fraction(c) for c in self.coeffs]
-        div = [Fraction(c) for c in divisor.coeffs]
-        dd = len(div) - 1
-        lead = div[-1]
-        quo = [Fraction(0)] * max(len(rem) - dd, 0)
-        for k in range(len(rem) - dd - 1, -1, -1):
-            q = rem[k + dd] / lead
-            if q:
-                quo[k] = q
-                for i, c in enumerate(div):
-                    rem[k + i] -= q * c
-        return UniPoly(quo), UniPoly(rem[:dd])
-
-    def exact_div(self, divisor: "UniPoly") -> "UniPoly":
-        """Exact polynomial division; raises if the remainder is nonzero."""
-        quo, rem = self.divmod(divisor)
-        if not rem.is_zero():
-            raise ValueError("inexact polynomial division")
-        if self.is_integral() and divisor.is_integral() and quo.is_integral():
-            return quo.to_integer_coeffs()
-        return quo
-
-    def content(self) -> Fraction:
-        """Positive rational content (0 for the zero polynomial)."""
-        if self.is_zero():
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.coeffs:
-            f = Fraction(c)
-            num = int_gcd(num, abs(f.numerator))
-            den = den * f.denominator // int_gcd(den, f.denominator)
-        return Fraction(num, den)
-
-    def primitive_part(self) -> "UniPoly":
-        """self divided by its positive content (sign preserved)."""
-        c = self.content()
-        if c == 0:
-            return self
-        return UniPoly(tuple(Fraction(x) / c for x in self.coeffs))
-
-
-def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd over Q (content-normalized Euclid)."""
-    a = a.primitive_part()
-    b = b.primitive_part()
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r.primitive_part()
-    if a.is_zero():
-        return a
-    lead = Fraction(a.leading())
-    return UniPoly(tuple(Fraction(c) / lead for c in a.coeffs))
 
 
 def squarefree_degree6(f: UniPoly) -> bool:
@@ -240,8 +118,7 @@ def _sturm_chain(f: UniPoly) -> list[tuple[int, ...]]:
     same sign everywhere.  The last element is gcd(f, f') up to a constant,
     so f is squarefree iff it has degree 0.
     """
-    den = lcm(*(Fraction(c).denominator for c in f.coeffs))
-    head = _primitive([int(c * den) for c in f.coeffs])
+    head = _primitive(f.coeffs)
     chain = [head, _primitive([k * c for k, c in enumerate(head) if k])]
     while len(chain[-1]) > 1:
         r = _positive_prem(chain[-2], chain[-1])
@@ -304,9 +181,8 @@ def sturm_count(f: UniPoly) -> int:
 
 def _root_bound(f: UniPoly) -> Fraction:
     """Cauchy bound: all real roots lie in (-B, B)."""
-    lead = abs(Fraction(f.leading()))
-    m = max((abs(Fraction(c)) for c in f.coeffs[:-1]), default=Fraction(0))
-    return Fraction(1) + m / lead
+    m = max((abs(c) for c in f.coeffs[:-1]), default=0)
+    return 1 + Fraction(m, abs(f.leading()))
 
 
 def _over_common(a: Fraction, b: Fraction) -> tuple[int, int, int]:
@@ -495,8 +371,7 @@ def repeated_roots_mod_p(f: UniPoly, p: int) -> list[int]:
     """The roots in F_p of gcd(f mod p, f' mod p), ascending, by :func:`roots_mod_p`."""
     if not is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
-    f = f.to_integer_coeffs()
-    fp = _pm_trim([int(c) % p for c in f.coeffs])
+    fp = _pm_trim([c % p for c in f.coeffs])
     if not fp:
         raise ValueError("f is identically zero mod p")
     dfp = _pm_trim([k * c % p for k, c in enumerate(fp) if k > 0])

@@ -335,24 +335,34 @@ def _monomial_text(exps: Sequence[int]) -> str:
     return "".join(parts)
 
 
-def pretty_print(form: QuadraticForm) -> str:
-    """Render a form in canonical text: terms sorted by (i, j), ``^`` powers.
+def _join_signed_terms(terms) -> str:
+    """Join (coefficient, monomial) pairs as '3t^2 - t + 1'; zero terms dropped.
 
-    ``parse_form(pretty_print(q))`` always equals ``q``.
+    A coefficient of magnitude 1 is written only on the constant term, whose
+    monomial is "".  Shared by pretty_print and the CLI's rendering of f(t).
     """
     pieces: list[str] = []
-    for (i, j), coeff in form.monomials():
-        if i == j:
-            monomial = f"{VARIABLES[i]}^2"
-        else:
-            monomial = f"{VARIABLES[i]}{VARIABLES[j]}"
+    for coeff, monomial in terms:
+        if coeff == 0:
+            continue
         magnitude = abs(coeff)
-        body = monomial if magnitude == 1 else f"{magnitude}{monomial}"
+        body = monomial if magnitude == 1 and monomial else f"{magnitude}{monomial}"
         if not pieces:
             pieces.append(body if coeff > 0 else f"-{body}")
         else:
             pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
     return " ".join(pieces)
+
+
+def pretty_print(form: QuadraticForm) -> str:
+    """Render a form in canonical text: terms sorted by (i, j), ``^`` powers.
+
+    ``parse_form(pretty_print(q))`` always equals ``q``.
+    """
+    return _join_signed_terms(
+        (coeff, f"{VARIABLES[i]}^2" if i == j else f"{VARIABLES[i]}{VARIABLES[j]}")
+        for (i, j), coeff in form.monomials()
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import os
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 import pytest
 
@@ -122,6 +123,19 @@ def random_form(rng: random.Random) -> QuadraticForm:
 
 def _form_value(coeffs, x) -> int:
     return sum(c * x[i] * x[j] for (i, j), c in coeffs.items())
+
+
+def clear_row_denominators(rows) -> tuple[list[list[int]], int]:
+    """Row i times the lcm d_i of its denominators, and the product of the d_i.
+
+    The determinant of rows is then det(scaled) / (d_1 * ... * d_n).
+    """
+    scaled, scale = [], 1
+    for row in rows:
+        d = lcm(*(Fraction(x).denominator for x in row))
+        scaled.append([int(x * d) for x in row])
+        scale *= d
+    return scaled, scale
 
 
 def lift_census_mod_2k(q1_coeffs, q2_coeffs, levels, charts=None):

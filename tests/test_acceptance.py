@@ -66,6 +66,7 @@ from conftest import (
     REAL_ROOTS_PRINTED,
     SINGULAR_POINT_CANONICAL,
     SINGULAR_POINT_VERBATIM,
+    clear_row_denominators,
     lift_census_mod_2k,
 )
 from test_pipeline_cli import run_cli
@@ -336,11 +337,15 @@ def test_criterion_13_oracle_equivalence(capsys):
                 [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(size)]
                 for _ in range(size)
             ]
+            # det_poly_matrix takes integer entries.
+            scaled, product = clear_row_denominators(entries)
+            det = Fraction(det_poly_matrix(scaled), product)
         else:
             entries = [
                 [rng.randint(-9, 9) for _ in range(size)] for _ in range(size)
             ]
-        if det_poly_matrix(entries) != det_cofactor(entries):
+            det = det_poly_matrix(entries)
+        if det != det_cofactor(entries):
             det_mismatches += 1
 
     unit = QuadraticForm({(i, i): 1 for i in range(6)})

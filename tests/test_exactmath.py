@@ -30,7 +30,7 @@ from quadpencil.exactmath import (
 )
 from quadpencil.exactmath import integers
 from quadpencil.exactmath.matrix import resultant
-from quadpencil.exactmath.unipoly import _sturm_chain, poly_gcd, squarefree_degree6
+from quadpencil.exactmath.unipoly import _sturm_chain, squarefree_degree6
 
 from test_localcert import exact as qpbench_exact
 
@@ -39,6 +39,7 @@ from conftest import (
     CHAR_FORM_COEFFS,
     POLY_DISC,
     REPEATED_ROOT_MOD_BIG,
+    clear_row_denominators,
 )
 
 _T = sympy.Symbol("t")
@@ -50,6 +51,16 @@ PSI_12 = 318665857834031151167461
 
 def _to_sympy(f: UniPoly):
     return sum(int(c) * _T**k for k, c in enumerate(f.coeffs))
+
+
+def _from_sympy(expr) -> UniPoly:
+    """An integer polynomial in t, e.g. a product expanded by sympy."""
+    return UniPoly([int(c) for c in reversed(sympy.Poly(expr, _T).all_coeffs())])
+
+
+def _gcd_degree(f: UniPoly, g: UniPoly) -> int:
+    """deg gcd(f, g) over Q, by qpbench/exact.py's Euclid."""
+    return qpbench_exact.poly_gcd_degree(f.coeffs, g.coeffs)
 
 
 def random_unipoly(rng: random.Random, degree: int, monic: bool = False) -> UniPoly:
@@ -369,26 +380,8 @@ def test_fraction_free_det_matches_cofactor_on_fractions():
             [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
             for _ in range(n)
         ]
-        assert det_poly_matrix(m) == det_cofactor(m)
-
-
-def test_det_with_polynomial_entries():
-    x = UniPoly.x()
-    one = UniPoly.constant(1)
-    m = [[x, one], [one, x]]
-    assert det_poly_matrix(m) == UniPoly((-1, 0, 1))  # x^2 - 1
-    assert det_cofactor(m) == UniPoly((-1, 0, 1))
-    rng = random.Random(20260404)
-    for _ in range(20):
-        n = rng.randint(2, 4)
-        rows = [
-            [
-                UniPoly((rng.randint(-4, 4), rng.randint(-4, 4)))
-                for _ in range(n)
-            ]
-            for _ in range(n)
-        ]
-        assert det_poly_matrix(rows) == det_cofactor(rows)
+        scaled, product = clear_row_denominators(m)
+        assert det_cofactor(m) == Fraction(det_poly_matrix(scaled), product)
 
 
 def test_fraction_free_det_matches_the_benchmark_int_det():
@@ -425,34 +418,23 @@ def test_det_validations():
 # ---------------------------------------------------------------------------
 
 def test_unipoly_ring_operations():
-    x = UniPoly.x()
-    f = (x + UniPoly.constant(1)) * (x - UniPoly.constant(1))
-    assert f == UniPoly((-1, 0, 1))
-    q, r = f.divmod(x - UniPoly.constant(1))
-    assert q == x + UniPoly.constant(1)
-    assert r.is_zero()
     assert UniPoly((0, 0, 0, 0, 3)).derivative() == UniPoly((0, 0, 0, 12))
     assert UniPoly((1, 2, 1)).evaluate(Fraction(1, 2)) == Fraction(9, 4)
     assert UniPoly(()).degree() == -1
     assert UniPoly((0, 0)).is_zero()
     with pytest.raises(AttributeError):
         UniPoly((1,)).coeffs = (2,)
-    with pytest.raises(ValueError):
-        UniPoly((Fraction(1, 2),)).to_integer_coeffs()
+    assert UniPoly((0, 2, 0)) == UniPoly([0, 2]) != UniPoly((0, 2, 1))
+    assert hash(UniPoly((3, 0, 1))) == hash(UniPoly([3, 0, 1, 0]))
+    for bad in (Fraction(1, 2), Fraction(4, 2), 1.0, "1"):
+        with pytest.raises(ValueError, match="must be ints"):
+            UniPoly((1, bad))
 
 
 def test_poly_gcd_and_squarefree_check():
-    x = UniPoly.x()
-
-    def linear(a):
-        return x - UniPoly.constant(a)
-
-    f = linear(1) * linear(2)
-    g = linear(1) * linear(3)
-    assert poly_gcd(f, g) == linear(1)
     char_form = UniPoly(CHAR_FORM_COEFFS)
     assert squarefree_degree6(char_form)
-    squared = linear(1) * linear(1) * UniPoly((1, 0, 0, 0, 1))  # (x-1)^2 (x^4+1)
+    squared = _from_sympy((_T - 1) ** 2 * (_T**4 + 1))
     assert squared.degree() == 6
     assert not squarefree_degree6(squared)
     assert not squarefree_degree6(UniPoly((1, 0, 0, 0, 0, 1)))  # degree 5
@@ -472,7 +454,7 @@ def test_isolation_intervals_bracket_every_real_root():
     checked = 0
     while checked < 40:
         f = random_unipoly(rng, 6)
-        if poly_gcd(f, f.derivative()).degree() != 0:
+        if _gcd_degree(f, f.derivative()) != 0:
             continue
         checked += 1
         intervals = isolate_real_roots(f)
@@ -494,25 +476,38 @@ def test_isolation_handles_rational_roots():
         assert lo < root < hi
 
 
-# Reference: the Sturm chain and bisection in Fraction arithmetic that the
+# Reference: the Sturm chain and bisection in rational arithmetic (sympy's
+# polynomial remainder over Q, qpbench's Fraction evaluation) that the
 # integer versions in unipoly.py replace; they must give equal results.
 
 
-def fraction_sturm_chain(f: UniPoly) -> list[UniPoly]:
-    chain = [f.primitive_part(), f.derivative().primitive_part()]
-    while not chain[-1].is_zero() and chain[-1].degree() > 0:
-        _, r = chain[-2].divmod(chain[-1])
-        if r.is_zero():
+def _primitive_over_q(p: sympy.Poly) -> sympy.Poly:
+    """p divided by its positive rational content, sign kept."""
+    return p.clear_denoms(convert=True)[1].primitive()[1].to_field()
+
+
+def fraction_sturm_chain(f: UniPoly) -> list[tuple[int, ...]]:
+    """f, f', then minus each remainder over Q, each made primitive."""
+    head = sympy.Poly(_to_sympy(f), _T, domain=sympy.QQ)
+    chain = [_primitive_over_q(head), _primitive_over_q(head.diff(_T))]
+    while not chain[-1].is_zero and chain[-1].degree() > 0:
+        r = chain[-2].rem(chain[-1])
+        if r.is_zero:
             break
-        chain.append((-r).primitive_part())
-    return [p for p in chain if not p.is_zero()]
+        chain.append(_primitive_over_q(-r))
+    return [
+        tuple(int(c) for c in reversed(p.all_coeffs())) for p in chain if not p.is_zero
+    ]
 
 
 def fraction_isolate(f: UniPoly, width=Fraction(1, 10**6)):
     chain = fraction_sturm_chain(f)
 
+    def value(x):
+        return qpbench_exact.poly_eval(f.coeffs, x)
+
     def variations(x):
-        values = [p.evaluate(x) for p in chain]
+        values = [qpbench_exact.poly_eval(p, x) for p in chain]
         signs = [(v > 0) - (v < 0) for v in values if v]
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
@@ -532,7 +527,7 @@ def fraction_isolate(f: UniPoly, width=Fraction(1, 10**6)):
             result.append((lo, hi))
             continue
         mid = (lo + hi) / 2
-        if f.evaluate(mid) == 0:
+        if value(mid) == 0:
             eps = min(width / 4, (hi - lo) / 4)
             while count(mid - eps, mid + eps) != 1:
                 eps /= 2
@@ -557,7 +552,7 @@ def test_isolation_equals_the_fraction_bisection():
     checked = 0
     while checked < 200:
         f = random_unipoly(rng, 6)
-        if poly_gcd(f, f.derivative()).degree() != 0:
+        if _gcd_degree(f, f.derivative()) != 0:
             continue
         checked += 1
         assert isolate_real_roots(f) == fraction_isolate(f), f
@@ -581,13 +576,10 @@ def test_integer_sturm_chain_equals_the_fraction_chain():
         f = random_unipoly(rng, rng.randint(1, 6))
         if trial % 3 == 0:  # repeated factors
             g = random_unipoly(rng, rng.randint(1, 2))
-            f = f * g * g
-        if trial % 5 == 0:  # rational coefficients
-            f = f * Fraction(rng.randint(1, 9), rng.randint(1, 9))
-        expected = [
-            tuple(int(c) for c in p.coeffs) for p in fraction_sturm_chain(f)
-        ]
-        assert _sturm_chain(f) == expected, f
+            f = _from_sympy(_to_sympy(f) * _to_sympy(g) ** 2)
+        if trial % 5 == 0:  # a content to divide out
+            f = UniPoly([c * rng.randint(2, 9) for c in f.coeffs])
+        assert _sturm_chain(f) == fraction_sturm_chain(f), f
 
 
 def test_squarefree_degree6_agrees_with_poly_gcd():
@@ -595,10 +587,11 @@ def test_squarefree_degree6_agrees_with_poly_gcd():
     for trial in range(150):
         if trial % 2:
             g = random_unipoly(rng, rng.randint(1, 3))
-            f = g * g * random_unipoly(rng, 6 - 2 * g.degree())
+            h = random_unipoly(rng, 6 - 2 * g.degree())
+            f = _from_sympy(_to_sympy(g) ** 2 * _to_sympy(h))
         else:
             f = random_unipoly(rng, rng.choice((5, 6, 6, 6)))
-        expected = f.degree() == 6 and poly_gcd(f, f.derivative()).degree() == 0
+        expected = f.degree() == 6 and _gcd_degree(f, f.derivative()) == 0
         assert squarefree_degree6(f) == expected, f
 
 
@@ -635,9 +628,8 @@ def _sylvester_det_oracle(f: UniPoly, g: UniPoly) -> int:
 
 
 def test_resultant_properties():
-    x = UniPoly.x()
     # Res(x - 2, g) = g(2) by the product formula.
-    assert resultant(x - UniPoly.constant(2), UniPoly((1, 0, 1))) == 5
+    assert resultant(UniPoly((-2, 1)), UniPoly((1, 0, 1))) == 5
     rng = random.Random(20260407)
     for _ in range(30):
         f = random_unipoly(rng, rng.randint(1, 4))
@@ -687,9 +679,7 @@ def test_repeated_roots_match_brute_force():
 
 def test_repeated_roots_large_prime_ladder():
     # (x - 12345)^2 (x^2 + 1)(x^2 + 2) has exactly one repeated root.
-    x = UniPoly.x()
-    a = UniPoly.constant(12345)
-    f = (x - a) * (x - a) * UniPoly((1, 0, 1)) * UniPoly((2, 0, 1))
+    f = _from_sympy((_T - 12345) ** 2 * (_T**2 + 1) * (_T**2 + 2))
     q = 2**31 - 1
     roots = repeated_roots_mod_p(f, q)
     assert roots == [12345]

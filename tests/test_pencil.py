@@ -15,13 +15,13 @@ from quadpencil import (
     QuadraticForm,
     characteristic_form,
     curve_data,
-    gram_matrix,
     smoothness_check,
 )
-from quadpencil.exactmath import UniPoly, det_poly_matrix
+from quadpencil.exactmath import UniPoly
 
 from conftest import BAD_PRIMES, CHAR_FORM_COEFFS, CURVE_DISC
 
+from test_localcert import exact as qpbench_exact
 from test_quadric import random_form
 
 
@@ -152,20 +152,11 @@ def test_non_integral_characteristic_form_raises():
         PencilOfQuadrics(q1, q2)
 
 
-def det_poly_matrix_char_form(q1: QuadraticForm, q2: QuadraticForm):
-    """-det(M1 - t*M2) over UniPoly entries with Fraction coefficients.
-
-    Returns None when the result is not integral.
-    """
-    m1, m2 = gram_matrix(q1), gram_matrix(q2)
-    rows = [
-        [UniPoly((a, -b)) for a, b in zip(r1, r2)] for r1, r2 in zip(m1, m2)
-    ]
-    det = det_poly_matrix(rows)
-    if not isinstance(det, UniPoly):
-        det = UniPoly.constant(det)
-    f = -det
-    return f.to_integer_coeffs() if f.is_integral() else None
+def oracle_char_form(q1: QuadraticForm, q2: QuadraticForm):
+    """-det(M1 - t*M2) by qpbench/exact.py (Bareiss at t = 0..6, Lagrange
+    interpolation over Q), as a coefficient tuple; None when not integral."""
+    f = qpbench_exact.integral_char_form(q1.coeffs, q2.coeffs)
+    return None if f is None else tuple(f)
 
 
 def even_mixed_form(rng: random.Random, bound: int) -> QuadraticForm:
@@ -186,9 +177,9 @@ def test_characteristic_form_equals_the_det_poly_matrix_route():
     for bound in (1, 9, 10**6):
         for _ in range(15):
             q1, q2 = even_mixed_form(rng, bound), even_mixed_form(rng, bound)
-            expected = det_poly_matrix_char_form(q1, q2)
+            expected = oracle_char_form(q1, q2)
             assert expected is not None
-            assert PencilOfQuadrics(q1, q2).char_form == expected
+            assert PencilOfQuadrics(q1, q2).char_form.coeffs == expected
 
 
 def test_characteristic_form_takes_seven_determinants(monkeypatch, example_pencil):
@@ -215,13 +206,13 @@ def test_one_odd_mixed_coefficient_raises_as_the_det_poly_matrix_route():
         i, j = sorted(rng.sample(range(NUM_VARIABLES), 2))
         q2[(i, j)] = 2 * rng.randint(-9, 9) + 1
         q2 = QuadraticForm(q2)
-        expected = det_poly_matrix_char_form(q1, q2)
+        expected = oracle_char_form(q1, q2)
         if expected is None:
             raised += 1
             with pytest.raises(NonIntegralCharacteristicFormError):
                 PencilOfQuadrics(q1, q2)
         else:
-            assert PencilOfQuadrics(q1, q2).char_form == expected
+            assert PencilOfQuadrics(q1, q2).char_form.coeffs == expected
     assert raised >= 20
 
 

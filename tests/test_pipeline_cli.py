@@ -6,6 +6,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -36,6 +39,7 @@ from conftest import (
 
 EXAMPLE = str(EXAMPLE_PATH)
 NO_WITNESS = str(NO_WITNESS_PATH)
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 INCOMPLETE_AT_2 = "no smooth Fano point certificate at 2"
 
@@ -410,13 +414,65 @@ def test_charform_subcommand(tmp_path):
         "-1",
     ]
     assert doc["smoothness"] == "smooth"
-    assert "t^6" in doc["pretty"]
+    assert doc["pretty"] == "-t^6 - 3t^5 + 2t^4 + 3t^3 - 3t^2 - 3t - 2"
     assert "f(t) =" in err
+    # f = 2 + t - 3t^2 + 2t^4 - t^5 - t^6: a zero, two -1s, a 1 and a constant.
+    path = tmp_path / "sextic.txt"
+    path.write_text(
+        "Q1: 2u^2 - v^2 + w^2 + x^2 + y^2 + z^2\n"
+        "Q2: -u^2 + 2ux - 2vx - w^2 + x^2 - y^2 + z^2\n"
+    )
+    out, _, code = run_cli(["charform", str(path)])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["characteristic_form"]["coefficients_lowest_first"] == [
+        "2", "1", "-3", "0", "2", "-1", "-1",
+    ]
+    assert doc["pretty"] == "-t^6 - t^5 + 2t^4 - 3t^2 + t + 2"
     path = tmp_path / "nonintegral.txt"
     path.write_text("Q1: uv\nQ2: u^2 + v^2 + w^2 + x^2 + y^2 + z^2\n")
     out, _, code = run_cli(["charform", str(path)])
     assert code == 2
     assert "error" in json.loads(out)
+
+
+# Q1 has even mixed coefficients, Q2 odd ones, and -det(M1 - t*M2) has a
+# 2^-k tail.
+NON_INTEGRAL_PENCIL = (
+    "Q1: -2uw + 2yz\n"
+    "Q2: -ux + 2uy + 2uz + 3v^2 + vx + vz + 2w^2 + xy + xz + 3yz\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze"],
+        ["charform"],
+        ["reduction", "--prime", "3"],
+        ["fano-search", "--prime", "3"],
+        ["verify-point", "--prime", "3", "--chart", "1,2", "--coords", "0,0,0,0,0,0,0,0"],
+        ["verify-ambient", "--coords", "1,0,0,0,0,0"],
+    ],
+)
+def test_non_integral_characteristic_form_exits_2_from_every_subcommand(tmp_path, argv):
+    path = tmp_path / "nonintegral.txt"
+    path.write_text(NON_INTEGRAL_PENCIL)
+    done = subprocess.run(
+        [sys.executable, "-m", "quadpencil.cli", argv[0], str(path), *argv[1:]],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    if argv[0] == "analyze":
+        assert json.loads(done.stdout)["verdict"] == (
+            "incomplete: non-integral characteristic form"
+        )
+    else:
+        assert done.stdout == '{"error":"non-integral characteristic form"}\n'
+        assert done.stderr == "error: non-integral characteristic form\n"
 
 
 def test_fano_search_found(tmp_path):
