@@ -6,7 +6,6 @@ from .integers import (
     is_probable_prime,
 )
 from .matrix import (
-    det_cofactor,
     det_poly_matrix,
     kernel_mod_p,
     poly_discriminant,
@@ -28,7 +27,6 @@ __all__ = [
     "FactorizationError",
     "MultiPoly",
     "UniPoly",
-    "det_cofactor",
     "det_poly_matrix",
     "factor_with_hints",
     "is_probable_prime",

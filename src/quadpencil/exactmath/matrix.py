@@ -23,8 +23,7 @@ def det_poly_matrix(rows) -> int:
 
     Entries are ints.  Each step divides exactly by the previous pivot, so
     floor division is exact.  Dimension is capped at 16.  The name is kept
-    for the benchmark's tracer, which wraps ``pencil.det_poly_matrix``.  For
-    cross-checking see det_cofactor.
+    for the benchmark's tracer, which wraps ``pencil.det_poly_matrix``.
     """
     a = _square_rows(rows)
     n = len(a)
@@ -47,26 +46,6 @@ def det_poly_matrix(rows) -> int:
         prev = a[k][k]
     result = a[n - 1][n - 1]
     return -result if sign < 0 else result
-
-
-def det_cofactor(rows):
-    """Cofactor-expansion determinant (exponential; cross-check oracle)."""
-    rows = _square_rows(rows)
-
-    def rec(r: list[list]):
-        n = len(r)
-        if n == 1:
-            return r[0][0]
-        total = 0
-        for j in range(n):
-            if r[0][j] == 0:
-                continue
-            minor = [row[:j] + row[j + 1 :] for row in r[1:]]
-            term = r[0][j] * rec(minor)
-            total = total - term if j % 2 else total + term
-        return total
-
-    return rec(rows)
 
 
 # ---------------------------------------------------------------------------

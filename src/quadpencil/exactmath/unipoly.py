@@ -54,13 +54,6 @@ class UniPoly:
     def __repr__(self) -> str:
         return f"UniPoly({list(self.coeffs)!r})"
 
-    def evaluate(self, point):
-        """Horner evaluation; exact for int/Fraction points."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
-
     def derivative(self) -> "UniPoly":
         return UniPoly(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
 

@@ -4,6 +4,7 @@ and the real place."""
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from operator import mul
 from typing import NamedTuple
 
@@ -119,15 +120,33 @@ def _polar_products(polars, v, p: int) -> list:
     return [[sum(map(mul, r, v)) % p for r in P] for P in polars]
 
 
+def _rank_can_be_6(chart: GrassmannChart, pas, pbs, p: int) -> bool:
+    """False when the line's Jacobian on chart has rank < 6 for a visible reason.
+
+    Per form, with u = Pa and v = Pb restricted to the chart's non-pivot
+    columns, fano.polar_jacobian has the three rows [u,0], [v,u] and [0,v]
+    (interleaved).  If u and v are linearly dependent mod p, both lie in the
+    span of one w, so the three rows lie in the span of [w,0] and [0,w] and
+    have rank <= 2; the six rows then have rank <= 2 + 3 < 6.  So rank 6
+    needs u, v independent, i.e. a nonzero 2x2 minor, for both forms.
+    """
+    cols = chart.non_pivots
+    return all(
+        any((pa[c] * pb[d] - pa[d] * pb[c]) % p for c, d in combinations(cols, 2))
+        for pa, pb in zip(pas, pbs)
+    )
+
+
 def _cell_lines(pencil: PencilOfQuadrics, cells, p: int) -> list:
-    """Each F_p-line (a, b) of X in the given Schubert cells of Gr(2,6), with rank.
+    """Each F_p-line (a, b, smooth) of X in the given Schubert cells of Gr(2,6).
 
     Cell (i, j) holds the lines with echelon basis a (1 at column i, 0 before
     i and at j) and b (1 at j, 0 before j), one cell per line.  The points of
     X with each pivot are found once (each form is a quadratic in the free
     columns after the pivot); row a of cell (i, j) is those with pivot i and
-    a_j = 0.  Pairs are kept when (Pb).a = 0 for both polar matrices P, and
-    fano.polar_jacobian on chart (i, j) gives each line's rank.
+    a_j = 0.  Pairs are kept when (Pb).a = 0 for both polar matrices P.  A
+    line is smooth when fano.polar_jacobian on chart (i, j) has rank 6; the
+    rank is computed only where _rank_can_be_6 allows it.
     """
     polars = (polar_matrix(pencil.q1), polar_matrix(pencil.q2))
 
@@ -152,30 +171,9 @@ def _cell_lines(pencil: PencilOfQuadrics, cells, p: int) -> list:
             for b, pbs in rows_b[j]:
                 if sum(map(mul, pbs[0], a)) % p == 0 and sum(map(mul, pbs[1], a)) % p == 0:
                     pas = pas or _polar_products(polars, a, p)
-                    lines.append((a, b, rank_mod_p(polar_jacobian(chart, pas, pbs), p)))
+                    lines.append((a, b, _rank_can_be_6(chart, pas, pbs, p) and rank_mod_p(
+                        polar_jacobian(chart, pas, pbs), p) == FANO_CODIMENSION))
     return lines
-
-
-def _chart_points(pencil: PencilOfQuadrics, p: int, charts) -> list:
-    """(chart, sorted (point, rank) pairs) for each chart, in pivot order.
-
-    Scans the cells (i, j) with i <= k and j <= l for a chart (k, l): they hold
-    its lines, read off by _chart_coordinates.  A line's rank is the same on
-    every chart: on an overlap the charts' six equations differ by the
-    invertible Sym^2 base change of the line's basis, so their Jacobians have
-    equal rank at any point of the system.
-    """
-    charts = sorted(charts, key=lambda c: c.pivots)
-    cells = [(i, j) for i, j in (cell.pivots for cell in all_charts())
-             if any(i <= k and j <= l for k, l in (c.pivots for c in charts))]
-    lines = _cell_lines(pencil, cells, p)
-
-    def read_off(chart):
-        for a, b, rank in lines:
-            if (coords := _chart_coordinates(chart, a, b, p)) is not None:
-                yield coords, rank
-
-    return [(chart, sorted(read_off(chart))) for chart in charts]
 
 
 class CensusEntry(NamedTuple):
@@ -191,8 +189,13 @@ def chart_census(
 ) -> list[CensusEntry]:
     """Exhaustive census over F_p of the given charts (all 15 by default).
 
-    Each F_p-line of X is found once, in its Schubert cell, and then read off
-    in every requested chart that contains it (see _chart_points).
+    Each F_p-line of X is found once, in its Schubert cell (see _cell_lines);
+    a chart (k, l) needs the cells (i, j) with i <= k and j <= l.  The chart
+    holds the lines whose Plücker minor a_k b_l - a_l b_k is nonzero mod p:
+    it counts them, and reads chart coordinates off the smooth ones only.  A
+    line's rank is the same on every chart: on an overlap the charts' six
+    equations differ by the invertible Sym^2 base change of the line's basis,
+    so their Jacobians have equal rank at any point of the system.
     Deterministic: charts in lexicographic pivot order, points sorted.
     Raises ValueError above EXHAUSTIVE_PRIME_HARD_CAP.
     """
@@ -202,12 +205,17 @@ def chart_census(
         raise ValueError(
             f"exhaustive scan infeasible for p > {EXHAUSTIVE_PRIME_HARD_CAP}"
         )
+    charts = sorted(all_charts() if charts is None else charts, key=lambda c: c.pivots)
+    cells = [(i, j) for i, j in (cell.pivots for cell in all_charts())
+             if any(i <= k and j <= l for k, l in (c.pivots for c in charts))]
+    lines = _cell_lines(pencil, cells, prime)
     census = []
-    for chart, points in _chart_points(
-        pencil, prime, all_charts() if charts is None else charts
-    ):
-        smooth = tuple(pt for pt, rank in points if rank == FANO_CODIMENSION)
-        census.append(CensusEntry(chart, len(points), smooth))
+    for chart in charts:
+        k, l = chart.pivots
+        count = sum(1 for a, b, _ in lines if (a[k] * b[l] - a[l] * b[k]) % prime)
+        points = sorted(coords for a, b, smooth in lines if smooth and (
+            coords := _chart_coordinates(chart, a, b, prime)) is not None)
+        census.append(CensusEntry(chart, count, tuple(points)))
     return census
 
 

@@ -3,7 +3,9 @@ degeneracy evidence."""
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, product
+from functools import reduce
+from itertools import combinations_with_replacement, compress, product
+from operator import xor
 from typing import NamedTuple
 
 from .exactmath import (
@@ -373,6 +375,27 @@ _ALL_LINEAR_FORMS = [
     vec for vec in product((0, 1), repeat=NUM_VARIABLES) if any(vec)
 ]
 
+# 64-bit masks over F_2^6: bit x stands for the point whose coordinate i is
+# bit i of x.  A linear form is 1 on the XOR of its coordinates' masks, and
+# its hyperplane is the complement.
+_COORDINATE_MASKS = (0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
+                     0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000)
+_HYPERPLANE_MASKS = [~reduce(xor, compress(_COORDINATE_MASKS, vec)) & (1 << 64) - 1
+                     for vec in _ALL_LINEAR_FORMS]
+
+
+def _linear_divisors(coeffs: dict[tuple[int, int], int]) -> list:
+    """The linear forms of _ALL_LINEAR_FORMS, in order, dividing a nonzero
+    reduced form.
+
+    a divides the form iff the form restricted to a = 0 is 0, i.e. (distinct
+    quadratic forms over F_2 being distinct functions) iff the form is 0 at
+    every point of that hyperplane: (hyperplane mask) AND (mask of the
+    points where the form is 1) = 0.
+    """
+    ones = reduce(xor, (_COORDINATE_MASKS[i] & _COORDINATE_MASKS[j] for i, j in coeffs))
+    return [a for a, h in zip(_ALL_LINEAR_FORMS, _HYPERPLANE_MASKS) if not h & ones]
+
 
 def mod2_degeneracy(pencil: PencilOfQuadrics) -> dict:
     """Evidence for reducibility/non-reducedness of X mod 2.
@@ -396,10 +419,8 @@ def mod2_degeneracy(pencil: PencilOfQuadrics) -> dict:
         if not coeffs:
             classifications[label] = "vanishes identically mod 2"
             continue
-        # A linear form a divides the form iff the form vanishes on a = 0.
-        divisors = [a for a in _ALL_LINEAR_FORMS if not _restrict_to_hyperplane(coeffs, a)]
         factor_pairs = []
-        for a, b in combinations_with_replacement(divisors, 2):
+        for a, b in combinations_with_replacement(_linear_divisors(coeffs), 2):
             if _product_coeffs(a, b) == coeffs:
                 factor_pairs.append((a, b))
         for a, b in factor_pairs:

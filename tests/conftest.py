@@ -11,6 +11,7 @@ from math import lcm
 import pytest
 
 from quadpencil import PencilOfQuadrics, QuadraticForm
+from quadpencil.fano import _chart_coordinates
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 EXAMPLE_PATH = os.path.join(DATA_DIR, "example_pencil.txt")
@@ -125,6 +126,33 @@ def _form_value(coeffs, x) -> int:
     return sum(c * x[i] * x[j] for (i, j), c in coeffs.items())
 
 
+def det_cofactor(rows):
+    """Cofactor-expansion determinant (exponential; cross-check oracle)."""
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("non-square input")
+
+    def rec(r: list[list]):
+        if len(r) == 1:
+            return r[0][0]
+        total = 0
+        for j, entry in enumerate(r[0]):
+            if entry == 0:
+                continue
+            term = entry * rec([row[:j] + row[j + 1 :] for row in r[1:]])
+            total = total - term if j % 2 else total + term
+        return total
+
+    return rec([list(row) for row in rows])
+
+
+def evaluate_poly(f, point):
+    """Horner value of the UniPoly f at point; exact for int/Fraction points."""
+    acc = 0
+    for c in reversed(f.coeffs):
+        acc = acc * point + c
+    return acc
+
+
 def clear_row_denominators(rows) -> tuple[list[list[int]], int]:
     """Row i times the lcm d_i of its denominators, and the product of the d_i.
 
@@ -136,6 +164,23 @@ def clear_row_denominators(rows) -> tuple[list[list[int]], int]:
         scaled.append([int(x * d) for x in row])
         scale *= d
     return scaled, scale
+
+
+def chart_read_off(lines, charts, p: int) -> list:
+    """(chart, sorted (coordinates, tag) pairs) per chart, in pivot order.
+
+    lines holds (a, b, tag) triples, one per F_p-line; every line is read
+    off in every chart that contains it, i.e. where _chart_coordinates is
+    not None.  With exact ranks as tags this is the oracle of chart_census,
+    which counts lines by Plücker minor instead.
+    """
+    def read_off(chart):
+        for a, b, tag in lines:
+            if (coords := _chart_coordinates(chart, a, b, p)) is not None:
+                yield coords, tag
+
+    return [(chart, sorted(read_off(chart)))
+            for chart in sorted(charts, key=lambda c: c.pivots)]
 
 
 def lift_census_mod_2k(q1_coeffs, q2_coeffs, levels, charts=None):

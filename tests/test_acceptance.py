@@ -25,7 +25,7 @@ import pytest
 
 from quadpencil import PencilOfQuadrics, QuadraticForm
 from quadpencil.exactmath.integers import factor_with_hints
-from quadpencil.exactmath.matrix import det_cofactor, det_poly_matrix
+from quadpencil.exactmath.matrix import det_poly_matrix
 from quadpencil.exactmath.unipoly import (
     UniPoly,
     isolate_real_roots,
@@ -67,6 +67,8 @@ from conftest import (
     SINGULAR_POINT_CANONICAL,
     SINGULAR_POINT_VERBATIM,
     clear_row_denominators,
+    det_cofactor,
+    evaluate_poly,
     lift_census_mod_2k,
 )
 from test_pipeline_cli import run_cli
@@ -135,7 +137,7 @@ def test_criterion_04_real_place(capsys):
     located = all(
         any(
             hi - lo < width_cap
-            and f.evaluate(lo) * f.evaluate(hi) < 0
+            and evaluate_poly(f, lo) * evaluate_poly(f, hi) < 0
             and abs((lo + hi) / 2 - printed) < proximity
             for lo, hi in intervals
         )

@@ -8,14 +8,17 @@ import os
 import random
 from fractions import Fraction
 from operator import mul
+from types import SimpleNamespace
 
 import pytest
 
 from quadpencil import (
     NUM_PARAMETERS,
+    CensusEntry,
     CurveData,
     GrassmannChart,
     PencilOfQuadrics,
+    QuadraticForm,
     all_charts,
     chart_census,
     curve_data,
@@ -27,14 +30,13 @@ from quadpencil import (
     verify_fano_point,
     verify_projective_point,
 )
-from quadpencil import localcert
 from quadpencil.exactmath import UniPoly, rank_mod_p, rref_mod_p, sturm_count
 from quadpencil.fano import chart_point_rows, polar_jacobian
 from quadpencil.localcert import (
     _cell_lines,
-    _chart_points,
     _conic_pair_zeros,
     _half_zeros,
+    _rank_can_be_6,
     smooth_line_through_point,
 )
 from quadpencil.quadric import NUM_VARIABLES, polar_matrix
@@ -49,6 +51,8 @@ from conftest import (
     P3_LIFT_MOD_27,
     P3_SMOOTH_POINT,
     REAL_ROOTS_PRINTED,
+    chart_read_off,
+    evaluate_poly,
     random_form,
 )
 
@@ -130,20 +134,30 @@ def _pencils(example_pencil):
     ]
 
 
+ALL_CELLS = [chart.pivots for chart in all_charts()]
+
+
 def test_scan_chart_matches_the_naive_scan(example_pencil):
+    """Every on-system point of the naive scan is a cell line read off in its
+    chart, with smooth flag (naive rank == 6); the census keeps its count and
+    its smooth points."""
     two_charts = [GrassmannChart(CHART_PIVOTS), GrassmannChart((0, 5))]
     points = smooth = 0
     for pencil in _pencils(example_pencil):
         for p, charts in ((2, all_charts()), (3, two_charts)):
-            for chart, found in _chart_points(pencil, p, charts):
-                assert found == _naive_scan(pencil, chart, p), (pencil, chart, p)
+            lines = _cell_lines(pencil, ALL_CELLS, p)
+            census = chart_census(pencil, p, charts)
+            for (chart, found), entry in zip(chart_read_off(lines, charts, p), census):
+                naive = _naive_scan(pencil, chart, p)
+                assert found == [(pt, rank == 6) for pt, rank in naive], (pencil, chart, p)
+                assert entry == CensusEntry(
+                    chart, len(naive), tuple(pt for pt, rank in naive if rank == 6))
                 points += len(found)
-                smooth += sum(rank == 6 for _, rank in found)
+                smooth += len(entry.smooth_points)
     assert points >= 300 and smooth >= 10
 
 
 def test_cell_scan_enumerates_each_line_once(example_pencil):
-    cells = [chart.pivots for chart in all_charts()]
     for pencil in _pencils(example_pencil):
         for p in (2, 3):
             naive = set()
@@ -151,7 +165,7 @@ def test_cell_scan_enumerates_each_line_once(example_pencil):
                 for point, _ in _naive_scan(pencil, chart, p):
                     echelon, _ = rref_mod_p(chart_point_rows(chart, point), p)
                     naive.add(tuple(map(tuple, echelon)))
-            lines = [(tuple(a), tuple(b)) for a, b, _ in _cell_lines(pencil, cells, p)]
+            lines = [(tuple(a), tuple(b)) for a, b, _ in _cell_lines(pencil, ALL_CELLS, p)]
             assert len(lines) == len(set(lines)) == len(naive), (pencil, p)
             assert set(lines) == naive
 
@@ -260,15 +274,61 @@ def _per_cell_lines(pencil, cells, p):
     ]
 
 
-def test_chart_points_match_the_per_cell_scan(example_pencil, monkeypatch):
+def test_chart_points_match_the_per_cell_scan(example_pencil):
+    """chart_census equals the per-chart read-off of the per-cell scan's lines
+    with their exact ranks, over all 15 charts, some, and each one alone."""
     some_charts = [GrassmannChart(CHART_PIVOTS), GrassmannChart((0, 5)),
                    GrassmannChart((4, 5))]
-    runs = [(pencil, p, charts) for pencil in _pencils(example_pencil)
-            for p in (5, 7) for charts in (all_charts(), some_charts)]
-    found = [_chart_points(*run) for run in runs]
-    monkeypatch.setattr(localcert, "_cell_lines", _per_cell_lines)
-    assert found == [_chart_points(*run) for run in runs]
-    assert sum(len(points) for entries in found for _, points in entries) >= 1000
+    points = 0
+    for pencil in _pencils(example_pencil):
+        for p in (5, 7):
+            expected = [
+                CensusEntry(chart, len(found), tuple(pt for pt, rank in found if rank == 6))
+                for chart, found in chart_read_off(
+                    _per_cell_lines(pencil, ALL_CELLS, p), all_charts(), p)
+            ]
+            assert chart_census(pencil, p) == expected
+            assert chart_census(pencil, p, some_charts[::-1]) == [
+                entry for entry in expected if entry.chart in some_charts]
+            for entry in expected:
+                assert chart_census(pencil, p, [entry.chart]) == [entry]
+            points += sum(entry.on_fano_count for entry in expected)
+    assert points >= 1000
+
+
+def _filter_pencils(example_pencil):
+    """The bundled forms, 20 random_form pencils, and 10 pairs with odd mixed
+    coefficients: random_form's polar matrices vanish mod 2, so only the
+    latter have smooth F_2-lines.  _cell_lines reads only q1 and q2, so those
+    pairs need no integral characteristic form."""
+    rng = random.Random(16)
+
+    def odd_form():
+        return QuadraticForm({(i, j): c for i in range(6) for j in range(i, 6)
+                              if (c := rng.randint(-3, 3))})
+
+    return [example_pencil, parse_input(NO_WITNESS_PATH).pencil] + [
+        PencilOfQuadrics(random_form(rng), random_form(rng)) for _ in range(20)
+    ] + [SimpleNamespace(q1=odd_form(), q2=odd_form()) for _ in range(10)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_rank_filter_is_sound(example_pencil, p):
+    """A line the filter rules out has exact rank < 6, and every smooth flag
+    is (exact rank == 6) on the line's cell chart."""
+    ruled_out = smooth = 0
+    for pencil in _filter_pencils(example_pencil):
+        polars = (polar_matrix(pencil.q1), polar_matrix(pencil.q2))
+        for a, b, flag in _cell_lines(pencil, ALL_CELLS, p):
+            chart = GrassmannChart((a.index(1), b.index(1)))
+            pas, pbs = ([[sum(map(mul, r, v)) % p for r in P] for P in polars] for v in (a, b))
+            rank = rank_mod_p(polar_jacobian(chart, pas, pbs), p)
+            assert flag == (rank == 6), (pencil, a, b, p)
+            if not _rank_can_be_6(chart, pas, pbs, p):
+                assert rank < 6, (pencil, a, b, p)
+                ruled_out += 1
+            smooth += flag
+    assert ruled_out > 0 and smooth > 0
 
 
 def test_single_chart_census_equals_its_entry_in_the_full_census(example_pencil):
@@ -479,7 +539,7 @@ def test_real_place_report_on_example(example_pencil):
         assert width < Fraction(1, 10**6)
         # Genuine isolation: exactly one sign change of f across [lo, hi].
         f = example_pencil.char_form
-        assert f.evaluate(lo) * f.evaluate(hi) < 0
+        assert evaluate_poly(f, lo) * evaluate_poly(f, hi) < 0
         # The midpoint rounds to the printed 5-decimal approximation.
         midpoint = (lo + hi) / 2
         assert abs(midpoint - printed) < Fraction(5, 10**6)

@@ -508,6 +508,23 @@ def test_fano_search_is_exhaustive_above_5():
     assert (again, code2) == (out, code)
 
 
+# sha256 of `fano-search --prime p` stdout over all 15 charts.  The bundled
+# files hold the same two forms, so they share each digest.
+FANO_SEARCH_SHA256 = {
+    2: "fc93e69cd3d7f54c5dc469c76b5e70c7c650e2103328e713957483e587092b74",
+    3: "cbad75147df778a7c6907c6ad3ccf91ff46e4345026a5caac9414e0ab9bf4b94",
+    5: "cbed1a2de9975d754ba5fbd6cb44469856311ec3e12035bb8a74f30d3f1c9600",
+}
+
+
+@pytest.mark.parametrize("path", [EXAMPLE, NO_WITNESS])
+@pytest.mark.parametrize("prime", sorted(FANO_SEARCH_SHA256))
+def test_fano_search_stdout_matches_golden_digests(path, prime):
+    out, _, code = run_cli(["fano-search", path, "--prime", str(prime)])
+    assert code == (1 if prime == 2 else 0)
+    assert hashlib.sha256(out.encode()).hexdigest() == FANO_SEARCH_SHA256[prime]
+
+
 def test_verify_point_subcommand():
     out, _, code = run_cli(
         [

@@ -22,6 +22,7 @@ from quadpencil import (
 )
 from quadpencil.exactmath import kernel_mod_p, poly_discriminant, repeated_roots_mod_p
 from quadpencil.quadric import polar_form, polar_matrix
+from quadpencil import reduction
 from quadpencil.reduction import KernelCandidateCapError, _binary_roots
 
 from conftest import (
@@ -29,6 +30,7 @@ from conftest import (
     REPEATED_ROOT_MOD_BIG,
     SINGULAR_POINT_CANONICAL,
     SINGULAR_POINT_VERBATIM,
+    evaluate_poly,
     random_form,
 )
 
@@ -53,9 +55,9 @@ def test_singular_point_lies_on_the_reduction(example_pencil):
     assert evaluate_form(example_pencil.q2, point) % BIG_PRIME == 0
     # It spans the kernel of M1 - t0*M2 at the repeated root t0 of f mod p.
     f = example_pencil.char_form
-    assert f.evaluate(REPEATED_ROOT_MOD_BIG) % BIG_PRIME == 0
+    assert evaluate_poly(f, REPEATED_ROOT_MOD_BIG) % BIG_PRIME == 0
     df = f.derivative()
-    assert df.evaluate(REPEATED_ROOT_MOD_BIG) % BIG_PRIME == 0
+    assert evaluate_poly(df, REPEATED_ROOT_MOD_BIG) % BIG_PRIME == 0
 
 
 def test_singular_locus_empty_at_good_small_primes(example_pencil):
@@ -375,3 +377,59 @@ def test_mod2_factorizations_match_the_pair_scan():
                 counts["product"] += 1
     assert counts["square"] >= 100 and counts["product"] >= 100
     assert counts["irreducible"] >= 50
+
+
+def test_f2_point_masks_mark_coordinates_and_hyperplanes():
+    # Bit x of a mask is the point of F_2^6 whose coordinate i is bit i of x.
+    points = [[x >> i & 1 for i in range(6)] for x in range(64)]
+    for i, mask in enumerate(reduction._COORDINATE_MASKS):
+        assert [mask >> x & 1 for x in range(64)] == [pt[i] for pt in points]
+    assert len(reduction._HYPERPLANE_MASKS) == len(reduction._ALL_LINEAR_FORMS) == 63
+    for vec, mask in zip(reduction._ALL_LINEAR_FORMS, reduction._HYPERPLANE_MASKS):
+        on_plane = [sum(a * b for a, b in zip(vec, pt)) % 2 == 0 for pt in points]
+        assert [mask >> x & 1 for x in range(64)] == on_plane
+
+
+def _restriction_divisors(coeffs) -> list:
+    """The divisor scan mod2_degeneracy once ran: a divides the form iff the
+    form restricted to a = 0, by substitution into the dict, is empty."""
+    return [a for a in reduction._ALL_LINEAR_FORMS
+            if not reduction._restrict_to_hyperplane(coeffs, a)]
+
+
+def test_mod2_mask_divisors_match_the_restriction_scan(monkeypatch):
+    """Same report with divisors found by mask or by restriction, on 2,000
+    seeded pairs of forms and on every product l*m and square l^2 of nonzero
+    linear forms (each paired with a random such product)."""
+    rng = random.Random(16)
+    monomials = [(i, j) for i in range(6) for j in range(i, 6)]
+    forms = [v for v in itertools.product((0, 1), repeat=6) if any(v)]
+    products = [QuadraticForm(dict.fromkeys(_f2_product(a, b), 1))
+                for a, b in itertools.combinations_with_replacement(forms, 2)]
+
+    def random_quadric() -> QuadraticForm:
+        if rng.random() < 0.5:
+            return rng.choice(products)
+        density = rng.random()
+        coeffs = {key: rng.choice((-3, -2, -1, 1, 2, 3)) for key in monomials
+                  if rng.random() < density}
+        return QuadraticForm(coeffs or {(0, 0): 2})
+
+    pairs = [(random_quadric(), random_quadric()) for _ in range(2000)]
+    pairs += [(q, rng.choice(products)) for q in products]
+    pencils = [SimpleNamespace(q1=q1, q2=q2) for q1, q2 in pairs]
+    scanned: dict = {}  # the products recur, and the scan is slow
+
+    def restriction_divisors(coeffs) -> list:
+        key = frozenset(coeffs.items())
+        if key not in scanned:
+            scanned[key] = _restriction_divisors(coeffs)
+            assert reduction._linear_divisors(coeffs) == scanned[key], coeffs
+        return scanned[key]
+
+    reports = [mod2_degeneracy(pencil) for pencil in pencils]
+    monkeypatch.setattr(reduction, "_linear_divisors", restriction_divisors)
+    assert reports == [mod2_degeneracy(pencil) for pencil in pencils]
+    assert sum(bool(r["square_forms"]) for r in reports) >= 100
+    assert sum(bool(r["non_reduced_evidence"]) for r in reports) >= 100
+    assert sum(not r["linear_factorizations"] for r in reports) >= 100
