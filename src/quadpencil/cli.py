@@ -215,12 +215,7 @@ def _cmd_verify_ambient(args) -> int:
 
 
 def _cmd_reduction(args) -> int:
-    from .reduction import (
-        EXHAUSTIVE_LOCUS_PRIME_BOUND,
-        cone_check,
-        mod2_degeneracy,
-        singular_locus,
-    )
+    from .reduction import cone_check, mod2_degeneracy, singular_locus
 
     parsed = parse_input(args.file)
     prime = _require_prime(args.prime)
@@ -229,15 +224,11 @@ def _cmd_reduction(args) -> int:
         report["prime"] = 2
         _emit(report, [f"mod 2: {report['verdict']}"])
         return EXIT_POSITIVE
-    if args.method == "exhaustive" and prime > EXHAUSTIVE_LOCUS_PRIME_BOUND:
-        raise _UsageError(
-            f"--method exhaustive requires p <= {EXHAUSTIVE_LOCUS_PRIME_BOUND}"
-        )
     try:
-        locus = singular_locus(parsed.pencil, prime, method=args.method)
+        locus = singular_locus(parsed.pencil, prime)
     except ValueError as error:
-        # a form vanishes mod p, not a complete intersection mod p, or an
-        # infeasible method request
+        # a form vanishes mod p, not a complete intersection mod p, or the
+        # kernel candidate cap
         _emit({"error": str(error)}, [f"error: {error}"])
         return EXIT_INCOMPLETE
     document = {
@@ -341,15 +332,6 @@ def _build_parser() -> _Parser:
     )
     p_reduction.add_argument("file")
     p_reduction.add_argument("--prime", type=int, required=True)
-    p_reduction.add_argument(
-        "--method",
-        choices=("exhaustive", "kernel-guided"),
-        default="kernel-guided",
-        help=(
-            "singular-locus strategy (default: kernel-guided, at every odd "
-            "prime; exhaustive scans P^5(F_p) and needs a small p)"
-        ),
-    )
     p_reduction.set_defaults(handler=_cmd_reduction)
 
     return parser

@@ -23,16 +23,14 @@ from .quadric import (
     QuadraticForm,
     evaluate_form,
     gradient_at,
+    polar_form,
     polar_matrix,
     restrict_to_line,
 )
 
-# Largest prime for which the exhaustive P^5(F_p) scan, the test oracle of
-# the kernel-guided method, is offered.
-EXHAUSTIVE_LOCUS_PRIME_BOUND = 13
-
-# Hard cap on kernel-subspace candidates in the kernel-guided method, and
-# on its p + 1 kernel solves when f vanishes identically mod p.
+# Hard cap on the kernel quadratics (or kernel points) that the singular-locus
+# search solves, and on its p + 1 kernel solves when f vanishes identically
+# mod p.
 KERNEL_CANDIDATE_CAP = 10**6
 
 
@@ -41,7 +39,7 @@ class DegenerateReductionError(ValueError):
 
 
 class KernelCandidateCapError(ValueError):
-    """The kernel-guided method would exceed KERNEL_CANDIDATE_CAP candidates."""
+    """The singular-locus search would exceed KERNEL_CANDIDATE_CAP candidates."""
 
 
 def _check_candidate_cap(count: int) -> None:
@@ -145,7 +143,8 @@ class SingularLocusReport(NamedTuple):
 
     points are canonical projective representatives (first nonzero coordinate
     1), sorted; ranks[i] is the rank of the stacked gradient matrix of
-    (Q1, Q2) at points[i]; conical is True iff some rank is 0.
+    (Q1, Q2) at points[i]; method is "kernel-guided", the search that found
+    them; conical is True iff some rank is 0.
     """
 
     prime: int
@@ -155,61 +154,40 @@ class SingularLocusReport(NamedTuple):
     conical: bool
 
 
-def _ambient_rank(r1: QuadraticForm, r2: QuadraticForm, v, p: int) -> int:
-    rows = [gradient_at(r1, v), gradient_at(r2, v)]
-    return rank_mod_p(rows, p)
-
-
-def _exhaustive_locus(
-    r1: QuadraticForm, r2: QuadraticForm, p: int
-) -> list[tuple[tuple[int, ...], int]]:
-    found = []
-    for lead in range(NUM_VARIABLES):
-        tail_len = NUM_VARIABLES - lead - 1
-        for tail in product(range(p), repeat=tail_len):
-            v = (0,) * lead + (1,) + tail
-            if evaluate_form(r1, v) % p:
-                continue
-            if evaluate_form(r2, v) % p:
-                continue
-            rank = _ambient_rank(r1, r2, v, p)
-            if rank <= 1:
-                found.append((v, rank))
-    found.sort()
-    return found
+def _projective_points(basis, p: int):
+    """Each projective point of span(basis) once, as the combination of the
+    basis whose first nonzero coefficient is 1."""
+    for lead in range(len(basis)):
+        for tail in product(range(p), repeat=len(basis) - lead - 1):
+            v = basis[lead]
+            for c, vec in zip(tail, basis[lead + 1 :]):
+                v = [(x + c * y) % p for x, y in zip(v, vec)]
+            yield v
 
 
 def _kernel_points(r1: QuadraticForm, r2: QuadraticForm, basis, p: int):
     """Vectors covering every projective point of span(basis) on X_p.
 
-    On a 2-dimensional kernel a point of X_p is a root of each form's
-    restriction, a binary quadratic, so when one restriction is not
-    identically 0 its at most 2 roots are the only candidates.  (On
-    ker(B1 - t0*B2) Q1 = t0*Q2, and on ker B2 Q2 = 0, so the two restrictions
-    carry the same information.)  Otherwise every projective point of the
-    kernel is a candidate, counted against KERNEL_CANDIDATE_CAP.
+    A point of X_p is a zero of g, the restriction of Q2 to the kernel, or of
+    Q1 when Q2 restricts to 0 (on ker(B1 - t0*B2) Q1 = t0*Q2, and on ker B2
+    Q2 = 0, so either restriction carries the same information).  With w the
+    last basis vector, the kernel's points are w and v + s*w, where v has
+    first nonzero coefficient 1 on the other basis vectors; on that line
+    g(v + s*w) = g(v) + s*B(v, w) + s^2*g(w), so s is a root of that
+    quadratic mod p, or free when the quadratic is 0 mod p.
+    KERNEL_CANDIDATE_CAP counts the (p^(dim-1) - 1)/(p - 1) quadratics, about
+    p^(dim - 2), or the (p^dim - 1)/(p - 1) points when g is identically 0.
     """
-    dim = len(basis)
-    if dim == 2:
-        a, b = basis
-        for q in (r2, r1):
-            g = restrict_to_line(q, a, b)
-            if any(c % p for c in g):
-                for r, s in _binary_roots(*g, p):
-                    yield [(r * x + s * y) % p for x, y in zip(a, b)]
-                return
-    _check_candidate_cap((p**dim - 1) // (p - 1))
-    # Normalized coefficient tuples (first nonzero entry 1) enumerate the
-    # projective points of the kernel subspace exactly once.
-    for lead in range(dim):
-        for tail in product(range(p), repeat=dim - lead - 1):
-            coeffs = (0,) * lead + (1,) + tail
-            v = [0] * NUM_VARIABLES
-            for c, vec in zip(coeffs, basis):
-                if c:
-                    for k in range(NUM_VARIABLES):
-                        v[k] = (v[k] + c * vec[k]) % p
-            yield v
+    *head, w = basis
+    pairs = list(combinations_with_replacement(basis, 2))
+    g = next((q for q in (r2, r1) if any(polar_form(q, a, b) % p for a, b in pairs)), None)
+    _check_candidate_cap((p ** (len(head) + (g is None)) - 1) // (p - 1))
+    yield w
+    for v in _projective_points(head, p):
+        line = restrict_to_line(g, v, w) if g else ()
+        roots = roots_mod_p(line, p) if any(c % p for c in line) else range(p)
+        for s in roots:
+            yield [(x + s * y) % p for x, y in zip(v, w)]
 
 
 def _kernel_guided_locus(
@@ -260,20 +238,16 @@ def _kernel_guided_locus(
             seen.add(point)
             if evaluate_form(r1, point) % p or evaluate_form(r2, point) % p:
                 continue
-            rank = _ambient_rank(r1, r2, point, p)
+            rank = rank_mod_p([gradient_at(r1, point), gradient_at(r2, point)], p)
             if rank <= 1:
                 found.append((point, rank))
     found.sort()
     return found
 
 
-def singular_locus(
-    pencil: PencilOfQuadrics, prime: int, method: str = "kernel-guided"
-) -> SingularLocusReport:
-    """Singular points of X mod p (p odd), kernel-guided or exhaustively.
+def singular_locus(pencil: PencilOfQuadrics, prime: int) -> SingularLocusReport:
+    """Singular points of X mod p (p odd), kernel-guided.
 
-    "kernel-guided" runs at every odd prime; "exhaustive", the scan of
-    P^5(F_p) that tests use as the oracle, only for p <= 13.
     p = 2 is rejected (see mod2_degeneracy); non-complete-intersection
     reductions are rejected.
     """
@@ -286,23 +260,14 @@ def singular_locus(
         )
     r1, r2 = reduce_pencil(pencil, prime)
     _assert_complete_intersection(r1, r2, prime)
-    if method == "exhaustive":
-        if prime > EXHAUSTIVE_LOCUS_PRIME_BOUND:
-            raise ValueError(
-                f"exhaustive method requires p <= {EXHAUSTIVE_LOCUS_PRIME_BOUND}"
-            )
-        found = _exhaustive_locus(r1, r2, prime)
-    elif method == "kernel-guided":
-        found = _kernel_guided_locus(pencil, r1, r2, prime)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    found = _kernel_guided_locus(pencil, r1, r2, prime)
     points = tuple(pt for pt, _ in found)
     ranks = tuple(rank for _, rank in found)
     return SingularLocusReport(
         prime=prime,
         points=points,
         ranks=ranks,
-        method=method,
+        method="kernel-guided",
         conical=any(rank == 0 for rank in ranks),
     )
 
@@ -317,84 +282,35 @@ def _linear_str(vec) -> str:
     return "+".join(names) if names else "0"
 
 
-def _product_coeffs(a, b) -> dict[tuple[int, int], int]:
-    """Coefficients of the product of two linear forms over F_2."""
-    out: dict[tuple[int, int], int] = {}
-    for i in range(NUM_VARIABLES):
-        if a[i] and b[i]:
-            out[(i, i)] = 1
-    for i in range(NUM_VARIABLES):
-        for j in range(i + 1, NUM_VARIABLES):
-            c = (a[i] * b[j] + a[j] * b[i]) % 2
-            if c:
-                out[(i, j)] = c
-    return out
-
-
-def _restrict_to_hyperplane(
-    coeffs: dict[tuple[int, int], int], ell
-) -> dict[tuple[int, int], int]:
-    """Substitute x_k = sum of the other variables of ell, over F_2."""
-    k = next(i for i, c in enumerate(ell) if c % 2)
-    rest = [i for i in range(NUM_VARIABLES) if i != k and ell[i] % 2]
-
-    out: dict[tuple[int, int], int] = {}
-
-    def add(i: int, j: int, c: int) -> None:
-        if i > j:
-            i, j = j, i
-        out[(i, j)] = (out.get((i, j), 0) + c) % 2
-
-    for (i, j), c in coeffs.items():
-        if k not in (i, j):
-            add(i, j, c)
-        elif i == k and j == k:
-            # x_k^2 = (sum rest)^2 = sum of squares over F_2.
-            for m in rest:
-                add(m, m, c)
-        else:
-            other = j if i == k else i
-            for m in rest:
-                add(other, m, c)
-    return {key: c for key, c in out.items() if c}
-
-
-def _square_root_form(coeffs: dict[tuple[int, int], int]):
-    """If the F_2 form is a square of a linear form, return that form."""
-    if any(i != j for (i, j) in coeffs):
-        return None
-    vec = [0] * NUM_VARIABLES
-    for (i, _), c in coeffs.items():
-        vec[i] = c % 2
-    if not any(vec):
-        return None
-    return tuple(vec)
-
-
-_ALL_LINEAR_FORMS = [
-    vec for vec in product((0, 1), repeat=NUM_VARIABLES) if any(vec)
-]
-
-# 64-bit masks over F_2^6: bit x stands for the point whose coordinate i is
-# bit i of x.  A linear form is 1 on the XOR of its coordinates' masks, and
-# its hyperplane is the complement.
+# Reduced forms mod 2 are handled as 64-bit masks over F_2^6: bit x stands for
+# the point whose coordinate i is bit i of x, and a form's mask marks the
+# points where it is 1.  Distinct quadratic forms over F_2 are distinct
+# functions, so a form is its mask: l*m is the form q iff L(l) & L(m) is q's
+# mask, and l divides q iff q is 0 on the hyperplane l = 0, the complement of
+# L(l).
 _COORDINATE_MASKS = (0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
                      0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000)
-_HYPERPLANE_MASKS = [~reduce(xor, compress(_COORDINATE_MASKS, vec)) & (1 << 64) - 1
-                     for vec in _ALL_LINEAR_FORMS]
+_LINEAR_MASKS = {vec: reduce(xor, compress(_COORDINATE_MASKS, vec))
+                 for vec in product((0, 1), repeat=NUM_VARIABLES) if any(vec)}
 
 
-def _linear_divisors(coeffs: dict[tuple[int, int], int]) -> list:
-    """The linear forms of _ALL_LINEAR_FORMS, in order, dividing a nonzero
-    reduced form.
+def _form_mask(q: QuadraticForm) -> int:
+    """The points of F_2^6 where q mod 2 is 1 (0 iff q vanishes mod 2)."""
+    return reduce(xor, (_COORDINATE_MASKS[i] & _COORDINATE_MASKS[j]
+                        for (i, j), c in q.coeffs.items() if c % 2), 0)
 
-    a divides the form iff the form restricted to a = 0 is 0, i.e. (distinct
-    quadratic forms over F_2 being distinct functions) iff the form is 0 at
-    every point of that hyperplane: (hyperplane mask) AND (mask of the
-    points where the form is 1) = 0.
+
+def _square_root_on(ones: int, h) -> tuple[int, ...] | None:
+    """The nonzero linear form r free of h's first variable whose square is
+    the form with mask ones restricted to h = 0, or None.
+
+    Restriction substitutes for that variable, so r is unique: two such forms
+    agreeing on h = 0 differ by a multiple of h, which has the variable.
     """
-    ones = reduce(xor, (_COORDINATE_MASKS[i] & _COORDINATE_MASKS[j] for i, j in coeffs))
-    return [a for a, h in zip(_ALL_LINEAR_FORMS, _HYPERPLANE_MASKS) if not h & ones]
+    k = h.index(1)
+    plane = ~_LINEAR_MASKS[h]
+    return next((r for r, mask in _LINEAR_MASKS.items()
+                 if not r[k] and mask & plane == ones & plane), None)
 
 
 def mod2_degeneracy(pencil: PencilOfQuadrics) -> dict:
@@ -407,22 +323,20 @@ def mod2_degeneracy(pencil: PencilOfQuadrics) -> dict:
     the other form is restricted to each factor hyperplane and tested for
     being a square there (non-reducedness evidence).
     """
-    reduced: dict[str, dict[tuple[int, int], int]] = {}
-    for label, q in (("Q1", pencil.q1), ("Q2", pencil.q2)):
-        reduced[label] = {key: c % 2 for key, c in q.coeffs.items() if c % 2}
-
+    masks = {"Q1": _form_mask(pencil.q1), "Q2": _form_mask(pencil.q2)}
     linear_factorizations = []
     square_forms = []
     classifications: dict[str, str] = {}
-    for label in ("Q1", "Q2"):
-        coeffs = reduced[label]
-        if not coeffs:
+    for label, ones in masks.items():
+        if not ones:
             classifications[label] = "vanishes identically mod 2"
             continue
-        factor_pairs = []
-        for a, b in combinations_with_replacement(_linear_divisors(coeffs), 2):
-            if _product_coeffs(a, b) == coeffs:
-                factor_pairs.append((a, b))
+        divisors = [(a, mask) for a, mask in _LINEAR_MASKS.items() if not ones & ~mask]
+        factor_pairs = [
+            (a, b)
+            for (a, ma), (b, mb) in combinations_with_replacement(divisors, 2)
+            if ma & mb == ones
+        ]
         for a, b in factor_pairs:
             linear_factorizations.append(
                 {
@@ -447,14 +361,9 @@ def mod2_degeneracy(pencil: PencilOfQuadrics) -> dict:
 
     non_reduced_evidence = []
     for entry in linear_factorizations:
-        label = entry["form"]
-        other_label = "Q2" if label == "Q1" else "Q1"
-        other = reduced[other_label]
-        if not other:
-            continue
+        other_label = "Q2" if entry["form"] == "Q1" else "Q1"
         for vec in entry["factor_vectors"]:
-            restricted = _restrict_to_hyperplane(other, vec)
-            root = _square_root_form(restricted)
+            root = _square_root_on(masks[other_label], tuple(vec))
             if root is not None:
                 non_reduced_evidence.append(
                     {

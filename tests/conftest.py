@@ -5,13 +5,16 @@ from __future__ import annotations
 import os
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement, product
 from math import lcm
 
 import pytest
 
-from quadpencil import PencilOfQuadrics, QuadraticForm
+from quadpencil import PencilOfQuadrics, QuadraticForm, evaluate_form
+from quadpencil.exactmath import rank_mod_p
 from quadpencil.fano import _chart_coordinates
+from quadpencil.quadric import VARIABLES, gradient_at
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 EXAMPLE_PATH = os.path.join(DATA_DIR, "example_pencil.txt")
@@ -181,6 +184,128 @@ def chart_read_off(lines, charts, p: int) -> list:
 
     return [(chart, sorted(read_off(chart)))
             for chart in sorted(charts, key=lambda c: c.pivots)]
+
+
+# Largest prime at which exhaustive_locus scans P^5(F_p).
+EXHAUSTIVE_LOCUS_PRIME_BOUND = 13
+
+
+def exhaustive_locus(pencil, p: int) -> tuple[tuple, tuple]:
+    """(points, ranks) of the singular locus of X mod p, by scanning P^5(F_p).
+
+    The oracle of singular_locus: every point with first nonzero coordinate
+    1 on both forms mod p, kept when the stacked gradients of (Q1, Q2) have
+    rank <= 1 there; points sorted, ranks[i] the rank at points[i].
+    """
+    if p > EXHAUSTIVE_LOCUS_PRIME_BOUND:
+        raise ValueError(f"the exhaustive scan needs p <= {EXHAUSTIVE_LOCUS_PRIME_BOUND}")
+    q1, q2 = pencil.q1, pencil.q2
+    found = []
+    for lead in range(6):
+        for tail in product(range(p), repeat=5 - lead):
+            v = (0,) * lead + (1,) + tail
+            if evaluate_form(q1, v) % p or evaluate_form(q2, v) % p:
+                continue
+            rank = rank_mod_p([gradient_at(q1, v), gradient_at(q2, v)], p)
+            if rank <= 1:
+                found.append((v, rank))
+    found.sort()
+    return tuple(v for v, _ in found), tuple(rank for _, rank in found)
+
+
+_F2_LINEAR_FORMS = [vec for vec in product((0, 1), repeat=6) if any(vec)]
+
+
+def _f2_str(vec) -> str:
+    return "+".join(VARIABLES[i] for i, c in enumerate(vec) if c) or "0"
+
+
+def _f2_product_coeffs(a, b) -> dict:
+    """Coefficients of the product of two linear forms over F_2."""
+    out = {(i, i): 1 for i in range(6) if a[i] and b[i]}
+    for i, j in combinations(range(6), 2):
+        if (a[i] * b[j] + a[j] * b[i]) % 2:
+            out[(i, j)] = 1
+    return out
+
+
+def _f2_restrict_to_hyperplane(coeffs, ell) -> dict:
+    """Substitute x_k = sum of ell's other variables, k its first, over F_2."""
+    k = ell.index(1)
+    rest = [i for i in range(6) if i != k and ell[i]]
+    out: dict = {}
+
+    def add(i, j):
+        key = (min(i, j), max(i, j))
+        out[key] = out.get(key, 0) ^ 1
+
+    for (i, j) in coeffs:
+        if k not in (i, j):
+            add(i, j)
+        elif i == j:
+            for m in rest:  # x_k^2 = (sum rest)^2 = sum of squares over F_2
+                add(m, m)
+        else:
+            for m in rest:
+                add(j if i == k else i, m)
+    return {key: c for key, c in out.items() if c}
+
+
+def _f2_square_root(coeffs):
+    """The linear form whose square is the F_2 form, or None."""
+    if not coeffs or any(i != j for i, j in coeffs):
+        return None
+    return tuple(int((i, i) in coeffs) for i in range(6))
+
+
+@lru_cache(maxsize=None)
+def _f2_divisors(monomials: frozenset) -> list:
+    return [a for a in _F2_LINEAR_FORMS
+            if not _f2_restrict_to_hyperplane(dict.fromkeys(monomials, 1), a)]
+
+
+def mod2_degeneracy_oracle(pencil) -> dict:
+    """mod2_degeneracy by substitution into coefficient dicts: a linear form
+    divides a reduced form when the restriction to its hyperplane is empty,
+    factor pairs are checked by multiplying out, and the other form is a
+    square on a factor hyperplane when its restriction has only squares."""
+    reduced = {label: {key: 1 for key, c in q.coeffs.items() if c % 2}
+               for label, q in (("Q1", pencil.q1), ("Q2", pencil.q2))}
+    factorizations, squares, classes = [], [], {}
+    for label, coeffs in reduced.items():
+        if not coeffs:
+            classes[label] = "vanishes identically mod 2"
+            continue
+        pairs = [(a, b) for a, b in combinations_with_replacement(
+                     _f2_divisors(frozenset(coeffs)), 2)
+                 if _f2_product_coeffs(a, b) == coeffs]
+        for a, b in pairs:
+            factorizations.append({"form": label, "factors": [_f2_str(a), _f2_str(b)],
+                                   "factor_vectors": [list(a), list(b)]})
+            if a == b:
+                squares.append({"form": label, "root": _f2_str(a)})
+        if any(a == b for a, b in pairs):
+            classes[label] = f"square of a linear form ({squares[-1]['root']})"
+        elif pairs:
+            classes[label] = (f"product of two linear forms "
+                              f"({_f2_str(pairs[0][0])})*({_f2_str(pairs[0][1])})")
+        else:
+            classes[label] = "irreducible over F_2"
+    evidence = []
+    for entry in factorizations:
+        other = "Q2" if entry["form"] == "Q1" else "Q1"
+        for vec in entry["factor_vectors"]:
+            root = _f2_square_root(_f2_restrict_to_hyperplane(reduced[other], vec))
+            if root is not None:
+                evidence.append({"form": other, "hyperplane": _f2_str(vec),
+                                 "square_root": _f2_str(root)})
+    parts = [f"{label} mod 2: {classes[label]}" for label in ("Q1", "Q2")]
+    if factorizations:
+        parts.append("a reduced form factors (reducibility evidence)")
+    parts += [f"{e['form']} mod 2 restricted to {e['hyperplane']} = 0 is the square "
+              f"of {e['square_root']} (non-reducedness evidence)" for e in evidence]
+    return {"linear_factorizations": factorizations, "square_forms": squares,
+            "non_reduced_evidence": evidence, "verdict": "; ".join(parts)}
 
 
 def lift_census_mod_2k(q1_coeffs, q2_coeffs, levels, charts=None):

@@ -69,6 +69,7 @@ from conftest import (
     clear_row_denominators,
     det_cofactor,
     evaluate_poly,
+    exhaustive_locus,
     lift_census_mod_2k,
 )
 from test_pipeline_cli import run_cli
@@ -274,7 +275,7 @@ def test_lift_census_positive_control():
 
 def test_criterion_09_singular_locus(capsys):
     start = time.perf_counter()
-    report = singular_locus(_pencil(), BIG_PRIME, method="kernel-guided")
+    report = singular_locus(_pencil(), BIG_PRIME)
     elapsed = time.perf_counter() - start
     ok = (
         report.points == (SINGULAR_POINT_CANONICAL,)
@@ -294,9 +295,7 @@ def test_criterion_09_singular_locus(capsys):
 def test_criterion_10_good_primes(capsys):
     start = time.perf_counter()
     pencil = _pencil()
-    loci_empty = all(
-        singular_locus(pencil, p, method="exhaustive").points == () for p in (3, 5)
-    )
+    loci_empty = all(exhaustive_locus(pencil, p)[0] == () for p in (3, 5))
     found_smooth = all(
         len(search_smooth_points(pencil, p)) >= 1 for p in (3, 5)
     )
@@ -358,9 +357,8 @@ def test_criterion_13_oracle_equivalence(capsys):
             QuadraticForm({(i, i): a for i, a in enumerate(diagonal) if a}), unit
         )
         for p in (3, 5, 7, 11, 13):
-            kernel = singular_locus(pen, p, method="kernel-guided")
-            exhaustive = singular_locus(pen, p, method="exhaustive")
-            if (kernel.points, kernel.ranks) != (exhaustive.points, exhaustive.ranks):
+            kernel = singular_locus(pen, p)
+            if (kernel.points, kernel.ranks) != exhaustive_locus(pen, p):
                 locus_mismatches += 1
             if kernel.points:
                 nonempty_comparisons += 1

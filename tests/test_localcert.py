@@ -127,10 +127,20 @@ def _naive_scan(pencil, chart, p):
     ]
 
 
+def _odd_form(rng) -> QuadraticForm:
+    """Every coefficient in [-3, 3], so mixed ones can be odd, unlike
+    random_form's, whose polar matrices vanish mod 2."""
+    return QuadraticForm({(i, j): c for i in range(6) for j in range(i, 6)
+                          if (c := rng.randint(-3, 3))})
+
+
 def _pencils(example_pencil):
+    """The bundled forms and two pairs of _odd_form forms, which have smooth
+    F_2-lines; the scans read only q1 and q2, so the pairs need no integral
+    characteristic form."""
     rng = random.Random(3)
     return [example_pencil] + [
-        PencilOfQuadrics(random_form(rng), random_form(rng)) for _ in range(2)
+        SimpleNamespace(q1=_odd_form(rng), q2=_odd_form(rng)) for _ in range(2)
     ]
 
 
@@ -142,7 +152,8 @@ def test_scan_chart_matches_the_naive_scan(example_pencil):
     chart, with smooth flag (naive rank == 6); the census keeps its count and
     its smooth points."""
     two_charts = [GrassmannChart(CHART_PIVOTS), GrassmannChart((0, 5))]
-    points = smooth = 0
+    points = 0
+    smooth = {2: 0, 3: 0}
     for pencil in _pencils(example_pencil):
         for p, charts in ((2, all_charts()), (3, two_charts)):
             lines = _cell_lines(pencil, ALL_CELLS, p)
@@ -153,11 +164,12 @@ def test_scan_chart_matches_the_naive_scan(example_pencil):
                 assert entry == CensusEntry(
                     chart, len(naive), tuple(pt for pt, rank in naive if rank == 6))
                 points += len(found)
-                smooth += len(entry.smooth_points)
-    assert points >= 300 and smooth >= 10
+                smooth[p] += len(entry.smooth_points)
+    assert points >= 300 and sum(smooth.values()) >= 10 and smooth[2] > 0
 
 
 def test_cell_scan_enumerates_each_line_once(example_pencil):
+    smooth_at_2 = 0
     for pencil in _pencils(example_pencil):
         for p in (2, 3):
             naive = set()
@@ -165,9 +177,12 @@ def test_cell_scan_enumerates_each_line_once(example_pencil):
                 for point, _ in _naive_scan(pencil, chart, p):
                     echelon, _ = rref_mod_p(chart_point_rows(chart, point), p)
                     naive.add(tuple(map(tuple, echelon)))
-            lines = [(tuple(a), tuple(b)) for a, b, _ in _cell_lines(pencil, ALL_CELLS, p)]
+            found = _cell_lines(pencil, ALL_CELLS, p)
+            lines = [(tuple(a), tuple(b)) for a, b, _ in found]
             assert len(lines) == len(set(lines)) == len(naive), (pencil, p)
             assert set(lines) == naive
+            smooth_at_2 += p == 2 and sum(flag for _, _, flag in found)
+    assert smooth_at_2 > 0
 
 
 def _brute_half_zeros(states, quads, p):
@@ -302,14 +317,9 @@ def _filter_pencils(example_pencil):
     latter have smooth F_2-lines.  _cell_lines reads only q1 and q2, so those
     pairs need no integral characteristic form."""
     rng = random.Random(16)
-
-    def odd_form():
-        return QuadraticForm({(i, j): c for i in range(6) for j in range(i, 6)
-                              if (c := rng.randint(-3, 3))})
-
     return [example_pencil, parse_input(NO_WITNESS_PATH).pencil] + [
         PencilOfQuadrics(random_form(rng), random_form(rng)) for _ in range(20)
-    ] + [SimpleNamespace(q1=odd_form(), q2=odd_form()) for _ in range(10)]
+    ] + [SimpleNamespace(q1=_odd_form(rng), q2=_odd_form(rng)) for _ in range(10)]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

@@ -20,9 +20,8 @@ from quadpencil import (
     parse_input,
     run_pipeline,
     search_smooth_points,
-    singular_locus,
 )
-from quadpencil import pipeline, reduction
+from quadpencil import pipeline
 from quadpencil.fano import fano_system
 from quadpencil.cli import main as cli_main
 
@@ -35,6 +34,7 @@ from conftest import (
     F2_WITNESS,
     NO_WITNESS_PATH,
     P3_SMOOTH_POINT,
+    exhaustive_locus,
 )
 
 EXAMPLE = str(EXAMPLE_PATH)
@@ -220,18 +220,10 @@ def test_reduction_reports(analyze_runs):
     assert checks[0]["in_computed_locus"] is True
 
 
-def test_pipeline_computes_every_locus_kernel_guided(monkeypatch):
+def test_pipeline_computes_every_locus_kernel_guided():
     pencil = parse_input(EXAMPLE).pencil
     good_primes = (3, 5, 7, 11, 13)
-    expected = {
-        p: [list(pt) for pt in singular_locus(pencil, p, method="exhaustive").points]
-        for p in good_primes
-    }
-
-    def refuse(*_args):
-        raise AssertionError("the pipeline ran the exhaustive locus scan")
-
-    monkeypatch.setattr(reduction, "_exhaustive_locus", refuse)
+    expected = {p: [list(pt) for pt in exhaustive_locus(pencil, p)[0]] for p in good_primes}
     for path in (EXAMPLE, NO_WITNESS):
         certificate = run_pipeline(PipelineConfig(input_path=path, workers=1))
         good = [
@@ -609,11 +601,11 @@ def test_reduction_subcommand(tmp_path):
 
 
 def test_kernel_candidate_cap_is_an_incomplete_result(tmp_path):
-    # Mod 1009 the member Q1 - Q2 has a 3-dimensional kernel, whose
-    # 1009^2 + 1009 + 1 projective points exceed the candidate cap.
+    # Mod 1009 the member Q1 - Q2 has the 4-dimensional kernel <e_u, ..., e_x>,
+    # whose 1009^2 + 1009 + 1 kernel quadratics exceed the candidate cap.
     path = tmp_path / "cap.txt"
     path.write_text(
-        "Q1: u^2 + 1010v^2 + 2019w^2 + 4x^2 + 5y^2 + 6z^2\n"
+        "Q1: u^2 + 1010v^2 + 2019w^2 + 3028x^2 + 5y^2 + 6z^2\n"
         "Q2: u^2 + v^2 + w^2 + x^2 + y^2 + z^2\n"
     )
     out, err, code = run_cli(["analyze", str(path)])
@@ -624,11 +616,49 @@ def test_kernel_candidate_cap_is_an_incomplete_result(tmp_path):
     report = next(r for r in doc["reduction_reports"] if r["prime"] == "1009")
     assert "exceeds the cap (1019091 > 1000000)" in report["error"]
 
-    out, _, code = run_cli(
-        ["reduction", str(path), "--prime", "1009", "--method", "kernel-guided"]
-    )
+    out, _, code = run_cli(["reduction", str(path), "--prime", "1009"])
     assert code == 2
     assert "exceeds the cap" in json.loads(out)["error"]
+
+
+def test_three_dimensional_kernel_at_a_large_prime(tmp_path):
+    # Mod 1009 the member Q1 - Q2 has the kernel <e_u, e_v, e_w>; every point
+    # of X_p on it is singular, and they are the 1010 points of the conic
+    # u^2 + v^2 + w^2 = 0 in that plane, found by one quadratic per line.
+    p = 1009
+    path = tmp_path / "conic.txt"
+    path.write_text(
+        "Q1: u^2 + 1010v^2 + 2019w^2 + 4x^2 + 5y^2 + 6z^2\n"
+        "Q2: u^2 + v^2 + w^2 + x^2 + y^2 + z^2\n"
+    )
+    out, err, code = run_cli(["analyze", str(path)])
+    assert code == 2
+    assert "Traceback" not in err
+    doc = json.loads(out)
+    assert not any("reduction analysis failed" in r for r in doc["incomplete_reasons"])
+    report = next(r for r in doc["reduction_reports"] if r["prime"] == str(p))
+    assert (report["method"], report["non_conical"]) == ("kernel-guided", True)
+    assert report["ambient_jacobian_ranks"] == ["1"] * 1010
+
+    out, _, code = run_cli(["reduction", str(path), "--prime", str(p)])
+    assert code == 0
+    locus = json.loads(out)
+    points = [tuple(int(c) for c in pt) for pt in locus["points"]]
+    assert points == sorted(set(points)) and len(points) == 1010
+    assert [list(pt) for pt in points] == [
+        [int(c) for c in pt] for pt in report["points"]]
+    diagonals = ((1, 1010, 2019, 4, 5, 6), (1, 1, 1, 1, 1, 1))
+    for pt in points:
+        # On both forms, first nonzero coordinate 1, and gradients 2*a_i*x_i
+        # of rank 1: proportional but not both 0.
+        assert next(c for c in pt if c) == 1
+        assert all(sum(a * c * c for a, c in zip(d, pt)) % p == 0 for d in diagonals)
+        g1, g2 = ([2 * a * c % p for a, c in zip(d, pt)] for d in diagonals)
+        assert any(g1) or any(g2)
+        assert all((g1[i] * g2[j] - g1[j] * g2[i]) % p == 0
+                   for i in range(6) for j in range(i + 1, 6))
+    assert locus["ambient_jacobian_ranks"] == ["1"] * 1010
+    assert locus["non_conical"] is True
 
 
 def test_two_dimensional_kernel_at_a_large_prime(tmp_path):
@@ -676,6 +706,7 @@ def test_two_dimensional_kernel_at_a_large_prime(tmp_path):
         ["analyze", EXAMPLE, "--budget", "5"],
         ["fano-search", EXAMPLE, "--prime", "7", "--seed", "1"],
         ["analyze", EXAMPLE, "--good-primes", "3,3"],
+        ["reduction", EXAMPLE, "--prime", "3", "--method", "kernel-guided"],
     ],
 )
 def test_usage_errors_exit_3(argv):

@@ -31,6 +31,8 @@ from conftest import (
     SINGULAR_POINT_CANONICAL,
     SINGULAR_POINT_VERBATIM,
     evaluate_poly,
+    exhaustive_locus,
+    mod2_degeneracy_oracle,
     random_form,
 )
 
@@ -70,10 +72,8 @@ def test_singular_locus_empty_at_good_small_primes(example_pencil):
 
 def test_kernel_guided_agrees_with_exhaustive(example_pencil):
     for p in (3, 5, 7, 11, 13):
-        exhaustive = singular_locus(example_pencil, p, method="exhaustive")
-        guided = singular_locus(example_pencil, p, method="kernel-guided")
-        assert exhaustive.points == guided.points
-        assert exhaustive.ranks == guided.ranks
+        guided = singular_locus(example_pencil, p)
+        assert (guided.points, guided.ranks) == exhaustive_locus(example_pencil, p)
 
 
 def _diagonal_pencil(a, b) -> PencilOfQuadrics:
@@ -108,35 +108,49 @@ def _plane_kernels(pencil: PencilOfQuadrics, p: int) -> int:
     return count
 
 
-def test_kernel_guided_agrees_with_exhaustive_on_random_pencils():
+# Smooth over Q, but mod 3, 5 and 7 respectively three, four and five of the
+# diagonal entries agree, so the member Q1 - Q2 has a kernel of that dimension.
+WIDE_KERNELS = ((1, 4, 7, 2, 5, 6), (1, 6, 11, 16, 2, 3), (1, 8, 15, 22, 29, 2))
+
+
+def test_kernel_guided_agrees_with_exhaustive_on_random_pencils(monkeypatch):
     rng = random.Random(1)
+    ones = (1,) * 6
     pencils = [_diagonal_pencil(*F_ZERO_MOD_3)]
-    while len(pencils) < 15:
+    pencils += [_diagonal_pencil(a, ones) for a in WIDE_KERNELS]
+    while len(pencils) < 18:
         pencil = PencilOfQuadrics(random_form(rng), random_form(rng))
         if smoothness_check(pencil) == "smooth":
             pencils.append(pencil)
+    dims = set()
+    kernel_points = reduction._kernel_points
+
+    def recording_kernel_points(r1, r2, basis, p):
+        dims.add(len(basis))
+        return kernel_points(r1, r2, basis, p)
+
+    monkeypatch.setattr(reduction, "_kernel_points", recording_kernel_points)
     loci = nonempty = planes = 0
     for pencil in pencils:
+        assert smoothness_check(pencil) == "smooth"
         f = pencil.char_form
         support = poly_discriminant(f) * int(f.leading())
         for p in (3, 5, 7, 11, 13):
             if support % p:
                 continue
             try:
-                exhaustive = singular_locus(pencil, p, method="exhaustive")
+                guided = singular_locus(pencil, p)
             except ValueError:
                 continue  # degenerate or not a complete intersection mod p
-            guided = singular_locus(pencil, p, method="kernel-guided")
-            assert (guided.points, guided.ranks) == (
-                exhaustive.points,
-                exhaustive.ranks,
-            ), (pencil, p)
+            exhaustive = exhaustive_locus(pencil, p)
+            assert (guided.points, guided.ranks) == exhaustive, (pencil, p)
             loci += 1
-            nonempty += bool(exhaustive.points)
+            nonempty += bool(guided.points)
             planes += _plane_kernels(pencil, p)
     assert loci >= 20
     assert nonempty >= 10
     assert planes >= 1
+    assert {3, 4, 5} <= dims
 
 
 def test_binary_roots_match_brute_force():
@@ -167,11 +181,11 @@ def test_kernel_guided_when_f_vanishes_mod_p():
     pencil = _diagonal_pencil(*F_ZERO_MOD_3)
     assert smoothness_check(pencil) == "smooth"
     assert all(c % 3 == 0 for c in pencil.char_form.coeffs)
-    for method in ("exhaustive", "kernel-guided"):
-        report = singular_locus(pencil, 3, method=method)
-        assert report.points == ((1, 0, 0, 0, 0, 0),)
-        assert report.ranks == (0,)
-        assert report.conical is True
+    report = singular_locus(pencil, 3)
+    assert (report.points, report.ranks) == exhaustive_locus(pencil, 3)
+    assert report.points == ((1, 0, 0, 0, 0, 0),)
+    assert report.ranks == (0,)
+    assert report.conical is True
 
 
 def test_kernel_candidate_cap_counts_the_member_kernels():
@@ -186,10 +200,6 @@ def test_kernel_candidate_cap_counts_the_member_kernels():
 def test_singular_locus_guards(example_pencil):
     with pytest.raises(ValueError):
         singular_locus(example_pencil, 2)
-    with pytest.raises(ValueError):
-        singular_locus(example_pencil, BIG_PRIME, method="exhaustive")
-    with pytest.raises(ValueError):
-        singular_locus(example_pencil, 3, method="newton")
     with pytest.raises(ValueError):
         singular_locus(example_pencil, 9)
 
@@ -232,6 +242,21 @@ def test_conical_reduction_detected():
     assert report.conical is True
     assert cone_check(report) is False
     assert 0 in report.ranks
+    # Both forms vanish on the vertex plane, so every point of it is found.
+    assert (report.points, report.ranks) == exhaustive_locus(pencil, 3)
+
+
+def test_kernel_lines_on_the_kernel_quadric():
+    # Q1 - Q2 = 2y^2 + 3z^2, so ker(B1 - B2) = <e_u, e_v, e_w, e_x>, on which
+    # g = 2uv + 2wx contains lines: on such a line every point is a candidate.
+    q2 = QuadraticForm({(0, 1): 2, (2, 3): 2, (4, 4): 1, (5, 5): 1})
+    q1 = QuadraticForm({(0, 1): 2, (2, 3): 2, (4, 4): 3, (5, 5): 4})
+    pencil = PencilOfQuadrics(q1, q2)
+    for p in (3, 5, 7):
+        report = singular_locus(pencil, p)
+        assert (report.points, report.ranks) == exhaustive_locus(pencil, p)
+        # The (p + 1)^2 points of the split quadric g = 0 in P(ker) = {y = z = 0}.
+        assert sum(pt[4] == pt[5] == 0 for pt in report.points) == (p + 1) ** 2
 
 
 def test_normalize_projective_properties():
@@ -384,23 +409,25 @@ def test_f2_point_masks_mark_coordinates_and_hyperplanes():
     points = [[x >> i & 1 for i in range(6)] for x in range(64)]
     for i, mask in enumerate(reduction._COORDINATE_MASKS):
         assert [mask >> x & 1 for x in range(64)] == [pt[i] for pt in points]
-    assert len(reduction._HYPERPLANE_MASKS) == len(reduction._ALL_LINEAR_FORMS) == 63
-    for vec, mask in zip(reduction._ALL_LINEAR_FORMS, reduction._HYPERPLANE_MASKS):
+    # A linear form's mask marks where it is 1; the rest is its hyperplane.
+    assert list(reduction._LINEAR_MASKS) == [
+        v for v in itertools.product((0, 1), repeat=6) if any(v)]
+    for vec, mask in reduction._LINEAR_MASKS.items():
         on_plane = [sum(a * b for a, b in zip(vec, pt)) % 2 == 0 for pt in points]
-        assert [mask >> x & 1 for x in range(64)] == on_plane
+        assert [not mask >> x & 1 for x in range(64)] == on_plane
+    # A form's mask marks where it is 1 mod 2.
+    rng = random.Random(17)
+    for _ in range(50):
+        q = random_form(rng) if rng.random() < 0.5 else QuadraticForm(
+            {(i, j): rng.randint(1, 3) for i in range(6) for j in range(i, 6)})
+        assert [reduction._form_mask(q) >> x & 1 for x in range(64)] == [
+            evaluate_form(q, pt) % 2 for pt in points]
 
 
-def _restriction_divisors(coeffs) -> list:
-    """The divisor scan mod2_degeneracy once ran: a divides the form iff the
-    form restricted to a = 0, by substitution into the dict, is empty."""
-    return [a for a in reduction._ALL_LINEAR_FORMS
-            if not reduction._restrict_to_hyperplane(coeffs, a)]
-
-
-def test_mod2_mask_divisors_match_the_restriction_scan(monkeypatch):
-    """Same report with divisors found by mask or by restriction, on 2,000
-    seeded pairs of forms and on every product l*m and square l^2 of nonzero
-    linear forms (each paired with a random such product)."""
+def test_mod2_mask_divisors_match_the_restriction_scan():
+    """The mask report equals the coefficient-dict oracle's, on 2,000 seeded
+    pairs of forms and on every product l*m and square l^2 of nonzero linear
+    forms (each paired with a random such product)."""
     rng = random.Random(16)
     monomials = [(i, j) for i in range(6) for j in range(i, 6)]
     forms = [v for v in itertools.product((0, 1), repeat=6) if any(v)]
@@ -418,18 +445,9 @@ def test_mod2_mask_divisors_match_the_restriction_scan(monkeypatch):
     pairs = [(random_quadric(), random_quadric()) for _ in range(2000)]
     pairs += [(q, rng.choice(products)) for q in products]
     pencils = [SimpleNamespace(q1=q1, q2=q2) for q1, q2 in pairs]
-    scanned: dict = {}  # the products recur, and the scan is slow
-
-    def restriction_divisors(coeffs) -> list:
-        key = frozenset(coeffs.items())
-        if key not in scanned:
-            scanned[key] = _restriction_divisors(coeffs)
-            assert reduction._linear_divisors(coeffs) == scanned[key], coeffs
-        return scanned[key]
-
     reports = [mod2_degeneracy(pencil) for pencil in pencils]
-    monkeypatch.setattr(reduction, "_linear_divisors", restriction_divisors)
-    assert reports == [mod2_degeneracy(pencil) for pencil in pencils]
+    assert reports == [mod2_degeneracy_oracle(pencil) for pencil in pencils]
     assert sum(bool(r["square_forms"]) for r in reports) >= 100
     assert sum(bool(r["non_reduced_evidence"]) for r in reports) >= 100
     assert sum(not r["linear_factorizations"] for r in reports) >= 100
+    assert sum("vanishes identically" in r["verdict"] for r in reports) >= 10
