@@ -40,14 +40,6 @@ class MultiPoly:
         return cls(arity, {tuple(exps): 1})
 
     # -- structure ------------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -60,65 +52,7 @@ class MultiPoly:
         items = sorted(self.terms.items())
         return f"MultiPoly({self.arity}, {dict(items)!r})"
 
-    # -- arithmetic -----------------------------------------------------
-    def _coerce(self, other) -> "MultiPoly":
-        if isinstance(other, MultiPoly):
-            if other.arity != self.arity:
-                raise ValueError("arity mismatch")
-            return other
-        if isinstance(other, int):
-            return MultiPoly.constant(other, self.arity)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return MultiPoly(self.arity, out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.arity, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return MultiPoly(self.arity, out)
-
-    __rmul__ = __mul__
-
-    # -- calculus and evaluation -----------------------------------------
-    def derivative(self, index: int) -> "MultiPoly":
-        out: dict[tuple[int, ...], int] = {}
-        for e, c in self.terms.items():
-            k = e[index]
-            if k == 0:
-                continue
-            ne = list(e)
-            ne[index] = k - 1
-            key = tuple(ne)
-            out[key] = out.get(key, 0) + k * c
-        return MultiPoly(self.arity, out)
-
+    # -- evaluation -------------------------------------------------------
     def evaluate(self, point) -> int:
         """Exact evaluation at an integer (or Fraction) point."""
         if len(point) != self.arity:

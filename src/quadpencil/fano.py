@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations
+from operator import add, mul
 from typing import NamedTuple
 
 from .exactmath import MultiPoly, is_probable_prime, rank_mod_p
 from .pencil import PencilOfQuadrics
-from .quadric import NUM_VARIABLES, restrict_to_line
+from .quadric import NUM_VARIABLES, polar_matrix
 
 NUM_PARAMETERS = 8
 FANO_CODIMENSION = 6
@@ -85,8 +86,13 @@ def chart_rows(chart: GrassmannChart) -> tuple[tuple, tuple]:
     return tuple(row_a), tuple(row_b)
 
 
+def _polar_products(polars, v, p: int) -> list:
+    """P v mod p for each polar matrix P in polars."""
+    return [[sum(map(mul, r, v)) % p for r in P] for P in polars]
+
+
 def polar_jacobian(chart: GrassmannChart, pas, pbs) -> list[list[int]]:
-    """FanoSystem.jacobian at a point, from P*rowA and P*rowB of each form.
+    """The Fano system's Jacobian at a point, from P*rowA and P*rowB of each form.
 
     Per form, c_rr = Q(a), c_rs = a^T P b and c_ss = Q(b) for its polar
     matrix P, so with row A's t_2k and row B's t_2k+1 (0-based) at non-pivot
@@ -132,21 +138,17 @@ def _chart_coordinates(chart: GrassmannChart, a, b, p: int):
 
 
 class FanoSystem:
-    """The 6 chart equations (and their Jacobian) cutting out F1(X)."""
+    """The 6 chart equations cutting out F1(X), and the forms' polar matrices."""
 
-    __slots__ = ("chart", "equations", "jacobian")
+    __slots__ = ("chart", "equations", "polars")
 
-    def __init__(self, chart: GrassmannChart, equations):
+    def __init__(self, chart: GrassmannChart, equations, polars):
         equations = tuple(equations)
         if len(equations) != FANO_CODIMENSION:
             raise ValueError("expected 6 equations")
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "equations", equations)
-        jac = tuple(
-            tuple(eq.derivative(k) for k in range(NUM_PARAMETERS))
-            for eq in equations
-        )
-        object.__setattr__(self, "jacobian", jac)
+        object.__setattr__(self, "polars", tuple(polars))
 
     def __setattr__(self, name, value):
         raise AttributeError("FanoSystem is immutable")
@@ -154,14 +156,39 @@ class FanoSystem:
     def __repr__(self) -> str:
         return f"FanoSystem(chart={self.chart.pivots})"
 
+    def jacobian_mod(self, point, p: int) -> list[list[int]]:
+        """The 6x8 Jacobian of the equations mod p at a chart point."""
+        a, b = chart_point_rows(self.chart, point)
+        return polar_jacobian(
+            self.chart, _polar_products(self.polars, a, p), _polar_products(self.polars, b, p)
+        )
+
 
 def fano_system(pencil: PencilOfQuadrics, chart: GrassmannChart) -> FanoSystem:
-    """Equations of F1(X) on the chart: (c_rr, c_rs, c_ss) for Q1, then Q2."""
-    row_a, row_b = chart_rows(chart)
-    equations = restrict_to_line(pencil.q1, row_a, row_b) + restrict_to_line(
-        pencil.q2, row_a, row_b
-    )
-    return FanoSystem(chart, equations)
+    """Equations of F1(X) on the chart: (c_rr, c_rs, c_ss) for Q1, then Q2.
+
+    Each entry of the chart rows is 0, 1 or one parameter, written as its
+    exponent vector (None for 0).  So q(r*rowA + s*rowB) is read off the
+    form's coefficients: a monomial c*x_m*x_n adds c*a_m*a_n to c_rr,
+    c*b_m*b_n to c_ss and c*(a_m*b_n + a_n*b_m) to c_rs.
+    """
+    unit = [tuple(int(k == l) for l in range(NUM_PARAMETERS)) for k in range(NUM_PARAMETERS)]
+    row_a = [None] * NUM_VARIABLES
+    row_b = [None] * NUM_VARIABLES
+    row_a[chart.pivots[0]] = row_b[chart.pivots[1]] = (0,) * NUM_PARAMETERS
+    for k, col in enumerate(chart.non_pivots):
+        row_a[col], row_b[col] = unit[2 * k], unit[2 * k + 1]
+    equations = []
+    for q in (pencil.q1, pencil.q2):
+        rr, rs, ss = {}, {}, {}
+        for (m, n), c in q.coeffs.items():
+            for terms, x, y in ((rr, row_a[m], row_a[n]), (rs, row_a[m], row_b[n]),
+                                (rs, row_a[n], row_b[m]), (ss, row_b[m], row_b[n])):
+                if x is not None and y is not None:
+                    key = tuple(map(add, x, y))
+                    terms[key] = terms.get(key, 0) + c
+        equations += (MultiPoly(NUM_PARAMETERS, terms) for terms in (rr, rs, ss))
+    return FanoSystem(chart, equations, (polar_matrix(pencil.q1), polar_matrix(pencil.q2)))
 
 
 class FanoPointReport(NamedTuple):
@@ -185,11 +212,7 @@ def verify_fano_point(system: FanoSystem, point, p: int) -> FanoPointReport:
         raise ValueError("expected 8 chart coordinates")
     residues = [int(c) % p for c in point]
     on_fano = all(eq.evaluate_mod(residues, p) == 0 for eq in system.equations)
-    jac_rows = [
-        [entry.evaluate_mod(residues, p) for entry in row]
-        for row in system.jacobian
-    ]
-    rank = rank_mod_p(jac_rows, p)
+    rank = rank_mod_p(system.jacobian_mod(residues, p), p)
     return FanoPointReport(
         on_fano=on_fano,
         jacobian_rank=rank,

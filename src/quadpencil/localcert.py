@@ -25,6 +25,7 @@ from .fano import (
     FanoSystem,
     GrassmannChart,
     _chart_coordinates,
+    _polar_products,
     all_charts,
     fano_system,  # unused here, but qpbench/worker.py traces this name
     polar_jacobian,
@@ -113,11 +114,6 @@ def _half_zeros(states, quads, p: int) -> list:
         return zeros
 
     return descend((), states)
-
-
-def _polar_products(polars, v, p: int) -> list:
-    """P v mod p for each polar matrix P in polars."""
-    return [[sum(map(mul, r, v)) % p for r in P] for P in polars]
 
 
 def _rank_can_be_6(chart: GrassmannChart, pas, pbs, p: int) -> bool:
@@ -391,10 +387,7 @@ def hensel_certify(
     lift_modulus: int | None = None
     if liftable and lift_precision >= 2:
         x = list(coords)
-        jac_rows = [
-            [entry.evaluate_mod(coords, prime) for entry in row]
-            for row in system.jacobian
-        ]
+        jac_rows = system.jacobian_mod(coords, prime)
         for e in range(1, lift_precision):
             modulus = prime ** (e + 1)
             residuals = [eq.evaluate(x) % modulus for eq in system.equations]

@@ -97,7 +97,7 @@ def evaluate_form(q: QuadraticForm, v) -> object:
     """q(v) straight from the integer coefficients.
 
     Works over any commutative ring whose elements support + and * with ints
-    (integers, Fractions, MultiPoly), so it is valid in characteristic 2 where
+    (integers, Fractions, residues), so it is valid in characteristic 2 where
     the Gram-matrix route is not.
     """
     if len(v) != NUM_VARIABLES:
@@ -111,8 +111,9 @@ def evaluate_form(q: QuadraticForm, v) -> object:
 def polar_form(q: QuadraticForm, a, b) -> object:
     """The integral polar form B(a, b) = q(a + b) - q(a) - q(b).
 
-    B is the coefficient of rs in q(r*a + s*b); like evaluate_form it uses only
-    integer coefficients and is valid in every characteristic.
+    B is the coefficient of rs in q(r*a + s*b); like evaluate_form it works
+    over integers, Fractions and residues, uses only integer coefficients and
+    is valid in every characteristic.
     """
     if len(a) != NUM_VARIABLES or len(b) != NUM_VARIABLES:
         raise ValueError("expected 6-vectors")

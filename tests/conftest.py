@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
@@ -16,6 +18,7 @@ from quadpencil.exactmath import rank_mod_p
 from quadpencil.fano import _chart_coordinates
 from quadpencil.quadric import VARIABLES, gradient_at
 
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 EXAMPLE_PATH = os.path.join(DATA_DIR, "example_pencil.txt")
 NO_WITNESS_PATH = os.path.join(DATA_DIR, "no_witness_pencil.txt")
@@ -111,6 +114,22 @@ LIFT_COUNTS_MOD_4 = {
 # A smooth F_3-point of the example's chart and its Newton lift mod 27.
 P3_SMOOTH_POINT = (1, 2, 0, 1, 1, 2, 1, 2)
 P3_LIFT_MOD_27 = (22, 26, 3, 16, 1, 5, 1, 2)
+
+
+@lru_cache(maxsize=None)
+def load_qpbench(name: str):
+    """qpbench/<name>.py, the benchmark's independent model, imported read-only.
+
+    gen.py and check.py import exact.py by its bare name, so it is
+    registered under that name too.
+    """
+    if name != "exact":
+        sys.modules.setdefault("exact", load_qpbench("exact"))
+    path = os.path.join(REPO_ROOT, "qpbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"qpbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_form(rng: random.Random) -> QuadraticForm:

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from math import prod
 
 import pytest
+from sympy import ZZ
+from sympy.polys.rings import ring
 
 from quadpencil import (
     FANO_CODIMENSION,
@@ -18,13 +21,73 @@ from quadpencil import (
     chart_rows,
     evaluate_form,
     fano_system,
+    parse_input,
     verify_fano_point,
 )
 from quadpencil.exactmath import rank_mod_p, rref_mod_p
 from quadpencil.fano import _chart_coordinates, polar_jacobian
 from quadpencil.quadric import polar_matrix
 
-from conftest import BIG_PRIME, BIG_WITNESS, CHART_PIVOTS, F2_WITNESS, random_form
+from conftest import (
+    BIG_PRIME,
+    BIG_WITNESS,
+    CHART_PIVOTS,
+    F2_WITNESS,
+    NO_WITNESS_PATH,
+    REPO_ROOT,
+    load_qpbench,
+    random_form,
+)
+
+# Reference: sympy expands Q(r*rowA + s*rowB) and differentiates the six
+# equations, from chart rows built here from the pivots alone.
+_LINE_RING, _R, _S, *_T = ring("r,s,t1:9", ZZ)
+_CHART_RING, *_ = ring("t1:9", ZZ)
+
+
+def _sympy_equations(pencil, chart) -> list[dict]:
+    """Coefficient maps of r^2, rs and s^2 in Q(r*rowA + s*rowB), Q1 then Q2."""
+    row_a, row_b = [0] * 6, [0] * 6
+    row_a[chart.pivots[0]] = row_b[chart.pivots[1]] = 1
+    free = [c for c in range(6) if c not in chart.pivots]
+    for k, col in enumerate(free):
+        row_a[col], row_b[col] = _T[2 * k], _T[2 * k + 1]
+    line = [_R * a + _S * b for a, b in zip(row_a, row_b)]
+    equations = []
+    for q in (pencil.q1, pencil.q2):
+        expanded = sum((c * line[m] * line[n] for (m, n), c in q.coeffs.items()), _LINE_RING(0))
+        for rs in ((2, 0), (1, 1), (0, 2)):
+            equations.append({e[2:]: int(c) for e, c in expanded.items() if e[:2] == rs})
+    return equations
+
+
+def _sympy_partials(system) -> list[list]:
+    """sympy's d/dt_k of each of the system's six equations."""
+    return [
+        [_CHART_RING.from_dict(eq.terms).diff(t) for t in _CHART_RING.gens]
+        for eq in system.equations
+    ]
+
+
+def _at(partials, point) -> list[list[int]]:
+    def value(d):
+        return sum(int(c) * prod(map(pow, point, e)) for e, c in d.items())
+
+    return [[value(d) for d in row] for row in partials]
+
+
+def _dense_pencils(count: int = 10) -> list:
+    """Seeded dense pencils with odd mixed coefficients, from the verify-lift
+    workload's generator."""
+    pencils = []
+    for claim in load_qpbench("gen").verify_lift_claims(7, 20, REPO_ROOT):
+        forms = claim["forms"]
+        odd = any(c % 2 for q in forms for (i, j), c in q.items() if i != j)
+        pencil = PencilOfQuadrics(*(QuadraticForm(q) for q in forms))
+        if odd and pencil not in pencils:
+            pencils.append(pencil)
+    assert len(pencils) >= count
+    return pencils[:count]
 
 
 def test_there_are_exactly_15_distinct_charts():
@@ -109,17 +172,26 @@ def test_fano_system_vanishes_at_the_supplied_witnesses(example_pencil):
         assert eq.evaluate_mod(BIG_WITNESS, BIG_PRIME) == 0
 
 
+def test_fano_equations_match_the_sympy_expansion(example_pencil):
+    pencils = [example_pencil, parse_input(NO_WITNESS_PATH).pencil, *_dense_pencils()]
+    for pencil in pencils:
+        for chart in all_charts():
+            equations = fano_system(pencil, chart).equations
+            assert [eq.terms for eq in equations] == _sympy_equations(pencil, chart)
+
+
 def test_fano_jacobian_entries_are_partial_derivatives(example_pencil):
-    system = fano_system(example_pencil, GrassmannChart(CHART_PIVOTS))
-    jac = system.jacobian
-    assert len(jac) == FANO_CODIMENSION
     rng = random.Random(5)
-    point = tuple(rng.randint(-4, 4) for _ in range(NUM_PARAMETERS))
-    for row, eq in zip(jac, system.equations):
-        assert len(row) == NUM_PARAMETERS
-        for k in range(NUM_PARAMETERS):
-            assert row[k] == eq.derivative(k)
-            assert row[k].evaluate(point) == eq.derivative(k).evaluate(point)
+    pencils = [example_pencil, PencilOfQuadrics(random_form(rng), random_form(rng)),
+               _dense_pencils(1)[0]]
+    for pencil in pencils:
+        for chart in all_charts():
+            system = fano_system(pencil, chart)
+            partials = _sympy_partials(system)
+            for p in (2, 3, 101, BIG_PRIME):
+                point = [rng.randrange(p) for _ in range(NUM_PARAMETERS)]
+                expected = [[d % p for d in row] for row in _at(partials, point)]
+                assert system.jacobian_mod(point, p) == expected
 
 
 def test_polar_jacobian_is_the_fano_jacobian(example_pencil):
@@ -128,15 +200,13 @@ def test_polar_jacobian_is_the_fano_jacobian(example_pencil):
     for pencil in pencils:
         polars = [polar_matrix(pencil.q1), polar_matrix(pencil.q2)]
         for chart in all_charts():
-            system = fano_system(pencil, chart)
+            partials = _sympy_partials(fano_system(pencil, chart))
             for _ in range(3):
                 point = [rng.randint(-9, 9) for _ in range(NUM_PARAMETERS)]
                 a, b = chart_point_rows(chart, point)
                 pas = [[sum(x * y for x, y in zip(r, a)) for r in P] for P in polars]
                 pbs = [[sum(x * y for x, y in zip(r, b)) for r in P] for P in polars]
-                assert polar_jacobian(chart, pas, pbs) == [
-                    [entry.evaluate(point) for entry in row] for row in system.jacobian
-                ]
+                assert polar_jacobian(chart, pas, pbs) == _at(partials, point)
 
 
 def test_verify_fano_point_reports(example_pencil):
@@ -171,10 +241,7 @@ def test_jacobian_rank_is_invariant_under_equation_permutation(example_pencil):
     rng = random.Random(23)
     for _ in range(10):
         point = tuple(rng.randrange(3) for _ in range(NUM_PARAMETERS))
-        rows = [
-            [entry.evaluate_mod(point, 3) for entry in row]
-            for row in system.jacobian
-        ]
+        rows = system.jacobian_mod(point, 3)
         base = rank_mod_p(rows, 3)
         perm = rows[:]
         rng.shuffle(perm)

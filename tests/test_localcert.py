@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import importlib.util
+import hashlib
 import itertools
-import os
+import json
 import random
 from fractions import Fraction
 from operator import mul
@@ -51,22 +51,15 @@ from conftest import (
     P3_LIFT_MOD_27,
     P3_SMOOTH_POINT,
     REAL_ROOTS_PRINTED,
+    REPO_ROOT,
     chart_read_off,
     evaluate_poly,
+    load_qpbench,
     random_form,
 )
 
 
-def _load_exact():
-    """qpbench/exact.py, the benchmark's independent integer model."""
-    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "qpbench", "exact.py")
-    spec = importlib.util.spec_from_file_location("qpbench_exact", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-exact = _load_exact()
+exact = load_qpbench("exact")
 
 
 def _ui(chart: GrassmannChart) -> tuple[int, int]:
@@ -512,6 +505,31 @@ def test_hensel_lift_of_big_prime_witness(example_pencil):
     assert tuple(c % BIG_PRIME for c in cert.lift) == BIG_WITNESS
     for eq in system.equations:
         assert eq.evaluate(cert.lift) % BIG_PRIME**3 == 0
+
+
+# sha256 of the JSON list [[lift, lift_modulus], ...] that hensel_certify
+# gives for verify_lift_claims(7, 10): ten dense pencils, most with odd
+# mixed coefficients, each at k = 3 and k = 12, then the bundled witness.
+DENSE_LIFTS_SHA256 = "a08d7be5ee361feb209d14e39223dec2374f8c51fe9fff22c9480425f51b0e44"
+
+
+def test_hensel_lifts_on_dense_forms_are_pinned():
+    gen, check = load_qpbench("gen"), load_qpbench("check")
+    claims = gen.verify_lift_claims(7, 10, REPO_ROOT)
+    assert sorted({claim["precision"] for claim in claims}) == [3, 12]
+    lifts = []
+    for claim in claims:
+        pencil = PencilOfQuadrics(*(QuadraticForm(q) for q in claim["forms"]))
+        chart = GrassmannChart(tuple(c - 1 for c in claim["chart"]))
+        cert = hensel_certify(fano_system(pencil, chart), claim["coords"], claim["prime"],
+                              lift_precision=claim["precision"])
+        report = {"on_system": True, "jacobian_rank": cert.jacobian_rank,
+                  "smooth": cert.liftable, "lift": list(cert.lift),
+                  "lift_modulus": cert.lift_modulus}
+        assert check.check_claim(claim, report) == []
+        lifts.append([list(cert.lift), cert.lift_modulus])
+    assert len(lifts) == 22
+    assert hashlib.sha256(json.dumps(lifts).encode()).hexdigest() == DENSE_LIFTS_SHA256
 
 
 def test_hensel_refuses_rank_deficient_points(example_pencil):
