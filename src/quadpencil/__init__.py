@@ -35,7 +35,6 @@ _EXPORTS = {
     "GrassmannChart": "fano",
     "all_charts": "fano",
     "chart_point_rows": "fano",
-    "chart_rows": "fano",
     "fano_system": "fano",
     "verify_fano_point": "fano",
     "CensusEntry": "localcert",

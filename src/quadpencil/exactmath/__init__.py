@@ -13,7 +13,6 @@ from .matrix import (
     rref_mod_p,
     solve_mod_p,
 )
-from .multipoly import MultiPoly
 from .unipoly import (
     UniPoly,
     isolate_real_roots,
@@ -25,7 +24,6 @@ from .unipoly import (
 
 __all__ = [
     "FactorizationError",
-    "MultiPoly",
     "UniPoly",
     "det_poly_matrix",
     "factor_with_hints",

@@ -2,21 +2,23 @@
 
 Lines in P^5 are parametrized by the 15 standard affine charts of Gr(2,6):
 a chart fixes two pivot columns to the 2x2 identity and fills the remaining
-eight matrix slots with parameters t_1..t_8.  Restricting both quadrics to the
-parametrized line yields 6 equations in the 8 parameters whose common zeros
-are exactly the lines contained in X.
+eight matrix slots with parameters t_1..t_8.  A chart point's line lies on X
+iff quadric.restrict_to_line gives (c_rr, c_rs, c_ss) = (0, 0, 0) for both
+forms, so these six residuals, as functions of the 8 parameters, cut out F1(X)
+on the chart.  They are only ever evaluated at integer points, and their
+Jacobian is read off the forms' polar matrices (polar_jacobian).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations
-from operator import add, mul
+from operator import mul
 from typing import NamedTuple
 
-from .exactmath import MultiPoly, is_probable_prime, rank_mod_p
+from .exactmath import is_probable_prime, rank_mod_p
 from .pencil import PencilOfQuadrics
-from .quadric import NUM_VARIABLES, polar_matrix
+from .quadric import NUM_VARIABLES, polar_matrix, restrict_to_line
 
 NUM_PARAMETERS = 8
 FANO_CODIMENSION = 6
@@ -71,21 +73,6 @@ def all_charts() -> tuple[GrassmannChart, ...]:
     )
 
 
-def chart_rows(chart: GrassmannChart) -> tuple[tuple, tuple]:
-    """Symbolic rows (rowA, rowB) of the chart matrix, as MultiPoly 6-vectors."""
-    i, j = chart.pivots
-    one = MultiPoly.constant(1, NUM_PARAMETERS)
-    zero = MultiPoly.zero(NUM_PARAMETERS)
-    row_a = [zero] * NUM_VARIABLES
-    row_b = [zero] * NUM_VARIABLES
-    row_a[i] = one
-    row_b[j] = one
-    for k, col in enumerate(chart.non_pivots):
-        row_a[col] = MultiPoly.variable(2 * k, NUM_PARAMETERS)
-        row_b[col] = MultiPoly.variable(2 * k + 1, NUM_PARAMETERS)
-    return tuple(row_a), tuple(row_b)
-
-
 def _polar_products(polars, v, p: int) -> list:
     """P v mod p for each polar matrix P in polars."""
     return [[sum(map(mul, r, v)) % p for r in P] for P in polars]
@@ -137,27 +124,24 @@ def _chart_coordinates(chart: GrassmannChart, a, b, p: int):
         b[l] * a[c] - a[l] * b[c], a[k] * b[c] - b[k] * a[c]))
 
 
-class FanoSystem:
-    """The 6 chart equations cutting out F1(X), and the forms' polar matrices."""
+class FanoSystem(NamedTuple):
+    """F1(X) on one chart: the two forms and their polar matrices.
 
-    __slots__ = ("chart", "equations", "polars")
+    A chart point is on F1(X) iff both forms vanish on its line, i.e. iff
+    all six residuals are 0.
+    """
 
-    def __init__(self, chart: GrassmannChart, equations, polars):
-        equations = tuple(equations)
-        if len(equations) != FANO_CODIMENSION:
-            raise ValueError("expected 6 equations")
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "equations", equations)
-        object.__setattr__(self, "polars", tuple(polars))
+    chart: GrassmannChart
+    forms: tuple
+    polars: tuple
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FanoSystem is immutable")
-
-    def __repr__(self) -> str:
-        return f"FanoSystem(chart={self.chart.pivots})"
+    def residuals(self, point) -> list:
+        """c_rr, c_rs, c_ss of Q1, then of Q2, on the line at a chart point."""
+        a, b = chart_point_rows(self.chart, point)
+        return [c for q in self.forms for c in restrict_to_line(q, a, b)]
 
     def jacobian_mod(self, point, p: int) -> list[list[int]]:
-        """The 6x8 Jacobian of the equations mod p at a chart point."""
+        """The 6x8 Jacobian of the residuals mod p at a chart point."""
         a, b = chart_point_rows(self.chart, point)
         return polar_jacobian(
             self.chart, _polar_products(self.polars, a, p), _polar_products(self.polars, b, p)
@@ -165,30 +149,9 @@ class FanoSystem:
 
 
 def fano_system(pencil: PencilOfQuadrics, chart: GrassmannChart) -> FanoSystem:
-    """Equations of F1(X) on the chart: (c_rr, c_rs, c_ss) for Q1, then Q2.
-
-    Each entry of the chart rows is 0, 1 or one parameter, written as its
-    exponent vector (None for 0).  So q(r*rowA + s*rowB) is read off the
-    form's coefficients: a monomial c*x_m*x_n adds c*a_m*a_n to c_rr,
-    c*b_m*b_n to c_ss and c*(a_m*b_n + a_n*b_m) to c_rs.
-    """
-    unit = [tuple(int(k == l) for l in range(NUM_PARAMETERS)) for k in range(NUM_PARAMETERS)]
-    row_a = [None] * NUM_VARIABLES
-    row_b = [None] * NUM_VARIABLES
-    row_a[chart.pivots[0]] = row_b[chart.pivots[1]] = (0,) * NUM_PARAMETERS
-    for k, col in enumerate(chart.non_pivots):
-        row_a[col], row_b[col] = unit[2 * k], unit[2 * k + 1]
-    equations = []
-    for q in (pencil.q1, pencil.q2):
-        rr, rs, ss = {}, {}, {}
-        for (m, n), c in q.coeffs.items():
-            for terms, x, y in ((rr, row_a[m], row_a[n]), (rs, row_a[m], row_b[n]),
-                                (rs, row_a[n], row_b[m]), (ss, row_b[m], row_b[n])):
-                if x is not None and y is not None:
-                    key = tuple(map(add, x, y))
-                    terms[key] = terms.get(key, 0) + c
-        equations += (MultiPoly(NUM_PARAMETERS, terms) for terms in (rr, rs, ss))
-    return FanoSystem(chart, equations, (polar_matrix(pencil.q1), polar_matrix(pencil.q2)))
+    """The system of F1(X) on the chart, for Q1 then Q2."""
+    forms = (pencil.q1, pencil.q2)
+    return FanoSystem(chart, forms, tuple(map(polar_matrix, forms)))
 
 
 class FanoPointReport(NamedTuple):
@@ -200,7 +163,7 @@ class FanoPointReport(NamedTuple):
 
 
 def verify_fano_point(system: FanoSystem, point, p: int) -> FanoPointReport:
-    """Check a chart point over F_p: equation vanishing and Jacobian rank.
+    """Check a chart point over F_p: residual vanishing and Jacobian rank.
 
     The point is smooth on F1(X) iff it is on the system and the Jacobian has
     full rank 6 (the codimension of the Fano surface in A^8); that is exactly
@@ -208,10 +171,8 @@ def verify_fano_point(system: FanoSystem, point, p: int) -> FanoPointReport:
     """
     if not is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
-    if len(point) != NUM_PARAMETERS:
-        raise ValueError("expected 8 chart coordinates")
     residues = [int(c) % p for c in point]
-    on_fano = all(eq.evaluate_mod(residues, p) == 0 for eq in system.equations)
+    on_fano = not any(r % p for r in system.residuals(residues))
     rank = rank_mod_p(system.jacobian_mod(residues, p), p)
     return FanoPointReport(
         on_fano=on_fano,

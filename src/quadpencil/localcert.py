@@ -390,7 +390,7 @@ def hensel_certify(
         jac_rows = system.jacobian_mod(coords, prime)
         for e in range(1, lift_precision):
             modulus = prime ** (e + 1)
-            residuals = [eq.evaluate(x) % modulus for eq in system.equations]
+            residuals = [r % modulus for r in system.residuals(x)]
             rhs = [(-(r // prime**e)) % prime for r in residuals]
             # Rank 6 = number of rows, so the step always solves; free
             # variables are 0, i.e. delta lives on the pivot columns.
@@ -399,7 +399,7 @@ def hensel_certify(
                 raise ArithmeticError("Newton step failed on a full-rank system")
             x = [(x[l] + prime**e * delta[l]) % modulus for l in range(NUM_PARAMETERS)]
         final_modulus = prime**lift_precision
-        if any(eq.evaluate(x) % final_modulus for eq in system.equations):
+        if any(r % final_modulus for r in system.residuals(x)):
             raise ArithmeticError("Newton lift failed to satisfy the system")
         lift = tuple(x)
         lift_modulus = final_modulus

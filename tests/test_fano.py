@@ -18,7 +18,6 @@ from quadpencil import (
     PencilOfQuadrics,
     all_charts,
     chart_point_rows,
-    chart_rows,
     evaluate_form,
     fano_system,
     parse_input,
@@ -45,14 +44,19 @@ _LINE_RING, _R, _S, *_T = ring("r,s,t1:9", ZZ)
 _CHART_RING, *_ = ring("t1:9", ZZ)
 
 
-def _sympy_equations(pencil, chart) -> list[dict]:
-    """Coefficient maps of r^2, rs and s^2 in Q(r*rowA + s*rowB), Q1 then Q2."""
-    row_a, row_b = [0] * 6, [0] * 6
-    row_a[chart.pivots[0]] = row_b[chart.pivots[1]] = 1
+def _sympy_rows(chart) -> tuple[list, list]:
+    """Symbolic rows (rowA, rowB) of the chart matrix, in t1..t8."""
+    row_a, row_b = [_LINE_RING(0)] * 6, [_LINE_RING(0)] * 6
+    row_a[chart.pivots[0]] = row_b[chart.pivots[1]] = _LINE_RING(1)
     free = [c for c in range(6) if c not in chart.pivots]
     for k, col in enumerate(free):
         row_a[col], row_b[col] = _T[2 * k], _T[2 * k + 1]
-    line = [_R * a + _S * b for a, b in zip(row_a, row_b)]
+    return row_a, row_b
+
+
+def _sympy_equations(pencil, chart) -> list[dict]:
+    """Coefficient maps of r^2, rs and s^2 in Q(r*rowA + s*rowB), Q1 then Q2."""
+    line = [_R * a + _S * b for a, b in zip(*_sympy_rows(chart))]
     equations = []
     for q in (pencil.q1, pencil.q2):
         expanded = sum((c * line[m] * line[n] for (m, n), c in q.coeffs.items()), _LINE_RING(0))
@@ -61,19 +65,21 @@ def _sympy_equations(pencil, chart) -> list[dict]:
     return equations
 
 
-def _sympy_partials(system) -> list[list]:
-    """sympy's d/dt_k of each of the system's six equations."""
+def _sympy_partials(pencil, chart) -> list[list]:
+    """sympy's d/dt_k of each of the six equations."""
     return [
-        [_CHART_RING.from_dict(eq.terms).diff(t) for t in _CHART_RING.gens]
-        for eq in system.equations
+        [_CHART_RING.from_dict(eq).diff(t) for t in _CHART_RING.gens]
+        for eq in _sympy_equations(pencil, chart)
     ]
 
 
-def _at(partials, point) -> list[list[int]]:
-    def value(d):
-        return sum(int(c) * prod(map(pow, point, e)) for e, c in d.items())
+def _value(poly, point) -> int:
+    """A coefficient map {exponents: c} evaluated at an integer point."""
+    return sum(int(c) * prod(map(pow, point, e)) for e, c in poly.items())
 
-    return [[value(d) for d in row] for row in partials]
+
+def _at(partials, point) -> list[list[int]]:
+    return [[_value(d, point) for d in row] for row in partials]
 
 
 def _dense_pencils(count: int = 10) -> list:
@@ -118,23 +124,6 @@ def test_chart_is_an_immutable_record():
     assert chart.non_pivots is chart.non_pivots
 
 
-def test_chart_rows_have_identity_at_pivots():
-    for chart in all_charts():
-        row_a, row_b = chart_rows(chart)
-        i, j = chart.pivots
-        point = tuple(range(1, NUM_PARAMETERS + 1))
-        a = [entry.evaluate(point) for entry in row_a]
-        b = [entry.evaluate(point) for entry in row_b]
-        assert a[i] == 1 and a[j] == 0
-        assert b[i] == 0 and b[j] == 1
-        # The eight parameters appear exactly once each, in column order.
-        free = [k for k in range(6) if k not in chart.pivots]
-        seen = []
-        for k in free:
-            seen.extend([a[k], b[k]])
-        assert seen == list(range(1, NUM_PARAMETERS + 1))
-
-
 def test_example_chart_matrix_layout():
     # Pivot columns 2 and 3 (1-based): rows (t1 1 0 t3 t5 t7; t2 0 1 t4 t6 t8).
     chart = GrassmannChart(CHART_PIVOTS)
@@ -148,12 +137,18 @@ def test_chart_point_rows_are_the_symbolic_rows_and_invert_chart_coordinates():
     rng = random.Random(14)
     p = 101
     for chart in all_charts():
-        row_a, row_b = chart_rows(chart)
+        row_a, row_b = _sympy_rows(chart)
+        i, j = chart.pivots
+        free = [k for k in range(6) if k not in chart.pivots]
         for _ in range(5):
             point = [rng.randint(-99, 99) for _ in range(NUM_PARAMETERS)]
             a, b = chart_point_rows(chart, point)
-            assert a == [entry.evaluate(point) for entry in row_a]
-            assert b == [entry.evaluate(point) for entry in row_b]
+            assert a == [entry(0, 0, *point) for entry in row_a]
+            assert b == [entry(0, 0, *point) for entry in row_b]
+            # Identity at the pivots; the eight parameters appear exactly
+            # once each, in column order.
+            assert (a[i], a[j], b[i], b[j]) == (1, 0, 0, 1)
+            assert [x for k in free for x in (a[k], b[k])] == point
             assert _chart_coordinates(chart, a, b, p) == tuple(c % p for c in point)
             # Every chart that holds the line reads off coordinates whose
             # rows span the same line mod p.
@@ -166,18 +161,24 @@ def test_chart_point_rows_are_the_symbolic_rows_and_invert_chart_coordinates():
 
 def test_fano_system_vanishes_at_the_supplied_witnesses(example_pencil):
     system = fano_system(example_pencil, GrassmannChart(CHART_PIVOTS))
-    assert len(system.equations) == FANO_CODIMENSION
-    for eq in system.equations:
-        assert eq.evaluate_mod(F2_WITNESS, 2) == 0
-        assert eq.evaluate_mod(BIG_WITNESS, BIG_PRIME) == 0
+    at_two, at_big = system.residuals(F2_WITNESS), system.residuals(BIG_WITNESS)
+    assert len(at_two) == len(at_big) == FANO_CODIMENSION
+    assert all(r % 2 == 0 for r in at_two)
+    assert all(r % BIG_PRIME == 0 for r in at_big)
 
 
 def test_fano_equations_match_the_sympy_expansion(example_pencil):
+    # The residuals are sympy's six equations evaluated at seeded integer
+    # points, with entries small, negative and above 2^64.
+    rng = random.Random(19)
     pencils = [example_pencil, parse_input(NO_WITNESS_PATH).pencil, *_dense_pencils()]
     for pencil in pencils:
         for chart in all_charts():
-            equations = fano_system(pencil, chart).equations
-            assert [eq.terms for eq in equations] == _sympy_equations(pencil, chart)
+            system = fano_system(pencil, chart)
+            equations = _sympy_equations(pencil, chart)
+            for bound in (9, 2**70):
+                point = [rng.randint(-bound, bound) for _ in range(NUM_PARAMETERS)]
+                assert system.residuals(point) == [_value(eq, point) for eq in equations]
 
 
 def test_fano_jacobian_entries_are_partial_derivatives(example_pencil):
@@ -187,7 +188,7 @@ def test_fano_jacobian_entries_are_partial_derivatives(example_pencil):
     for pencil in pencils:
         for chart in all_charts():
             system = fano_system(pencil, chart)
-            partials = _sympy_partials(system)
+            partials = _sympy_partials(pencil, chart)
             for p in (2, 3, 101, BIG_PRIME):
                 point = [rng.randrange(p) for _ in range(NUM_PARAMETERS)]
                 expected = [[d % p for d in row] for row in _at(partials, point)]
@@ -200,7 +201,7 @@ def test_polar_jacobian_is_the_fano_jacobian(example_pencil):
     for pencil in pencils:
         polars = [polar_matrix(pencil.q1), polar_matrix(pencil.q2)]
         for chart in all_charts():
-            partials = _sympy_partials(fano_system(pencil, chart))
+            partials = _sympy_partials(pencil, chart)
             for _ in range(3):
                 point = [rng.randint(-9, 9) for _ in range(NUM_PARAMETERS)]
                 a, b = chart_point_rows(chart, point)
@@ -226,6 +227,14 @@ def test_verify_fano_point_reports(example_pencil):
     assert zero.on_fano is True  # the zero point solves the system mod 2
     assert zero.jacobian_rank == 2
     assert zero.smooth is False
+
+    # Off the system with a full-rank Jacobian: still not smooth.
+    off = verify_fano_point(
+        fano_system(example_pencil, GrassmannChart((0, 2))), (1,) + (0,) * 7, 3
+    )
+    assert off.on_fano is False
+    assert off.jacobian_rank == 6
+    assert off.smooth is False
 
 
 def test_verify_fano_point_validates_input(example_pencil):
@@ -256,7 +265,7 @@ def test_on_fano_points_parametrize_lines_on_both_quadrics(example_pencil):
     chart = GrassmannChart(CHART_PIVOTS)
     system = fano_system(example_pencil, chart)
     for point in itertools.product(range(p), repeat=NUM_PARAMETERS):
-        if any(eq.evaluate_mod(point, p) for eq in system.equations):
+        if any(r % p for r in system.residuals(point)):
             continue
         found += 1
         row_a, row_b = chart_point_rows(chart, point)

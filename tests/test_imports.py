@@ -44,7 +44,7 @@ PUBLIC_NAMES = [
     "ParsedInput", "PencilOfQuadrics", "PipelineConfig", "QuadraticForm",
     "RationalityCertificate", "SingularLocusReport", "SingularWitness", "VARIABLES",
     "all_charts", "canonical_json", "characteristic_form", "chart_census",
-    "chart_point_rows", "chart_rows", "cone_check", "curve_data", "evaluate_form",
+    "chart_point_rows", "cone_check", "curve_data", "evaluate_form",
     "fano_system", "gradient_at", "gram_matrix", "hensel_certify",
     "mod2_degeneracy", "normalize_projective", "parse_form", "parse_input",
     "parse_input_text", "polar_form", "pretty_print", "real_place_report",

@@ -551,6 +551,14 @@ def test_verify_point_subcommand():
     assert code == 0
     assert json.loads(out)["smooth"] is True
 
+    # Off the system, though the Jacobian has rank 6 there.
+    out, _, code = run_cli(
+        ["verify-point", EXAMPLE, "--prime", "3", "--chart", "1,3", "--coords", "1,0,0,0,0,0,0,0"]
+    )
+    assert code == 1
+    assert '"on_system":false' in out
+    assert json.loads(out)["jacobian_rank"] == "6"
+
 
 def test_verify_ambient_subcommand():
     out, _, code = run_cli(
