@@ -63,7 +63,6 @@ _EXPORTS = {
     "DEGENERATE_VERDICT": "pipeline",
     "POSITIVE_VERDICT": "pipeline",
     "PipelineConfig": "pipeline",
-    "RationalityCertificate": "pipeline",
     "run_pipeline": "pipeline",
 }
 

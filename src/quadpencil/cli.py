@@ -101,7 +101,7 @@ def _emit(document: dict | None, summary_lines: Sequence[str]) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_analyze(args) -> int:
-    from .pipeline import PipelineConfig, run_pipeline
+    from .pipeline import POSITIVE_VERDICT, PipelineConfig, run_pipeline
 
     cfg = PipelineConfig(
         input_path=args.file,
@@ -110,14 +110,14 @@ def _cmd_analyze(args) -> int:
         workers=args.workers,
     )
     certificate = run_pipeline(cfg)
-    lines = [f"verdict: {certificate.verdict}"]
-    for entry in certificate.local_certificates:
+    lines = [f"verdict: {certificate['verdict']}"]
+    for entry in certificate["local_certificates"]:
         liftable = entry.get("liftable", entry.get("smooth_reduction"))
         lines.append(f"  place {entry['place']}: {entry['kind']}, ok={liftable}")
-    for reason in certificate.incomplete_reasons:
+    for reason in certificate["incomplete_reasons"]:
         lines.append(f"  incomplete: {reason}")
-    _emit(certificate.to_document(), lines)
-    return EXIT_POSITIVE if certificate.is_positive else EXIT_INCOMPLETE
+    _emit(certificate, lines)
+    return EXIT_POSITIVE if certificate["verdict"] == POSITIVE_VERDICT else EXIT_INCOMPLETE
 
 
 def _cmd_charform(args) -> int:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .exactmath import is_probable_prime, rank_mod_p
 from .pencil import PencilOfQuadrics
-from .quadric import NUM_VARIABLES, polar_matrix, restrict_to_line
+from .quadric import NUM_VARIABLES, restrict_to_line
 
 NUM_PARAMETERS = 8
 FANO_CODIMENSION = 6
@@ -150,8 +150,7 @@ class FanoSystem(NamedTuple):
 
 def fano_system(pencil: PencilOfQuadrics, chart: GrassmannChart) -> FanoSystem:
     """The system of F1(X) on the chart, for Q1 then Q2."""
-    forms = (pencil.q1, pencil.q2)
-    return FanoSystem(chart, forms, tuple(map(polar_matrix, forms)))
+    return FanoSystem(chart, (pencil.q1, pencil.q2), pencil.polars)
 
 
 class FanoPointReport(NamedTuple):

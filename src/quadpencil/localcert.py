@@ -32,7 +32,7 @@ from .fano import (
     verify_fano_point,
 )
 from .pencil import CurveData, PencilOfQuadrics
-from .quadric import NUM_VARIABLES, evaluate_form, polar_matrix
+from .quadric import NUM_VARIABLES, evaluate_form
 
 # The pipeline searches primes up to this bound: bad primes by the census
 # (p^8 points per chart, via the Schubert-cell scan below, which is
@@ -144,7 +144,7 @@ def _cell_lines(pencil: PencilOfQuadrics, cells, p: int) -> list:
     line is smooth when fano.polar_jacobian on chart (i, j) has rank 6; the
     rank is computed only where _rank_can_be_6 allows it.
     """
-    polars = (polar_matrix(pencil.q1), polar_matrix(pencil.q2))
+    polars = pencil.polars
 
     def points(lead: int) -> list:
         free = range(lead + 1, NUM_VARIABLES)
@@ -297,7 +297,7 @@ def _splitmix64(seed: int):
 
 
 def smooth_line_through_point(
-    pencil: PencilOfQuadrics, prime: int, charts=()
+    pencil: PencilOfQuadrics, prime: int
 ) -> tuple[GrassmannChart, tuple[int, ...]] | None:
     """A smooth F_p-point (chart, coordinates) of the Fano system, or None.
 
@@ -306,10 +306,10 @@ def smooth_line_through_point(
     through x are <x, y> with y in its 4-dimensional kernel K and
     Q1(y) = Q2(y) = 0: on a complement of x in K two conics again, whose
     common zeros are those lines (Reid 1972: a general point of a smooth X
-    lies on 4 lines).  A line's echelon basis names its Schubert cell, where
-    fano.polar_jacobian must have rank 6.  It is expressed in the first of
-    ``charts``, in pivot order, that contains it, and in its cell's chart
-    otherwise.  Gives up after MAX_LINE_PLANES planes.
+    lies on 4 lines).  A line's echelon basis names its Schubert cell, whose
+    chart expresses it (the pivot minor is 1 there) and where
+    fano.polar_jacobian must have rank 6.  Gives up after MAX_LINE_PLANES
+    planes.
 
     The planes come from SplitMix64 seeded by the forms' coefficients and p,
     so the result is deterministic.  p must be an odd prime; the cost is
@@ -317,8 +317,7 @@ def smooth_line_through_point(
     """
     if prime == 2 or not is_probable_prime(prime):
         raise ValueError(f"{prime} is not an odd prime")
-    p = prime
-    polars = (polar_matrix(pencil.q1), polar_matrix(pencil.q2))
+    p, polars = prime, pencil.polars
     seed = p
     for q in (pencil.q1, pencil.q2):
         for (i, j), c in q.monomials():
@@ -342,7 +341,6 @@ def smooth_line_through_point(
         return [[sum(s * v[c] for s, v in zip(z, basis)) % p for c in range(NUM_VARIABLES)]
                 for z in zeros]
 
-    preferred = sorted(charts, key=lambda chart: chart.pivots)
     for _ in range(MAX_LINE_PLANES):
         for x in zeros_on([[draw() for _ in range(NUM_VARIABLES)] for _ in range(3)]):
             kernel = kernel_mod_p(_polar_products(polars, x, p), p)
@@ -359,11 +357,8 @@ def smooth_line_through_point(
                 jacobian = polar_jacobian(
                     cell, _polar_products(polars, a, p), _polar_products(polars, b, p)
                 )
-                if rank_mod_p(jacobian, p) < FANO_CODIMENSION:
-                    continue
-                for chart in (*preferred, cell):
-                    if (coords := _chart_coordinates(chart, a, b, p)) is not None:
-                        return chart, coords
+                if rank_mod_p(jacobian, p) == FANO_CODIMENSION:
+                    return cell, _chart_coordinates(cell, a, b, p)
     return None
 
 

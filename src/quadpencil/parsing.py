@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -66,6 +67,15 @@ class ParseError(ValueError):
         self.message = message
         self.line = line
         self.column = column
+
+
+def _to_int(text: str, line: int, column: int) -> int:
+    """int(text) for integer text; past Python's conversion limit, a ParseError."""
+    try:
+        return int(text)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"integer literal longer than {limit} digits", line, column) from None
 
 
 class FanoWitness(NamedTuple):
@@ -219,7 +229,7 @@ class _FormParser:
     def _parse_factor(self) -> dict[tuple[int, ...], int]:
         tok = self._next()
         if tok.kind == "int":
-            return {(0,) * NUM_VARIABLES: int(tok.text)}
+            return {(0,) * NUM_VARIABLES: _to_int(tok.text, self._line, tok.column)}
         if tok.kind == "var":
             exponent = 1
             nxt = self._peek()
@@ -232,7 +242,7 @@ class _FormParser:
                         self._line,
                         power_tok.column,
                     )
-                exponent = int(power_tok.text)
+                exponent = _to_int(power_tok.text, self._line, power_tok.column)
                 if exponent > 2:
                     raise ParseError(
                         f"non-quadratic monomial: exponent {exponent} exceeds 2",
@@ -383,7 +393,7 @@ def _parse_int_list(
     for part in parts:
         if not _is_integer_text(part, signed=True):
             raise ParseError(f"bad integer '{part}' in {what}", line, column)
-        values.append(int(part))
+        values.append(_to_int(part, line, column))
         column += len(part) + 1
     return tuple(values)
 
@@ -408,7 +418,7 @@ def _parse_witness_fields(
 def _require_prime(value: str, line: int, column: int) -> int:
     if not _is_integer_text(value):
         raise ParseError(f"bad prime '{value}'", line, column)
-    p = int(value)
+    p = _to_int(value, line, column)
     if p < 2 or not is_probable_prime(p):
         raise ParseError(f"{p} is not prime", line, column)
     return p
@@ -570,13 +580,7 @@ def _canonical_value(value):
 
 
 def canonical_json(document) -> str:
-    """Serialize to canonical JSON: sorted keys, ints as decimal strings.
-
-    ``document`` is a dict, or an object with ``to_document()`` such as a
-    RationalityCertificate.
-    """
-    if not isinstance(document, dict):
-        document = document.to_document()
+    """Serialize a document dict to canonical JSON: sorted keys, ints as decimal strings."""
     return json.dumps(
         _canonical_value(document),
         sort_keys=True,

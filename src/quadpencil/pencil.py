@@ -31,19 +31,19 @@ class NonIntegralCharacteristicFormError(ArithmeticError):
 class PencilOfQuadrics:
     """The pencil spanned by two integral quadratic forms.
 
-    The characteristic form f(t) = -det(M1 - t*M2) of the Gram matrices is
-    computed exactly at construction time and cached; instances are
-    immutable.
+    The polar matrices P = 2M of Q1 and Q2 (``polars``, two row lists) and
+    the characteristic form f(t) = -det(M1 - t*M2) of the Gram matrices are
+    computed exactly at construction time; instances are immutable.
     """
 
-    __slots__ = ("q1", "q2", "char_form")
+    __slots__ = ("q1", "q2", "polars", "char_form")
 
     def __init__(self, q1: QuadraticForm, q2: QuadraticForm):
+        polars = (polar_matrix(q1), polar_matrix(q2))
         object.__setattr__(self, "q1", q1)
         object.__setattr__(self, "q2", q2)
-        object.__setattr__(
-            self, "char_form", _characteristic_form(polar_matrix(q1), polar_matrix(q2))
-        )
+        object.__setattr__(self, "polars", polars)
+        object.__setattr__(self, "char_form", _characteristic_form(*polars))
 
     def __setattr__(self, name, value):
         raise AttributeError("PencilOfQuadrics is immutable")

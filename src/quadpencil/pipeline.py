@@ -2,10 +2,11 @@
 
 ``run_pipeline`` executes the stages in order — characteristic form,
 smoothness, curve data, real place, bad-prime local certificates,
-good-prime sampling, reduction reports — and aggregates everything into a
-:class:`RationalityCertificate`.  Any stage failure is embedded in the
-certificate and turns the verdict into ``"incomplete: <reason>"``; the
-pipeline never fabricates a positive verdict from a failed stage.
+good-prime sampling, reduction reports — and writes the certificate
+document as it goes.  Any stage failure is embedded in the certificate and
+turns the verdict into ``"incomplete: <reason>"``; the pipeline never
+fabricates a positive verdict from a failed stage.  Each place's entry
+depends only on the pencil, that place and the configuration.
 
 Every search is deterministic.  At a bad prime p <= 5 it is the exhaustive
 census of all 15 charts.  At a sampled good prime p <= 5 the constructive
@@ -15,7 +16,7 @@ census is the fallback if ``localcert.MAX_LINE_PLANES`` planes give none.
 A bad prime above 5 is certified only from a supplied witness; no method
 searches it yet, so without one it stays incomplete.
 
-The certificate serializes to *canonical JSON*: keys sorted, separators
+The document serializes to *canonical JSON*: keys sorted, separators
 ``(",", ":")``, every integer rendered as a decimal string (bad primes
 exceed 2^32 and cross-language consumers must not lose precision),
 rationals as ``"numerator/denominator"`` strings, and no floats anywhere.
@@ -30,7 +31,6 @@ from typing import NamedTuple, Optional, Sequence, Union
 from .exactmath import FactorizationError, is_probable_prime
 from .fano import (
     FANO_CODIMENSION,
-    FanoSystem,
     GrassmannChart,
     _chart_ui,
     fano_system,
@@ -65,7 +65,6 @@ __all__ = [
     "DEGENERATE_VERDICT",
     "EXTERNAL_INPUTS",
     "PipelineConfig",
-    "RationalityCertificate",
     "run_pipeline",
     "canonical_json",
 ]
@@ -160,48 +159,6 @@ class PipelineConfig(_PipelineConfigFields):
         return self
 
 
-class RationalityCertificate(NamedTuple):
-    """Aggregate result of the pipeline; serialize with :func:`canonical_json`."""
-
-    input_echo: dict
-    characteristic_form: Optional[tuple[int, ...]]
-    smoothness: Optional[str]
-    curve: Optional[dict]
-    local_certificates: tuple[dict, ...]
-    reduction_reports: tuple[dict, ...]
-    external_inputs: tuple[str, ...]
-    config_echo: dict
-    incomplete_reasons: tuple[str, ...]
-    verdict: str
-
-    @property
-    def is_positive(self) -> bool:
-        return self.verdict == POSITIVE_VERDICT
-
-    def to_document(self) -> dict:
-        """The JSON-able document; every field present, absent stages null."""
-        return {
-            "certificate_version": "3",
-            "input": self.input_echo,
-            "characteristic_form": (
-                None
-                if self.characteristic_form is None
-                else {
-                    "variable": "t",
-                    "coefficients_lowest_first": list(self.characteristic_form),
-                }
-            ),
-            "smoothness": self.smoothness,
-            "curve": self.curve,
-            "local_certificates": list(self.local_certificates),
-            "reduction_reports": list(self.reduction_reports),
-            "external_inputs": list(self.external_inputs),
-            "config": self.config_echo,
-            "incomplete_reasons": list(self.incomplete_reasons),
-            "verdict": self.verdict,
-        }
-
-
 # ---------------------------------------------------------------------------
 # Stage helpers
 # ---------------------------------------------------------------------------
@@ -243,29 +200,12 @@ def _point_certificate_entry(cert, kind: str, witness_source: str) -> dict:
     }
 
 
-def _chart_system(
-    systems: dict[GrassmannChart, FanoSystem],
-    pencil: PencilOfQuadrics,
-    chart: GrassmannChart,
-) -> FanoSystem:
-    """The chart's Fano system, built on first use and kept in ``systems``.
-
-    ``run_pipeline`` owns ``systems`` for one run, so witness checks, lifts
-    and searches on one chart share a single build.
-    """
-    if chart not in systems:
-        systems[chart] = fano_system(pencil, chart)
-    return systems[chart]
-
-
 def _verify_supplied_fano(
-    pencil: PencilOfQuadrics,
-    witness: FanoWitness,
-    systems: dict[GrassmannChart, FanoSystem],
+    pencil: PencilOfQuadrics, witness: FanoWitness
 ) -> tuple[dict, Optional[tuple[GrassmannChart, tuple[int, ...]]]]:
     """Verify one supplied witness; return its report and the point if smooth."""
     chart = GrassmannChart((witness.chart[0] - 1, witness.chart[1] - 1))
-    system = _chart_system(systems, pencil, chart)
+    system = fano_system(pencil, chart)
     point = tuple(c % witness.prime for c in witness.coordinates)
     report = verify_fano_point(system, point, witness.prime)
     entry = {
@@ -283,7 +223,6 @@ def _bad_prime_stage(
     prime: int,
     fano_witnesses: Sequence[FanoWitness],
     cfg: PipelineConfig,
-    systems: dict[GrassmannChart, FanoSystem],
 ) -> tuple[dict, Optional[str]]:
     """Local certificate at one bad prime; returns (entry, incomplete reason)."""
     witness_reports = []
@@ -291,7 +230,7 @@ def _bad_prime_stage(
     for witness in fano_witnesses:
         if witness.prime != prime:
             continue
-        entry, smooth_point = _verify_supplied_fano(pencil, witness, systems)
+        entry, smooth_point = _verify_supplied_fano(pencil, witness)
         witness_reports.append(entry)
         if smooth_point is not None and chosen is None:
             chosen = (*smooth_point, "verified supplied witness")
@@ -315,8 +254,7 @@ def _bad_prime_stage(
 
     if chosen is not None:
         chart, point, source = chosen
-        system = _chart_system(systems, pencil, chart)
-        cert = hensel_certify(system, point, prime, lift_precision=cfg.lift_precision)
+        cert = hensel_certify(fano_system(pencil, chart), point, prime, cfg.lift_precision)
         entry = _point_certificate_entry(cert, "bad prime", source)
         entry["supplied_witness_reports"] = witness_reports
         entry["census"] = census_echo
@@ -354,10 +292,7 @@ def _bad_prime_stage(
 
 
 def _good_prime_stage(
-    pencil: PencilOfQuadrics,
-    prime: int,
-    cfg: PipelineConfig,
-    systems: dict[GrassmannChart, FanoSystem],
+    pencil: PencilOfQuadrics, prime: int, cfg: PipelineConfig
 ) -> tuple[dict, Optional[str]]:
     """Certificate entry for a sampled good prime."""
     locus = singular_locus(pencil, prime)
@@ -380,17 +315,14 @@ def _good_prime_stage(
         f"(Lang) lifting to a Q_{prime}-point (Hensel); see external_inputs"
     )
     if prime <= EXHAUSTIVE_PRIME_BOUND:
-        found = smooth_line_through_point(pencil, prime, systems)
+        found = smooth_line_through_point(pencil, prime)
         if found is None:
             census = search_smooth_points(pencil, prime)
             found = census[0][:2] if census else None
         entry["constructive_point"] = None
         if found is not None:
             chart, point = found
-            system = _chart_system(systems, pencil, chart)
-            cert = hensel_certify(
-                system, point, prime, lift_precision=cfg.lift_precision
-            )
+            cert = hensel_certify(fano_system(pencil, chart), point, prime, cfg.lift_precision)
             entry["constructive_point"] = _point_certificate_entry(
                 cert, "good prime", "found by search"
             )
@@ -455,75 +387,36 @@ def _reduction_stage(
 # The pipeline
 # ---------------------------------------------------------------------------
 
-def run_pipeline(cfg: PipelineConfig) -> RationalityCertificate:
-    """Execute every stage and aggregate the rationality certificate.
-
-    Parse errors and unreadable files propagate to the caller (they are
-    input errors, not stage failures); every later failure is embedded in
-    the certificate with an ``incomplete`` verdict.
-    """
-    forms, file_fano, file_singular = _parse_sections(read_input_text(cfg.input_path))
-
-    fano_witnesses = list(file_fano)
-    singular_witnesses = list(file_singular)
-    for witness in cfg.supplied_witnesses:
-        if isinstance(witness, FanoWitness):
-            if witness not in fano_witnesses:
-                fano_witnesses.append(witness)
-        elif witness not in singular_witnesses:
-            singular_witnesses.append(witness)
-
-    input_echo = {
-        "q1": pretty_print(forms["Q1"]),
-        "q2": pretty_print(forms["Q2"]),
-        "witnesses": _witness_echo(fano_witnesses, singular_witnesses),
-    }
-    config_echo = {
-        "good_prime_samples": list(cfg.good_prime_samples),
-        "lift_precision": cfg.lift_precision,
-    }
-    reasons: list[str] = []
-    local_certificates: list[dict] = []
-    reduction_reports: list[dict] = []
-    curve_echo: Optional[dict] = None
-    char_coeffs: Optional[tuple[int, ...]] = None
-    smoothness: Optional[str] = None
-    systems: dict[GrassmannChart, FanoSystem] = {}
-
-    def finish(verdict: Optional[str] = None) -> RationalityCertificate:
-        if verdict is None:
-            verdict = (
-                POSITIVE_VERDICT if not reasons else f"incomplete: {reasons[0]}"
-            )
-        return RationalityCertificate(
-            input_echo=input_echo,
-            characteristic_form=char_coeffs,
-            smoothness=smoothness,
-            curve=curve_echo,
-            local_certificates=tuple(local_certificates),
-            reduction_reports=tuple(reduction_reports),
-            external_inputs=EXTERNAL_INPUTS,
-            config_echo=config_echo,
-            incomplete_reasons=tuple(reasons),
-            verdict=verdict,
-        )
+def _run_stages(
+    document: dict,
+    forms: dict,
+    fano_witnesses: Sequence[FanoWitness],
+    singular_witnesses: Sequence[SingularWitness],
+    cfg: PipelineConfig,
+) -> None:
+    """Fill ``document``'s stage fields in order; stop at a failed stage."""
+    reasons = document["incomplete_reasons"]
+    local_certificates = document["local_certificates"]
 
     # Stage 1: the pencil and its characteristic form.
     try:
         pencil = PencilOfQuadrics(forms["Q1"], forms["Q2"])
     except NonIntegralCharacteristicFormError:
         reasons.append("non-integral characteristic form")
-        return finish()
-    char_coeffs = tuple(pencil.char_form.coeffs)
+        return
+    document["characteristic_form"] = {
+        "variable": "t",
+        "coefficients_lowest_first": list(pencil.char_form.coeffs),
+    }
 
     # Stage 2: smoothness of X.
-    smoothness = smoothness_check(pencil)
+    smoothness = document["smoothness"] = smoothness_check(pencil)
     if smoothness == "degenerate":
         reasons.append("degenerate pencil: the characteristic form vanishes")
-        return finish(DEGENERATE_VERDICT)
+        return
     if smoothness != "smooth":
         reasons.append("pencil not smooth")
-        return finish()
+        return
 
     # Stage 3: genus-2 curve data, with witness primes as factor hints.
     hint_primes = tuple(
@@ -534,8 +427,8 @@ def run_pipeline(cfg: PipelineConfig) -> RationalityCertificate:
         cd = curve_data(pencil, factor_hints=hint_primes)
     except FactorizationError as error:
         reasons.append(f"cannot factor the discriminant support: {error}")
-        return finish()
-    curve_echo = {
+        return
+    document["curve"] = {
         "disc": cd.disc,
         "bad_primes": list(cd.bad_primes),
         "real_weierstrass_count": cd.real_weierstrass_count,
@@ -559,9 +452,7 @@ def run_pipeline(cfg: PipelineConfig) -> RationalityCertificate:
 
     # Stage 5: local certificates at the bad primes.
     for prime in cd.bad_primes:
-        entry, reason = _bad_prime_stage(
-            pencil, prime, fano_witnesses, cfg, systems
-        )
+        entry, reason = _bad_prime_stage(pencil, prime, fano_witnesses, cfg)
         local_certificates.append(entry)
         if reason is not None:
             reasons.append(reason)
@@ -581,7 +472,7 @@ def run_pipeline(cfg: PipelineConfig) -> RationalityCertificate:
                 }
             )
             continue
-        entry, reason = _good_prime_stage(pencil, prime, cfg, systems)
+        entry, reason = _good_prime_stage(pencil, prime, cfg)
         local_certificates.append(entry)
         if reason is not None:
             reasons.append(reason)
@@ -589,8 +480,53 @@ def run_pipeline(cfg: PipelineConfig) -> RationalityCertificate:
     # Stage 7: reduction reports at each bad prime.
     for prime in cd.bad_primes:
         entry, reason = _reduction_stage(pencil, prime, singular_witnesses)
-        reduction_reports.append(entry)
+        document["reduction_reports"].append(entry)
         if reason is not None:
             reasons.append(reason)
 
-    return finish()
+
+def run_pipeline(cfg: PipelineConfig) -> dict:
+    """Execute every stage and return the certificate document.
+
+    Every field is present; a stage that did not run leaves its field null
+    or empty.  Parse errors and unreadable files propagate to the caller
+    (they are input errors, not stage failures); every later failure is
+    embedded in the certificate with an ``incomplete`` verdict.
+    """
+    forms, file_fano, file_singular = _parse_sections(read_input_text(cfg.input_path))
+
+    fano_witnesses = list(file_fano)
+    singular_witnesses = list(file_singular)
+    for witness in cfg.supplied_witnesses:
+        if isinstance(witness, FanoWitness):
+            if witness not in fano_witnesses:
+                fano_witnesses.append(witness)
+        elif witness not in singular_witnesses:
+            singular_witnesses.append(witness)
+
+    document = {
+        "certificate_version": "3",
+        "input": {
+            "q1": pretty_print(forms["Q1"]),
+            "q2": pretty_print(forms["Q2"]),
+            "witnesses": _witness_echo(fano_witnesses, singular_witnesses),
+        },
+        "characteristic_form": None,
+        "smoothness": None,
+        "curve": None,
+        "local_certificates": [],
+        "reduction_reports": [],
+        "external_inputs": list(EXTERNAL_INPUTS),
+        "config": {
+            "good_prime_samples": list(cfg.good_prime_samples),
+            "lift_precision": cfg.lift_precision,
+        },
+        "incomplete_reasons": [],
+    }
+    _run_stages(document, forms, fano_witnesses, singular_witnesses, cfg)
+    reasons = document["incomplete_reasons"]
+    if document["smoothness"] == "degenerate":
+        document["verdict"] = DEGENERATE_VERDICT
+    else:
+        document["verdict"] = f"incomplete: {reasons[0]}" if reasons else POSITIVE_VERDICT
+    return document

@@ -208,8 +208,7 @@ def _kernel_guided_locus(
     KERNEL_CANDIDATE_CAP like the candidates of each kernel.
     """
     f = pencil.char_form
-    b1 = polar_matrix(pencil.q1)
-    b2 = polar_matrix(pencil.q2)
+    b1, b2 = pencil.polars
     if any(c % p for c in f.coeffs):
         members = repeated_roots_mod_p(f, p)
     else:

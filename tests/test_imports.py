@@ -42,7 +42,7 @@ PUBLIC_NAMES = [
     "GrassmannChart", "LocalPointCertificate", "NUM_PARAMETERS", "NUM_VARIABLES",
     "NonIntegralCharacteristicFormError", "POSITIVE_VERDICT", "ParseError",
     "ParsedInput", "PencilOfQuadrics", "PipelineConfig", "QuadraticForm",
-    "RationalityCertificate", "SingularLocusReport", "SingularWitness", "VARIABLES",
+    "SingularLocusReport", "SingularWitness", "VARIABLES",
     "all_charts", "canonical_json", "characteristic_form", "chart_census",
     "chart_point_rows", "cone_check", "curve_data", "evaluate_form",
     "fano_system", "gradient_at", "gram_matrix", "hensel_certify",

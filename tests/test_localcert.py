@@ -127,14 +127,18 @@ def _odd_form(rng) -> QuadraticForm:
                           if (c := rng.randint(-3, 3))})
 
 
+def _form_pair(rng) -> SimpleNamespace:
+    """Two _odd_form forms and their polar matrices: all that the scans read
+    of a pencil, so the pair needs no integral characteristic form."""
+    q1, q2 = _odd_form(rng), _odd_form(rng)
+    return SimpleNamespace(q1=q1, q2=q2, polars=(polar_matrix(q1), polar_matrix(q2)))
+
+
 def _pencils(example_pencil):
-    """The bundled forms and two pairs of _odd_form forms, which have smooth
-    F_2-lines; the scans read only q1 and q2, so the pairs need no integral
-    characteristic form."""
+    """The bundled forms and two _form_pair pairs, which have smooth
+    F_2-lines."""
     rng = random.Random(3)
-    return [example_pencil] + [
-        SimpleNamespace(q1=_odd_form(rng), q2=_odd_form(rng)) for _ in range(2)
-    ]
+    return [example_pencil] + [_form_pair(rng) for _ in range(2)]
 
 
 ALL_CELLS = [chart.pivots for chart in all_charts()]
@@ -306,13 +310,12 @@ def test_chart_points_match_the_per_cell_scan(example_pencil):
 
 def _filter_pencils(example_pencil):
     """The bundled forms, 20 random_form pencils, and 10 pairs with odd mixed
-    coefficients: random_form's polar matrices vanish mod 2, so only the
-    latter have smooth F_2-lines.  _cell_lines reads only q1 and q2, so those
-    pairs need no integral characteristic form."""
+    coefficients (_form_pair): random_form's polar matrices vanish mod 2, so
+    only the latter have smooth F_2-lines."""
     rng = random.Random(16)
     return [example_pencil, parse_input(NO_WITNESS_PATH).pencil] + [
         PencilOfQuadrics(random_form(rng), random_form(rng)) for _ in range(20)
-    ] + [SimpleNamespace(q1=_odd_form(rng), q2=_odd_form(rng)) for _ in range(10)]
+    ] + [_form_pair(rng) for _ in range(10)]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -447,7 +450,6 @@ def _good_places(rng, count):
 
 
 def test_lines_through_points_at_good_primes_recheck_independently():
-    preferred = [GrassmannChart((0, 3)), GrassmannChart((1, 2))]  # pivot order
     for q1, q2, p in _good_places(random.Random(20261018), 20):
         pencil = PencilOfQuadrics(q1, q2)
         chart, coords = smooth_line_through_point(pencil, p)
@@ -456,17 +458,11 @@ def test_lines_through_points_at_good_primes_recheck_independently():
         assert exact.rank_mod(exact.line_jacobian(q1.coeffs, q2.coeffs, ui, coords), p) == 6
         cert = hensel_certify(fano_system(pencil, chart), coords, p)
         assert cert.liftable is True and cert.lift_modulus == p**3
-        # Without preferred charts the line comes in its Schubert cell's
-        # chart; with them, in the first one that contains it.
+        # The line comes in its Schubert cell's chart: its chart rows are
+        # its reduced echelon basis.
         a, b = exact.line_rows(ui, coords)
         assert rref_mod_p([a, b], p) == ([[x % p for x in a], [x % p for x in b]],
                                          list(chart.pivots))
-        chart2, coords2 = smooth_line_through_point(pencil, p, preferred[::-1])
-        holding = [c for c in preferred
-                   if (a[c.pivots[0]] * b[c.pivots[1]] - a[c.pivots[1]] * b[c.pivots[0]]) % p]
-        assert chart2 == (holding + [chart])[0]
-        a2, b2 = exact.line_rows(_ui(chart2), coords2)
-        assert rank_mod_p([a, b, a2, b2], p) == 2
 
 
 def test_line_through_a_point_at_a_large_bad_prime():

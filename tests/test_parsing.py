@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -39,6 +40,10 @@ def _csv(values) -> str:
 def _file_with(*extra_lines: str) -> str:
     lines = [f"Q1: {Q1_TEXT}", f"Q2: {Q2_TEXT}", *extra_lines]
     return "\n".join(lines) + "\n"
+
+
+# Digits that int() refuses to convert.
+TOO_LONG = "7" * (sys.get_int_max_str_digits() + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +313,9 @@ def test_witness_line_errors(witness_line, fragment):
         (_file_with("WITNESS: fano p=3 chart=2,3 coords=1,1,0,0,1,1,0,--1"), 3, 50),
         (_file_with("WITNESS: fano p=³ chart=2,3 coords=1,1,0,0,1,1,0,0"), 3, 17),
         (_file_with("  WITNESS:  fano  p=3  chart=2,x coords=1,1,0,0,1,1,0,0"), 3, 32),
+        # Integer literals one digit over Python's int-conversion limit.
+        (f"Q1: u^2 + {TOO_LONG}v^2\nQ2: {Q2_TEXT}\n", 1, 11),
+        (_file_with(f"WITNESS: fano p=3 chart=2,3 coords=1,1,{TOO_LONG},0,1,1,0,0"), 3, 40),
     ],
 )
 def test_errors_point_at_the_offending_column_of_the_file(text, line, column):

@@ -260,3 +260,9 @@ def test_char_form_is_integer_unipoly(example_pencil):
     assert isinstance(f, UniPoly)
     assert all(isinstance(c, int) for c in f.coeffs)
     assert f.degree() == 6
+
+
+def test_polars_are_the_polar_matrices_of_both_forms(example_pencil):
+    """pencil.polars, which Fano systems, scans and loci read, is (P1, P2)."""
+    forms = (example_pencil.q1, example_pencil.q2)
+    assert example_pencil.polars == tuple(qpbench_exact.polar_matrix(q.coeffs) for q in forms)
