@@ -52,12 +52,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _option_ints(option: str, parts) -> tuple[int, ...]:
+    """int() of each integer-text part; past Python's conversion limit, a usage error."""
+    try:
+        return tuple(int(p) for p in parts)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise _UsageError(f"{option}: integer longer than {limit} digits") from None
+
+
 def _parse_chart(text: str) -> GrassmannChart:
     """Parse 1-based '--chart i,j' into the internal 0-based chart."""
     parts = text.split(",")
     if len(parts) != 2 or not all(_is_integer_text(p.strip()) for p in parts):
         raise _UsageError(f"--chart expects 'i,j' with integers, got {text!r}")
-    i, j = (int(p) for p in parts)
+    i, j = _option_ints("--chart", parts)
     if not (1 <= i < j <= NUM_VARIABLES):
         raise _UsageError(
             f"--chart columns must satisfy 1 <= i < j <= {NUM_VARIABLES}"
@@ -73,7 +82,7 @@ def _parse_coords(text: str, expected: int) -> tuple[int, ...]:
         raise _UsageError(
             f"--coords expects {expected} comma-separated integers, got {text!r}"
         )
-    return tuple(int(p) for p in parts)
+    return _option_ints("--coords", parts)
 
 
 def _require_prime(p: int) -> int:

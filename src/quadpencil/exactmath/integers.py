@@ -8,13 +8,15 @@ from math import gcd, isqrt, prod
 
 TRIAL_DIVISION_LIMIT = 10**6
 
-# Miller-Rabin with the first 13 primes as bases is deterministic for every
-# n < PSI_13, the least strong pseudoprime to all of them (Sorenson-Webster,
-# "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).  Without 41
-# the bound would be psi_12 = 318665857834031151167461, a strong pseudoprime
-# to the bases 2..37.
+# Miller-Rabin with the first k primes as bases is deterministic for every
+# n < psi_k, the least strong pseudoprime to all of them (OEIS A014233:
+# Jaeschke 1993; Sorenson-Webster, "Strong pseudoprimes to twelve prime
+# bases", Math. Comp. 2017, for psi_12 and PSI_13 = psi_13).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PSI_13 = 3317044064679887385961981
+_MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+           341550071728321, 341550071728321, 3825123056546413051,
+           3825123056546413051, 3825123056546413051, 318665857834031151167461, PSI_13)
 
 # Primes below _sieved_to, in order; grown in place by _extend_primes.
 _sieve_primes: list[int] = []
@@ -71,8 +73,9 @@ def _extend_primes() -> bool:
 def is_probable_prime(n: int) -> bool:
     """Primality by Miller-Rabin on the bases _MR_BASES, exact for n < PSI_13.
 
-    From PSI_13 on, a strong Lucas test follows (together, the Baillie-PSW
-    test, which has no known pseudoprime); below it nothing is added.
+    The test stops after the first k bases once n < psi_k.  From PSI_13 on,
+    a strong Lucas test follows (together, the Baillie-PSW test, which has
+    no known pseudoprime); below it nothing is added.
     """
     if n < 2:
         return False
@@ -84,17 +87,18 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    for a, psi in zip(_MR_BASES, _MR_PSI):
         x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return n < PSI_13 or _is_strong_lucas_prp(n)
+        if x not in (1, n - 1):
+            for _ in range(r - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            return True
+    return _is_strong_lucas_prp(n)
 
 
 def _jacobi(a: int, n: int) -> int:

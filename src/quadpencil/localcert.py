@@ -29,7 +29,7 @@ from .fano import (
     all_charts,
     fano_system,  # unused here, but qpbench/worker.py traces this name
     polar_jacobian,
-    verify_fano_point,
+    verify_fano_point,  # unused here, but qpbench/worker.py traces this name
 )
 from .pencil import CurveData, PencilOfQuadrics
 from .quadric import NUM_VARIABLES, evaluate_form
@@ -367,22 +367,26 @@ def hensel_certify(
 ) -> LocalPointCertificate:
     """Certify liftability of an on-fano point and Newton-lift it mod p^k.
 
-    liftable is True iff the Jacobian has rank 6 at the point; in that case
-    (and for lift_precision >= 2) the point is lifted to a solution of all six
-    equations modulo p^lift_precision as an executable witness.  The residue
-    of the lift mod p always equals the input point.
+    The point is checked here, in one pass: ValueError unless prime is prime
+    and the six residuals vanish mod prime.  liftable is True iff the
+    Jacobian has rank 6 at the point; in that case (and for lift_precision
+    >= 2) the point is lifted to a solution of all six equations modulo
+    p^lift_precision as an executable witness.  The residue of the lift mod p
+    always equals the input point.
     """
-    report = verify_fano_point(system, pt, prime)
-    if not report.on_fano:
-        raise ValueError("point not on the system")
+    if not is_probable_prime(prime):
+        raise ValueError(f"{prime} is not prime")
     coords = tuple(int(c) % prime for c in pt)
-    liftable = report.jacobian_rank == FANO_CODIMENSION
+    if any(r % prime for r in system.residuals(coords)):
+        raise ValueError("point not on the system")
+    jac_rows = system.jacobian_mod(coords, prime)
+    rank = rank_mod_p(jac_rows, prime)
+    liftable = rank == FANO_CODIMENSION
 
     lift: tuple[int, ...] | None = None
     lift_modulus: int | None = None
     if liftable and lift_precision >= 2:
         x = list(coords)
-        jac_rows = system.jacobian_mod(coords, prime)
         for e in range(1, lift_precision):
             modulus = prime ** (e + 1)
             residuals = [r % modulus for r in system.residuals(x)]
@@ -411,14 +415,14 @@ def hensel_certify(
             )
     else:
         justification = (
-            f"Jacobian rank {report.jacobian_rank} < 6 at the point mod {prime}: "
+            f"Jacobian rank {rank} < 6 at the point mod {prime}: "
             "not certifiably smooth; the Hensel criterion does not apply"
         )
     return LocalPointCertificate(
         place=prime,
         chart=system.chart,
         coordinates=coords,
-        jacobian_rank=report.jacobian_rank,
+        jacobian_rank=rank,
         liftable=liftable,
         justification=justification,
         lift=lift,

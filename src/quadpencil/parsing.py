@@ -345,6 +345,25 @@ def _monomial_text(exps: Sequence[int]) -> str:
     return "".join(parts)
 
 
+def _decimal(n: int) -> str:
+    """str(n), also for an int past Python's str-conversion digit limit.
+
+    Such an int is written in digits of base 10^k, each short enough for
+    str() and zero-padded to k places, most significant first.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    k = sys.get_int_max_str_digits() // 2
+    base, sign, n = 10**k, "-" if n < 0 else "", abs(n)
+    digits = []
+    while n:
+        n, digit = divmod(n, base)
+        digits.append(digit)
+    return sign + str(digits.pop()) + "".join(str(d).zfill(k) for d in reversed(digits))
+
+
 def _join_signed_terms(terms) -> str:
     """Join (coefficient, monomial) pairs as '3t^2 - t + 1'; zero terms dropped.
 
@@ -356,7 +375,7 @@ def _join_signed_terms(terms) -> str:
         if coeff == 0:
             continue
         magnitude = abs(coeff)
-        body = monomial if magnitude == 1 and monomial else f"{magnitude}{monomial}"
+        body = monomial if magnitude == 1 and monomial else _decimal(magnitude) + monomial
         if not pieces:
             pieces.append(body if coeff > 0 else f"-{body}")
         else:
@@ -563,9 +582,12 @@ def _canonical_value(value):
     if value is None or isinstance(value, (bool, str)):
         return value
     if isinstance(value, int):
-        return str(value)
+        try:
+            return str(value)
+        except ValueError:  # past the str-conversion digit limit
+            return _decimal(value)
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
     # Exact types only: records are tuples too, and must not pass as lists.
     if type(value) in (list, tuple):
         return [_canonical_value(item) for item in value]

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 import sympy
@@ -81,6 +82,71 @@ def test_is_probable_prime():
     for n in (-7, 0, 1, 4, 9, 91, 561, 1105, 6601, 2**61 + 1,
               3825123056546413051, PSI_12):
         assert not is_probable_prime(n), n
+
+
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """n passes the Miller-Rabin round to base a (odd n > a)."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _sieve(limit: int) -> bytearray:
+    """sieve[n] == 1 iff n < limit is prime."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (limit - 2)
+    for i in range(2, isqrt(limit - 1) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytearray(len(range(i * i, limit, i)))
+    return sieve
+
+
+def _thirteen_bases(n: int) -> bool:
+    """Miller-Rabin on all 13 bases, with no early stop."""
+    if n < 2:
+        return False
+    small = next((a for a in MR_BASES if n % a == 0), None)
+    if small is not None:
+        return n == small
+    return all(_strong_probable_prime(n, a) for a in MR_BASES)
+
+
+def test_miller_rabin_stops_after_the_bases_its_size_needs():
+    psi = integers._MR_PSI
+    assert len(psi) == len(MR_BASES) and psi[-1] == integers.PSI_13
+    assert list(psi) == sorted(psi)
+    for k, n in enumerate(psi, start=1):
+        # psi_k is a strong pseudoprime to the first k bases, and rejected.
+        assert all(_strong_probable_prime(n, a) for a in MR_BASES[:k]), k
+        assert not is_probable_prime(n), k
+    sieve = _sieve(psi[1])
+    limit = 2 * 10**5
+    assert [n for n in range(limit) if is_probable_prime(n)] == [
+        n for n in range(limit) if sieve[n]
+    ]
+    # psi_1 and psi_2 are the least: no odd composite below passes the
+    # first one or two bases.
+    for k in (1, 2):
+        assert not any(all(_strong_probable_prime(n, a) for a in MR_BASES[:k])
+                       for n in range(5, psi[k - 1], 2) if not sieve[n])
+    rng = random.Random(20261019)
+    odd = [rng.getrandbits(rng.randint(8, 128)) | 1 for _ in range(3000)]
+    near = [n + delta for n in psi for delta in (-2, 2)]
+    primes = 0
+    for n in odd + near:
+        assert is_probable_prime(n) == _thirteen_bases(n), n
+        primes += is_probable_prime(n)
+    assert primes >= 40
 
 
 def test_primality_from_psi_13_on_adds_a_strong_lucas_test():

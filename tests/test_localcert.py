@@ -550,6 +550,42 @@ def test_hensel_rejects_points_off_the_system(example_pencil):
         hensel_certify(system, (1, 0, 0, 0, 0, 0, 0, 1), 3)
 
 
+def test_hensel_rank_agrees_with_verify_fano_point(example_pencil):
+    """hensel_certify checks its point and ranks J itself; its rank and
+    verdict must be verify_fano_point's at every census point and dense lift
+    claim.  Both bundled files hold the example's pencil."""
+    assert parse_input(NO_WITNESS_PATH).pencil.polars == example_pencil.polars
+    ranks = {}
+    for k, pencil in enumerate(_pencils(example_pencil)):
+        for p in (2, 3, 5):
+            lines = _cell_lines(pencil, ALL_CELLS, p)
+            for chart, found in chart_read_off(lines, all_charts(), p):
+                system = fano_system(pencil, chart)
+                for point, _ in found:
+                    cert = hensel_certify(system, point, p)
+                    report = verify_fano_point(system, point, p)
+                    assert cert.jacobian_rank == report.jacobian_rank, (k, chart, point, p)
+                    assert cert.liftable == report.smooth
+                    ranks[k, chart.pivots, point, p] = cert.jacobian_rank
+    assert ranks[0, CHART_PIVOTS, F2_WITNESS, 2] == 4
+    assert set(ranks.values()) == {0, 2, 4, 5, 6} and len(ranks) > 1500
+    claims = load_qpbench("gen").verify_lift_claims(7, 10, REPO_ROOT)
+    for claim in claims:
+        pencil = PencilOfQuadrics(*(QuadraticForm(q) for q in claim["forms"]))
+        system = fano_system(pencil, GrassmannChart(tuple(c - 1 for c in claim["chart"])))
+        cert = hensel_certify(system, claim["coords"], claim["prime"], claim["precision"])
+        report = verify_fano_point(system, claim["coords"], claim["prime"])
+        assert cert.jacobian_rank == report.jacobian_rank == 6
+    assert len(claims) == 22
+
+
+def test_hensel_rejects_composite_moduli(example_pencil):
+    system = fano_system(example_pencil, GrassmannChart(CHART_PIVOTS))
+    for n in (4, 9, 15):
+        with pytest.raises(ValueError, match="not prime"):
+            hensel_certify(system, F2_WITNESS, n)
+
+
 def test_higher_precision_lifts_are_consistent(example_pencil):
     system = fano_system(example_pencil, GrassmannChart(CHART_PIVOTS))
     k3 = hensel_certify(system, P3_SMOOTH_POINT, 3, lift_precision=3)

@@ -7,8 +7,10 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -423,6 +425,37 @@ def test_charform_subcommand(tmp_path):
     assert "error" in json.loads(out)
 
 
+def test_charform_renders_integers_past_the_conversion_limit(tmp_path):
+    # Four coefficients of 1,501 digits give f(t) coefficients of up to
+    # 6,006 digits, past Python's default str() limit of 4,300.
+    c = "3" + "0" * 1500
+    path = tmp_path / "huge.txt"
+    path.write_text(f"Q1: {c}u^2 + {c}v^2 + {c}w^2 + {c}x^2 + y^2 + z^2\n"
+                    "Q2: u^2 + 2v^2 + 3w^2 + 4x^2 + 5y^2 + 6z^2\n")
+    out, err, code = run_cli(["charform", str(path)])
+    assert code == 0
+    doc = json.loads(out)
+    coeffs = parse_input(str(path)).pencil.char_form.coeffs
+    # Decimal converts an int without the limit: an independent rendering.
+    expected = [str(Decimal(x)) for x in coeffs]
+    assert doc["characteristic_form"]["coefficients_lowest_first"] == expected
+    assert max(map(len, expected)) > 6000
+    assert doc["pretty"].startswith(f"-720t^6 + {expected[5]}t^5 - {expected[4][1:]}t^4")
+    assert doc["smoothness"] == "smooth" and "set_int_max_str_digits" not in err
+
+
+def test_canonical_json_writes_ints_of_any_length():
+    values = [10**9000, -(10**9000), 10**9000 + 1, -(10**5000 - 1), 7 * 10**4400 + 3,
+              Fraction(10**5000 + 1, 3)]
+    rng = random.Random(5)
+    values += [rng.getrandbits(rng.randint(14000, 40000)) * rng.choice((1, -1))
+               for _ in range(20)]
+    expected = [f"{Decimal(v.numerator)}/{v.denominator}" if isinstance(v, Fraction)
+                else str(Decimal(v)) for v in values]
+    assert json.loads(canonical_json({"v": values}))["v"] == expected
+    assert canonical_json({"v": [0, -1, 12]}) == '{"v":["0","-1","12"]}'
+
+
 # Q1 has even mixed coefficients, Q2 odd ones, and -det(M1 - t*M2) has a
 # 2^-k tail.
 NON_INTEGRAL_PENCIL = (
@@ -716,6 +749,27 @@ def test_usage_errors_exit_3(argv):
     _, err, code = run_cli(argv)
     assert code == 3
     assert err
+
+
+HUGE = "7" * 5000
+
+
+@pytest.mark.parametrize(
+    "option, argv",
+    [
+        ("--coords", ["verify-point", EXAMPLE, "--prime", "3", "--chart", "1,3",
+                      "--coords", f"2,{HUGE},0,0,0,0,0,0"]),
+        ("--chart", ["verify-point", EXAMPLE, "--prime", "3", "--chart", f"1,{HUGE}",
+                     "--coords", "2,0,0,0,0,0,2,0"]),
+        ("--chart", ["fano-search", EXAMPLE, "--prime", "3", "--chart", f"{HUGE},2"]),
+        ("--coords", ["verify-ambient", EXAMPLE, "--coords", f"1,0,0,0,0,-{HUGE}"]),
+    ],
+)
+def test_option_integers_past_the_conversion_limit_exit_3(option, argv):
+    out, err, code = run_cli(argv)
+    assert (out, code) == ("", 3)
+    assert err.startswith(f"error: {option}: integer longer than ")
+    assert "set_int_max_str_digits" not in err
 
 
 def test_input_syntax_error_exits_3(tmp_path):
