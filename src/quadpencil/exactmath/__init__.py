@@ -15,6 +15,7 @@ from .matrix import (
 )
 from .unipoly import (
     UniPoly,
+    common_roots_mod_p,
     isolate_real_roots,
     repeated_roots_mod_p,
     roots_mod_p,
@@ -25,6 +26,7 @@ from .unipoly import (
 __all__ = [
     "FactorizationError",
     "UniPoly",
+    "common_roots_mod_p",
     "det_poly_matrix",
     "factor_with_hints",
     "is_probable_prime",

@@ -8,6 +8,11 @@ from math import gcd, isqrt, prod
 
 TRIAL_DIVISION_LIMIT = 10**6
 
+# A cofactor left by trial division and the hints is tested for primality
+# and perfect powers only up to this many bits; past it factor_with_hints
+# gives up, since Miller-Rabin alone then takes minutes.
+FACTOR_BIT_BUDGET = 4096
+
 # Miller-Rabin with the first k primes as bases is deterministic for every
 # n < psi_k, the least strong pseudoprime to all of them (OEIS A014233:
 # Jaeschke 1993; Sorenson-Webster, "Strong pseudoprimes to twelve prime
@@ -197,7 +202,8 @@ def factor_with_hints(n: int, hints: tuple[int, ...] | list[int] = ()) -> dict[i
     cofactor that survives the sweep is divided by the hint primes, then
     tested by is_probable_prime (with perfect-power unwrapping).  If a composite
     cofactor remains, raises FactorizationError("unfactored composite
-    cofactor").
+    cofactor"); a cofactor longer than FACTOR_BIT_BUDGET bits raises
+    FactorizationError before any of those tests runs.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -235,6 +241,11 @@ def factor_with_hints(n: int, hints: tuple[int, ...] | list[int] = ()) -> dict[i
                 n //= h
     if n == 1:
         return factors
+    if n.bit_length() > FACTOR_BIT_BUDGET:
+        raise FactorizationError(
+            f"cofactor of {n.bit_length()} bits exceeds the "
+            f"{FACTOR_BIT_BUDGET}-bit budget"
+        )
     stack = [n]
     while stack:
         m = stack.pop()

@@ -117,12 +117,16 @@ def rref_mod_p(matrix, p: int) -> tuple[list[list[int]], list[int]]:
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][c], -1, p)
-        lead = rows[rank] = [x * inv % p for x in rows[rank]]
+        # Left of c the pivot row is 0, so only columns c.. change.
+        row = rows[rank]
+        inv = pow(row[c], -1, p)
+        lead = [x * inv % p for x in row[c:]]
+        rows[rank] = row[:c] + lead
         for i in range(nrows):
-            f = rows[i][c]
+            row = rows[i]
+            f = row[c]
             if f and i != rank:
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], lead)]
+                rows[i] = row[:c] + [(x - f * y) % p for x, y in zip(row[c:], lead)]
         pivots.append(c)
         if rank + 1 == nrows:
             break

@@ -12,6 +12,14 @@ ISOLATION_WIDTH = Fraction(1, 10**6)
 # Deterministic shift sweep bound for big-prime root splitting.
 _SPLIT_SHIFT_CAP = 64
 
+# common_roots_mod_p evaluates at every residue when p is at most this many
+# times the longest coefficient list, and takes gcd(f, t^p - t) otherwise.
+# Measured on CPython 3.11: evaluation is faster for one poly of 3 to 7
+# coefficients up to p = 100..150, but for two random quadratics, whose gcd
+# is usually 1, only up to p = 11.  4 stays below both.  It must be >= 1, so
+# that p = 2 always evaluates: no shift (t + c)^0 - 1 splits t^2 + t.
+EVALUATION_FACTOR = 4
+
 
 class UniPoly:
     """Immutable dense polynomial with integer coefficients, lowest degree first.
@@ -337,27 +345,51 @@ def _pm_roots_of_split(h: list[int], p: int) -> list[int]:
     raise RuntimeError(f"root splitting failed after {_SPLIT_SHIFT_CAP} deterministic shifts")
 
 
+def common_roots_mod_p(polys, p: int) -> list[int]:
+    """The roots in F_p common to integer polynomials, ascending.
+
+    Each poly is a coefficient sequence, lowest degree first, and p is
+    prime.  A poly that is 0 mod p imposes nothing; when every one is,
+    raises ValueError.  Over a small field (p <= EVALUATION_FACTOR times
+    the longest coefficient list) each t = 0..p-1 is tested by Horner
+    evaluation.  Otherwise the roots are those of the gcd h of the polys:
+    gcd(h, t^p - t) is the product of t - r over them, split by
+    _pm_roots_of_split, so the cost is polynomial in log p.
+    """
+    reduced = [f for f in (_pm_trim([int(c) % p for c in g]) for g in polys) if f]
+    if not reduced:
+        raise ValueError("f is identically zero mod p")
+    if p <= EVALUATION_FACTOR * max(map(len, reduced)):
+        backwards = [f[::-1] for f in reduced]
+        return [t for t in range(p) if all(_horner(f, t) % p == 0 for f in backwards)]
+    h = reduced[0]
+    for g in reduced[1:]:
+        h = _pm_gcd(h, g, p)
+    if len(h) == 1:
+        return []
+    if len(h) == 2:
+        return [-h[0] * pow(h[1], -1, p) % p]
+    tp = _pm_powmod([0, 1], p, h, p) + [0, 0]
+    tp[1] -= 1
+    return _pm_roots_of_split(_pm_gcd(h, tp, p), p)
+
+
+def _horner(backwards: list[int], t: int) -> int:
+    """The value at t of a polynomial given highest degree first."""
+    acc = 0
+    for c in backwards:
+        acc = acc * t + c
+    return acc
+
+
 def roots_mod_p(coeffs, p: int) -> list[int]:
     """The distinct roots in F_p of an integer polynomial, ascending.
 
-    coeffs are lowest degree first and p is prime.  gcd(f, t^p - t) is the
-    product of t - r over the roots r, split by _pm_roots_of_split, so the
-    cost is polynomial in log p, with no loop over F_p.  Raises ValueError
-    when f is identically zero mod p.
+    coeffs are lowest degree first and p is prime; see
+    :func:`common_roots_mod_p`.  Raises ValueError when f is identically
+    zero mod p.
     """
-    f = _pm_trim([int(c) % p for c in coeffs])
-    if not f:
-        raise ValueError("f is identically zero mod p")
-    if len(f) == 1:
-        return []
-    if len(f) == 2:
-        return [-f[0] * pow(f[1], -1, p) % p]
-    tp = _pm_powmod([0, 1], p, f, p) + [0, 0]
-    tp[1] -= 1
-    h = _pm_gcd(f, tp, p)
-    if p == 2 and len(h) == 3:  # h = t^2 + t: no shift splits it over F_2
-        return [0, 1]
-    return _pm_roots_of_split(h, p)
+    return common_roots_mod_p((coeffs,), p)
 
 
 def repeated_roots_mod_p(f: UniPoly, p: int) -> list[int]:

@@ -9,6 +9,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .exactmath import (
+    common_roots_mod_p,
     is_probable_prime,
     isolate_real_roots,
     kernel_mod_p,
@@ -17,7 +18,6 @@ from .exactmath import (
     rref_mod_p,
     solve_mod_p,
 )
-from .exactmath.unipoly import _pm_gcd
 from .fano import (
     EXHAUSTIVE_PRIME_HARD_CAP,
     FANO_CODIMENSION,
@@ -246,19 +246,20 @@ def _conic_pair_zeros(A, B, p: int) -> list[tuple[int, int, int]] | None:
     Each zero is scaled to last nonzero coordinate 1, and the list is sorted.
     None means A and B share a component over the algebraic closure.
 
-    On s2 = 0 the zeros are the common roots of the binary forms f(s0, s1, 0),
-    one gcd.  On s2 = 1, the shear s0 = x + c y with c in {0, 1, 2} gives A
+    On s2 = 0 the zeros are the common roots of the binary forms f(s0, s1, 0).
+    On s2 = 1, the shear s0 = x + c y with c in {0, 1, 2} gives A
     or B a y^2 coefficient f(c, 1, 0) != 0, so they share no line
     x = const.  Then Res_y(A, B) = (a2 b0 - b2 a0)^2 - (a2 b1 - b2 a1)(a1 b0 -
     a0 b1), with a_k the coefficient of y^k, is a quartic in x; it vanishes
     identically only for a shared component, and each of its roots gives the
-    common roots y by a gcd.  Every step is polynomial in log p, with no loop
-    over F_p.
+    common roots y of the two quadratics.  Roots come from common_roots_mod_p:
+    over a small field it evaluates at every residue, otherwise its cost is
+    polynomial in log p.
     """
     at_infinity = [(f[3], f[1], f[0]) for f in (A, B)]  # f(t, 1, 0)
     if not any(c % p for pair in at_infinity for c in pair):
         return None  # both contain the line s2 = 0
-    zeros = [(t, 1, 0) for t in roots_mod_p(_pm_gcd(*at_infinity, p), p)]
+    zeros = [(t, 1, 0) for t in common_roots_mod_p(at_infinity, p)]
     if A[0] % p == 0 and B[0] % p == 0:
         zeros.append((1, 0, 0))
     c = next(c for c in range(3) if any((f[0] * c * c + f[1] * c + f[3]) % p for f in (A, B)))
@@ -279,7 +280,7 @@ def _conic_pair_zeros(A, B, p: int) -> list[tuple[int, int, int]] | None:
         powers = (1, x, x * x)
         in_y = [[sum(map(mul, f0, powers)), sum(map(mul, f1, powers)), f2]
                 for f2, f1, f0 in ((a2, a1, a0), (b2, b1, b0))]
-        zeros += [((x + c * y) % p, y, 1) for y in roots_mod_p(_pm_gcd(*in_y, p), p)]
+        zeros += [((x + c * y) % p, y, 1) for y in common_roots_mod_p(in_y, p)]
     return sorted(zeros)
 
 

@@ -191,7 +191,12 @@ def _kernel_points(r1: QuadraticForm, r2: QuadraticForm, basis, p: int):
 
 
 def _kernel_guided_locus(
-    pencil: PencilOfQuadrics, r1: QuadraticForm, r2: QuadraticForm, p: int
+    pencil: PencilOfQuadrics,
+    r1: QuadraticForm,
+    r2: QuadraticForm,
+    p: int,
+    members: list[int] | None,
+    degree: int,
 ) -> list[tuple[tuple[int, ...], int]]:
     """Singular points via vertices of the singular pencil members.
 
@@ -201,19 +206,17 @@ def _kernel_guided_locus(
     Simple roots of f mod p contribute nothing: if t0 is a simple root and v
     spans the kernel of B1 - t0*B2, then f'(t0) = -c * v^T B2 v with
     c != 0, so Q2(v) != 0 and the vertex is not on Q2, hence not on X_p.
-    So only repeated roots of f mod p are searched, plus the member B2 when
-    t = infinity is a repeated root, i.e. deg(f mod p) <= 4.  When f vanishes
-    identically mod p every member is singular, and the kernels of all p + 1
-    members are searched; those p + 1 kernel solves count against
+    So only members, the repeated roots of f mod p, are searched, plus the
+    member B2 when t = infinity is a repeated root, i.e. degree, the degree
+    of f mod p, is <= 4.  When f vanishes identically mod p (members is
+    None) every member is singular, and the kernels of all p + 1 members
+    are searched; those p + 1 kernel solves count against
     KERNEL_CANDIDATE_CAP like the candidates of each kernel.
     """
-    f = pencil.char_form
     b1, b2 = pencil.polars
-    if any(c % p for c in f.coeffs):
-        members = repeated_roots_mod_p(f, p)
-    else:
+    if members is None:
         _check_candidate_cap(p + 1)
-        members = list(range(p))
+        members = range(p)
     kernels: list[list[list[int]]] = []
     for t0 in members:
         member = [
@@ -221,10 +224,7 @@ def _kernel_guided_locus(
             for i in range(NUM_VARIABLES)
         ]
         kernels.append(kernel_mod_p(member, p))
-    degree_mod_p = max(
-        (k for k, c in enumerate(f.coeffs) if c % p), default=-1
-    )
-    if degree_mod_p <= 4:
+    if degree <= 4:
         kernels.append(kernel_mod_p(b2, p))
 
     seen: set[tuple[int, ...]] = set()
@@ -249,6 +249,17 @@ def singular_locus(pencil: PencilOfQuadrics, prime: int) -> SingularLocusReport:
 
     p = 2 is rejected (see mod2_degeneracy); non-complete-intersection
     reductions are rejected.
+
+    The complete-intersection test runs only where it can fail.  Up to a
+    unit mod p, f(t) is det(P1 - t*P2) for the polar matrices.  If the
+    reductions are proportional, r2 = lam*r1 with lam != 0 (neither form
+    vanishes mod p), then f = c*(1 - lam*t)^6: 0, or a 6-fold root at
+    1/lam in F_p.  If they share a linear factor l, every member
+    r1 - t*r2 = l*(m1 - t*m2) has rank <= 2, so f = 0.  So the test runs
+    only when f = 0 mod p, deg(f mod p) <= 4 (a repeated root at
+    infinity), or f mod p has a repeated root in F_p, checked in that
+    order; the same repeated roots and degree then choose the members
+    that the kernel-guided search solves.
     """
     if not is_probable_prime(prime):
         raise ValueError(f"{prime} is not prime")
@@ -258,8 +269,12 @@ def singular_locus(pencil: PencilOfQuadrics, prime: int) -> SingularLocusReport:
             "use mod2_degeneracy"
         )
     r1, r2 = reduce_pencil(pencil, prime)
-    _assert_complete_intersection(r1, r2, prime)
-    found = _kernel_guided_locus(pencil, r1, r2, prime)
+    f = pencil.char_form
+    degree = max((k for k, c in enumerate(f.coeffs) if c % prime), default=-1)
+    members = repeated_roots_mod_p(f, prime) if degree >= 0 else None
+    if degree <= 4 or members:
+        _assert_complete_intersection(r1, r2, prime)
+    found = _kernel_guided_locus(pencil, r1, r2, prime, members, degree)
     points = tuple(pt for pt, _ in found)
     ranks = tuple(rank for _, rank in found)
     return SingularLocusReport(

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import isqrt
 
@@ -15,6 +16,7 @@ import sympy
 from quadpencil.exactmath import (
     FactorizationError,
     UniPoly,
+    common_roots_mod_p,
     det_poly_matrix,
     factor_with_hints,
     is_probable_prime,
@@ -28,7 +30,7 @@ from quadpencil.exactmath import (
     solve_mod_p,
     sturm_count,
 )
-from quadpencil.exactmath import integers
+from quadpencil.exactmath import integers, unipoly
 from quadpencil.exactmath.matrix import resultant
 from quadpencil.exactmath.unipoly import _sturm_chain, squarefree_degree6
 
@@ -352,6 +354,21 @@ def test_factoring_a_prime_cofactor_sieves_one_segment():
         timeout=60, check=True,
     )
     assert int(result.stdout) == 1 << 15
+
+
+
+def test_a_cofactor_past_the_bit_budget_is_not_tested():
+    # 1000003 is the first prime past TRIAL_DIVISION_LIMIT, so its powers
+    # reach the primality and perfect-power tests whole: 4,086 bits still
+    # unwrap, 4,106 bits are refused before either test runs.
+    q = 1000003
+    assert (q**205).bit_length() <= integers.FACTOR_BIT_BUDGET < (q**206).bit_length()
+    assert factor_with_hints(q**205) == {q: 205}
+    factor_with_hints(600)  # sieve the trial-division primes before timing
+    start = time.perf_counter()
+    with pytest.raises(FactorizationError, match="cofactor of 4106 bits exceeds the 4096-bit budget"):
+        factor_with_hints(2**12 * q**206)
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -794,6 +811,49 @@ def test_roots_mod_p_of_zero_and_constant_polynomials():
     assert roots_mod_p([5], 7) == []
     assert roots_mod_p([5, 7, 0, 14], 7) == []  # constant mod 7
     assert roots_mod_p([3, 7], 7) == []
+
+
+def _seeded_mod_p_poly(rng: random.Random, p: int) -> list[int]:
+    """A degree-1..6 integer polynomial: random, a product of linear factors
+    mod p, or constant mod p (every coefficient past the first divisible by p)."""
+    degree = rng.randint(1, 6)
+    shape = rng.random()
+    if shape < 0.25:
+        return [rng.randint(-20, 20)] + [p * rng.randint(-3, 3) for _ in range(degree)]
+    if shape < 0.6:
+        coeffs = [rng.randint(1, 3 * p)]
+        for _ in range(degree):
+            r = rng.randrange(p)
+            coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        return coeffs
+    return [rng.randint(-50, 50) for _ in range(degree)] + [rng.choice((1, -2, 3 * p + 1))]
+
+
+@pytest.mark.parametrize("factor", [None, 0, 10**6])
+def test_common_roots_mod_p_match_evaluation(monkeypatch, factor):
+    # None keeps EVALUATION_FACTOR, whose crossover falls among the primes
+    # below 100; 0 takes the gcd path and 10**6 evaluates at every prime.
+    # The gcd path needs an odd prime (see EVALUATION_FACTOR).
+    if factor is not None:
+        monkeypatch.setattr(unipoly, "EVALUATION_FACTOR", factor)
+    primes = [p for p in range(2 if factor != 0 else 3, 100) if is_probable_prime(p)]
+    rng = random.Random(20261019)
+    paths = set()
+    for p in primes:
+        for _ in range(15):
+            polys = [_seeded_mod_p_poly(rng, p) for _ in range(rng.randint(1, 3))]
+            nonzero = [f for f in polys if any(c % p for c in f)]
+            if not nonzero:
+                with pytest.raises(ValueError, match="identically zero"):
+                    common_roots_mod_p(polys, p)
+                continue
+            size = max(max(k for k, c in enumerate(f) if c % p) + 1 for f in nonzero)
+            paths.add(p <= unipoly.EVALUATION_FACTOR * size)
+            expected = [r for r in range(p) if all(_value_mod(f, r, p) == 0 for f in polys)]
+            assert common_roots_mod_p(polys, p) == expected, (polys, p)
+            for f in nonzero:
+                assert roots_mod_p(f, p) == [r for r in range(p) if _value_mod(f, r, p) == 0]
+    assert paths == ({True, False} if factor is None else {factor > 0})
 
 
 def test_roots_mod_p_of_a_split_quartic_at_a_25_digit_prime():

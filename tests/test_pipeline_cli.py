@@ -444,6 +444,21 @@ def test_charform_renders_integers_past_the_conversion_limit(tmp_path):
     assert doc["smoothness"] == "smooth" and "set_int_max_str_digits" not in err
 
 
+
+def test_analyze_stops_at_a_cofactor_past_the_factoring_budget(tmp_path):
+    # The same pencil: trial division leaves a 79,483-bit cofactor, which
+    # Miller-Rabin would test for minutes.
+    c = "3" + "0" * 1500
+    path = tmp_path / "huge.txt"
+    path.write_text(f"Q1: {c}u^2 + {c}v^2 + {c}w^2 + {c}x^2 + y^2 + z^2\n"
+                    "Q2: u^2 + 2v^2 + 3w^2 + 4x^2 + 5y^2 + 6z^2\n")
+    out, _, code = run_cli(["analyze", str(path)])
+    assert code == 2
+    assert json.loads(out)["incomplete_reasons"] == [
+        "cannot factor the discriminant support: cofactor of 79483 bits exceeds "
+        "the 4096-bit budget"
+    ]
+
 def test_canonical_json_writes_ints_of_any_length():
     values = [10**9000, -(10**9000), 10**9000 + 1, -(10**5000 - 1), 7 * 10**4400 + 3,
               Fraction(10**5000 + 1, 3)]

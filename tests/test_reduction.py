@@ -221,14 +221,104 @@ def test_non_complete_intersection_guards():
     base = {(0, 0): 1, (1, 1): 1, (2, 2): 1, (3, 4): 2, (5, 5): 1}
     q1 = QuadraticForm(base)
     q2 = QuadraticForm({**base, (0, 1): 6, (2, 3): 6})
-    with pytest.raises(ValueError, match="complete intersection"):
+    with pytest.raises(ValueError, match="^X mod 3 is not a complete intersection: "
+                       "the reduced forms are proportional$"):
         singular_locus(PencilOfQuadrics(q1, q2), 3)
 
     # A shared F_p-rational linear factor: mod 3 the forms are 2ux and 2uy.
     q1 = QuadraticForm({(0, 3): 2, (1, 2): 6, (4, 4): 3, (5, 5): 3})
     q2 = QuadraticForm({(0, 4): 2, (1, 1): 3, (2, 2): 3, (3, 3): 3})
-    with pytest.raises(ValueError, match="complete intersection"):
+    with pytest.raises(ValueError, match="^X mod 3 is not a complete intersection: "
+                       "the reduced forms share a linear factor$"):
         singular_locus(PencilOfQuadrics(q1, q2), 3)
+
+
+def _times_linear(a, b) -> dict:
+    """The coefficients of 2*l_a*l_b for linear forms a, b (mixed ones even)."""
+    out = {}
+    for i in range(6):
+        for j in range(i, 6):
+            c = 2 * (a[i] * b[j] + (a[j] * b[i] if i != j else 0))
+            if c:
+                out[(i, j)] = c
+    return out
+
+
+def _plus(form: dict, scale: int, noise: QuadraticForm) -> QuadraticForm:
+    keys = set(form) | set(noise.coeffs)
+    return QuadraticForm({k: form.get(k, 0) + scale * noise.coefficient(*k) for k in keys})
+
+
+def _counting_complete_intersection_test(monkeypatch) -> list[int]:
+    """Patch reduction._assert_complete_intersection to record each prime."""
+    calls = []
+    test = reduction._assert_complete_intersection
+
+    def counted(r1, r2, p):
+        calls.append(p)
+        test(r1, r2, p)
+
+    monkeypatch.setattr(reduction, "_assert_complete_intersection", counted)
+    return calls
+
+
+def test_complete_intersection_test_is_skipped_only_where_it_cannot_fail(monkeypatch):
+    # Seeded pencils, two in three built to fail mod one of 3, 5, 7, 11:
+    # proportional, q2 = lam*q1 + p*noise, or sharing a linear factor,
+    # qi = 2*l*mi + p*noise.
+    rng = random.Random(22)
+    primes = [p for p in range(3, 48, 2) if all(p % q for q in range(3, p, 2))]
+    pencils = []
+    for k in range(60):
+        q1, noise = random_form(rng), random_form(rng)
+        p = rng.choice(primes[:4])
+        if k % 3 == 0:
+            lam = rng.randint(1, p - 1)
+            q2 = _plus({key: lam * c for key, c in q1.coeffs.items()}, p, noise)
+        elif k % 3 == 1:
+            lin = [[rng.randint(-2, 2) for _ in range(6)] for _ in range(3)]
+            q1 = _plus(_times_linear(lin[0], lin[1]), p, q1)
+            q2 = _plus(_times_linear(lin[0], lin[2]), p, noise)
+        else:
+            q2 = noise
+        pencils.append(PencilOfQuadrics(q1, q2))
+    test = reduction._assert_complete_intersection
+    calls = _counting_complete_intersection_test(monkeypatch)
+    skipped = failed = 0
+    for pencil in pencils:
+        for p in primes:
+            try:
+                r1, r2 = reduce_pencil(pencil, p)
+            except DegenerateReductionError:
+                continue
+            try:
+                test(r1, r2, p)
+                fails = False
+            except ValueError:
+                fails = True
+                failed += 1
+            calls.clear()
+            try:
+                singular_locus(pencil, p)
+            except KernelCandidateCapError:
+                pass
+            except ValueError as error:
+                assert fails and "not a complete intersection" in str(error)
+            assert calls or not fails, (pencil, p)
+            skipped += not calls
+    assert skipped >= 500
+    assert failed >= 20
+
+
+def test_the_example_needs_no_complete_intersection_test(example_pencil, monkeypatch):
+    # f mod p is squarefree of degree >= 5 at the good primes, so no call;
+    # at 149743897 f has a repeated root, so the test runs once.
+    calls = _counting_complete_intersection_test(monkeypatch)
+    for p in (3, 5, 7, 11, 13):
+        singular_locus(example_pencil, p)
+    assert calls == []
+    singular_locus(example_pencil, BIG_PRIME)
+    assert calls == [BIG_PRIME]
 
 
 def test_conical_reduction_detected():
