@@ -192,6 +192,16 @@ def _is_proven_prime(n: int) -> bool:
     return 1 < n < PSI_13 and is_probable_prime(n)
 
 
+def _divide_out(n: int, p: int) -> tuple[int, int]:
+    """(n / p^e, e) for the exponent e of p > 1 in n != 0.  The exponent of
+    p^2 is e // 2, so the recursion takes about 2 log2(e) divisions."""
+    if n % p:
+        return n, 0
+    n, half = _divide_out(n, p * p)
+    odd = n % p == 0
+    return (n // p if odd else n), 2 * half + odd
+
+
 def factor_with_hints(n: int, hints: tuple[int, ...] | list[int] = ()) -> dict[int, int]:
     """Complete prime factorization of |n|.
 
@@ -223,22 +233,14 @@ def factor_with_hints(n: int, hints: tuple[int, ...] | list[int] = ()) -> dict[i
             for p in block:
                 if common % p:
                     continue
-                exponent = 0
-                while n % p == 0:
-                    n //= p
-                    exponent += 1
-                factors[p] = exponent
+                n, factors[p] = _divide_out(n, p)
                 if _is_proven_prime(n):
                     factors[n] = 1
                     return factors
         k += 1
-    if n == 1:
-        return factors
     for h in hints:
-        if h > 1 and is_probable_prime(h):
-            while n % h == 0:
-                factors[h] = factors.get(h, 0) + 1
-                n //= h
+        if h > 1 and n % h == 0 and is_probable_prime(h):
+            n, factors[h] = _divide_out(n, h)  # trial division left no power of h
     if n == 1:
         return factors
     if n.bit_length() > FACTOR_BIT_BUDGET:

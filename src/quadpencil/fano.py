@@ -28,8 +28,8 @@ FANO_CODIMENSION = 6
 # finds the points of X with pivot 0 in about p^4 closed-form steps (p^4
 # values of four free columns, the fifth solved) and tests about p^4 pairs of
 # points.  At p = 31 that is 10^6 pairs, and `fano-search` on the example
-# takes 1.6-2.3 s (CPython 3.11, 2 cores), the two halves about equal; the
-# cost grows like p^4, so the cap stays here.
+# (11,327 smooth points) takes 1.7-2.0 s (CPython 3.11, 2 cores); the cost
+# grows like p^4, so the cap stays here.
 EXHAUSTIVE_PRIME_HARD_CAP = 31
 
 

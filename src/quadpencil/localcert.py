@@ -28,7 +28,6 @@ from .fano import (
     _polar_products,
     all_charts,
     fano_system,  # unused here, but qpbench/worker.py traces this name
-    polar_jacobian,
     verify_fano_point,  # unused here, but qpbench/worker.py traces this name
 )
 from .pencil import CurveData, PencilOfQuadrics
@@ -116,21 +115,43 @@ def _half_zeros(states, quads, p: int) -> list:
     return descend((), states)
 
 
-def _rank_can_be_6(chart: GrassmannChart, pas, pbs, p: int) -> bool:
-    """False when the line's Jacobian on chart has rank < 6 for a visible reason.
+# Rows r0 < r1 < r2 of four, and the indices of (r1, r2), (r0, r2) and
+# (r0, r1) in combinations(range(4), 2).
+_ROW_TRIPLES = (((0, 1, 2), 3, 1, 0), ((0, 1, 3), 4, 2, 0),
+                ((0, 2, 3), 5, 2, 1), ((1, 2, 3), 5, 4, 3))
 
-    Per form, with u = Pa and v = Pb restricted to the chart's non-pivot
-    columns, fano.polar_jacobian has the three rows [u,0], [v,u] and [0,v]
-    (interleaved).  If u and v are linearly dependent mod p, both lie in the
-    span of one w, so the three rows lie in the span of [w,0] and [0,w] and
-    have rank <= 2; the six rows then have rank <= 2 + 3 < 6.  So rank 6
-    needs u, v independent, i.e. a nonzero 2x2 minor, for both forms.
+
+def _rank_is_6(chart: GrassmannChart, pas, pbs, p: int) -> bool:
+    """True iff fano.polar_jacobian(chart, pas, pbs) has rank 6 mod p.
+
+    With u_f = P_f a and v_f = P_f b on the chart's non-pivot columns, the
+    rows are u.x, v.x + u.y and v.y per form, so a relation between them is
+    a pair of kernel vectors of W = [u1 v1 u2 v2] shaped (al1, be1, al2, be2)
+    and (be1, ga1, be2, ga2).  Rank 6 holds iff det W != 0, or rank W = 3
+    with kernel vector w where w1 w4 != w2 w3.  det W = sum +-s_cd t_c'd'
+    (Laplace) for the 2x2 minors s of (u1, v1) and t of (u2, v2); all s or
+    all t zero puts w in one pair's columns.  A nonzero row of cofactors
+    spans the kernel, and its unsigned 3x3 minors m have m1 m4 - m2 m3 =
+    w2 w3 - w1 w4; all cofactors vanish iff rank W <= 2.
     """
     cols = chart.non_pivots
-    return all(
-        any((pa[c] * pb[d] - pa[d] * pb[c]) % p for c, d in combinations(cols, 2))
-        for pa, pb in zip(pas, pbs)
-    )
+    (u1, u2), (v1, v2) = pas, pbs
+    s = [(u1[c] * v1[d] - u1[d] * v1[c]) % p for c, d in combinations(cols, 2)]
+    if not any(s):
+        return False
+    t = [(u2[c] * v2[d] - u2[d] * v2[c]) % p for c, d in combinations(cols, 2)]
+    if not any(t):
+        return False
+    if (s[0] * t[5] - s[1] * t[4] + s[2] * t[3] + s[3] * t[2] - s[4] * t[1]
+            + s[5] * t[0]) % p:
+        return True
+    u1, u2, v1, v2 = ([x[c] for c in cols] for x in (u1, u2, v1, v2))
+    for (r0, r1, r2), i, j, k in _ROW_TRIPLES:
+        m1, m2 = (x[r0] * t[i] - x[r1] * t[j] + x[r2] * t[k] for x in (v1, u1))
+        m3, m4 = (s[i] * x[r0] - s[j] * x[r1] + s[k] * x[r2] for x in (v2, u2))
+        if (m1 % p, m2 % p, m3 % p, m4 % p) != (0, 0, 0, 0):
+            return (m1 * m4 - m2 * m3) % p != 0
+    return False
 
 
 def _cell_lines(pencil: PencilOfQuadrics, cells, p: int) -> list:
@@ -141,8 +162,8 @@ def _cell_lines(pencil: PencilOfQuadrics, cells, p: int) -> list:
     X with each pivot are found once (each form is a quadratic in the free
     columns after the pivot); row a of cell (i, j) is those with pivot i and
     a_j = 0.  Pairs are kept when (Pb).a = 0 for both polar matrices P.  A
-    line is smooth when fano.polar_jacobian on chart (i, j) has rank 6; the
-    rank is computed only where _rank_can_be_6 allows it.
+    line is smooth when fano.polar_jacobian on chart (i, j) has rank 6,
+    decided in closed form by _rank_is_6.
     """
     polars = pencil.polars
 
@@ -167,17 +188,16 @@ def _cell_lines(pencil: PencilOfQuadrics, cells, p: int) -> list:
             for b, pbs in rows_b[j]:
                 if sum(map(mul, pbs[0], a)) % p == 0 and sum(map(mul, pbs[1], a)) % p == 0:
                     pas = pas or _polar_products(polars, a, p)
-                    lines.append((a, b, _rank_can_be_6(chart, pas, pbs, p) and rank_mod_p(
-                        polar_jacobian(chart, pas, pbs), p) == FANO_CODIMENSION))
+                    lines.append((a, b, _rank_is_6(chart, pas, pbs, p)))
     return lines
 
 
 class CensusEntry(NamedTuple):
-    """Exhaustive per-chart tally of F_p points of the Fano system."""
+    """Exhaustive per-chart tally of F_p-lines of X, with the smooth ones (a, b)."""
 
     chart: GrassmannChart
     on_fano_count: int
-    smooth_points: tuple[tuple[int, ...], ...]
+    smooth_points: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
 def chart_census(
@@ -188,11 +208,11 @@ def chart_census(
     Each F_p-line of X is found once, in its Schubert cell (see _cell_lines);
     a chart (k, l) needs the cells (i, j) with i <= k and j <= l.  The chart
     holds the lines whose Plücker minor a_k b_l - a_l b_k is nonzero mod p:
-    it counts them, and reads chart coordinates off the smooth ones only.  A
-    line's rank is the same on every chart: on an overlap the charts' six
-    equations differ by the invertible Sym^2 base change of the line's basis,
-    so their Jacobians have equal rank at any point of the system.
-    Deterministic: charts in lexicographic pivot order, points sorted.
+    it counts them and keeps the smooth ones.  A line's rank is the same on
+    every chart: on an overlap the charts' six equations differ by the
+    invertible Sym^2 base change of the line's basis, so their Jacobians have
+    equal rank at any point of the system.  Deterministic: charts in
+    lexicographic pivot order, each chart's lines in cell order.
     Raises ValueError above EXHAUSTIVE_PRIME_HARD_CAP.
     """
     if not is_probable_prime(prime):
@@ -205,13 +225,13 @@ def chart_census(
     cells = [(i, j) for i, j in (cell.pivots for cell in all_charts())
              if any(i <= k and j <= l for k, l in (c.pivots for c in charts))]
     lines = _cell_lines(pencil, cells, prime)
+    smooth = [(a, b) for a, b, flag in lines if flag]
     census = []
     for chart in charts:
         k, l = chart.pivots
         count = sum(1 for a, b, _ in lines if (a[k] * b[l] - a[l] * b[k]) % prime)
-        points = sorted(coords for a, b, smooth in lines if smooth and (
-            coords := _chart_coordinates(chart, a, b, prime)) is not None)
-        census.append(CensusEntry(chart, count, tuple(points)))
+        kept = tuple((a, b) for a, b in smooth if (a[k] * b[l] - a[l] * b[k]) % prime)
+        census.append(CensusEntry(chart, count, kept))
     return census
 
 
@@ -220,13 +240,14 @@ def search_smooth_points(
 ) -> list[tuple[GrassmannChart, tuple[int, ...], int]]:
     """Smooth F_p-points of the Fano system, sorted by (chart pivots, coords).
 
-    The smooth points of :func:`chart_census`, each with its Jacobian rank 6,
-    so an empty result proves that none of the charts has one.
+    The chart points of :func:`chart_census`'s smooth lines, each with its
+    Jacobian rank 6, so an empty result proves that none of the charts has one.
     """
     return [
         (entry.chart, pt, FANO_CODIMENSION)
         for entry in chart_census(pencil, prime, charts)
-        for pt in entry.smooth_points
+        for pt in sorted(_chart_coordinates(entry.chart, a, b, prime)
+                         for a, b in entry.smooth_points)
     ]
 
 
@@ -355,10 +376,8 @@ def smooth_line_through_point(
             for y in zeros_on([k for k in kernel if k is not drop]):
                 (a, b), pivots = rref_mod_p([x, y], p)
                 cell = GrassmannChart(pivots)
-                jacobian = polar_jacobian(
-                    cell, _polar_products(polars, a, p), _polar_products(polars, b, p)
-                )
-                if rank_mod_p(jacobian, p) == FANO_CODIMENSION:
+                if _rank_is_6(cell, _polar_products(polars, a, p),
+                              _polar_products(polars, b, p), p):
                     return cell, _chart_coordinates(cell, a, b, p)
     return None
 
@@ -472,20 +491,10 @@ def verify_projective_point(pencil: PencilOfQuadrics, v, p: int | None = None) -
     """True iff both forms vanish at the nonzero 6-vector v (over Q or F_p)."""
     if len(v) != NUM_VARIABLES:
         raise ValueError("expected a 6-vector")
-    if p is None:
-        coords = [Fraction(c) for c in v]
-        if all(c == 0 for c in coords):
-            raise ValueError("zero vector")
-        return (
-            evaluate_form(pencil.q1, coords) == 0
-            and evaluate_form(pencil.q2, coords) == 0
-        )
-    if not is_probable_prime(p):
+    if p is not None and not is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
-    coords = [int(c) % p for c in v]
-    if all(c == 0 for c in coords):
+    coords = [Fraction(c) if p is None else int(c) % p for c in v]
+    if not any(coords):
         raise ValueError("zero vector")
-    return (
-        evaluate_form(pencil.q1, coords) % p == 0
-        and evaluate_form(pencil.q2, coords) % p == 0
-    )
+    values = (evaluate_form(q, coords) for q in (pencil.q1, pencil.q2))
+    return not any(x if p is None else x % p for x in values)

@@ -32,12 +32,14 @@ from .exactmath import FactorizationError, is_probable_prime
 from .fano import (
     FANO_CODIMENSION,
     GrassmannChart,
+    _chart_coordinates,
     _chart_ui,
     fano_system,
     verify_fano_point,
 )
 from .localcert import (
     EXHAUSTIVE_PRIME_BOUND,
+    LocalPointCertificate,
     chart_census,
     hensel_certify,
     real_place_report,
@@ -236,58 +238,46 @@ def _bad_prime_stage(
             chosen = (*smooth_point, "verified supplied witness")
 
     census_echo = None
-    if chosen is None:
-        if prime <= EXHAUSTIVE_PRIME_BOUND:
-            census = chart_census(pencil, prime)
-            census_echo = [
-                {
-                    "chart": _chart_ui(entry.chart),
-                    "on_system": entry.on_fano_count,
-                    "smooth": len(entry.smooth_points),
-                }
-                for entry in census
-            ]
-            for entry in census:
-                if entry.smooth_points:
-                    chosen = (entry.chart, entry.smooth_points[0], "found by search")
-                    break
+    if chosen is None and prime <= EXHAUSTIVE_PRIME_BOUND:
+        census = chart_census(pencil, prime)
+        census_echo = [
+            {
+                "chart": _chart_ui(entry.chart),
+                "on_system": entry.on_fano_count,
+                "smooth": len(entry.smooth_points),
+            }
+            for entry in census
+        ]
+        for entry in census:
+            if entry.smooth_points:
+                point = min(_chart_coordinates(entry.chart, a, b, prime)
+                            for a, b in entry.smooth_points)
+                chosen = (entry.chart, point, "found by search")
+                break
 
     if chosen is not None:
         chart, point, source = chosen
         cert = hensel_certify(fano_system(pencil, chart), point, prime, cfg.lift_precision)
-        entry = _point_certificate_entry(cert, "bad prime", source)
-        entry["supplied_witness_reports"] = witness_reports
-        entry["census"] = census_echo
-        return entry, None
-
-    if census_echo is not None:
-        total = sum(item["on_system"] for item in census_echo)
-        justification = (
-            f"exhaustive census of all 15 charts over F_{prime} found "
-            f"{total} points on the system, none with full Jacobian rank "
-            f"{FANO_CODIMENSION}; no smooth F_{prime}-point exists on any chart"
-        )
-        reason = f"no smooth Fano point certificate at {prime}"
+        reason = None
     else:
-        justification = (
-            f"no supplied witness verified smooth, and no method searches "
-            f"for a smooth point at primes above {EXHAUSTIVE_PRIME_BOUND} yet"
-        )
-        reason = f"no witness at {prime}"
-    entry = {
-        "place": str(prime),
-        "kind": "bad prime",
-        "chart": None,
-        "coordinates": None,
-        "jacobian_rank": None,
-        "liftable": False,
-        "lift": None,
-        "lift_modulus": None,
-        "witness_source": None,
-        "justification": justification,
-        "supplied_witness_reports": witness_reports,
-        "census": census_echo,
-    }
+        if census_echo is not None:
+            total = sum(item["on_system"] for item in census_echo)
+            justification = (
+                f"exhaustive census of all 15 charts over F_{prime} found "
+                f"{total} points on the system, none with full Jacobian rank "
+                f"{FANO_CODIMENSION}; no smooth F_{prime}-point exists on any chart"
+            )
+            reason = f"no smooth Fano point certificate at {prime}"
+        else:
+            justification = (
+                f"no supplied witness verified smooth, and no method searches "
+                f"for a smooth point at primes above {EXHAUSTIVE_PRIME_BOUND} yet"
+            )
+            reason = f"no witness at {prime}"
+        cert, source = LocalPointCertificate(prime, None, None, None, False, justification), None
+    entry = _point_certificate_entry(cert, "bad prime", source)
+    entry["supplied_witness_reports"] = witness_reports
+    entry["census"] = census_echo
     return entry, reason
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import combinations_with_replacement, compress, product
+from math import comb
 from operator import xor
 from typing import NamedTuple
 
@@ -250,29 +251,27 @@ def singular_locus(pencil: PencilOfQuadrics, prime: int) -> SingularLocusReport:
     p = 2 is rejected (see mod2_degeneracy); non-complete-intersection
     reductions are rejected.
 
-    The complete-intersection test runs only where it can fail.  Up to a
-    unit mod p, f(t) is det(P1 - t*P2) for the polar matrices.  If the
-    reductions are proportional, r2 = lam*r1 with lam != 0 (neither form
-    vanishes mod p), then f = c*(1 - lam*t)^6: 0, or a 6-fold root at
-    1/lam in F_p.  If they share a linear factor l, every member
-    r1 - t*r2 = l*(m1 - t*m2) has rank <= 2, so f = 0.  So the test runs
-    only when f = 0 mod p, deg(f mod p) <= 4 (a repeated root at
-    infinity), or f mod p has a repeated root in F_p, checked in that
-    order; the same repeated roots and degree then choose the members
-    that the kernel-guided search solves.
+    The complete-intersection test runs only where it can fail: where f mod
+    p is 0 or c*(t - t0)^6.  Up to a unit, f(t) is det(P1 - t*P2) for the
+    polar matrices.  Proportional reductions, r2 = lam*r1 with lam != 0
+    (neither form vanishes mod p), give f = c*(1 - lam*t)^6.  A shared
+    linear factor l makes every member r1 - t*r2 = l*(m1 - t*m2) of rank
+    <= 2, so f = 0.  The repeated roots t0 and the degree of f mod p also
+    choose the members that the kernel-guided search solves.
     """
-    if not is_probable_prime(prime):
-        raise ValueError(f"{prime} is not prime")
     if prime == 2:
         raise ValueError(
             "p = 2: singular-locus analysis is invalid in characteristic 2; "
             "use mod2_degeneracy"
         )
     r1, r2 = reduce_pencil(pencil, prime)
-    f = pencil.char_form
-    degree = max((k for k, c in enumerate(f.coeffs) if c % prime), default=-1)
-    members = repeated_roots_mod_p(f, prime) if degree >= 0 else None
-    if degree <= 4 or members:
+    f = pencil.char_form.coeffs
+    degree = max((k for k, c in enumerate(f) if c % prime), default=-1)
+    members = repeated_roots_mod_p(pencil.char_form, prime) if degree >= 0 else None
+    if members is None or degree == 6 and any(
+        all((c - f[6] * comb(6, k) * (-t0) ** (6 - k)) % prime == 0 for k, c in enumerate(f))
+        for t0 in members
+    ):
         _assert_complete_intersection(r1, r2, prime)
     found = _kernel_guided_locus(pencil, r1, r2, prime, members, degree)
     points = tuple(pt for pt, _ in found)

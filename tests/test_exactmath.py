@@ -371,6 +371,35 @@ def test_a_cofactor_past_the_bit_budget_is_not_tested():
     assert time.perf_counter() - start < 1.0
 
 
+def _divide_out_one_at_a_time(n, p):
+    exponent = 0
+    while n % p == 0:
+        n //= p
+        exponent += 1
+    return n, exponent
+
+
+def test_prime_powers_are_divided_out_by_repeated_squaring():
+    rng = random.Random(23)
+    for _ in range(300):
+        p = rng.choice((2, 3, 5, 7, 997, 1000003, 2**61 - 1))
+        e = rng.choice((0, 1, 2, 3, rng.randrange(4, 64), rng.randrange(64, 1000)))
+        n = p**e * rng.choice((1, rng.randrange(1, 10**6), rng.randrange(1, 2**200)))
+        assert integers._divide_out(n, p) == _divide_out_one_at_a_time(n, p), (p, e)
+    # Hint primes go the same way.
+    q = 1000003
+    assert factor_with_hints(7 * q**300, hints=(q,)) == {7: 1, q: 300}
+    # The support of the pencil with four 1,501-digit coefficients holds
+    # 2^18032 and 5^18001 (about 3.5 s one power at a time); the 109,598-bit
+    # cofactor left is past the budget.
+    n = 2**18032 * 5**18001 * (10**33000 + 33)
+    factor_with_hints(600)  # sieve the trial-division primes before timing
+    start = time.perf_counter()
+    with pytest.raises(FactorizationError, match="cofactor of 109598 bits exceeds"):
+        factor_with_hints(n)
+    assert time.perf_counter() - start < 1.5
+
+
 # ---------------------------------------------------------------------------
 # Linear algebra mod p
 # ---------------------------------------------------------------------------

@@ -31,12 +31,12 @@ from quadpencil import (
     verify_projective_point,
 )
 from quadpencil.exactmath import UniPoly, rank_mod_p, rref_mod_p, sturm_count
-from quadpencil.fano import chart_point_rows, polar_jacobian
+from quadpencil.fano import _chart_coordinates, chart_point_rows, polar_jacobian
 from quadpencil.localcert import (
     _cell_lines,
     _conic_pair_zeros,
     _half_zeros,
-    _rank_can_be_6,
+    _rank_is_6,
     smooth_line_through_point,
 )
 from quadpencil.quadric import NUM_VARIABLES, polar_matrix
@@ -144,10 +144,17 @@ def _pencils(example_pencil):
 ALL_CELLS = [chart.pivots for chart in all_charts()]
 
 
+def _read_off(entry: CensusEntry, p: int) -> CensusEntry:
+    """The census entry with its smooth lines replaced by their sorted chart
+    points."""
+    return entry._replace(smooth_points=tuple(sorted(
+        _chart_coordinates(entry.chart, a, b, p) for a, b in entry.smooth_points)))
+
+
 def test_scan_chart_matches_the_naive_scan(example_pencil):
     """Every on-system point of the naive scan is a cell line read off in its
-    chart, with smooth flag (naive rank == 6); the census keeps its count and
-    its smooth points."""
+    chart, with smooth flag (naive rank == 6); the census keeps its count, and
+    its smooth lines are the naive smooth points."""
     two_charts = [GrassmannChart(CHART_PIVOTS), GrassmannChart((0, 5))]
     points = 0
     smooth = {2: 0, 3: 0}
@@ -158,7 +165,7 @@ def test_scan_chart_matches_the_naive_scan(example_pencil):
             for (chart, found), entry in zip(chart_read_off(lines, charts, p), census):
                 naive = _naive_scan(pencil, chart, p)
                 assert found == [(pt, rank == 6) for pt, rank in naive], (pencil, chart, p)
-                assert entry == CensusEntry(
+                assert _read_off(entry, p) == CensusEntry(
                     chart, len(naive), tuple(pt for pt, rank in naive if rank == 6))
                 points += len(found)
                 smooth[p] += len(entry.smooth_points)
@@ -287,8 +294,9 @@ def _per_cell_lines(pencil, cells, p):
 
 
 def test_chart_points_match_the_per_cell_scan(example_pencil):
-    """chart_census equals the per-chart read-off of the per-cell scan's lines
-    with their exact ranks, over all 15 charts, some, and each one alone."""
+    """chart_census, its smooth lines read off as chart points, equals the
+    per-chart read-off of the per-cell scan's lines with their exact ranks;
+    the census of some charts, or of each one alone, is the same entries."""
     some_charts = [GrassmannChart(CHART_PIVOTS), GrassmannChart((0, 5)),
                    GrassmannChart((4, 5))]
     points = 0
@@ -299,10 +307,11 @@ def test_chart_points_match_the_per_cell_scan(example_pencil):
                 for chart, found in chart_read_off(
                     _per_cell_lines(pencil, ALL_CELLS, p), all_charts(), p)
             ]
-            assert chart_census(pencil, p) == expected
+            census = chart_census(pencil, p)
+            assert [_read_off(entry, p) for entry in census] == expected
             assert chart_census(pencil, p, some_charts[::-1]) == [
-                entry for entry in expected if entry.chart in some_charts]
-            for entry in expected:
+                entry for entry in census if entry.chart in some_charts]
+            for entry in census:
                 assert chart_census(pencil, p, [entry.chart]) == [entry]
             points += sum(entry.on_fano_count for entry in expected)
     assert points >= 1000
@@ -320,8 +329,10 @@ def _filter_pencils(example_pencil):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_rank_filter_is_sound(example_pencil, p):
-    """A line the filter rules out has exact rank < 6, and every smooth flag
-    is (exact rank == 6) on the line's cell chart."""
+    """Every smooth flag is (exact rank == 6) on the line's cell chart, and a
+    line where u = Pa and v = Pb are dependent on the chart's non-pivot
+    columns for some form, which _rank_is_6 rules out from the minors alone,
+    has exact rank < 6."""
     ruled_out = smooth = 0
     for pencil in _filter_pencils(example_pencil):
         polars = (polar_matrix(pencil.q1), polar_matrix(pencil.q2))
@@ -330,11 +341,74 @@ def test_rank_filter_is_sound(example_pencil, p):
             pas, pbs = ([[sum(map(mul, r, v)) % p for r in P] for P in polars] for v in (a, b))
             rank = rank_mod_p(polar_jacobian(chart, pas, pbs), p)
             assert flag == (rank == 6), (pencil, a, b, p)
-            if not _rank_can_be_6(chart, pas, pbs, p):
+            if any(rank_mod_p([[pa[c] for c in chart.non_pivots], [pb[c] for c in chart.non_pivots]],
+                              p) < 2 for pa, pb in zip(pas, pbs)):
                 assert rank < 6, (pencil, a, b, p)
                 ruled_out += 1
             smooth += flag
     assert ruled_out > 0 and smooth > 0
+
+
+def _rank_blocks(rng, p: int, count: int):
+    """Seeded (chart, pas, pbs, kind) cases of _rank_is_6 at p.
+
+    kind names how the 4x4 block W = [u1 v1 u2 v2] on the non-pivot columns
+    was built: "random" (entries 0 one time in five), "zero" (one of the
+    four vectors 0 there), "u2 in span" (u2 in span(u1, v1)), "v1 = c u1",
+    and "rank 3 equal" / "rank 3 unequal", a dependency w from the last
+    column, w4 != 0, with w1 w4 = w2 w3 or w1 w4 != w2 w3.  The pivot
+    columns carry random entries, which the test must ignore.
+    """
+    charts = all_charts()
+    kinds = ("random", "zero", "u2 in span", "v1 = c u1", "rank 3 equal", "rank 3 unequal")
+    for n in range(count):
+        kind = kinds[n % len(kinds)]
+        chart = rng.choice(charts)
+        cols = chart.non_pivots
+        u1, v1, u2, v2 = ([rng.randrange(p) if rng.randrange(5) else 0 for _ in range(6)]
+                          for _ in range(4))
+        if kind == "zero":
+            vec = rng.choice((u1, v1, u2, v2))
+            for c in cols:
+                vec[c] = 0
+        elif kind == "u2 in span":
+            x, y = rng.randrange(p), rng.randrange(p)
+            for c in cols:
+                u2[c] = (x * u1[c] + y * v1[c]) % p
+        elif kind == "v1 = c u1":
+            x = rng.randrange(p)
+            for c in cols:
+                v1[c] = x * u1[c] % p
+        elif kind.startswith("rank 3"):
+            w1, w2, w3, w4 = (rng.randrange(p) for _ in range(4))
+            w4 = w4 or 1
+            if kind == "rank 3 equal":
+                w1 = w2 * w3 * pow(w4, -1, p) % p
+            elif (w1 * w4 - w2 * w3) % p == 0:
+                w1 = (w1 + 1) % p
+            inverse = pow(w4, -1, p)
+            for c in cols:  # W w = 0
+                v2[c] = -(w1 * u1[c] + w2 * v1[c] + w3 * u2[c]) * inverse % p
+        yield chart, [u1, u2], [v1, v2], kind
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 1000003, 2**61 - 1])
+def test_rank_is_6_matches_the_jacobian_rank(p):
+    """_rank_is_6 answers rank_mod_p(polar_jacobian(...)) == 6 on seeded
+    blocks, including det W = 0 blocks of both rank-3 kinds."""
+    rng = random.Random(p)
+    answers: dict = {}
+    rank_3 = {"rank 3 equal": 0, "rank 3 unequal": 0}
+    for chart, pas, pbs, kind in _rank_blocks(rng, p, 1200):
+        want = rank_mod_p(polar_jacobian(chart, pas, pbs), p) == 6
+        assert _rank_is_6(chart, pas, pbs, p) == want, (chart, pas, pbs, kind)
+        answers.setdefault(kind, set()).add(want)
+        block = [[vec[c] for vec in (pas[0], pbs[0], pas[1], pbs[1])] for c in chart.non_pivots]
+        if kind in rank_3 and rank_mod_p(block, p) == 3:
+            rank_3[kind] += 1
+    assert all(True in answers[kind] for kind in ("random", "u2 in span", "rank 3 unequal"))
+    assert answers["zero"] == answers["v1 = c u1"] == answers["rank 3 equal"] == {False}
+    assert min(rank_3.values()) >= 50
 
 
 def test_single_chart_census_equals_its_entry_in_the_full_census(example_pencil):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from math import comb
 from types import SimpleNamespace
 
 import pytest
@@ -309,16 +310,61 @@ def test_complete_intersection_test_is_skipped_only_where_it_cannot_fail(monkeyp
     assert skipped >= 500
     assert failed >= 20
 
+    # f mod p a sixth power of forms that are not proportional: q2 = 2(uv +
+    # wx + yz) + p*noise and q1 = t0*q2 + 2*l^2 + p*noise, with l isotropic
+    # for q2's inverse Gram matrix, so M2^-1 (M1 - t0*M2) is nilpotent mod p
+    # and f = (t - t0)^6 mod p.  The test runs, and passes.
+    def sixth_power(t0):  # (t - t0)^6, lowest degree first
+        return [comb(6, k) * (-t0) ** (6 - k) for k in range(7)]
+
+    hyperbolic = {(0, 1): 2, (2, 3): 2, (4, 5): 2}
+    sixth_powers = 0
+    for _ in range(20):
+        p, t0 = rng.choice(primes[:4]), rng.randrange(1, 20)
+        lin = [rng.randrange(p) for _ in range(5)] + [0]
+        lin[4] = lin[4] or 1
+        lin[5] = -(lin[0] * lin[1] + lin[2] * lin[3]) * pow(lin[4], -1, p) % p
+        q2 = _plus(hyperbolic, p, random_form(rng))
+        q1 = _plus({k: t0 * c for k, c in q2.coeffs.items()}, 1,
+                   _plus(_times_linear(lin, lin), p, random_form(rng)))
+        pencil = PencilOfQuadrics(q1, q2)
+        assert all((c - d) % p == 0 for c, d in zip(pencil.char_form.coeffs, sixth_power(t0)))
+        calls.clear()
+        singular_locus(pencil, p)
+        assert calls == [p]
+        sixth_powers += 1
+
+    # f mod p with a repeated root t0 and not a sixth power: q1 = t0*q2 + n +
+    # p*noise, with n in four variables, so the member at t0 has rank <= 4.
+    # The test is skipped, and would pass.
+    double_roots = 0
+    for _ in range(40):
+        p, t0 = rng.choice(primes[:4]), rng.randrange(20)
+        n = {(i, j): c for (i, j), c in random_form(rng).coeffs.items() if j < 4}
+        q2 = random_form(rng)
+        q1 = _plus({k: t0 * q2.coefficient(*k) + n.get(k, 0) for k in set(n) | set(q2.coeffs)},
+                   p, random_form(rng))
+        pencil = PencilOfQuadrics(q1, q2)
+        f = list(pencil.char_form.coeffs) + [0] * (7 - len(pencil.char_form.coeffs))
+        if any(c % p for c in f) and any(
+                (c - f[6] * d) % p for c, d in zip(f, sixth_power(t0))):
+            assert t0 % p in repeated_roots_mod_p(pencil.char_form, p)
+            test(*reduce_pencil(pencil, p), p)
+            calls.clear()
+            singular_locus(pencil, p)
+            assert calls == []
+            double_roots += 1
+    assert sixth_powers == 20 and double_roots >= 10
+
 
 def test_the_example_needs_no_complete_intersection_test(example_pencil, monkeypatch):
-    # f mod p is squarefree of degree >= 5 at the good primes, so no call;
-    # at 149743897 f has a repeated root, so the test runs once.
+    # f mod p is squarefree of degree >= 5 at the good primes, and at
+    # 149743897 its repeated root is double, not the 6-fold root that
+    # proportional forms give, so no call.
     calls = _counting_complete_intersection_test(monkeypatch)
-    for p in (3, 5, 7, 11, 13):
+    for p in (3, 5, 7, 11, 13, BIG_PRIME):
         singular_locus(example_pencil, p)
     assert calls == []
-    singular_locus(example_pencil, BIG_PRIME)
-    assert calls == [BIG_PRIME]
 
 
 def test_conical_reduction_detected():
