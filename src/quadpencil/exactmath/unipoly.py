@@ -351,17 +351,20 @@ def common_roots_mod_p(polys, p: int) -> list[int]:
     Each poly is a coefficient sequence, lowest degree first, and p is
     prime.  A poly that is 0 mod p imposes nothing; when every one is,
     raises ValueError.  Over a small field (p <= EVALUATION_FACTOR times
-    the longest coefficient list) each t = 0..p-1 is tested by Horner
-    evaluation.  Otherwise the roots are those of the gcd h of the polys:
-    gcd(h, t^p - t) is the product of t - r over them, split by
-    _pm_roots_of_split, so the cost is polynomial in log p.
+    the longest coefficient list) the residues 0..p-1 are filtered by
+    Horner evaluation, one poly at a time.  Otherwise the roots are those
+    of the gcd h of the polys: gcd(h, t^p - t) is the product of t - r over
+    them, split by _pm_roots_of_split, so the cost is polynomial in log p.
     """
     reduced = [f for f in (_pm_trim([int(c) % p for c in g]) for g in polys) if f]
     if not reduced:
         raise ValueError("f is identically zero mod p")
     if p <= EVALUATION_FACTOR * max(map(len, reduced)):
-        backwards = [f[::-1] for f in reduced]
-        return [t for t in range(p) if all(_horner(f, t) % p == 0 for f in backwards)]
+        roots = range(p)
+        for f in reduced:
+            backwards = f[::-1]
+            roots = [t for t in roots if _horner(backwards, t) % p == 0]
+        return roots
     h = reduced[0]
     for g in reduced[1:]:
         h = _pm_gcd(h, g, p)

@@ -251,15 +251,6 @@ def search_smooth_points(
     ]
 
 
-def _product(f, g) -> list[int]:
-    """Product of two integer polynomials, coefficients lowest degree first."""
-    out = [0] * (len(f) + len(g) - 1)
-    for i, x in enumerate(f):
-        for j, y in enumerate(g):
-            out[i + j] += x * y
-    return out
-
-
 def _conic_pair_zeros(A, B, p: int) -> list[tuple[int, int, int]] | None:
     """Common zeros in P^2(F_p) of two ternary quadratic forms, p odd.
 
@@ -270,10 +261,17 @@ def _conic_pair_zeros(A, B, p: int) -> list[tuple[int, int, int]] | None:
     On s2 = 0 the zeros are the common roots of the binary forms f(s0, s1, 0).
     On s2 = 1, the shear s0 = x + c y with c in {0, 1, 2} gives A
     or B a y^2 coefficient f(c, 1, 0) != 0, so they share no line
-    x = const.  Then Res_y(A, B) = (a2 b0 - b2 a0)^2 - (a2 b1 - b2 a1)(a1 b0 -
-    a0 b1), with a_k the coefficient of y^k, is a quartic in x; it vanishes
-    identically only for a shared component, and each of its roots gives the
-    common roots y of the two quadratics.  Roots come from common_roots_mod_p:
+    x = const.  With A = a2 y^2 + (a10 + a11 x) y + (a00 + a01 x + a02 x^2)
+    and B likewise, Res_y(A, B) = u^2 - v w for u = a2 b0 - b2 a0, v = a2 b1
+    - b2 a1 and w = a1 b0 - a0 b1, a quartic in x with coefficients
+      r0 = u0^2 - v0 w0,             r1 = 2 u0 u1 - v0 w1 - v1 w0,
+      r2 = u1^2 + 2 u0 u2 - v0 w2 - v1 w1,
+      r3 = 2 u1 u2 - v0 w3 - v1 w2,  r4 = u2^2 - v1 w3,
+    where u_k = a2 b0k - b2 a0k, v_k = a2 b1k - b2 a1k, w0 = a10 b00 - a00 b10,
+    w1 = a10 b01 + a11 b00 - a00 b11 - a01 b10, w2 = a10 b02 + a11 b01 -
+    a01 b11 - a02 b10 and w3 = a11 b02 - a02 b11.  It vanishes identically
+    only for a shared component, and each of its roots gives the common
+    roots y of the two quadratics.  Roots come from common_roots_mod_p:
     over a small field it evaluates at every residue, otherwise its cost is
     polynomial in log p.
     """
@@ -284,38 +282,36 @@ def _conic_pair_zeros(A, B, p: int) -> list[tuple[int, int, int]] | None:
     if A[0] % p == 0 and B[0] % p == 0:
         zeros.append((1, 0, 0))
     c = next(c for c in range(3) if any((f[0] * c * c + f[1] * c + f[3]) % p for f in (A, B)))
-
-    def sheared(f):  # f(x + c y, y, 1): the y^2, y and 1 coefficients, in x
-        return ((f[0] * c * c + f[1] * c + f[3]) % p,
-                [f[4] + f[2] * c, f[1] + 2 * f[0] * c],
-                [f[5], f[2], f[0]])
-
-    (a2, a1, a0), (b2, b1, b0) = sheared(A), sheared(B)
-    u = [a2 * t - b2 * s for s, t in zip(a0, b0)]
-    v = [a2 * t - b2 * s for s, t in zip(a1, b1)]
-    w = [s - t for s, t in zip(_product(a1, b0), _product(a0, b1))]
-    resultant = [s - t for s, t in zip(_product(u, u), _product(v, w))]
-    if not any(t % p for t in resultant):
+    # f(x + c y, y, 1): the y^2 coefficient, then those of y and 1, in x.
+    (a2, a10, a11, a00, a01, a02), (b2, b10, b11, b00, b01, b02) = (
+        ((f[0] * c * c + f[1] * c + f[3]) % p, f[4] + f[2] * c, f[1] + 2 * f[0] * c,
+         f[5], f[2], f[0]) for f in (A, B))
+    u0, u1, u2 = a2 * b00 - b2 * a00, a2 * b01 - b2 * a01, a2 * b02 - b2 * a02
+    v0, v1 = a2 * b10 - b2 * a10, a2 * b11 - b2 * a11
+    w0, w3 = a10 * b00 - a00 * b10, a11 * b02 - a02 * b11
+    w1 = a10 * b01 + a11 * b00 - a00 * b11 - a01 * b10
+    w2 = a10 * b02 + a11 * b01 - a01 * b11 - a02 * b10
+    resultant = [(u0 * u0 - v0 * w0) % p, (2 * u0 * u1 - v0 * w1 - v1 * w0) % p,
+                 (u1 * u1 + 2 * u0 * u2 - v0 * w2 - v1 * w1) % p,
+                 (2 * u1 * u2 - v0 * w3 - v1 * w2) % p, (u2 * u2 - v1 * w3) % p]
+    if not any(resultant):
         return None
     for x in roots_mod_p(resultant, p):
-        powers = (1, x, x * x)
-        in_y = [[sum(map(mul, f0, powers)), sum(map(mul, f1, powers)), f2]
-                for f2, f1, f0 in ((a2, a1, a0), (b2, b1, b0))]
+        in_y = [[a00 + (a01 + a02 * x) * x, a10 + a11 * x, a2],
+                [b00 + (b01 + b02 * x) * x, b10 + b11 * x, b2]]
         zeros += [((x + c * y) % p, y, 1) for y in common_roots_mod_p(in_y, p)]
     return sorted(zeros)
 
 
-def _splitmix64(seed: int):
-    """SplitMix64 (Steele, Lea and Flood 2014): 64-bit words from an integer seed.
+def _splitmix64(state: int) -> tuple[int, int]:
+    """One step of SplitMix64 (Steele, Lea and Flood 2014): the next state and its word.
 
     Integer arithmetic only, so a seed gives the same words on every Python.
     """
-    state = seed & _MASK64
-    while True:
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
-        z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
-        yield z ^ (z >> 31)
+    state = (state + 0x9E3779B97F4A7C15) & _MASK64
+    z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    return state, z ^ (z >> 31)
 
 
 def smooth_line_through_point(
@@ -339,29 +335,32 @@ def smooth_line_through_point(
     """
     if prime == 2 or not is_probable_prime(prime):
         raise ValueError(f"{prime} is not an odd prime")
-    p, polars = prime, pencil.polars
-    seed = p
+    p = prime
+    polars = [[[c % p for c in row] for row in P] for P in pencil.polars]
+    state = p
     for q in (pencil.q1, pencil.q2):
         for (i, j), c in q.monomials():
-            seed = next(_splitmix64(seed ^ (NUM_VARIABLES * i + j) ^ (c << 8)))
-    words = _splitmix64(seed)
+            state = _splitmix64(state ^ (NUM_VARIABLES * i + j) ^ (c << 8))[1]
     limbs = p.bit_length() // 64 + 1
     half = (p + 1) // 2  # 1/2 mod p: Q(v) = v.Pv / 2
 
     def draw() -> int:
+        nonlocal state
         value = 0
         for _ in range(limbs):
-            value = value << 64 | next(words)
+            state, word = _splitmix64(state)
+            value = value << 64 | word
         return value % p
 
     def zeros_on(basis) -> list:
-        pvs = [_polar_products(polars, v, p) for v in basis]
-        conics = [tuple(
-            sum(map(mul, basis[i], pvs[j][f])) * (half if i == j else 1) % p
-            for i in range(3) for j in range(i, 3)) for f in range(2)]
-        zeros = _conic_pair_zeros(*conics, p) or ()
-        return [[sum(s * v[c] for s, v in zip(z, basis)) % p for c in range(NUM_VARIABLES)]
-                for z in zeros]
+        conics = []
+        for P in polars:
+            pvs = [[sum(map(mul, row, v)) for row in P] for v in basis]
+            conics.append([sum(map(mul, basis[i], pvs[j])) * (half if i == j else 1) % p
+                           for i in range(3) for j in range(i, 3)])
+        columns = list(zip(*basis))
+        return [[sum(map(mul, z, column)) % p for column in columns]
+                for z in _conic_pair_zeros(*conics, p) or ()]
 
     for _ in range(MAX_LINE_PLANES):
         for x in zeros_on([[draw() for _ in range(NUM_VARIABLES)] for _ in range(3)]):

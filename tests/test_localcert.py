@@ -37,6 +37,7 @@ from quadpencil.localcert import (
     _conic_pair_zeros,
     _half_zeros,
     _rank_is_6,
+    _splitmix64,
     smooth_line_through_point,
 )
 from quadpencil.quadric import NUM_VARIABLES, polar_matrix
@@ -447,21 +448,24 @@ def _times(l, m) -> tuple:
                  for i in range(3) for j in range(i, 3))
 
 
-def _share_component(A, B, p, plane) -> bool:
-    """True iff A and B are proportional mod p or both vanish on an F_p-line.
+def _share_component(A, B, p, plane, common) -> bool:
+    """True iff A and B share a component over the algebraic closure.
 
-    A component shared over the algebraic closure is defined over F_p (it is
-    the gcd or a Galois-stable factor of it), so these are the only cases.
+    Such a component is defined over F_p (it is the gcd or a Galois-stable
+    factor of it), so A and B are linearly dependent mod p or both vanish on
+    an F_p-line.  Up to p = 13 every line of the plane is scanned.  Above,
+    that scan is too slow; there, by Bezout, conics without a common
+    component meet in at most 4 points, while a shared F_p-line holds p + 1.
     """
-    if any(all((a * lam - b) % p == 0 for a, b in zip(A, B)) for lam in range(p)):
-        return True
-    if all(b % p == 0 for b in B):
-        return True
-    return any(
-        all(_conic_value(A, s) % p == 0 == _conic_value(B, s) % p
-            for s in plane if sum(map(mul, n, s)) % p == 0)
-        for n in plane
-    )
+    if any((a * d - b * c) % p for (a, b), (c, d) in itertools.combinations(zip(A, B), 2)):
+        if p > 13:
+            return len(common) > 4
+        return any(
+            all(_conic_value(A, s) % p == 0 == _conic_value(B, s) % p
+                for s in plane if sum(map(mul, n, s)) % p == 0)
+            for n in plane
+        )
+    return True
 
 
 def _conic_pairs(rng, p) -> list:
@@ -485,7 +489,7 @@ def _conic_pairs(rng, p) -> list:
     return pairs
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 23, 31])
 def test_conic_pair_zeros_match_brute_force(p):
     rng = random.Random(100 + p)
     plane = sorted({(x, y, 1) for x in range(p) for y in range(p)}
@@ -496,7 +500,7 @@ def test_conic_pair_zeros_match_brute_force(p):
         zeros = _conic_pair_zeros(A, B, p)
         common = [s for s in plane
                   if _conic_value(A, s) % p == 0 == _conic_value(B, s) % p]
-        assert (zeros is None) == _share_component(A, B, p, plane), (A, B)
+        assert (zeros is None) == _share_component(A, B, p, plane, common), (A, B)
         if zeros is None:
             kinds["shared"] += 1
             continue
@@ -547,6 +551,37 @@ def test_line_through_a_point_at_a_large_bad_prime():
     assert smooth_line_through_point(pencil, BIG_PRIME) == (chart, coords)
     cert = hensel_certify(fano_system(pencil, chart), coords, BIG_PRIME)
     assert cert.jacobian_rank == 6 and cert.lift_modulus == BIG_PRIME**3
+
+
+def test_splitmix64_matches_the_reference_words():
+    # The first outputs of Vigna's splitmix64.c from state 0: every plane
+    # smooth_line_through_point draws comes from these steps.
+    state, words = 0, []
+    for _ in range(4):
+        state, word = _splitmix64(state)
+        words.append(word)
+    assert words == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
+                     0x06C45D188009454F, 0xF88BB8A8724C81EC]
+
+
+# sha256 of the JSON list of smooth_line_through_point results, [pivots,
+# coordinates] or null, for the example and 40 seeded pencils at each of
+# LINE_SEARCH_PRIMES: good and bad primes, by evaluation and by gcd.
+LINE_SEARCH_PRIMES = (3, 5, 7, 11, 13, 31, 1009, 1000003, BIG_PRIME)
+LINE_SEARCH_SHA256 = "c5aec9f06fda07e82f2130ca812e291929c0fb7636ed646df7ed75266bc9abd9"
+
+
+def test_line_search_results_are_pinned(example_pencil):
+    rng = random.Random(20261019)
+    pencils = [example_pencil] + [PencilOfQuadrics(random_form(rng), random_form(rng))
+                                  for _ in range(40)]
+    found = []
+    for pencil in pencils:
+        for p in LINE_SEARCH_PRIMES:
+            line = smooth_line_through_point(pencil, p)
+            found.append(None if line is None else [list(line[0].pivots), list(line[1])])
+    assert sum(line is None for line in found) == 4
+    assert hashlib.sha256(json.dumps(found).encode()).hexdigest() == LINE_SEARCH_SHA256
 
 
 def test_line_through_a_point_rejects_bad_primes(example_pencil):
