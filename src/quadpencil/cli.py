@@ -18,6 +18,7 @@ from .fano import (
     GrassmannChart,
     _chart_ui,
     fano_system,
+    point_document,
     verify_fano_point,
 )
 from .parsing import (
@@ -42,7 +43,7 @@ EXIT_INPUT_ERROR = 3
 
 
 class _UsageError(Exception):
-    pass
+    """Exit 3.  Not a ValueError, so argparse lets it out of a type= reader."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,43 +53,46 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _option_ints(option: str, parts) -> tuple[int, ...]:
-    """int() of each integer-text part; past Python's conversion limit, a usage error."""
+def _ints(option: str, text: str, count: int = 0) -> tuple[int, ...]:
+    """argparse type= reader of an option's comma-separated integers.
+
+    count > 0 wants exactly that many; count 0 wants one or more and skips
+    empty parts.  A bad value, or an integer past Python's str-conversion
+    limit, is a _UsageError naming the option.
+    """
+    parts = [part.strip() for part in text.split(",")]
+    if not count:
+        parts = [part for part in parts if part]
+    if (len(parts) != count if count else not parts) or not all(
+        _is_integer_text(part, signed=True) for part in parts
+    ):
+        amount = {0: "comma-separated integers", 1: "an integer"}.get(
+            count, f"{count} comma-separated integers")
+        raise _UsageError(f"{option} expects {amount}, got {text!r}")
     try:
-        return tuple(int(p) for p in parts)
+        return tuple(map(int, parts))
     except ValueError:
         limit = sys.get_int_max_str_digits()
         raise _UsageError(f"{option}: integer longer than {limit} digits") from None
 
 
-def _parse_chart(text: str) -> GrassmannChart:
-    """Parse 1-based '--chart i,j' into the internal 0-based chart."""
-    parts = text.split(",")
-    if len(parts) != 2 or not all(_is_integer_text(p.strip()) for p in parts):
-        raise _UsageError(f"--chart expects 'i,j' with integers, got {text!r}")
-    i, j = _option_ints("--chart", parts)
-    if not (1 <= i < j <= NUM_VARIABLES):
-        raise _UsageError(
-            f"--chart columns must satisfy 1 <= i < j <= {NUM_VARIABLES}"
-        )
-    return GrassmannChart((i - 1, j - 1))
-
-
-def _parse_coords(text: str, expected: int) -> tuple[int, ...]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != expected or not all(
-        _is_integer_text(p, signed=True) for p in parts
-    ):
-        raise _UsageError(
-            f"--coords expects {expected} comma-separated integers, got {text!r}"
-        )
-    return _option_ints("--coords", parts)
-
-
-def _require_prime(p: int) -> int:
+def _prime(text: str) -> int:
+    """argparse type= reader of --prime: a prime, in any form int() reads."""
+    try:
+        p = int(text)
+    except ValueError:
+        (p,) = _ints("--prime", text, 1)  # raises: not one integer, or too long
     if p < 2 or not is_probable_prime(p):
         raise _UsageError(f"--prime {p} is not prime")
     return p
+
+
+def _chart(text: str) -> GrassmannChart:
+    """argparse type= reader of '--chart i,j', 1-based: the internal 0-based chart."""
+    i, j = _ints("--chart", text, 2)
+    if not 1 <= i < j <= NUM_VARIABLES:
+        raise _UsageError(f"--chart columns must satisfy 1 <= i < j <= {NUM_VARIABLES}")
+    return GrassmannChart((i - 1, j - 1))
 
 
 def _format_char_form(coeffs: Sequence[int]) -> str:
@@ -112,13 +116,9 @@ def _emit(document: dict | None, summary_lines: Sequence[str]) -> None:
 def _cmd_analyze(args) -> int:
     from .pipeline import POSITIVE_VERDICT, PipelineConfig, run_pipeline
 
-    cfg = PipelineConfig(
-        input_path=args.file,
-        good_prime_samples=tuple(args.good_primes),
-        lift_precision=args.lift_precision,
-        workers=args.workers,
-    )
-    certificate = run_pipeline(cfg)
+    # Options left out keep PipelineConfig's defaults.
+    options = {k: v for k, v in vars(args).items() if k in PipelineConfig._fields}
+    certificate = run_pipeline(PipelineConfig(**options))
     lines = [f"verdict: {certificate['verdict']}"]
     for entry in certificate["local_certificates"]:
         liftable = entry.get("liftable", entry.get("smooth_reduction"))
@@ -148,11 +148,10 @@ def _cmd_charform(args) -> int:
 def _cmd_fano_search(args) -> int:
     from .localcert import search_smooth_points
 
-    parsed = parse_input(args.file)
-    prime = _require_prime(args.prime)
-    charts = None if args.chart is None else [_parse_chart(args.chart)]
+    pencil, prime = parse_input(args.file).pencil, args.prime
+    charts = None if args.chart is None else [args.chart]
     # ValueError above the scan cap, which main() maps to exit 3.
-    points = search_smooth_points(parsed.pencil, prime, charts=charts)
+    points = search_smooth_points(pencil, prime, charts=charts)
     document = {
         "prime": prime,
         "mode": "exhaustive",
@@ -177,20 +176,9 @@ def _cmd_fano_search(args) -> int:
 
 
 def _cmd_verify_point(args) -> int:
-    parsed = parse_input(args.file)
-    prime = _require_prime(args.prime)
-    chart = _parse_chart(args.chart)
-    coords = _parse_coords(args.coords, 8)
-    system = fano_system(parsed.pencil, chart)
-    report = verify_fano_point(system, tuple(c % prime for c in coords), prime)
-    document = {
-        "prime": prime,
-        "chart": _chart_ui(chart),
-        "coordinates": list(coords),
-        "on_system": report.on_fano,
-        "jacobian_rank": report.jacobian_rank,
-        "smooth": report.smooth,
-    }
+    system = fano_system(parse_input(args.file).pencil, args.chart)
+    report = verify_fano_point(system, args.coords, args.prime)
+    document = {"prime": args.prime, **point_document(args.chart, args.coords, report)}
     _emit(
         document,
         [
@@ -204,18 +192,12 @@ def _cmd_verify_point(args) -> int:
 def _cmd_verify_ambient(args) -> int:
     from .localcert import verify_projective_point
 
-    parsed = parse_input(args.file)
-    coords = _parse_coords(args.coords, 6)
-    prime: Optional[int] = None
-    if args.prime is not None:
-        prime = _require_prime(args.prime)
-    try:
-        on_intersection = verify_projective_point(parsed.pencil, coords, p=prime)
-    except ValueError as error:
-        raise _UsageError(str(error))
+    prime = args.prime
+    # A ValueError (the zero vector, or 0 mod p) is a usage error: exit 3.
+    on_intersection = verify_projective_point(parse_input(args.file).pencil, args.coords, p=prime)
     document = {
         "prime": prime,
-        "coordinates": list(coords),
+        "coordinates": list(args.coords),
         "on_intersection": on_intersection,
     }
     field = "Q" if prime is None else f"F_{prime}"
@@ -224,34 +206,25 @@ def _cmd_verify_ambient(args) -> int:
 
 
 def _cmd_reduction(args) -> int:
-    from .reduction import cone_check, mod2_degeneracy, singular_locus
+    from .reduction import locus_document, mod2_degeneracy, singular_locus
 
-    parsed = parse_input(args.file)
-    prime = _require_prime(args.prime)
+    pencil, prime = parse_input(args.file).pencil, args.prime
     if prime == 2:
-        report = dict(mod2_degeneracy(parsed.pencil))
-        report["prime"] = 2
+        report = {**mod2_degeneracy(pencil), "prime": 2}
         _emit(report, [f"mod 2: {report['verdict']}"])
         return EXIT_POSITIVE
     try:
-        locus = singular_locus(parsed.pencil, prime)
+        document = locus_document(singular_locus(pencil, prime))
     except ValueError as error:
         # a form vanishes mod p, not a complete intersection mod p, or the
         # kernel candidate cap
         _emit({"error": str(error)}, [f"error: {error}"])
         return EXIT_INCOMPLETE
-    document = {
-        "prime": prime,
-        "points": [list(pt) for pt in locus.points],
-        "ambient_jacobian_ranks": list(locus.ranks),
-        "method": locus.method,
-        "non_conical": cone_check(locus),
-    }
     _emit(
         document,
         [
-            f"singular locus mod {prime}: {len(locus.points)} point(s), "
-            f"method={locus.method}, non_conical={cone_check(locus)}"
+            f"singular locus mod {prime}: {len(document['points'])} point(s), "
+            f"method={document['method']}, non_conical={document['non_conical']}"
         ],
     )
     return EXIT_POSITIVE
@@ -271,27 +244,29 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # analyze leaves an option it is not given out of args, so that
+    # PipelineConfig alone holds the defaults.
     p_analyze = sub.add_parser(
-        "analyze", help="run the full pipeline and emit the certificate"
+        "analyze",
+        help="run the full pipeline and emit the certificate",
+        argument_default=argparse.SUPPRESS,
     )
-    p_analyze.add_argument("file", help="input file with Q1:/Q2: lines")
+    p_analyze.add_argument("input_path", metavar="file", help="input file with Q1:/Q2: lines")
     p_analyze.add_argument(
         "--workers",
         type=int,
-        default=8,
         help="accepted for compatibility (must be >= 1); has no effect",
     )
     p_analyze.add_argument(
         "--lift-precision",
         type=int,
-        default=3,
-        dest="lift_precision",
         help="certify Newton lifts modulo p^k (default k = 3)",
     )
     p_analyze.add_argument(
         "--good-primes",
-        default="3,5,7,11,13",
-        dest="good_primes_text",
+        type=lambda text: _ints("--good-primes", text),
+        dest="good_prime_samples",
+        metavar="GOOD_PRIMES_TEXT",
         help="comma-separated odd primes to sample as good places",
     )
     p_analyze.set_defaults(handler=_cmd_analyze)
@@ -310,10 +285,10 @@ def _build_parser() -> _Parser:
         ),
     )
     p_search.add_argument("file")
-    p_search.add_argument("--prime", type=int, required=True)
+    p_search.add_argument("--prime", type=_prime, required=True)
     p_search.add_argument(
         "--chart",
-        default=None,
+        type=_chart,
         help="restrict to one chart, as 1-based columns 'i,j'",
     )
     p_search.set_defaults(handler=_cmd_fano_search)
@@ -322,9 +297,11 @@ def _build_parser() -> _Parser:
         "verify-point", help="verify one chart point on the Fano system mod p"
     )
     p_verify.add_argument("file")
-    p_verify.add_argument("--prime", type=int, required=True)
-    p_verify.add_argument("--chart", required=True, help="1-based columns 'i,j'")
-    p_verify.add_argument("--coords", required=True, help="a1,...,a8")
+    p_verify.add_argument("--prime", type=_prime, required=True)
+    p_verify.add_argument("--chart", type=_chart, required=True, help="1-based columns 'i,j'")
+    p_verify.add_argument(
+        "--coords", type=lambda text: _ints("--coords", text, 8), required=True, help="a1,...,a8"
+    )
     p_verify.set_defaults(handler=_cmd_verify_point)
 
     p_ambient = sub.add_parser(
@@ -332,15 +309,17 @@ def _build_parser() -> _Parser:
         help="verify a projective point on X = {Q1 = Q2 = 0}, over Q or F_p",
     )
     p_ambient.add_argument("file")
-    p_ambient.add_argument("--coords", required=True, help="c1,...,c6")
-    p_ambient.add_argument("--prime", type=int, default=None)
+    p_ambient.add_argument(
+        "--coords", type=lambda text: _ints("--coords", text, 6), required=True, help="c1,...,c6"
+    )
+    p_ambient.add_argument("--prime", type=_prime)
     p_ambient.set_defaults(handler=_cmd_verify_ambient)
 
     p_reduction = sub.add_parser(
         "reduction", help="analyze the reduction of the pencil mod p"
     )
     p_reduction.add_argument("file")
-    p_reduction.add_argument("--prime", type=int, required=True)
+    p_reduction.add_argument("--prime", type=_prime, required=True)
     p_reduction.set_defaults(handler=_cmd_reduction)
 
     return parser
@@ -350,10 +329,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(_normalize_args(args))
-    except _UsageError as error:
-        sys.stderr.write(f"error: {error}\n")
-        return EXIT_INPUT_ERROR
+        return args.handler(args)
     except NonIntegralCharacteristicFormError as error:
         # Every subcommand but analyze, which records it in the certificate.
         _emit({"error": str(error)}, [f"error: {error}"])
@@ -364,26 +340,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as error:
         sys.stderr.write(f"cannot read input: {error}\n")
         return EXIT_INPUT_ERROR
-    except ValueError as error:
+    except (_UsageError, ValueError) as error:
+        # ValueError: PipelineConfig's checks, the scan cap, a zero point
         sys.stderr.write(f"error: {error}\n")
         return EXIT_INPUT_ERROR
-
-
-def _normalize_args(args):
-    """Parse analyze's --good-primes text into ints.
-
-    PipelineConfig checks the values (odd primes, workers >= 1); main() maps
-    its ValueError to exit 3.
-    """
-    if getattr(args, "good_primes_text", None) is not None:
-        parts = [p.strip() for p in args.good_primes_text.split(",") if p.strip()]
-        if not parts or not all(_is_integer_text(p) for p in parts):
-            raise _UsageError(
-                f"--good-primes expects comma-separated primes, got "
-                f"{args.good_primes_text!r}"
-            )
-        args.good_primes = tuple(int(p) for p in parts)
-    return args
 
 
 if __name__ == "__main__":

@@ -178,3 +178,14 @@ def verify_fano_point(system: FanoSystem, point, p: int) -> FanoPointReport:
         jacobian_rank=rank,
         smooth=bool(on_fano and rank == FANO_CODIMENSION),
     )
+
+
+def point_document(chart: GrassmannChart, coords, report: FanoPointReport) -> dict:
+    """The JSON record of a checked chart point, for `verify-point` and the certificate."""
+    return {
+        "chart": _chart_ui(chart),
+        "coordinates": list(coords),
+        "on_system": report.on_fano,
+        "jacobian_rank": report.jacobian_rank,
+        "smooth": report.smooth,
+    }

@@ -206,7 +206,7 @@ class _FormParser:
             term = self._parse_term()
             for exps in term:
                 columns.setdefault(exps, start.column)
-            total = _poly_add(total, _poly_scale(term, sign))
+            total = _poly_add(total, term, sign)
             tok = self._peek()
             if tok is None or tok.kind not in "+-":
                 return total, columns
@@ -262,22 +262,17 @@ class _FormParser:
 
 
 def _poly_add(
-    a: dict[tuple[int, ...], int], b: dict[tuple[int, ...], int]
+    a: dict[tuple[int, ...], int], b: dict[tuple[int, ...], int], sign: int = 1
 ) -> dict[tuple[int, ...], int]:
+    """a + sign * b."""
     out = dict(a)
     for exps, coeff in b.items():
-        new = out.get(exps, 0) + coeff
+        new = out.get(exps, 0) + sign * coeff
         if new:
             out[exps] = new
         else:
             out.pop(exps, None)
     return out
-
-
-def _poly_scale(a: dict[tuple[int, ...], int], s: int) -> dict[tuple[int, ...], int]:
-    if s == 0:
-        return {}
-    return {exps: s * coeff for exps, coeff in a.items()}
 
 
 def _poly_mul(
@@ -463,38 +458,27 @@ def _parse_witness_line(line_text: str, line: int) -> FanoWitness | SingularWitn
         value, column = fields.pop(name)
         return value, column + len(name) + 1
 
-    if kind == "fano":
-        p_text, p_col = take("p")
-        chart_text, chart_col = take("chart")
-        coords_text, coords_col = take("coords")
-        if fields:
-            extra = sorted(fields)[0]
-            raise ParseError(f"unknown field '{extra}='", line, fields[extra][1])
-        prime = _require_prime(p_text, line, p_col)
-        chart = _parse_int_list(chart_text, 2, line, chart_col, "chart")
-        i, j = chart
-        if not (1 <= i < j <= NUM_VARIABLES):
-            raise ParseError(
-                f"chart columns must satisfy 1 <= i < j <= {NUM_VARIABLES}",
-                line,
-                chart_col,
-            )
-        coords = _parse_int_list(coords_text, 8, line, coords_col, "coords")
-        return FanoWitness(prime=prime, chart=chart, coordinates=coords)
+    if kind not in ("fano", "singular"):
+        raise ParseError(
+            f"unknown witness kind '{kind}' (expected 'fano' or 'singular')",
+            line,
+            offset + 1,
+        )
+    names = ("p", "chart", "coords") if kind == "fano" else ("p", "coords")
+    (p_text, p_col), *chart_field, (coords_text, coords_col) = map(take, names)
+    if fields:
+        extra = sorted(fields)[0]
+        raise ParseError(f"unknown field '{extra}='", line, fields[extra][1])
+    prime = _require_prime(p_text, line, p_col)
     if kind == "singular":
-        p_text, p_col = take("p")
-        coords_text, coords_col = take("coords")
-        if fields:
-            extra = sorted(fields)[0]
-            raise ParseError(f"unknown field '{extra}='", line, fields[extra][1])
-        prime = _require_prime(p_text, line, p_col)
-        coords = _parse_int_list(coords_text, 6, line, coords_col, "coords")
-        return SingularWitness(prime=prime, coordinates=coords)
-    raise ParseError(
-        f"unknown witness kind '{kind}' (expected 'fano' or 'singular')",
-        line,
-        offset + 1,
-    )
+        return SingularWitness(prime, _parse_int_list(coords_text, 6, line, coords_col, "coords"))
+    chart_text, chart_col = chart_field[0]
+    i, j = chart = _parse_int_list(chart_text, 2, line, chart_col, "chart")
+    if not 1 <= i < j <= NUM_VARIABLES:
+        raise ParseError(
+            f"chart columns must satisfy 1 <= i < j <= {NUM_VARIABLES}", line, chart_col
+        )
+    return FanoWitness(prime, chart, _parse_int_list(coords_text, 8, line, coords_col, "coords"))
 
 
 def _parse_sections(
@@ -582,10 +566,7 @@ def _canonical_value(value):
     if value is None or isinstance(value, (bool, str)):
         return value
     if isinstance(value, int):
-        try:
-            return str(value)
-        except ValueError:  # past the str-conversion digit limit
-            return _decimal(value)
+        return _decimal(value)
     if isinstance(value, Fraction):
         return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
     # Exact types only: records are tuples too, and must not pass as lists.

@@ -26,7 +26,7 @@ any ``workers`` value (which is accepted and has no effect).
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 from .exactmath import FactorizationError, is_probable_prime
 from .fano import (
@@ -35,6 +35,7 @@ from .fano import (
     _chart_coordinates,
     _chart_ui,
     fano_system,
+    point_document,
     verify_fano_point,
 )
 from .localcert import (
@@ -60,7 +61,7 @@ from .pencil import (
     curve_data,
     smoothness_check,
 )
-from .reduction import cone_check, mod2_degeneracy, normalize_projective, singular_locus
+from .reduction import locus_document, mod2_degeneracy, normalize_projective, singular_locus
 
 __all__ = [
     "POSITIVE_VERDICT",
@@ -104,25 +105,19 @@ EXTERNAL_INPUTS = (
 )
 
 
-def _validate_prime(p: int, what: str) -> None:
-    if not isinstance(p, int) or p < 2 or not is_probable_prime(p):
-        raise ValueError(f"{what}: {p!r} is not prime")
-
-
 class _PipelineConfigFields(NamedTuple):
     input_path: str
     good_prime_samples: tuple[int, ...] = (3, 5, 7, 11, 13)
     lift_precision: int = 3
     workers: int = 8
-    supplied_witnesses: tuple[Union[FanoWitness, SingularWitness], ...] = ()
 
 
 class PipelineConfig(_PipelineConfigFields):
     """Configuration for :func:`run_pipeline`.
 
-    ``supplied_witnesses`` entries are merged with any ``WITNESS:`` lines
-    found in the input file; a bad prime above EXHAUSTIVE_PRIME_BOUND is
-    certified only from such a witness, since no method searches it yet.
+    Witnesses come only from the input file's ``WITNESS:`` lines; a bad
+    prime above EXHAUSTIVE_PRIME_BOUND is certified only from such a
+    witness, since no method searches it yet.
     ``good_prime_samples`` must be distinct odd primes; those up to
     EXHAUSTIVE_PRIME_BOUND also get a constructive point, a smooth line
     through a point of X_p (the census if that fails).  ``workers`` is
@@ -134,12 +129,10 @@ class PipelineConfig(_PipelineConfigFields):
 
     def __new__(cls, *args, **kwargs) -> "PipelineConfig":
         self = super().__new__(cls, *args, **kwargs)
-        self = self._replace(
-            good_prime_samples=tuple(self.good_prime_samples),
-            supplied_witnesses=tuple(self.supplied_witnesses),
-        )
+        self = self._replace(good_prime_samples=tuple(self.good_prime_samples))
         for p in self.good_prime_samples:
-            _validate_prime(p, "good_prime_samples")
+            if not isinstance(p, int) or p < 2 or not is_probable_prime(p):
+                raise ValueError(f"good_prime_samples: {p!r} is not prime")
             if p == 2:
                 raise ValueError(
                     "good_prime_samples: 2 is not usable as a sampled good prime"
@@ -152,12 +145,6 @@ class PipelineConfig(_PipelineConfigFields):
             raise ValueError("lift_precision must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        for witness in self.supplied_witnesses:
-            if not isinstance(witness, (FanoWitness, SingularWitness)):
-                raise ValueError(
-                    "supplied_witnesses entries must be FanoWitness or SingularWitness"
-                )
-            _validate_prime(witness.prime, "witness prime")
         return self
 
 
@@ -207,16 +194,9 @@ def _verify_supplied_fano(
 ) -> tuple[dict, Optional[tuple[GrassmannChart, tuple[int, ...]]]]:
     """Verify one supplied witness; return its report and the point if smooth."""
     chart = GrassmannChart((witness.chart[0] - 1, witness.chart[1] - 1))
-    system = fano_system(pencil, chart)
     point = tuple(c % witness.prime for c in witness.coordinates)
-    report = verify_fano_point(system, point, witness.prime)
-    entry = {
-        "chart": _chart_ui(chart),
-        "coordinates": list(witness.coordinates),
-        "on_system": report.on_fano,
-        "jacobian_rank": report.jacobian_rank,
-        "smooth": report.smooth,
-    }
+    report = verify_fano_point(fano_system(pencil, chart), point, witness.prime)
+    entry = point_document(chart, witness.coordinates, report)
     return entry, ((chart, point) if report.smooth else None)
 
 
@@ -326,10 +306,7 @@ def _reduction_stage(
 ) -> tuple[dict, Optional[str]]:
     """Reduction report at one bad prime."""
     if prime == 2:
-        report = dict(mod2_degeneracy(pencil))
-        report["prime"] = "2"
-        report["kind"] = "mod2-degeneracy"
-        return report, None
+        return {**mod2_degeneracy(pencil), "prime": 2, "kind": "mod2-degeneracy"}, None
     try:
         locus = singular_locus(pencil, prime)
     except ValueError as error:
@@ -358,19 +335,8 @@ def _reduction_stage(
                 "in_computed_locus": normalized in computed,
             }
         )
-    entry = {
-        "prime": str(prime),
-        "kind": "singular-locus",
-        "points": [list(pt) for pt in locus.points],
-        "ambient_jacobian_ranks": list(locus.ranks),
-        "method": locus.method,
-        "non_conical": cone_check(locus),
-        "witness_checks": witness_checks,
-    }
-    reason = None
-    if not cone_check(locus):
-        reason = f"the reduction mod {prime} is a cone"
-    return entry, reason
+    entry = {**locus_document(locus), "kind": "singular-locus", "witness_checks": witness_checks}
+    return entry, (None if entry["non_conical"] else f"the reduction mod {prime} is a cone")
 
 
 # ---------------------------------------------------------------------------
@@ -483,17 +449,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     (they are input errors, not stage failures); every later failure is
     embedded in the certificate with an ``incomplete`` verdict.
     """
-    forms, file_fano, file_singular = _parse_sections(read_input_text(cfg.input_path))
-
-    fano_witnesses = list(file_fano)
-    singular_witnesses = list(file_singular)
-    for witness in cfg.supplied_witnesses:
-        if isinstance(witness, FanoWitness):
-            if witness not in fano_witnesses:
-                fano_witnesses.append(witness)
-        elif witness not in singular_witnesses:
-            singular_witnesses.append(witness)
-
+    forms, fano_witnesses, singular_witnesses = _parse_sections(read_input_text(cfg.input_path))
     document = {
         "certificate_version": "3",
         "input": {

@@ -290,6 +290,17 @@ def cone_check(report: SingularLocusReport) -> bool:
     return not report.conical
 
 
+def locus_document(locus: SingularLocusReport) -> dict:
+    """The JSON record of a singular locus, for `reduction` and the certificate."""
+    return {
+        "prime": locus.prime,
+        "points": [list(pt) for pt in locus.points],
+        "ambient_jacobian_ranks": list(locus.ranks),
+        "method": locus.method,
+        "non_conical": cone_check(locus),
+    }
+
+
 def _linear_str(vec) -> str:
     names = [VARIABLES[i] for i, c in enumerate(vec) if c % 2]
     return "+".join(names) if names else "0"

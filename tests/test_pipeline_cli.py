@@ -736,6 +736,95 @@ def test_two_dimensional_kernel_at_a_large_prime(tmp_path):
     assert json.loads(out)["points"] == []
 
 
+# Pencils of the pinned-output table below, besides the bundled files.
+PINNED_PENCILS = {
+    # Four 1,501-digit coefficients: f(t) has coefficients of about 6,000
+    # digits, past Python's default str() limit.
+    "huge": "Q1: {c}u^2 + {c}v^2 + {c}w^2 + {c}x^2 + y^2 + z^2\n"
+            "Q2: u^2 + 2v^2 + 3w^2 + 4x^2 + 5y^2 + 6z^2\n".format(c="3" + "0" * 1500),
+    "non-integral": NON_INTEGRAL_PENCIL,
+    # Mod 1009, Q1 - Q2 has a 3-dimensional kernel (the singular locus is a
+    # conic) in "conic" and a 4-dimensional one (past the candidate cap) in "cap".
+    "conic": "Q1: u^2 + 1010v^2 + 2019w^2 + 4x^2 + 5y^2 + 6z^2\n"
+             "Q2: u^2 + v^2 + w^2 + x^2 + y^2 + z^2\n",
+    "cap": "Q1: u^2 + 1010v^2 + 2019w^2 + 3028x^2 + 5y^2 + 6z^2\n"
+           "Q2: u^2 + v^2 + w^2 + x^2 + y^2 + z^2\n",
+    # Q1 vanishes mod 3.
+    "degenerate3": "Q1: 3u^2 + 3v^2\nQ2: u^2 + v^2 + w^2 + x^2 + y^2 + z^2\n",
+}
+
+_BIG_POINT = ["--prime", str(BIG_PRIME), "--chart", ",".join(map(str, CHART_UI)),
+              "--coords", ",".join(map(str, BIG_WITNESS))]
+
+# (argv with a file key for the path, exit code, sha256 of stdout) for each
+# subcommand but analyze and fano-search, whose digests are pinned above.
+PINNED_OUTPUTS = [
+    (["charform", "example"], 0,
+     "5f325225a107e24030408f4faea708a1769843254eed656ea68445df6a7ed15c"),
+    (["charform", "no-witness"], 0,
+     "5f325225a107e24030408f4faea708a1769843254eed656ea68445df6a7ed15c"),
+    (["charform", "huge"], 0,
+     "d1e2ced9decc62e12be1b0ca20cf6e1d0bddb79f7ed89fbfe08cd73e57e3f0bd"),
+    (["charform", "non-integral"], 2,
+     "a2950c162b73921487b5dfc02ce079b9b4bbef9ec074ea04fb385e48eb767069"),
+    (["verify-point", "example", *_BIG_POINT], 0,
+     "fc1b5740cae62c3dc5f617944d229fe0398678d9a7af56f8c62ecead99e7f01a"),
+    (["verify-point", "example", "--prime", "2", "--chart", "2,3",
+      "--coords", "1,1,0,0,1,1,0,0"], 1,
+     "24597c9133e733fc702b9fdd68052691c8215658c635afb6d63f267e73fdea80"),
+    (["verify-point", "example", "--prime", "3", "--chart", "1,3",
+      "--coords", "2,0,0,0,0,0,2,0"], 0,
+     "cc9ffb23b51cbfce3da65b3d147ffb960261f8948991e2addc78917aecf764c6"),
+    (["verify-point", "example", "--prime", "5", "--chart", "1,2",
+      "--coords", "4,4,4,3,2,2,3,3"], 0,
+     "d15c1ca857f66c88175127f894fd8ca308e21753b6cc1bbab5bf2a6bb3081d71"),
+    (["verify-point", "example", "--prime", "3", "--chart", "1,3",
+      "--coords", "1,0,0,0,0,0,0,0"], 1,
+     "953176c5bf691058728cac40e883cef272edb367e7380b77098bd54de2121d3a"),
+    (["verify-point", "example", "--prime", "3", "--chart", "1,3",
+      "--coords", f"2,{'7' * 5000},0,0,0,0,0,0"], 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["verify-point", "example", "--prime", "3", "--chart", "1,3",
+      "--coords=-1,0,0,0,0,0,2,0"], 0,
+     "d37dcd4089663731ef17a58f138b93c19f3429ee0df35fd31729896866cb045a"),
+    (["verify-ambient", "example", "--coords", "1,0,0,0,0,0"], 0,
+     "d49c0906e75dc0e2656b20d2d3888e1ce4491c85782268e41d218d49c5d89dbe"),
+    (["verify-ambient", "example", "--coords", "0,0,0,1,0,1", "--prime", "2"], 0,
+     "7a501dab6420702cb51f78f5ee766aad40b2fe52a7af1a6f5329f4f64f0dba14"),
+    (["verify-ambient", "example", "--coords", "0,0,0,1,0,0"], 1,
+     "90f2cda8da84ce1f07c6a3f7d0c34c787b7994034bbb549d0e4a8fb796136af0"),
+    (["reduction", "example", "--prime", "2"], 0,
+     "310fff7e34c841f9208f5caa12220682afe5818dee6901b08021e9d55f8f8e66"),
+    (["reduction", "example", "--prime", "13"], 0,
+     "7e2ded0409fe0ebd5aec3e925ba5c28861e13e7100689b4972c94316631610c8"),
+    (["reduction", "example", "--prime", "17"], 0,
+     "b7b3d767607cac4d5219cc6b6db2b05f22c896979c2683c1c624ed9481f4e71a"),
+    (["reduction", "example", "--prime", str(BIG_PRIME)], 0,
+     "c855ab41d44d0cb628079b3f161c07aabc1091b4181aefd08ec325fc48074db5"),
+    (["reduction", "conic", "--prime", "1009"], 0,
+     "030e455bd87cb30549aa5d94b38c50f68192cba107ad2255d74b899bbd38cc81"),
+    (["reduction", "cap", "--prime", "1009"], 2,
+     "e74193c7fbe6eea92efb5f724edd63357ff973d9f8ea5daf3e83c32ccb886935"),
+    (["reduction", "degenerate3", "--prime", "3"], 2,
+     "9e7bba0f343b7e09596e075cefb2023b697ecb8f3cc80cb7c5323402415fa208"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, digest",
+    PINNED_OUTPUTS,
+    ids=[f"{argv[0]}-{argv[1]}-{k}" for k, (argv, _, _) in enumerate(PINNED_OUTPUTS)],
+)
+def test_subcommand_stdout_and_exit_code_are_pinned(tmp_path, argv, exit_code, digest):
+    command, key, *options = argv
+    path = {"example": EXAMPLE, "no-witness": NO_WITNESS}.get(key)
+    if path is None:
+        path = tmp_path / f"{key}.txt"
+        path.write_text(PINNED_PENCILS[key])
+    out, _, code = run_cli([command, str(path), *options])
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (exit_code, digest)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -778,6 +867,8 @@ HUGE = "7" * 5000
                      "--coords", "2,0,0,0,0,0,2,0"]),
         ("--chart", ["fano-search", EXAMPLE, "--prime", "3", "--chart", f"{HUGE},2"]),
         ("--coords", ["verify-ambient", EXAMPLE, "--coords", f"1,0,0,0,0,-{HUGE}"]),
+        ("--good-primes", ["analyze", EXAMPLE, "--good-primes", f"3,{HUGE}"]),
+        ("--prime", ["reduction", EXAMPLE, "--prime", HUGE]),
     ],
 )
 def test_option_integers_past_the_conversion_limit_exit_3(option, argv):
