@@ -254,13 +254,8 @@ def _build_parser() -> _Parser:
     p_analyze.add_argument("input_path", metavar="file", help="input file with Q1:/Q2: lines")
     p_analyze.add_argument(
         "--workers",
-        type=int,
+        type=lambda text: _ints("--workers", text, 1)[0],
         help="accepted for compatibility (must be >= 1); has no effect",
-    )
-    p_analyze.add_argument(
-        "--lift-precision",
-        type=int,
-        help="certify Newton lifts modulo p^k (default k = 3)",
     )
     p_analyze.add_argument(
         "--good-primes",

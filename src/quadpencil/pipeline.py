@@ -6,7 +6,8 @@ good-prime sampling, reduction reports — and writes the certificate
 document as it goes.  Any stage failure is embedded in the certificate and
 turns the verdict into ``"incomplete: <reason>"``; the pipeline never
 fabricates a positive verdict from a failed stage.  Each place's entry
-depends only on the pencil, that place and the configuration.
+depends only on the pencil, that place and the configuration.  Every
+point is Newton-lifted modulo p^3, ``hensel_certify``'s default depth.
 
 Every search is deterministic.  At a bad prime p <= 5 it is the exhaustive
 census of all 15 charts.  At a sampled good prime p <= 5 the constructive
@@ -108,7 +109,6 @@ EXTERNAL_INPUTS = (
 class _PipelineConfigFields(NamedTuple):
     input_path: str
     good_prime_samples: tuple[int, ...] = (3, 5, 7, 11, 13)
-    lift_precision: int = 3
     workers: int = 8
 
 
@@ -122,7 +122,8 @@ class PipelineConfig(_PipelineConfigFields):
     EXHAUSTIVE_PRIME_BOUND also get a constructive point, a smooth line
     through a point of X_p (the census if that fails).  ``workers`` is
     validated (>= 1) but has no effect: every search runs in one thread.
-    It is not echoed into the certificate.
+    It is not echoed into the certificate.  There is no lift depth to set:
+    every lift is modulo p^3.
     """
 
     __slots__ = ()
@@ -141,8 +142,6 @@ class PipelineConfig(_PipelineConfigFields):
                 )
         if len(set(self.good_prime_samples)) != len(self.good_prime_samples):
             raise ValueError("good_prime_samples: a prime is repeated")
-        if self.lift_precision < 1:
-            raise ValueError("lift_precision must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         return self
@@ -204,7 +203,6 @@ def _bad_prime_stage(
     pencil: PencilOfQuadrics,
     prime: int,
     fano_witnesses: Sequence[FanoWitness],
-    cfg: PipelineConfig,
 ) -> tuple[dict, Optional[str]]:
     """Local certificate at one bad prime; returns (entry, incomplete reason)."""
     witness_reports = []
@@ -237,7 +235,7 @@ def _bad_prime_stage(
 
     if chosen is not None:
         chart, point, source = chosen
-        cert = hensel_certify(fano_system(pencil, chart), point, prime, cfg.lift_precision)
+        cert = hensel_certify(fano_system(pencil, chart), point, prime)
         reason = None
     else:
         if census_echo is not None:
@@ -261,9 +259,7 @@ def _bad_prime_stage(
     return entry, reason
 
 
-def _good_prime_stage(
-    pencil: PencilOfQuadrics, prime: int, cfg: PipelineConfig
-) -> tuple[dict, Optional[str]]:
+def _good_prime_stage(pencil: PencilOfQuadrics, prime: int) -> tuple[dict, Optional[str]]:
     """Certificate entry for a sampled good prime."""
     locus = singular_locus(pencil, prime)
     entry: dict = {
@@ -292,7 +288,7 @@ def _good_prime_stage(
         entry["constructive_point"] = None
         if found is not None:
             chart, point = found
-            cert = hensel_certify(fano_system(pencil, chart), point, prime, cfg.lift_precision)
+            cert = hensel_certify(fano_system(pencil, chart), point, prime)
             entry["constructive_point"] = _point_certificate_entry(
                 cert, "good prime", "found by search"
             )
@@ -408,7 +404,7 @@ def _run_stages(
 
     # Stage 5: local certificates at the bad primes.
     for prime in cd.bad_primes:
-        entry, reason = _bad_prime_stage(pencil, prime, fano_witnesses, cfg)
+        entry, reason = _bad_prime_stage(pencil, prime, fano_witnesses)
         local_certificates.append(entry)
         if reason is not None:
             reasons.append(reason)
@@ -428,7 +424,7 @@ def _run_stages(
                 }
             )
             continue
-        entry, reason = _good_prime_stage(pencil, prime, cfg)
+        entry, reason = _good_prime_stage(pencil, prime)
         local_certificates.append(entry)
         if reason is not None:
             reasons.append(reason)
@@ -451,7 +447,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     """
     forms, fano_witnesses, singular_witnesses = _parse_sections(read_input_text(cfg.input_path))
     document = {
-        "certificate_version": "3",
+        "certificate_version": "4",
         "input": {
             "q1": pretty_print(forms["Q1"]),
             "q2": pretty_print(forms["Q2"]),
@@ -463,10 +459,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         "local_certificates": [],
         "reduction_reports": [],
         "external_inputs": list(EXTERNAL_INPUTS),
-        "config": {
-            "good_prime_samples": list(cfg.good_prime_samples),
-            "lift_precision": cfg.lift_precision,
-        },
+        "config": {"good_prime_samples": list(cfg.good_prime_samples)},
         "incomplete_reasons": [],
     }
     _run_stages(document, forms, fano_witnesses, singular_witnesses, cfg)

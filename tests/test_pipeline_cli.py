@@ -47,8 +47,8 @@ INCOMPLETE_AT_2 = "no smooth Fano point certificate at 2"
 
 # sha256 of `analyze` stdout for the bundled files: any change to a
 # certificate byte must be deliberate.
-EXAMPLE_SHA256 = "da650955394d70f86f681af173ae166ac5197339dd9854ffbf704c95a7e1aece"
-NO_WITNESS_SHA256 = "a5d51de3e18b7a9f831af7990c42efa73dab8b973efdcea56784bb07b940192d"
+EXAMPLE_SHA256 = "ddb351cb0fcfd18b2014462daf9fed5988f4b9e6fa61cdd5b4badd32243ae1c9"
+NO_WITNESS_SHA256 = "e9d52c99d31ac5ad854bf269e1e5d81f6e41f3d72aba59caa53ca0f1c1d6c591"
 
 
 def run_cli(argv) -> tuple[str, str, int]:
@@ -118,7 +118,7 @@ def test_certificate_document_structure(analyze_runs):
         "incomplete_reasons",
         "verdict",
     }
-    assert doc["certificate_version"] == "3"
+    assert doc["certificate_version"] == "4"
     assert doc["smoothness"] == "smooth"
     assert doc["characteristic_form"] == {
         "variable": "t",
@@ -132,10 +132,7 @@ def test_certificate_document_structure(analyze_runs):
     assert len(doc["external_inputs"]) == 5
     assert all(isinstance(s, str) for s in doc["external_inputs"])
     # The worker count must not leak into the certificate.
-    assert set(doc["config"]) == {
-        "good_prime_samples",
-        "lift_precision",
-    }
+    assert set(doc["config"]) == {"good_prime_samples"}
     places = [entry["place"] for entry in doc["local_certificates"]]
     assert places == ["real", "2", str(BIG_PRIME), "3", "5", "7", "11", "13"]
 
@@ -847,6 +844,7 @@ def test_subcommand_stdout_and_exit_code_are_pinned(tmp_path, argv, exit_code, d
         ["fano-search", EXAMPLE, "--prime", "7", "--seed", "1"],
         ["analyze", EXAMPLE, "--good-primes", "3,3"],
         ["reduction", EXAMPLE, "--prime", "3", "--method", "kernel-guided"],
+        ["analyze", EXAMPLE, "--lift-precision", "3"],
     ],
 )
 def test_usage_errors_exit_3(argv):
@@ -869,6 +867,7 @@ HUGE = "7" * 5000
         ("--coords", ["verify-ambient", EXAMPLE, "--coords", f"1,0,0,0,0,-{HUGE}"]),
         ("--good-primes", ["analyze", EXAMPLE, "--good-primes", f"3,{HUGE}"]),
         ("--prime", ["reduction", EXAMPLE, "--prime", HUGE]),
+        ("--workers", ["analyze", EXAMPLE, "--workers", HUGE]),
     ],
 )
 def test_option_integers_past_the_conversion_limit_exit_3(option, argv):
@@ -943,8 +942,8 @@ def test_pipeline_config_validation():
         PipelineConfig(**good, good_prime_samples=(9,))
     with pytest.raises(ValueError, match="repeated"):
         PipelineConfig(**good, good_prime_samples=(3, 5, 3))
-    with pytest.raises(ValueError):
-        PipelineConfig(**good, lift_precision=0)
+    with pytest.raises(TypeError):
+        PipelineConfig(input_path=EXAMPLE, lift_precision=3)
     with pytest.raises(ValueError):
         PipelineConfig(**good, workers=0)
     with pytest.raises(ValueError, match="2 is not usable"):
