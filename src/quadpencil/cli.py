@@ -77,11 +77,8 @@ def _ints(option: str, text: str, count: int = 0) -> tuple[int, ...]:
 
 
 def _prime(text: str) -> int:
-    """argparse type= reader of --prime: a prime, in any form int() reads."""
-    try:
-        p = int(text)
-    except ValueError:
-        (p,) = _ints("--prime", text, 1)  # raises: not one integer, or too long
+    """argparse type= reader of --prime: one integer, as _ints reads it, that is prime."""
+    (p,) = _ints("--prime", text, 1)
     if p < 2 or not is_probable_prime(p):
         raise _UsageError(f"--prime {p} is not prime")
     return p

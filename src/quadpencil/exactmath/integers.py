@@ -3,6 +3,7 @@ Lucas test from PSI_13 on), perfect powers."""
 
 from __future__ import annotations
 
+from array import array
 from itertools import compress
 from math import gcd, isqrt, prod
 
@@ -23,18 +24,20 @@ _MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
            341550071728321, 341550071728321, 3825123056546413051,
            3825123056546413051, 3825123056546413051, 318665857834031151167461, PSI_13)
 
-# Primes below _sieved_to, in order; grown in place by _extend_primes.
-_sieve_primes: list[int] = []
+# Primes below _sieved_to, in order, as 4-byte unsigned ints; grown in place
+# by _extend_primes, one segment of _SEGMENT numbers at a time.
+_sieve_primes = array("I")
 _sieved_to = 0
 # Numbers sieved per extension: the first segment reaches past every prime
 # that trial division on the bundled inputs needs.
 _SEGMENT = 1 << 15
-# _block_products[k] is the product of the k-th block of _BLOCK primes of
-# _sieve_primes; trial division divides only by the blocks sharing a factor
-# with the cofactor.  The last, shorter block is built once the limit is
-# sieved.
+# _segments[s] = (start, blocks) for the s-th sieved segment: its primes
+# begin at _sieve_primes[start], and blocks[j] is the product of their j-th
+# run of _BLOCK primes (the last run may be shorter).  No segment-wide
+# product is kept: one costs about 1.3 ms of Karatsuba multiplication to
+# build, 40 ms for a sieve to the limit.
 _BLOCK = 128
-_block_products: list[int] = []
+_segments: list[tuple[int, list[int]]] = []
 
 
 class FactorizationError(RuntimeError):
@@ -56,7 +59,7 @@ def _extend_primes() -> bool:
     sieve = bytearray([1]) * (hi - lo)
     if lo == 0:
         sieve[0] = sieve[1] = 0
-        for i in range(2, int((hi - 1) ** 0.5) + 1):
+        for i in range(2, isqrt(hi - 1) + 1):
             if sieve[i]:
                 sieve[i * i :: i] = bytearray(len(range(i * i, hi, i)))
     else:
@@ -65,13 +68,11 @@ def _extend_primes() -> bool:
                 break
             start = max(p * p, -(-lo // p) * p)
             sieve[start - lo :: p] = bytearray(len(range(start, hi, p)))
-    _sieve_primes.extend(compress(range(lo, hi), sieve))
+    primes = list(compress(range(lo, hi), sieve))
+    blocks = [prod(primes[k : k + _BLOCK]) for k in range(0, len(primes), _BLOCK)]
+    _segments.append((len(_sieve_primes), blocks))
+    _sieve_primes.fromlist(primes)
     _sieved_to = hi
-    end = len(_sieve_primes)
-    if hi <= TRIAL_DIVISION_LIMIT:
-        end -= end % _BLOCK
-    for start in range(len(_block_products) * _BLOCK, end, _BLOCK):
-        _block_products.append(prod(_sieve_primes[start : start + _BLOCK]))
     return True
 
 
@@ -177,8 +178,14 @@ def _integer_nth_root(n: int, k: int) -> int:
 
 
 def _perfect_power(n: int) -> tuple[int, int] | None:
-    """Return (root, k) with root**k == n and k >= 2, or None."""
+    """Return (root, k) with root**k == n and k >= 2 least, or None.
+
+    The least k is prime, since r**(a*b) == (r**b)**a, so only prime
+    exponents are tried.
+    """
     for k in range(2, n.bit_length() + 1):
+        if not is_probable_prime(k):
+            continue
         r = _integer_nth_root(n, k)
         if r < 2:
             break
@@ -206,9 +213,12 @@ def factor_with_hints(n: int, hints: tuple[int, ...] | list[int] = ()) -> dict[i
     """Complete prime factorization of |n|.
 
     Trial division to 10^6 stops once the cofactor is proven prime (below
-    PSI_13, tested at entry and after each prime divided out) or once p^2
-    exceeds it.  The primes go by blocks of _BLOCK: a block is divided
-    through only when its product shares a factor with the cofactor.  A
+    PSI_13, tested at entry and after each segment that divides it) or is
+    1.  It takes one gcd of the cofactor with each sieve segment's product
+    (reduced mod the cofactor block by block); only where that exceeds 1
+    does it take the gcd with each of the segment's blocks of _BLOCK
+    primes, and divide by the primes of the blocks that share a factor
+    with it.  The segments are sieved as the sweep reaches them.  A
     cofactor that survives the sweep is divided by the hint primes, then
     tested by is_probable_prime (with perfect-power unwrapping).  If a composite
     cofactor remains, raises FactorizationError("unfactored composite
@@ -221,23 +231,40 @@ def factor_with_hints(n: int, hints: tuple[int, ...] | list[int] = ()) -> dict[i
     if _is_proven_prime(n):
         return {n: 1}
     factors: dict[int, int] = {}
-    k = 0
-    while k < len(_block_products) or _extend_primes():
-        if k == len(_block_products):
-            continue  # the new segment completed no block
-        block = _sieve_primes[k * _BLOCK : (k + 1) * _BLOCK]
-        if block[0] * block[0] > n:
-            break
-        common = gcd(_block_products[k], n)
-        if common > 1:
-            for p in block:
-                if common % p:
-                    continue
-                n, factors[p] = _divide_out(n, p)
-                if _is_proven_prime(n):
-                    factors[n] = 1
-                    return factors
-        k += 1
+    # A cofactor n > 1 left here has no prime factor below the primes
+    # tried, and is not a prime below PSI_13, so it is at least the square
+    # of the next prime: every segment can still divide it.
+    s = 0
+    while n > 1 and (s < len(_segments) or _extend_primes()):
+        start, blocks = _segments[s]
+        s += 1
+        # The gcd of n with the segment's product, from that product mod n.
+        rest = 1
+        for block in blocks:
+            rest = rest * (block % n) % n
+        common = gcd(rest, n)
+        if common == 1:
+            continue
+        for j, block in enumerate(blocks):
+            found = gcd(block, common)
+            if found == 1:
+                continue
+            common //= found
+            # Every prime of found lies in this block, so the loop ends
+            # (found == 1) before it passes the block's end.
+            for p in _sieve_primes[start + j * _BLOCK : start + (j + 1) * _BLOCK]:
+                if found % p == 0:
+                    found //= p
+                    n, factors[p] = _divide_out(n, p)
+                    if found == 1:
+                        break
+            if common == 1:
+                break
+        # One test per segment returns what a test after each prime would:
+        # once n is prime, the only prime left to divide it is n.
+        if _is_proven_prime(n):
+            factors[n] = 1
+            return factors
     for h in hints:
         if h > 1 and n % h == 0 and is_probable_prime(h):
             n, factors[h] = _divide_out(n, h)  # trial division left no power of h

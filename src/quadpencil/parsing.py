@@ -23,10 +23,10 @@ Output documents serialize through :func:`canonical_json`.
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .exactmath import is_probable_prime
@@ -561,32 +561,52 @@ def parse_input(path: str) -> ParsedInput:
 # Canonical JSON
 # ---------------------------------------------------------------------------
 
-def _canonical_value(value):
-    """Map a certificate value onto the canonical JSON subset."""
-    if value is None or isinstance(value, (bool, str)):
-        return value
-    if isinstance(value, int):
-        return _decimal(value)
-    if isinstance(value, Fraction):
-        return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
-    # Exact types only: records are tuples too, and must not pass as lists.
-    if type(value) in (list, tuple):
-        return [_canonical_value(item) for item in value]
+def canonical_json(document) -> str:
+    """Serialize a document to canonical JSON in one pass.
+
+    The text is what ``json.dumps(..., sort_keys=True, separators=(",",
+    ":"), ensure_ascii=True)`` writes once every int is a decimal string
+    and every Fraction a "numerator/denominator" string.  Keys must be
+    strings.  Lists and tuples become arrays, but only those exact types:
+    records are tuples too, and must not pass as lists.  Any other value
+    raises TypeError.  Each dict's items are written in insertion order and
+    joined in key order, so the first bad value met is the one reported.
+    """
+    return _json_text(document)
+
+
+# str() writes every int of fewer than 641 digits, whatever the conversion
+# limit is set to (640 is the least it can be); larger ones go by _decimal.
+_PLAIN_INT = 10**640
+
+
+def _json_text(value) -> str:
+    # Strings and short ints, the commonest items, are written in place in
+    # the list and dict branches rather than by a call.
+    kind = type(value)
+    if kind is list or kind is tuple:
+        return "[" + ",".join([
+            _json_string(item) if type(item) is str
+            else f'"{item}"' if type(item) is int and -_PLAIN_INT < item < _PLAIN_INT
+            else _json_text(item)
+            for item in value
+        ]) + "]"
     if isinstance(value, dict):
-        out = {}
+        items = {}
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"non-string certificate key: {key!r}")
-            out[key] = _canonical_value(item)
-        return out
+            kind = type(item)
+            items[key] = (_json_string(item) if kind is str
+                          else f'"{item}"' if kind is int and -_PLAIN_INT < item < _PLAIN_INT
+                          else _json_text(item))
+        return "{" + ",".join([f"{_json_string(key)}:{items[key]}" for key in sorted(items)]) + "}"
+    if value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, str):
+        return _json_string(value)
+    if isinstance(value, int):
+        return f'"{_decimal(value)}"'
+    if isinstance(value, Fraction):
+        return f'"{_decimal(value.numerator)}/{_decimal(value.denominator)}"'
     raise TypeError(f"value {value!r} has no canonical JSON encoding")
-
-
-def canonical_json(document) -> str:
-    """Serialize a document dict to canonical JSON: sorted keys, ints as decimal strings."""
-    return json.dumps(
-        _canonical_value(document),
-        sort_keys=True,
-        separators=(",", ":"),
-        ensure_ascii=True,
-    )

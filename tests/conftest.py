@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import os
 import random
 import sys
@@ -15,13 +16,25 @@ import pytest
 
 from quadpencil import PencilOfQuadrics, QuadraticForm, evaluate_form
 from quadpencil.exactmath import rank_mod_p
+from quadpencil.exactmath.unipoly import (
+    _over_common,
+    _powers,
+    _root_bound,
+    _squarefree_chain,
+    _value,
+    _variations,
+)
 from quadpencil.fano import _chart_coordinates
+from quadpencil.parsing import _decimal
 from quadpencil.quadric import VARIABLES, gradient_at
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 EXAMPLE_PATH = os.path.join(DATA_DIR, "example_pencil.txt")
 NO_WITNESS_PATH = os.path.join(DATA_DIR, "no_witness_pencil.txt")
+# Random-pencils seed 1, pencil 20: trial division to 10^6 leaves a
+# composite cofactor that is no perfect power.
+UNFACTORABLE_PATH = os.path.join(DATA_DIR, "unfactorable_pencil.txt")
 
 Q1_TEXT = "uv + uw - 4vw + 2vz + 2wz + x^2 - 2xz + y^2 - z^2"
 Q2_TEXT = "uv - uw + uy - 2v^2 + 2vx - 2wy + 2wz + 2xz"
@@ -203,6 +216,98 @@ def chart_read_off(lines, charts, p: int) -> list:
 
     return [(chart, sorted(read_off(chart)))
             for chart in sorted(charts, key=lambda c: c.pivots)]
+
+
+def _reference_canonical_value(value):
+    """Map a certificate value onto the canonical JSON subset."""
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, int):
+        return _decimal(value)
+    if isinstance(value, Fraction):
+        return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
+    # Exact types only: records are tuples too, and must not pass as lists.
+    if type(value) in (list, tuple):
+        return [_reference_canonical_value(item) for item in value]
+    if isinstance(value, dict):
+        out = {}
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"non-string certificate key: {key!r}")
+            out[key] = _reference_canonical_value(item)
+        return out
+    raise TypeError(f"value {value!r} has no canonical JSON encoding")
+
+
+def reference_canonical_json(document) -> str:
+    """The two-pass writer canonical_json replaced, kept as its oracle: the
+    document mapped onto strings, lists and dicts, then json.dumps."""
+    return json.dumps(
+        _reference_canonical_value(document),
+        sort_keys=True,
+        separators=(",", ":"),
+        ensure_ascii=True,
+    )
+
+
+def reference_isolate_real_roots(f, width=Fraction(1, 10**6)):
+    """The bisection isolate_real_roots ran before it went straight to each
+    root's cell, kept as its oracle: every one-root interval is halved on
+    the sign of f until it is narrower than width."""
+    if f.is_zero() or f.degree() < 1:
+        return []
+    chain = _squarefree_chain(f)
+    head = chain[0]
+    deg = len(head) - 1
+    width = Fraction(width)
+
+    def sign(x: int, den: int) -> int:
+        v = _value(head, _powers(den, deg), x)
+        return (v > 0) - (v < 0)
+
+    def variations(point: Fraction) -> int:
+        return _variations(chain, point.numerator, point.denominator)
+
+    bound = _root_bound(f)
+    b, d = bound.numerator, bound.denominator
+    found = []
+    stack = [(-b, b, d, _variations(chain, -b, d), _variations(chain, b, d))]
+    while stack:
+        lo, hi, den, vlo, vhi = stack.pop()
+        s_lo = sign(lo, den) if vlo - vhi == 1 else 0
+        while True:
+            if vlo - vhi == 1 and (hi - lo) * width.denominator < width.numerator * den:
+                found.append((lo, hi, den))
+                break
+            mid, lo, hi, den = lo + hi, 2 * lo, 2 * hi, 2 * den
+            s_mid = sign(mid, den)
+            if s_mid == 0:
+                left, right, centre = Fraction(lo, den), Fraction(hi, den), Fraction(mid, den)
+                eps = min(width / 4, (right - left) / 4)
+                while True:
+                    v_in, v_out = variations(centre - eps), variations(centre + eps)
+                    if v_in - v_out == 1:
+                        break
+                    eps /= 2
+                found.append(_over_common(centre - eps, centre + eps))
+                if vlo - v_in:
+                    stack.append((*_over_common(left, centre - eps), vlo, v_in))
+                if v_out - vhi:
+                    stack.append((*_over_common(centre + eps, right), v_out, vhi))
+                break
+            if s_lo:
+                if s_mid == s_lo:
+                    lo = mid
+                else:
+                    hi = mid
+                continue
+            vmid = _variations(chain, mid, den)
+            if vlo - vmid:
+                stack.append((lo, mid, den, vlo, vmid))
+            if vmid - vhi:
+                stack.append((mid, hi, den, vmid, vhi))
+            break
+    return sorted((Fraction(lo, den), Fraction(hi, den)) for lo, hi, den in found)
 
 
 # Largest prime at which exhaustive_locus scans P^5(F_p).

@@ -7,12 +7,14 @@ import random
 import subprocess
 import sys
 import time
+from array import array
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 import sympy
 
+from quadpencil import PencilOfQuadrics, curve_data, real_place_report, smoothness_check
 from quadpencil.exactmath import (
     FactorizationError,
     UniPoly,
@@ -44,6 +46,7 @@ from conftest import (
     clear_row_denominators,
     det_cofactor,
     evaluate_poly,
+    reference_isolate_real_roots,
 )
 
 _T = sympy.Symbol("t")
@@ -209,7 +212,8 @@ def test_trial_division_primes_grow_in_order():
     for i in range(2, int(limit**0.5) + 1):
         if not composite[i]:
             composite[i * i :: i] = b"\x01" * len(range(i * i, limit + 1, i))
-    assert integers._sieve_primes == [
+    assert integers._sieve_primes.typecode == "I"
+    assert integers._sieve_primes.tolist() == [
         n for n in range(2, limit + 1) if not composite[n]
     ]
 
@@ -291,16 +295,16 @@ def _seeded_integers(seed, count, hint_from):
 
 
 def test_factoring_matches_the_per_prime_loop_at_a_small_limit(monkeypatch):
-    # The same code with primes to 10^4 in segments of 300 numbers: blocks
-    # span segments, most segments complete no block, the last block is
-    # short, and most cofactors outlive the sweep.  (Each segment holds a
-    # prime, which the reference loop needs.)  At the real limit the
-    # reference loop takes about 10 ms per full sweep.
+    # The same code with primes to 10^4 in segments of 1,700 numbers: the
+    # first segment holds three blocks and the others two, the last of each
+    # short, and most cofactors outlive the sweep.  (Each segment holds a prime, which the
+    # reference loop needs.)  At the real limit the reference loop takes
+    # about 10 ms per full sweep.
     monkeypatch.setattr(integers, "TRIAL_DIVISION_LIMIT", 10**4)
-    monkeypatch.setattr(integers, "_SEGMENT", 300)
-    monkeypatch.setattr(integers, "_sieve_primes", [])
+    monkeypatch.setattr(integers, "_SEGMENT", 1700)
+    monkeypatch.setattr(integers, "_sieve_primes", array("I"))
     monkeypatch.setattr(integers, "_sieved_to", 0)
-    monkeypatch.setattr(integers, "_block_products", [])
+    monkeypatch.setattr(integers, "_segments", [])
     # Below PSI_13 a prime cofactor ends the sweep; above it Miller-Rabin is
     # no proof, so every prime to the limit is tried first.
     p20, p25 = int(sympy.nextprime(10**19)), int(sympy.nextprime(10**25))
@@ -314,8 +318,16 @@ def test_factoring_matches_the_per_prime_loop_at_a_small_limit(monkeypatch):
              (10007 * 10009, ()), (10007 * 10009, (10009,))]
     cases += _seeded_integers(20261018, 2000, 10**4)
     _assert_factors_like_the_reference(cases)
-    assert integers._sieve_primes == list(sympy.primerange(2, 10**4 + 1))
-    assert len(integers._block_products) == -(-1229 // integers._BLOCK)
+    primes = integers._sieve_primes.tolist()
+    assert primes == list(sympy.primerange(2, 10**4 + 1))
+    # Segment s holds the primes in [1700 s, 1700 (s + 1)), by blocks.
+    assert len(integers._segments) == 6
+    for s, (start, blocks) in enumerate(integers._segments):
+        mine = [p for p in primes if 1700 * s <= p < 1700 * (s + 1)]
+        assert primes[start : start + len(mine)] == mine
+        assert blocks == [prod(mine[k : k + integers._BLOCK])
+                          for k in range(0, len(mine), integers._BLOCK)]
+        assert len(blocks) == (3 if s == 0 else 2)
 
 
 def test_factoring_matches_the_per_prime_loop_at_the_limit():
@@ -339,12 +351,20 @@ def test_factoring_matches_the_per_prime_loop_at_the_limit():
 
 def test_factoring_a_prime_cofactor_sieves_one_segment():
     # In a fresh process, 2^12 * 3 * P (P a 20-digit prime) stops once the
-    # cofactor P is proven prime, after the first segment of the sieve.
+    # cofactor P is proven prime, after the first segment of the sieve; so
+    # does a cofactor 1 (2^12 * 3^5), and one left prime by a prime of the
+    # first segment (7919, the 1000th prime) although the 10000th prime,
+    # 104729, lies far past it.
     code = (
         "from quadpencil.exactmath import integers\n"
         "p = 10**19 + 51\n"
         "assert integers.is_probable_prime(p)\n"
         "assert integers.factor_with_hints(2**12 * 3 * p) == {2: 12, 3: 1, p: 1}\n"
+        "print(integers._sieved_to)\n"
+        "assert integers.factor_with_hints(2**12 * 3**5) == {2: 12, 3: 5}\n"
+        "print(integers._sieved_to)\n"
+        "n = 2**12 * 7919 * 104729\n"
+        "assert integers.factor_with_hints(n) == {2: 12, 7919: 1, 104729: 1}\n"
         "print(integers._sieved_to)\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.dirname(integers.__file__)))
@@ -353,8 +373,34 @@ def test_factoring_a_prime_cofactor_sieves_one_segment():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         timeout=60, check=True,
     )
-    assert int(result.stdout) == 1 << 15
+    assert [int(line) for line in result.stdout.split()] == [1 << 15] * 3
 
+
+def _perfect_power_every_exponent(n):
+    """The loop _perfect_power ran before it tried prime exponents only."""
+    for k in range(2, n.bit_length() + 1):
+        r = integers._integer_nth_root(n, k)
+        if r < 2:
+            break
+        if r**k == n:
+            return r, k
+    return None
+
+
+def test_perfect_powers_need_only_prime_exponents():
+    p = int(sympy.nextprime(10**9))
+    cases = [2**6, 3**9, 6**4, 10**12, p**15, p**15 + 1, p, 1, 2, 4, 2**4096]
+    rng = random.Random(20261020)
+    for _ in range(300):
+        root = rng.choice((2, 3, 6, 10, rng.randrange(2, 10**6), p))
+        k = rng.choice((2, 3, 4, 6, 8, 9, 12, 15, 16, rng.randrange(2, 40)))
+        cases.append(root**k + rng.choice((0, 0, 0, 1, -1)))
+    for n in cases:
+        assert integers._perfect_power(n) == _perfect_power_every_exponent(n), n
+    # The least exponent is prime: 6^4 = 36^2, 3^9 = 27^3, p^15 = (p^5)^3.
+    assert integers._perfect_power(6**4) == (36, 2)
+    assert integers._perfect_power(3**9) == (27, 3)
+    assert integers._perfect_power(p**15) == (p**5, 3)
 
 
 def test_a_cofactor_past_the_bit_budget_is_not_tested():
@@ -681,6 +727,73 @@ def test_isolation_equals_the_fraction_bisection():
     assert evaluate_poly(f, 1) == 0
     assert isolate_real_roots(f) == fraction_isolate(f)
     assert isolate_real_roots(f, Fraction(1, 7)) == fraction_isolate(f, Fraction(1, 7))
+
+
+def _with_root(coeffs, numerator, denominator):
+    """coeffs (lowest degree first) times (denominator t - numerator)."""
+    out = [0] * (len(coeffs) + 1)
+    for k, c in enumerate(coeffs):
+        out[k] -= numerator * c
+        out[k + 1] += denominator * c
+    return out
+
+
+def test_isolation_equals_the_bisection_reference():
+    # reference_isolate_real_roots halves every one-root interval down to
+    # the width; isolate_real_roots goes straight to the same cell.
+    rng = random.Random(20261020)
+    polys = []
+    while len(polys) < 150:
+        f = random_unipoly(rng, 6)
+        if _gcd_degree(f, f.derivative()) == 0:
+            polys.append(f)
+    for _ in range(60):
+        # A dyadic or other rational root, often a grid point of the
+        # bisection, times a random quartic.
+        base = [rng.randint(-9, 9) for _ in range(4)] + [rng.choice((1, -1, 3))]
+        root = (rng.randint(-64, 64), rng.choice((1, 2, 4, 8, 16, 1024, 3, 5)))
+        polys.append(UniPoly(_with_root(_with_root(base, 0, 1), *root)))
+    for _ in range(60):
+        # Two roots closer than 2 * 10^-6, times a random quartic.
+        a = rng.randint(-3 * 10**6, 3 * 10**6)
+        gap = rng.randint(1, 19)
+        base = [rng.randint(-9, 9) for _ in range(4)] + [rng.choice((1, -1, 2))]
+        polys.append(UniPoly(_with_root(_with_root(base, a * 10, 10**7), a * 10 + gap, 10**7)))
+    # The root 0 is the first midpoint, so the interval left of it ends at
+    # -1/(4 * 10^6), which is a root too: a one-root interval with its root
+    # at the right end.
+    polys.append(UniPoly(_with_root(_with_root([2, 0, 3, 0, 1], 0, 1), -1, 4 * 10**6)))
+    checked = 0
+    for f in polys:
+        if f.degree() < 1 or _gcd_degree(f, f.derivative()) != 0:
+            continue
+        checked += 1
+        assert isolate_real_roots(f) == reference_isolate_real_roots(f), f
+        width = Fraction(1, rng.choice((3, 7, 1000, 2**20, 10**9)))
+        assert isolate_real_roots(f, width) == reference_isolate_real_roots(f, width), (f, width)
+    assert checked > 250
+    right_end = polys[-1]
+    assert Fraction(-1, 4 * 10**6) in {hi for _, hi in isolate_real_roots(right_end)}
+
+
+def test_the_sturm_chain_is_built_once_per_polynomial(monkeypatch, example_pencil):
+    calls = []
+    build = unipoly._positive_prem
+    monkeypatch.setattr(unipoly, "_positive_prem", lambda a, b: calls.append(1) or build(a, b))
+    f = UniPoly(CHAR_FORM_COEFFS)
+    assert squarefree_degree6(f)
+    per_chain = len(calls)
+    assert per_chain > 0
+    assert sturm_count(f) == len(isolate_real_roots(f)) == 2
+    assert len(calls) == per_chain
+    # smoothness_check, curve_data (which checks smoothness again and
+    # counts real roots) and the real place share the pencil's f.  A new
+    # pencil, since the shared example_pencil fixture may hold its chain.
+    calls.clear()
+    pencil = PencilOfQuadrics(example_pencil.q1, example_pencil.q2)
+    assert smoothness_check(pencil) == "smooth"
+    real_place_report(curve_data(pencil))
+    assert len(calls) == per_chain
 
 
 def test_integer_sturm_chain_equals_the_fraction_chain():

@@ -36,7 +36,9 @@ from conftest import (
     F2_WITNESS,
     NO_WITNESS_PATH,
     P3_SMOOTH_POINT,
+    UNFACTORABLE_PATH,
     exhaustive_locus,
+    reference_canonical_json,
 )
 
 EXAMPLE = str(EXAMPLE_PATH)
@@ -49,6 +51,7 @@ INCOMPLETE_AT_2 = "no smooth Fano point certificate at 2"
 # certificate byte must be deliberate.
 EXAMPLE_SHA256 = "ddb351cb0fcfd18b2014462daf9fed5988f4b9e6fa61cdd5b4badd32243ae1c9"
 NO_WITNESS_SHA256 = "e9d52c99d31ac5ad854bf269e1e5d81f6e41f3d72aba59caa53ca0f1c1d6c591"
+UNFACTORABLE_SHA256 = "3e07aed82045651e33f9aa68f96ad5b54f5c79cd40030f7bb9e752d82216f884"
 
 
 def run_cli(argv) -> tuple[str, str, int]:
@@ -89,6 +92,20 @@ def test_analyze_stdout_matches_golden_digests(analyze_runs, analyze_no_witness)
 
     assert [sha256(out) for out, _, _ in analyze_runs] == [EXAMPLE_SHA256] * 2
     assert sha256(analyze_no_witness[0]) == NO_WITNESS_SHA256
+
+
+def test_an_unfactorable_discriminant_ends_the_analysis():
+    # Trial division to 10^6 leaves a composite cofactor that is no perfect
+    # power, so the pipeline stops after the characteristic form.
+    out, err, code = run_cli(["analyze", str(UNFACTORABLE_PATH)])
+    reason = "cannot factor the discriminant support: unfactored composite cofactor"
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["incomplete_reasons"] == [reason]
+    assert doc["verdict"] == f"incomplete: {reason}"
+    assert doc["curve"] is None and doc["local_certificates"] == []
+    assert err.splitlines()[0] == f"verdict: incomplete: {reason}"
+    assert hashlib.sha256(out.encode()).hexdigest() == UNFACTORABLE_SHA256
 
 
 def test_analyze_verdict_and_reasons(analyze_runs):
@@ -845,6 +862,9 @@ def test_subcommand_stdout_and_exit_code_are_pinned(tmp_path, argv, exit_code, d
         ["analyze", EXAMPLE, "--good-primes", "3,3"],
         ["reduction", EXAMPLE, "--prime", "3", "--method", "kernel-guided"],
         ["analyze", EXAMPLE, "--lift-precision", "3"],
+        ["reduction", EXAMPLE, "--prime", "+13"],
+        ["reduction", EXAMPLE, "--prime", "1_3"],
+        ["reduction", EXAMPLE, "--prime", "\u0661\u0663"],
     ],
 )
 def test_usage_errors_exit_3(argv):
@@ -915,6 +935,52 @@ def test_canonical_json_conventions():
     # A record is a tuple, but has no canonical encoding of its own.
     with pytest.raises(TypeError, match="no canonical JSON encoding"):
         canonical_json({"x": GrassmannChart((0, 1))})
+
+
+def _seeded_document(rng: random.Random, depth: int = 0):
+    """A nested value of the kinds a certificate holds."""
+    kind = rng.randrange(10 if depth < 4 else 6)
+    if kind == 0:
+        return rng.choice((None, True, False))
+    if kind == 1:
+        alphabet = 'az09 "\\/\n\t\x00\x1f\x7fé€\U0001f600'
+        return "".join(rng.choice(alphabet) for _ in range(rng.randrange(8)))
+    if kind == 2:
+        return rng.choice((0, -1, 7)) * rng.getrandbits(rng.choice((3, 30, 70, 300)))
+    if kind == 3:
+        # Past the 4,300-digit limit of str(int).
+        return rng.choice((1, -1)) * (10 ** rng.randrange(4300, 6000) + rng.getrandbits(64))
+    if kind == 4:
+        return Fraction(rng.randrange(-10**30, 10**30), rng.choice((1, 3, 2**64, 10**4500 + 1)))
+    if kind == 5:
+        return rng.randrange(-5, 5)
+    items = [_seeded_document(rng, depth + 1) for _ in range(rng.randrange(5))]
+    if kind == 6:
+        return items
+    if kind == 7:
+        return tuple(items)
+    return {f"k{rng.randrange(50)}{rng.choice(('', 'é', ' '))}": item for item in items}
+
+
+def test_canonical_json_matches_the_two_pass_writer(analyze_runs, analyze_no_witness):
+    rng = random.Random(20261020)
+    documents = [_seeded_document(rng) for _ in range(300)]
+    documents += [{"doc": _seeded_document(rng, 1), "more": [_seeded_document(rng, 2)]}
+                  for _ in range(100)]
+    documents += [json.loads(analyze_runs[0][0]), json.loads(analyze_no_witness[0])]
+    documents.append(run_pipeline(PipelineConfig(EXAMPLE)))
+    for document in documents:
+        assert canonical_json(document) == reference_canonical_json(document)
+    # A record, a non-string key and a float raise the same TypeError; with
+    # two of them the first in insertion order is reported.
+    for bad in ({"x": GrassmannChart((0, 1))}, {1: "x"}, {"a": [1, {"b": 1.5}]},
+                [{"a": {2: 3}}], {"b": 1.5, 3: "x"}, {3: "x", "b": 1.5},
+                (GrassmannChart((1, 2)),), 2.5):
+        with pytest.raises(TypeError) as mine:
+            canonical_json(bad)
+        with pytest.raises(TypeError) as reference:
+            reference_canonical_json(bad)
+        assert str(mine.value) == str(reference.value), bad
 
 
 def test_certificate_json_has_no_numeric_leaves(analyze_runs):
