@@ -28,8 +28,8 @@ FANO_CODIMENSION = 6
 # finds the points of X with pivot 0 in about p^4 closed-form steps (p^4
 # values of four free columns, the fifth solved) and tests about p^4 pairs of
 # points.  At p = 31 that is 10^6 pairs, and `fano-search` on the example
-# (11,327 smooth points) takes 1.7-2.0 s (CPython 3.11, 2 cores); the cost
-# grows like p^4, so the cap stays here.
+# (11,327 smooth points) takes 1.2-1.7 s (CPython 3.11, 2 shared cores); the
+# cost grows like p^4, so the cap stays here.
 EXHAUSTIVE_PRIME_HARD_CAP = 31
 
 
@@ -47,7 +47,7 @@ class GrassmannChart(_GrassmannChartFields):
     chart parametrizes the line [r:s] -> r*rowA + s*rowB.
     """
 
-    # No __slots__: the instance dict holds the cached non_pivots.
+    # No __slots__: the instance dict holds the cached columns.
 
     def __new__(cls, pivots: tuple[int, int]) -> "GrassmannChart":
         i, j = pivots
@@ -60,17 +60,25 @@ class GrassmannChart(_GrassmannChartFields):
         """The non-pivot columns c_1 < c_2 < c_3 < c_4, computed once per chart."""
         return tuple(c for c in range(NUM_VARIABLES) if c not in self.pivots)
 
+    @cached_property
+    def column_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The six pairs (c, d) of non-pivot columns, c < d, in combinations order."""
+        return tuple(combinations(self.non_pivots, 2))
+
 
 def _chart_ui(chart: GrassmannChart) -> list[int]:
     """1-based column indices, the only chart labelling shown externally."""
     return [chart.pivots[0] + 1, chart.pivots[1] + 1]
 
 
+# The 15 charts by pivots, in lexicographic order, built once: the F_p scans
+# look their cells up here, so each chart's cached columns are computed once.
+_CHARTS = {pair: GrassmannChart(pair) for pair in combinations(range(NUM_VARIABLES), 2)}
+
+
 def all_charts() -> tuple[GrassmannChart, ...]:
     """The 15 charts in lexicographic pivot order."""
-    return tuple(
-        GrassmannChart(pair) for pair in combinations(range(NUM_VARIABLES), 2)
-    )
+    return tuple(_CHARTS.values())
 
 
 def _polar_products(polars, v, p: int) -> list:

@@ -4,7 +4,6 @@ and the real place."""
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from operator import mul
 from typing import NamedTuple
 
@@ -24,6 +23,7 @@ from .fano import (
     NUM_PARAMETERS,
     FanoSystem,
     GrassmannChart,
+    _CHARTS,
     _chart_coordinates,
     _polar_products,
     all_charts,
@@ -70,13 +70,14 @@ def _half_zeros(states, quads, p: int) -> list:
     """Common zeros in F_p^n of two n-variable quadratics, in lexicographic order.
 
     Each form is a state (value, n linear coefficients) with quadratic
-    coefficients q; fixing x_k adds (lin_k + q_kk x_k) x_k to the value and
-    q_km x_k to each later linear coefficient.  Once two coordinates x, y
-    are left, each x updates the value and y's linear coefficient as
-    scalars, and y is solved in closed form: with a1, a2 the coefficients of
-    y^2, a2 Q1 - a1 Q2 = c y + d, so c != 0 leaves the one candidate -d/c,
-    c = 0 and d != 0 none, and c = d = 0 every y.  Each candidate is checked
-    on both forms.
+    coefficients q; fixing x_m adds (lin_m + q_mm x_m) x_m to the value and
+    q_mc x_m to each later linear coefficient c.  The last fixed coordinate
+    before the leaf keeps only the scalars the leaf reads: each form's value
+    and the linear coefficients of the two coordinates x, y left.  For each
+    x, y is solved in closed form: with a1, a2 the coefficients of y^2,
+    a2 Q1 - a1 Q2 = c y + d, so c != 0 leaves the one candidate -d/c, which
+    is a zero iff it is one of Q1 (a1 != 0) or else of Q2; c = 0 and d != 0
+    leave none, and c = d = 0 every y, each checked on both forms.
     """
     n = len(states[0][1])
     if n == 0:
@@ -85,34 +86,40 @@ def _half_zeros(states, quads, p: int) -> list:
         return [(t,) for t in range(p) if not any(
             (s + (lin[0] + q[0][0] * t) * t) % p for (s, lin), q in zip(states, quads))]
     (q1, q2), k, y = quads, n - 2, n - 1
+    (s1, lin1), (s2, lin2) = states
+    level = [((), s1, lin1, s2, lin2)]  # (prefix, each form's state), lexicographic
+    for m in range(k - 1):
+        level = [(prefix + (x,),
+                  s1 + (l1[m] + q1[m][m] * x) * x, [c + d * x for c, d in zip(l1, q1[m])],
+                  s2 + (l2[m] + q2[m][m] * x) * x, [c + d * x for c, d in zip(l2, q2[m])])
+                 for prefix, s1, l1, s2, l2 in level for x in range(p)]
+    m = k - 1  # the last fixed coordinate: scalars only
+    leaves = ((prefix + (x,), s1 + (l1[m] + q1[m][m] * x) * x, l1[k] + q1[m][k] * x,
+               l1[y] + q1[m][y] * x, s2 + (l2[m] + q2[m][m] * x) * x, l2[k] + q2[m][k] * x,
+               l2[y] + q2[m][y] * x)
+              for prefix, s1, l1, s2, l2 in level for x in range(p)) if k else (
+        [((), s1, lin1[0], lin1[1], s2, lin2[0], lin2[1])])
     a1, a2 = q1[y][y] % p, q2[y][y] % p
+    kk1, ky1, kk2, ky2 = q1[k][k], q1[k][y], q2[k][k], q2[k][y]
+    c1, d2 = a2 * ky1 - a1 * ky2, a2 * kk1 - a1 * kk2
+    kk, ky, a = (kk1, ky1, a1) if a1 else (kk2, ky2, a2)
     inverse = [0] + [pow(c, -1, p) for c in range(1, p)]
-
-    def descend(prefix, states) -> list:
-        zeros, m = [], len(prefix)
-        if m < k:
-            for x in range(p):
-                fixed = [
-                    (s + (lin[m] + q[m][m] * x) * x, [c + d * x for c, d in zip(lin, q[m])])
-                    for (s, lin), q in zip(states, quads)
-                ]
-                zeros += descend(prefix + (x,), fixed)
-            return zeros
-        (s1, lin1), (s2, lin2) = states
+    zeros = []
+    for prefix, t1, x1, y1, t2, x2, y2 in leaves:
+        c0, d0, d1 = a2 * y1 - a1 * y2, a2 * t1 - a1 * t2, a2 * x1 - a1 * x2
+        t, lx, ly = (t1, x1, y1) if a1 else (t2, x2, y2)
         for x in range(p):
-            t1, l1 = s1 + (lin1[k] + q1[k][k] * x) * x, lin1[y] + q1[k][y] * x
-            t2, l2 = s2 + (lin2[k] + q2[k][k] * x) * x, lin2[y] + q2[k][y] * x
-            c, d = (a2 * l1 - a1 * l2) % p, (a2 * t1 - a1 * t2) % p
+            c, d = (c0 + c1 * x) % p, d0 + (d1 + d2 * x) * x
             if c:
-                t = -d * inverse[c] % p
-                if (t1 + (l1 + a1 * t) * t) % p == 0 and (t2 + (l2 + a2 * t) * t) % p == 0:
-                    zeros.append(prefix + (x, t))
-            elif not d:
-                zeros += [prefix + (x, t) for t in range(p) if (t1 + (l1 + a1 * t) * t) % p == 0
-                          and (t2 + (l2 + a2 * t) * t) % p == 0]
-        return zeros
-
-    return descend((), states)
+                v = -d * inverse[c] % p
+                if (t + (lx + kk * x) * x + (ly + ky * x + a * v) * v) % p == 0:
+                    zeros.append(prefix + (x, v))
+            elif d % p == 0:
+                u1, w1 = t1 + (x1 + kk1 * x) * x, y1 + ky1 * x
+                u2, w2 = t2 + (x2 + kk2 * x) * x, y2 + ky2 * x
+                zeros += [prefix + (x, v) for v in range(p) if (u1 + (w1 + a1 * v) * v) % p == 0
+                          and (u2 + (w2 + a2 * v) * v) % p == 0]
+    return zeros
 
 
 # Rows r0 < r1 < r2 of four, and the indices of (r1, r2), (r0, r2) and
@@ -134,12 +141,12 @@ def _rank_is_6(chart: GrassmannChart, pas, pbs, p: int) -> bool:
     spans the kernel, and its unsigned 3x3 minors m have m1 m4 - m2 m3 =
     w2 w3 - w1 w4; all cofactors vanish iff rank W <= 2.
     """
-    cols = chart.non_pivots
+    cols, pairs = chart.non_pivots, chart.column_pairs
     (u1, u2), (v1, v2) = pas, pbs
-    s = [(u1[c] * v1[d] - u1[d] * v1[c]) % p for c, d in combinations(cols, 2)]
+    s = [(u1[c] * v1[d] - u1[d] * v1[c]) % p for c, d in pairs]
     if not any(s):
         return False
-    t = [(u2[c] * v2[d] - u2[d] * v2[c]) % p for c, d in combinations(cols, 2)]
+    t = [(u2[c] * v2[d] - u2[d] * v2[c]) % p for c, d in pairs]
     if not any(t):
         return False
     if (s[0] * t[5] - s[1] * t[4] + s[2] * t[3] + s[3] * t[2] - s[4] * t[1]
@@ -161,35 +168,45 @@ def _cell_lines(pencil: PencilOfQuadrics, cells, p: int) -> list:
     i and at j) and b (1 at j, 0 before j), one cell per line.  The points of
     X with each pivot are found once (each form is a quadratic in the free
     columns after the pivot); row a of cell (i, j) is those with pivot i and
-    a_j = 0.  Pairs are kept when (Pb).a = 0 for both polar matrices P.  A
-    line is smooth when fano.polar_jacobian on chart (i, j) has rank 6,
-    decided in closed form by _rank_is_6.
+    a_j = 0.  Pairs are kept when (Pb).a = 0 for both polar matrices P.  Each
+    point's products P x are computed once: at once for pivots >= 1, whose
+    points are all some cell's b, and at its first pair for pivot 0.  A line
+    is smooth when fano.polar_jacobian on chart (i, j) has rank 6, decided
+    in closed form by _rank_is_6.
     """
     polars = pencil.polars
-
-    def points(lead: int) -> list:
-        free = range(lead + 1, NUM_VARIABLES)
-        quads = [[[P[c][d] // (1 + (c == d)) for d in free] for c in free] for P in polars]
-        states = [(P[lead][lead] // 2, [P[lead][c] for c in free]) for P in polars]
-        return [(0,) * lead + (1,) + half for half in _half_zeros(states, quads, p)]
-
-    rows = {lead: points(lead) for lead in {c for cell in cells for c in cell}}
-    rows_b = {
-        j: [(b, _polar_products(polars, b, p)) for b in rows[j]]
-        for j in {j for _, j in cells}
-    }
+    # The forms' coefficients: P with its diagonal halved.
+    forms = [[[c // (1 + (r == d)) for d, c in enumerate(row)] for r, row in enumerate(P)]
+             for P in polars]
+    rows, products = {}, {}
+    for lead in sorted({c for cell in cells for c in cell}):
+        quads = [[row[lead + 1:] for row in F[lead + 1:]] for F in forms]
+        states = [(F[lead][lead], F[lead][lead + 1:]) for F in forms]
+        rows[lead] = [(0,) * lead + (1,) + half for half in _half_zeros(states, quads, p)]
+        products[lead] = ([_polar_products(polars, x, p) for x in rows[lead]] if lead
+                          else [None] * len(rows[lead]))
     lines = []
     for i, j in cells:
-        chart = GrassmannChart((i, j))
-        for a in rows[i]:
+        chart, pas_of = _CHARTS[i, j], products[i]
+        bs = list(zip(rows[j], products[j]))
+        for n, a in enumerate(rows[i]):
             if a[j]:
                 continue
-            pas = None
-            for b, pbs in rows_b[j]:
-                if sum(map(mul, pbs[0], a)) % p == 0 and sum(map(mul, pbs[1], a)) % p == 0:
-                    pas = pas or _polar_products(polars, a, p)
+            for b, pbs in bs:
+                u1, u2 = pbs
+                if sum(map(mul, u1, a)) % p == 0 and sum(map(mul, u2, a)) % p == 0:
+                    pas = pas_of[n] or _polar_products(polars, a, p)
+                    pas_of[n] = pas
                     lines.append((a, b, _rank_is_6(chart, pas, pbs, p)))
     return lines
+
+
+# Each chart's place in pivot order, and per cell (i, j) the charts (k, l)
+# that can hold its lines, with their places: k >= i and l >= j, since a
+# and b vanish before their pivots.
+_PLACES = {pivots: n for n, pivots in enumerate(_CHARTS)}
+_CELL_CHARTS = {(i, j): [(k, l, n) for (k, l), n in _PLACES.items() if k >= i and l >= j]
+                for i, j in _CHARTS}
 
 
 class CensusEntry(NamedTuple):
@@ -221,18 +238,22 @@ def chart_census(
         raise ValueError(
             f"exhaustive scan infeasible for p > {EXHAUSTIVE_PRIME_HARD_CAP}"
         )
-    charts = sorted(all_charts() if charts is None else charts, key=lambda c: c.pivots)
-    cells = [(i, j) for i, j in (cell.pivots for cell in all_charts())
-             if any(i <= k and j <= l for k, l in (c.pivots for c in charts))]
-    lines = _cell_lines(pencil, cells, prime)
-    smooth = [(a, b) for a, b, flag in lines if flag]
-    census = []
-    for chart in charts:
-        k, l = chart.pivots
-        count = sum(1 for a, b, _ in lines if (a[k] * b[l] - a[l] * b[k]) % prime)
-        kept = tuple((a, b) for a, b in smooth if (a[k] * b[l] - a[l] * b[k]) % prime)
-        census.append(CensusEntry(chart, count, kept))
-    return census
+    if charts is None:
+        charts, targets = all_charts(), _CELL_CHARTS
+    else:
+        charts = sorted(charts, key=lambda c: c.pivots)
+        wanted = {chart.pivots for chart in charts}
+        targets = {cell: [(k, l, n) for k, l, n in ts if (k, l) in wanted]
+                   for cell, ts in _CELL_CHARTS.items()}
+    counts, kept = [0] * len(_PLACES), [[] for _ in _PLACES]
+    for a, b, smooth in _cell_lines(pencil, [cell for cell in _CHARTS if targets[cell]], prime):
+        for k, l, n in targets[a.index(1), b.index(1)]:
+            if (a[k] * b[l] - a[l] * b[k]) % prime:
+                counts[n] += 1
+                if smooth:
+                    kept[n].append((a, b))
+    places = [_PLACES[chart.pivots] for chart in charts]
+    return [CensusEntry(chart, counts[n], tuple(kept[n])) for chart, n in zip(charts, places)]
 
 
 def search_smooth_points(
@@ -374,7 +395,7 @@ def smooth_line_through_point(
             drop = next(k for k in kernel if x[max(c for c, t in enumerate(k) if t)])
             for y in zeros_on([k for k in kernel if k is not drop]):
                 (a, b), pivots = rref_mod_p([x, y], p)
-                cell = GrassmannChart(pivots)
+                cell = _CHARTS[tuple(pivots)]
                 if _rank_is_6(cell, _polar_products(polars, a, p),
                               _polar_products(polars, b, p), p):
                     return cell, _chart_coordinates(cell, a, b, p)

@@ -27,7 +27,7 @@ import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .exactmath import is_probable_prime
 from .quadric import NUM_VARIABLES, VARIABLES, QuadraticForm
@@ -115,6 +115,9 @@ class _Token(NamedTuple):
     column: int
 
 
+_DIGITS = frozenset("0123456789")
+
+
 def _tokenize(text: str, line: int) -> list[_Token]:
     tokens: list[_Token] = []
     i = 0
@@ -125,9 +128,9 @@ def _tokenize(text: str, line: int) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if _is_integer_text(ch):
+        if ch in _DIGITS:
             j = i
-            while j < n and _is_integer_text(text[j]):
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(_Token("int", text[i:j], col))
             i = j
@@ -161,24 +164,24 @@ class _FormParser:
     """
 
     def __init__(self, tokens: list[_Token], line: int, line_length: int) -> None:
-        self._tokens = tokens
+        self._tokens = tokens + [None]  # None marks the end
         self._pos = 0
         self._line = line
         self._end_column = line_length + 1
 
     def _peek(self) -> Optional[_Token]:
-        if self._pos < len(self._tokens):
-            return self._tokens[self._pos]
-        return None
+        return self._tokens[self._pos]
 
     def _next(self) -> _Token:
-        tok = self._peek()
+        tok = self._tokens[self._pos]
         if tok is None:
             raise ParseError("unexpected end of expression", self._line, self._end_column)
         self._pos += 1
         return tok
 
-    # A polynomial is represented sparsely as {exponent 6-tuple: int}.
+    # A polynomial is a dict {monomial: coefficient}, where a monomial is the
+    # sorted tuple of its variables' indices (() for a constant), so its
+    # length is its degree, which never exceeds 2.
     def parse(
         self,
     ) -> tuple[dict[tuple[int, ...], int], dict[tuple[int, ...], int]]:
@@ -203,23 +206,26 @@ class _FormParser:
                 self._next()
                 sign = -1 if tok.kind == "-" else 1
             start = self._peek()
-            term = self._parse_term()
-            for exps in term:
-                columns.setdefault(exps, start.column)
-            total = _poly_add(total, term, sign)
+            for monomial, coeff in self._parse_term().items():
+                columns.setdefault(monomial, start.column)
+                new = total.get(monomial, 0) + sign * coeff
+                if new:
+                    total[monomial] = new
+                else:
+                    total.pop(monomial, None)
             tok = self._peek()
             if tok is None or tok.kind not in "+-":
                 return total, columns
 
     def _parse_term(self) -> dict[tuple[int, ...], int]:
-        product = self._parse_factor()
+        product, tokens = self._parse_factor(), self._tokens
         while True:
-            tok = self._peek()
+            tok = tokens[self._pos]
             if tok is None:
                 return product
             if tok.kind == "*":
-                self._next()
-                tok = self._peek()
+                self._pos += 1
+                tok = tokens[self._pos]
             elif tok.kind not in ("int", "var", "("):
                 return product
             # explicit or implicit multiplication: 4*vw, 4vw, 2 x z, 3(u+v)...
@@ -229,12 +235,12 @@ class _FormParser:
     def _parse_factor(self) -> dict[tuple[int, ...], int]:
         tok = self._next()
         if tok.kind == "int":
-            return {(0,) * NUM_VARIABLES: _to_int(tok.text, self._line, tok.column)}
+            return {(): _to_int(tok.text, self._line, tok.column)}
         if tok.kind == "var":
             exponent = 1
-            nxt = self._peek()
+            nxt = self._tokens[self._pos]
             if nxt is not None and nxt.kind == "^":
-                self._next()
+                self._pos += 1
                 power_tok = self._next()
                 if power_tok.kind != "int":
                     raise ParseError(
@@ -249,9 +255,7 @@ class _FormParser:
                         self._line,
                         power_tok.column,
                     )
-            exps = [0] * NUM_VARIABLES
-            exps[_VARIABLE_INDEX[tok.text]] = exponent
-            return {tuple(exps): 1}
+            return {(_VARIABLE_INDEX[tok.text],) * exponent: 1}
         if tok.kind == "(":
             inner, _ = self._parse_sum()
             closing = self._next()
@@ -259,20 +263,6 @@ class _FormParser:
                 raise ParseError("expected ')'", self._line, closing.column)
             return inner
         raise ParseError(f"unexpected '{tok.text}'", self._line, tok.column)
-
-
-def _poly_add(
-    a: dict[tuple[int, ...], int], b: dict[tuple[int, ...], int], sign: int = 1
-) -> dict[tuple[int, ...], int]:
-    """a + sign * b."""
-    out = dict(a)
-    for exps, coeff in b.items():
-        new = out.get(exps, 0) + sign * coeff
-        if new:
-            out[exps] = new
-        else:
-            out.pop(exps, None)
-    return out
 
 
 def _poly_mul(
@@ -283,18 +273,20 @@ def _poly_mul(
 ) -> dict[tuple[int, ...], int]:
     """a * b, or a ParseError at the column of factor b past degree 2."""
     out: dict[tuple[int, ...], int] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            exps = tuple(x + y for x, y in zip(ea, eb))
-            if sum(exps) > 2:
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            monomial = ma + mb
+            if len(monomial) == 2 and monomial[0] > monomial[1]:
+                monomial = (monomial[1], monomial[0])
+            elif len(monomial) > 2:
                 raise ParseError(
                     "non-quadratic monomial: total degree exceeds 2", line, column
                 )
-            new = out.get(exps, 0) + ca * cb
+            new = out.get(monomial, 0) + ca * cb
             if new:
-                out[exps] = new
+                out[monomial] = new
             else:
-                out.pop(exps, None)
+                out.pop(monomial, None)
     return out
 
 
@@ -310,34 +302,18 @@ def parse_form(text: str, line: int = 1) -> QuadraticForm:
         raise ParseError("empty polynomial", line, 1)
     poly, columns = _FormParser(tokens, line, len(text)).parse()
     coeffs: dict[tuple[int, int], int] = {}
-    for exps, coeff in poly.items():
-        degree = sum(exps)
-        if degree != 2:
-            monomial = _monomial_text(exps) or str(coeff)
+    for monomial, coeff in poly.items():
+        if len(monomial) != 2:
+            text = VARIABLES[monomial[0]] if monomial else str(coeff)
             raise ParseError(
-                f"non-quadratic monomial: '{monomial}' has total degree {degree}",
+                f"non-quadratic monomial: '{text}' has total degree {len(monomial)}",
                 line,
-                columns[exps],
+                columns[monomial],
             )
-        support = [i for i, e in enumerate(exps) if e]
-        if len(support) == 1:
-            key = (support[0], support[0])
-        else:
-            key = (support[0], support[1])
-        coeffs[key] = coeff
+        coeffs[monomial] = coeff
     if not coeffs:
         raise ParseError("the polynomial is identically zero", line, 1)
     return QuadraticForm(coeffs)
-
-
-def _monomial_text(exps: Sequence[int]) -> str:
-    parts = []
-    for name, e in zip(VARIABLES, exps):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "".join(parts)
 
 
 def _decimal(n: int) -> str:

@@ -419,6 +419,33 @@ def test_single_chart_census_equals_its_entry_in_the_full_census(example_pencil)
             assert chart_census(example_pencil, p, [entry.chart]) == [entry]
 
 
+# sha256 of the JSON list of every CensusEntry chart_census returns, [pivots,
+# on_fano_count, smooth_points in scan order], for the bundled files and 20
+# seeded pencils at each of CENSUS_PRIMES, on all charts and on three charts
+# passed in reverse pivot order.  The oracle tests above sort what they
+# compare; this pins the order too.
+CENSUS_PRIMES = (2, 3, 5, 7)
+CENSUS_SHA256 = "eaecef94c444e51f84e707a2be144576f20c50ee527fa8209711f4c9526b1d8f"
+
+
+def test_census_results_are_pinned(example_pencil):
+    rng = random.Random(20261020)
+    pencils = [example_pencil, parse_input(NO_WITNESS_PATH).pencil]
+    pencils += [_form_pair(rng) for _ in range(10)]
+    pencils += [SimpleNamespace(polars=(polar_matrix(random_form(rng)),
+                                        polar_matrix(random_form(rng)))) for _ in range(10)]
+    reverse = [GrassmannChart(pivots) for pivots in ((4, 5), (0, 5), (2, 3))]
+    found = []
+    for pencil in pencils:
+        for p in CENSUS_PRIMES:
+            for charts in (None, reverse):
+                found += [[list(entry.chart.pivots), entry.on_fano_count,
+                           [[list(a), list(b)] for a, b in entry.smooth_points]]
+                          for entry in chart_census(pencil, p, charts)]
+    assert sum(len(entry[2]) for entry in found) > 1000
+    assert hashlib.sha256(json.dumps(found).encode()).hexdigest() == CENSUS_SHA256
+
+
 def test_exhaustive_search_finds_only_smooth_points(example_pencil):
     for p in (5, 7):
         found = search_smooth_points(example_pencil, p)

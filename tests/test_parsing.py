@@ -71,7 +71,8 @@ def test_pretty_print_is_canonical():
 
 def test_syntax_variants_are_equivalent():
     expected = {(1, 2): 4}
-    for text in ("4vw", "4*v*w", "4 v w", "4*vw", "v*4w", "(2+2)vw", "2vw + 2vw"):
+    for text in ("4vw", "4*v*w", "4 v w", "4*vw", "v*4w", "(2+2)vw", "2vw + 2vw",
+                 "4wv", "2wv + 2vw", "w(v + 3v)"):
         assert parse_form(text).coeffs == expected, text
 
 
