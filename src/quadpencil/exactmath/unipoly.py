@@ -447,14 +447,9 @@ def roots_mod_p(coeffs, p: int) -> list[int]:
 
 
 def repeated_roots_mod_p(f: UniPoly, p: int) -> list[int]:
-    """The roots in F_p of gcd(f mod p, f' mod p), ascending, by :func:`roots_mod_p`."""
+    """The roots in F_p of gcd(f mod p, f' mod p), ascending."""
     if not is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
-    fp = _pm_trim([c % p for c in f.coeffs])
-    if not fp:
-        raise ValueError("f is identically zero mod p")
-    dfp = _pm_trim([k * c % p for k, c in enumerate(fp) if k > 0])
-    # When f' vanishes mod p (e.g. an inseparable power pattern), every root
-    # of f mod p is repeated, so g = f itself.
-    g = _pm_gcd(fp, dfp, p) if dfp else fp
-    return roots_mod_p(g, p)
+    # The common roots of f and f'; an f' that vanishes mod p imposes
+    # nothing, and then every root of f mod p is repeated.
+    return common_roots_mod_p((f.coeffs, [k * c for k, c in enumerate(f.coeffs)][1:]), p)

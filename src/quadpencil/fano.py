@@ -2,11 +2,13 @@
 
 Lines in P^5 are parametrized by the 15 standard affine charts of Gr(2,6):
 a chart fixes two pivot columns to the 2x2 identity and fills the remaining
-eight matrix slots with parameters t_1..t_8.  A chart point's line lies on X
-iff quadric.restrict_to_line gives (c_rr, c_rs, c_ss) = (0, 0, 0) for both
-forms, so these six residuals, as functions of the 8 parameters, cut out F1(X)
-on the chart.  They are only ever evaluated at integer points, and their
-Jacobian is read off the forms' polar matrices (polar_jacobian).
+eight matrix slots with parameters t_1..t_8.  A chart point's line
+r*a + s*b lies on X iff (c_rr, c_rs, c_ss) = (Q(a), a^T P b, Q(b)) is
+(0, 0, 0) for both forms, so these six residuals, as functions of the 8
+parameters, cut out F1(X) on the chart.  They are only ever evaluated at
+integer points, from the products P a and P b with each form's polar matrix
+P (Q(a) = a.Pa / 2), and their Jacobian is read off the same products
+(polar_jacobian).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import NamedTuple
 
 from .exactmath import is_probable_prime, rank_mod_p
 from .pencil import PencilOfQuadrics
-from .quadric import NUM_VARIABLES, restrict_to_line
+from .quadric import NUM_VARIABLES
 
 NUM_PARAMETERS = 8
 FANO_CODIMENSION = 6
@@ -133,20 +135,24 @@ def _chart_coordinates(chart: GrassmannChart, a, b, p: int):
 
 
 class FanoSystem(NamedTuple):
-    """F1(X) on one chart: the two forms and their polar matrices.
+    """F1(X) on one chart, by the polar matrices of Q1 and Q2.
 
     A chart point is on F1(X) iff both forms vanish on its line, i.e. iff
     all six residuals are 0.
     """
 
     chart: GrassmannChart
-    forms: tuple
     polars: tuple
 
     def residuals(self, point) -> list:
-        """c_rr, c_rs, c_ss of Q1, then of Q2, on the line at a chart point."""
+        """c_rr, c_rs, c_ss of Q1, then of Q2, on the line at a chart point:
+        (a.Pa / 2, a.Pb, b.Pb / 2) per polar matrix P = 2M (even diagonal)."""
         a, b = chart_point_rows(self.chart, point)
-        return [c for q in self.forms for c in restrict_to_line(q, a, b)]
+        out = []
+        for P in self.polars:
+            pa, pb = [sum(map(mul, r, a)) for r in P], [sum(map(mul, r, b)) for r in P]
+            out += (sum(map(mul, a, pa)) // 2, sum(map(mul, a, pb)), sum(map(mul, b, pb)) // 2)
+        return out
 
     def jacobian_mod(self, point, p: int) -> list[list[int]]:
         """The 6x8 Jacobian of the residuals mod p at a chart point."""
@@ -158,7 +164,7 @@ class FanoSystem(NamedTuple):
 
 def fano_system(pencil: PencilOfQuadrics, chart: GrassmannChart) -> FanoSystem:
     """The system of F1(X) on the chart, for Q1 then Q2."""
-    return FanoSystem(chart, (pencil.q1, pencil.q2), pencil.polars)
+    return FanoSystem(chart, pencil.polars)
 
 
 class FanoPointReport(NamedTuple):

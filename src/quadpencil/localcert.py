@@ -12,10 +12,10 @@ from .exactmath import (
     is_probable_prime,
     isolate_real_roots,
     kernel_mod_p,
-    rank_mod_p,
+    rank_mod_p,  # unused here, but qpbench/worker.py traces this name
     roots_mod_p,
     rref_mod_p,
-    solve_mod_p,
+    solve_mod_p,  # unused here, but qpbench/worker.py traces this name
 )
 from .fano import (
     EXHAUSTIVE_PRIME_HARD_CAP,
@@ -402,6 +402,12 @@ def smooth_line_through_point(
     return None
 
 
+def _newton_level(jac_rows, residuals, prime: int, e: int):
+    """rref_mod_p of [J | -F(x)/p^e mod p], for F(x) = 0 mod p^e."""
+    rhs = [(-(r // prime**e)) % prime for r in residuals]
+    return rref_mod_p([r + [b] for r, b in zip(jac_rows, rhs)], prime)
+
+
 def hensel_certify(
     system: FanoSystem, pt, prime: int, lift_precision: int = 3
 ) -> LocalPointCertificate:
@@ -409,18 +415,24 @@ def hensel_certify(
 
     The point is checked here, in one pass: ValueError unless prime is prime
     and the six residuals vanish mod prime.  liftable is True iff the
-    Jacobian has rank 6 at the point; in that case (and for lift_precision
+    Jacobian J has rank 6 at the point; in that case (and for lift_precision
     >= 2) the point is lifted to a solution of all six equations modulo
-    p^lift_precision as an executable witness.  The residue of the lift mod p
-    always equals the input point.
+    p^lift_precision as an executable witness.  Newton level e is one
+    elimination of [J | -F(x)/p^e mod p].  The first is always made, from
+    the on-system check's F: J's rank is the number of its pivots left of
+    the last column, so a lift to p^3 takes two eliminations and three
+    residual evaluations.  The residue of the lift mod p always equals the
+    input point.
     """
     if not is_probable_prime(prime):
         raise ValueError(f"{prime} is not prime")
     coords = tuple(int(c) % prime for c in pt)
-    if any(r % prime for r in system.residuals(coords)):
+    residuals = system.residuals(coords)
+    if any(r % prime for r in residuals):
         raise ValueError("point not on the system")
     jac_rows = system.jacobian_mod(coords, prime)
-    rank = rank_mod_p(jac_rows, prime)
+    rows, pivots = _newton_level(jac_rows, residuals, prime, 1)
+    rank = sum(c < NUM_PARAMETERS for c in pivots)
     liftable = rank == FANO_CODIMENSION
 
     lift: tuple[int, ...] | None = None
@@ -428,20 +440,17 @@ def hensel_certify(
     if liftable and lift_precision >= 2:
         x = list(coords)
         for e in range(1, lift_precision):
-            modulus = prime ** (e + 1)
-            residuals = [r % modulus for r in system.residuals(x)]
-            rhs = [(-(r // prime**e)) % prime for r in residuals]
-            # Rank 6 = number of rows, so the step always solves; free
-            # variables are 0, i.e. delta lives on the pivot columns.
-            delta = solve_mod_p(jac_rows, rhs, prime)
-            if delta is None:
-                raise ArithmeticError("Newton step failed on a full-rank system")
-            x = [(x[l] + prime**e * delta[l]) % modulus for l in range(NUM_PARAMETERS)]
-        final_modulus = prime**lift_precision
-        if any(r % final_modulus for r in system.residuals(x)):
+            lift_modulus = prime ** (e + 1)
+            # Rank 6 = number of rows, so every level solves; free variables
+            # are 0, i.e. the step lives on the pivot columns.
+            for row, c in zip(rows, pivots):
+                x[c] = (x[c] + prime**e * row[NUM_PARAMETERS]) % lift_modulus
+            residuals = system.residuals(x)
+            if e + 1 < lift_precision:
+                rows, pivots = _newton_level(jac_rows, residuals, prime, e + 1)
+        if any(r % lift_modulus for r in residuals):
             raise ArithmeticError("Newton lift failed to satisfy the system")
         lift = tuple(x)
-        lift_modulus = final_modulus
 
     if liftable:
         justification = (

@@ -109,11 +109,9 @@ class ParsedInput(NamedTuple):
 # Polynomial tokenizer / parser
 # ---------------------------------------------------------------------------
 
-class _Token(NamedTuple):
-    kind: str  # "int" | "var" | "+" | "-" | "*" | "^" | "(" | ")"
-    text: str
-    column: int
-
+# A token is a plain tuple (kind, text, column); kind is "int", "var" or the
+# operator itself: "+", "-", "*", "^", "(" or ")".
+_Token = tuple[str, str, int]
 
 _DIGITS = frozenset("0123456789")
 
@@ -124,28 +122,25 @@ def _tokenize(text: str, line: int) -> list[_Token]:
     n = len(text)
     while i < n:
         ch = text[i]
-        col = i + 1
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _DIGITS:
+        i += 1
+        # Variables, operators, digits and spaces are disjoint classes, so
+        # the order of the tests only changes their speed.
+        if ch in _VARIABLE_INDEX:
+            tokens.append(("var", ch, i))
+        elif ch in "+-*^()":
+            tokens.append((ch, ch, i))
+        elif ch in _DIGITS:
             j = i
             while j < n and text[j] in _DIGITS:
                 j += 1
-            tokens.append(_Token("int", text[i:j], col))
+            tokens.append(("int", text[i - 1:j], i))
             i = j
+        elif ch.isspace():
             continue
-        if ch.isalpha():
-            if ch not in _VARIABLE_INDEX:
-                raise ParseError(f"unknown variable '{ch}'", line, col)
-            tokens.append(_Token("var", ch, col))
-            i += 1
-            continue
-        if ch in "+-*^()":
-            tokens.append(_Token(ch, ch, col))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character '{ch}'", line, col)
+        elif ch.isalpha():
+            raise ParseError(f"unknown variable '{ch}'", line, i)
+        else:
+            raise ParseError(f"unexpected character '{ch}'", line, i)
     return tokens
 
 
@@ -160,7 +155,9 @@ class _FormParser:
 
     Parenthesised subexpressions are accepted for grouping of sums; the
     parser multiplies everything out exactly and then checks that each
-    surviving monomial has total degree 2.
+    surviving monomial has total degree 2.  Each parenthesis level costs
+    three Python frames; where the interpreter's recursion limit stops the
+    descent, the form is rejected at the outermost parenthesis still open.
     """
 
     def __init__(self, tokens: list[_Token], line: int, line_length: int) -> None:
@@ -185,12 +182,20 @@ class _FormParser:
     def parse(
         self,
     ) -> tuple[dict[tuple[int, ...], int], dict[tuple[int, ...], int]]:
-        result = self._parse_sum()
+        try:
+            result = self._parse_sum()
+        except RecursionError:
+            depth, column = 0, 1
+            for kind, _, col in self._tokens[: self._pos]:
+                if kind == "(":
+                    column = column if depth else col
+                    depth += 1
+                elif kind == ")":
+                    depth -= 1
+            raise ParseError("parentheses nested too deeply", self._line, column) from None
         trailing = self._peek()
         if trailing is not None:
-            raise ParseError(
-                f"unexpected '{trailing.text}'", self._line, trailing.column
-            )
+            raise ParseError(f"unexpected '{trailing[1]}'", self._line, trailing[2])
         return result
 
     def _parse_sum(
@@ -202,19 +207,19 @@ class _FormParser:
         tok = self._peek()
         while True:
             sign = 1
-            if tok is not None and tok.kind in "+-":
+            if tok is not None and tok[0] in "+-":
                 self._next()
-                sign = -1 if tok.kind == "-" else 1
+                sign = -1 if tok[0] == "-" else 1
             start = self._peek()
             for monomial, coeff in self._parse_term().items():
-                columns.setdefault(monomial, start.column)
+                columns.setdefault(monomial, start[2])
                 new = total.get(monomial, 0) + sign * coeff
                 if new:
                     total[monomial] = new
                 else:
                     total.pop(monomial, None)
             tok = self._peek()
-            if tok is None or tok.kind not in "+-":
+            if tok is None or tok[0] not in "+-":
                 return total, columns
 
     def _parse_term(self) -> dict[tuple[int, ...], int]:
@@ -223,46 +228,44 @@ class _FormParser:
             tok = tokens[self._pos]
             if tok is None:
                 return product
-            if tok.kind == "*":
+            if tok[0] == "*":
                 self._pos += 1
                 tok = tokens[self._pos]
-            elif tok.kind not in ("int", "var", "("):
+            elif tok[0] not in ("int", "var", "("):
                 return product
             # explicit or implicit multiplication: 4*vw, 4vw, 2 x z, 3(u+v)...
-            column = tok.column if tok is not None else self._end_column
+            column = tok[2] if tok is not None else self._end_column
             product = _poly_mul(product, self._parse_factor(), self._line, column)
 
     def _parse_factor(self) -> dict[tuple[int, ...], int]:
-        tok = self._next()
-        if tok.kind == "int":
-            return {(): _to_int(tok.text, self._line, tok.column)}
-        if tok.kind == "var":
+        kind, text, column = self._next()
+        if kind == "int":
+            return {(): _to_int(text, self._line, column)}
+        if kind == "var":
             exponent = 1
             nxt = self._tokens[self._pos]
-            if nxt is not None and nxt.kind == "^":
+            if nxt is not None and nxt[0] == "^":
                 self._pos += 1
-                power_tok = self._next()
-                if power_tok.kind != "int":
+                power_kind, power_text, power_column = self._next()
+                if power_kind != "int":
                     raise ParseError(
-                        "expected an integer exponent after '^'",
-                        self._line,
-                        power_tok.column,
+                        "expected an integer exponent after '^'", self._line, power_column
                     )
-                exponent = _to_int(power_tok.text, self._line, power_tok.column)
+                exponent = _to_int(power_text, self._line, power_column)
                 if exponent > 2:
                     raise ParseError(
                         f"non-quadratic monomial: exponent {exponent} exceeds 2",
                         self._line,
-                        power_tok.column,
+                        power_column,
                     )
-            return {(_VARIABLE_INDEX[tok.text],) * exponent: 1}
-        if tok.kind == "(":
+            return {(_VARIABLE_INDEX[text],) * exponent: 1}
+        if kind == "(":
             inner, _ = self._parse_sum()
             closing = self._next()
-            if closing.kind != ")":
-                raise ParseError("expected ')'", self._line, closing.column)
+            if closing[0] != ")":
+                raise ParseError("expected ')'", self._line, closing[2])
             return inner
-        raise ParseError(f"unexpected '{tok.text}'", self._line, tok.column)
+        raise ParseError(f"unexpected '{text}'", self._line, column)
 
 
 def _poly_mul(

@@ -6,28 +6,20 @@ from __future__ import annotations
 from functools import reduce
 from itertools import combinations_with_replacement, compress, product
 from math import comb
-from operator import xor
+from operator import mul, xor
 from typing import NamedTuple
 
 from .exactmath import (
+    common_roots_mod_p,
     is_probable_prime,
     kernel_mod_p,
     rank_mod_p,
-    repeated_roots_mod_p,
+    repeated_roots_mod_p,  # unused here, but qpbench/worker.py traces this name
     roots_mod_p,
     rref_mod_p,
 )
 from .pencil import PencilOfQuadrics
-from .quadric import (
-    NUM_VARIABLES,
-    VARIABLES,
-    QuadraticForm,
-    evaluate_form,
-    gradient_at,
-    polar_form,
-    polar_matrix,
-    restrict_to_line,
-)
+from .quadric import NUM_VARIABLES, VARIABLES, QuadraticForm, polar_matrix, restrict_to_line
 
 # Hard cap on the kernel quadratics (or kernel points) that the singular-locus
 # search solves, and on its p + 1 kernel solves when f vanishes identically
@@ -51,20 +43,32 @@ def _check_candidate_cap(count: int) -> None:
         )
 
 
-def reduce_form(q: QuadraticForm, p: int) -> QuadraticForm:
-    """Coefficient-wise reduction of a form mod p (coefficients in [0, p))."""
-    residues = {key: c % p for key, c in q.coeffs.items() if c % p}
-    if not residues:
+def _check_reduction(q: QuadraticForm, p: int) -> None:
+    """Raise DegenerateReductionError if q vanishes identically mod p."""
+    if not any(c % p for c in q.coeffs.values()):
         raise DegenerateReductionError(
             f"degenerate reduction: the form vanishes identically mod {p}"
         )
-    return QuadraticForm(residues)
+
+
+def reduce_form(q: QuadraticForm, p: int) -> QuadraticForm:
+    """Coefficient-wise reduction of a form mod p (coefficients in [0, p))."""
+    _check_reduction(q, p)
+    return QuadraticForm({key: c % p for key, c in q.coeffs.items() if c % p})
+
+
+def _check_pencil_reduction(pencil: PencilOfQuadrics, prime: int) -> None:
+    """ValueError unless prime is prime, then DegenerateReductionError if
+    Q1, then Q2, vanishes identically mod prime."""
+    if not is_probable_prime(prime):
+        raise ValueError(f"{prime} is not prime")
+    _check_reduction(pencil.q1, prime)
+    _check_reduction(pencil.q2, prime)
 
 
 def reduce_pencil(pencil: PencilOfQuadrics, prime: int) -> tuple[QuadraticForm, QuadraticForm]:
     """Both forms reduced mod p; raises DegenerateReductionError if one dies."""
-    if not is_probable_prime(prime):
-        raise ValueError(f"{prime} is not prime")
+    _check_pencil_reduction(pencil, prime)
     return reduce_form(pencil.q1, prime), reduce_form(pencil.q2, prime)
 
 
@@ -166,38 +170,40 @@ def _projective_points(basis, p: int):
             yield v
 
 
-def _kernel_points(r1: QuadraticForm, r2: QuadraticForm, basis, p: int):
+def _kernel_points(b1, b2, basis, p: int):
     """Vectors covering every projective point of span(basis) on X_p.
 
-    A point of X_p is a zero of g, the restriction of Q2 to the kernel, or of
-    Q1 when Q2 restricts to 0 (on ker(B1 - t0*B2) Q1 = t0*Q2, and on ker B2
-    Q2 = 0, so either restriction carries the same information).  With w the
-    last basis vector, the kernel's points are w and v + s*w, where v has
-    first nonzero coefficient 1 on the other basis vectors; on that line
-    g(v + s*w) = g(v) + s*B(v, w) + s^2*g(w), so s is a root of that
-    quadratic mod p, or free when the quadratic is 0 mod p.
+    b1 and b2 are the polar matrices mod p, so 2Q(x) = x.Px and the polar
+    form is B(a, b) = a.Pb.  A point of X_p is a zero of g, the restriction
+    of Q2 to the kernel, or of Q1 when Q2 restricts to 0 (on ker(B1 - t0*B2)
+    Q1 = t0*Q2, and on ker B2 Q2 = 0, so either restriction carries the same
+    information).  With w the last basis vector, the kernel's points are w
+    and v + s*w, where v has first nonzero coefficient 1 on the other basis
+    vectors; on that line 2g(v + s*w) = v.Pv + 2s*v.Pw + s^2*w.Pw, so s is a
+    root of that quadratic mod p, or free when the quadratic is 0 mod p.
     KERNEL_CANDIDATE_CAP counts the (p^(dim-1) - 1)/(p - 1) quadratics, about
     p^(dim - 2), or the (p^dim - 1)/(p - 1) points when g is identically 0.
     """
     *head, w = basis
-    pairs = list(combinations_with_replacement(basis, 2))
-    g = next((q for q in (r2, r1) if any(polar_form(q, a, b) % p for a, b in pairs)), None)
+    pairs = list(combinations_with_replacement(range(len(basis)), 2))
+    g = None
+    for P in (b2, b1):
+        pvs = [[sum(map(mul, r, v)) % p for r in P] for v in basis]
+        if any(sum(map(mul, basis[i], pvs[j])) % p for i, j in pairs):
+            g, pw, ww = P, pvs[-1], sum(map(mul, w, pvs[-1]))
+            break
     _check_candidate_cap((p ** (len(head) + (g is None)) - 1) // (p - 1))
     yield w
     for v in _projective_points(head, p):
-        line = restrict_to_line(g, v, w) if g else ()
+        line = (sum(map(mul, v, [sum(map(mul, r, v)) for r in g])),
+                2 * sum(map(mul, v, pw)), ww) if g else ()
         roots = roots_mod_p(line, p) if any(c % p for c in line) else range(p)
         for s in roots:
             yield [(x + s * y) % p for x, y in zip(v, w)]
 
 
 def _kernel_guided_locus(
-    pencil: PencilOfQuadrics,
-    r1: QuadraticForm,
-    r2: QuadraticForm,
-    p: int,
-    members: list[int] | None,
-    degree: int,
+    pencil: PencilOfQuadrics, p: int, members: list[int] | None, degree: int
 ) -> list[tuple[tuple[int, ...], int]]:
     """Singular points via vertices of the singular pencil members.
 
@@ -212,33 +218,33 @@ def _kernel_guided_locus(
     of f mod p, is <= 4.  When f vanishes identically mod p (members is
     None) every member is singular, and the kernels of all p + 1 members
     are searched; those p + 1 kernel solves count against
-    KERNEL_CANDIDATE_CAP like the candidates of each kernel.
+    KERNEL_CANDIDATE_CAP like the candidates of each kernel.  A candidate x
+    is kept when x.Px = 0 mod p for both polar matrices P and the
+    gradients Px have rank <= 1.
     """
-    b1, b2 = pencil.polars
     if members is None:
         _check_candidate_cap(p + 1)
         members = range(p)
-    kernels: list[list[list[int]]] = []
-    for t0 in members:
-        member = [
-            [(b1[i][j] - t0 * b2[i][j]) % p for j in range(NUM_VARIABLES)]
-            for i in range(NUM_VARIABLES)
-        ]
-        kernels.append(kernel_mod_p(member, p))
+    elif not members and degree > 4:
+        return []  # no singular member: X_p is smooth
+    b1, b2 = polars = [[[c % p for c in row] for row in P] for P in pencil.polars]
+    kernels = [kernel_mod_p([[x - t0 * y for x, y in zip(r1, r2)] for r1, r2 in zip(b1, b2)], p)
+               for t0 in members]
     if degree <= 4:
         kernels.append(kernel_mod_p(b2, p))
 
     seen: set[tuple[int, ...]] = set()
     found = []
     for basis in kernels:
-        for v in _kernel_points(r1, r2, basis, p):
+        for v in _kernel_points(b1, b2, basis, p):
             point = normalize_projective(v, p)
             if point in seen:
                 continue
             seen.add(point)
-            if evaluate_form(r1, point) % p or evaluate_form(r2, point) % p:
+            gradients = [[sum(map(mul, r, point)) % p for r in P] for P in polars]
+            if any(sum(map(mul, point, g)) % p for g in gradients):
                 continue
-            rank = rank_mod_p([gradient_at(r1, point), gradient_at(r2, point)], p)
+            rank = rank_mod_p(gradients, p)
             if rank <= 1:
                 found.append((point, rank))
     found.sort()
@@ -264,16 +270,20 @@ def singular_locus(pencil: PencilOfQuadrics, prime: int) -> SingularLocusReport:
             "p = 2: singular-locus analysis is invalid in characteristic 2; "
             "use mod2_degeneracy"
         )
-    r1, r2 = reduce_pencil(pencil, prime)
+    _check_pencil_reduction(pencil, prime)
     f = pencil.char_form.coeffs
     degree = max((k for k, c in enumerate(f) if c % prime), default=-1)
-    members = repeated_roots_mod_p(pencil.char_form, prime) if degree >= 0 else None
+    # The repeated roots of f mod p, as the common roots of f and f'.
+    members = (common_roots_mod_p((f, [k * c for k, c in enumerate(f)][1:]), prime)
+               if degree >= 0 else None)
     if members is None or degree == 6 and any(
         all((c - f[6] * comb(6, k) * (-t0) ** (6 - k)) % prime == 0 for k, c in enumerate(f))
         for t0 in members
     ):
-        _assert_complete_intersection(r1, r2, prime)
-    found = _kernel_guided_locus(pencil, r1, r2, prime, members, degree)
+        _assert_complete_intersection(
+            reduce_form(pencil.q1, prime), reduce_form(pencil.q2, prime), prime
+        )
+    found = _kernel_guided_locus(pencil, prime, members, degree)
     points = tuple(pt for pt, _ in found)
     ranks = tuple(rank for _, rank in found)
     return SingularLocusReport(

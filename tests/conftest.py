@@ -10,23 +10,38 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
-from math import lcm
+from math import comb, lcm
 
 import pytest
 
-from quadpencil import PencilOfQuadrics, QuadraticForm, evaluate_form
-from quadpencil.exactmath import rank_mod_p
+from quadpencil import PencilOfQuadrics, QuadraticForm, SingularLocusReport, evaluate_form
+from quadpencil.exactmath import (
+    is_probable_prime,
+    kernel_mod_p,
+    rank_mod_p,
+    roots_mod_p,
+    solve_mod_p,
+)
 from quadpencil.exactmath.unipoly import (
     _over_common,
+    _pm_gcd,
+    _pm_trim,
     _powers,
     _root_bound,
     _squarefree_chain,
     _value,
     _variations,
 )
-from quadpencil.fano import _chart_coordinates
+from quadpencil.fano import _chart_coordinates, chart_point_rows
 from quadpencil.parsing import _decimal
-from quadpencil.quadric import VARIABLES, gradient_at
+from quadpencil.quadric import VARIABLES, gradient_at, polar_form, restrict_to_line
+from quadpencil.reduction import (
+    _assert_complete_intersection,
+    _check_candidate_cap,
+    _projective_points,
+    normalize_projective,
+    reduce_pencil,
+)
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -308,6 +323,103 @@ def reference_isolate_real_roots(f, width=Fraction(1, 10**6)):
                 stack.append((mid, hi, den, vmid, vhi))
             break
     return sorted((Fraction(lo, den), Fraction(hi, den)) for lo, hi, den in found)
+
+
+def reference_singular_locus(pencil, prime: int) -> SingularLocusReport:
+    """singular_locus as it was before it worked on the polar matrices, kept
+    as its oracle: both forms reduced to QuadraticForms mod p, the repeated
+    roots of f as the roots of gcd(f, f') mod p, and every kernel point
+    evaluated, paired and differentiated on their coefficient dicts."""
+    if prime == 2:
+        raise ValueError(
+            "p = 2: singular-locus analysis is invalid in characteristic 2; "
+            "use mod2_degeneracy"
+        )
+    p = prime
+    r1, r2 = reduce_pencil(pencil, p)
+    f = pencil.char_form.coeffs
+    degree = max((k for k, c in enumerate(f) if c % p), default=-1)
+    members = None
+    if degree >= 0:
+        fp = _pm_trim([c % p for c in f])
+        dfp = _pm_trim([k * c % p for k, c in enumerate(fp) if k > 0])
+        members = roots_mod_p(_pm_gcd(fp, dfp, p) if dfp else fp, p)
+    if members is None or degree == 6 and any(
+        all((c - f[6] * comb(6, k) * (-t0) ** (6 - k)) % p == 0 for k, c in enumerate(f))
+        for t0 in members
+    ):
+        _assert_complete_intersection(r1, r2, p)
+    b1, b2 = pencil.polars
+    if members is None:
+        _check_candidate_cap(p + 1)
+        members = range(p)
+    kernels = [kernel_mod_p([[(x - t0 * y) % p for x, y in zip(u, v)] for u, v in zip(b1, b2)], p)
+               for t0 in members]
+    if degree <= 4:
+        kernels.append(kernel_mod_p(b2, p))
+
+    def kernel_points(basis):
+        *head, w = basis
+        pairs = list(combinations_with_replacement(basis, 2))
+        g = next((q for q in (r2, r1) if any(polar_form(q, a, b) % p for a, b in pairs)), None)
+        _check_candidate_cap((p ** (len(head) + (g is None)) - 1) // (p - 1))
+        yield w
+        for v in _projective_points(head, p):
+            line = restrict_to_line(g, v, w) if g else ()
+            roots = roots_mod_p(line, p) if any(c % p for c in line) else range(p)
+            for s in roots:
+                yield [(x + s * y) % p for x, y in zip(v, w)]
+
+    seen, found = set(), []
+    for basis in kernels:
+        for v in kernel_points(basis):
+            point = normalize_projective(v, p)
+            if point in seen:
+                continue
+            seen.add(point)
+            if evaluate_form(r1, point) % p or evaluate_form(r2, point) % p:
+                continue
+            rank = rank_mod_p([gradient_at(r1, point), gradient_at(r2, point)], p)
+            if rank <= 1:
+                found.append((point, rank))
+    found.sort()
+    ranks = tuple(rank for _, rank in found)
+    return SingularLocusReport(p, tuple(pt for pt, _ in found), ranks, "kernel-guided",
+                               any(rank == 0 for rank in ranks))
+
+
+def reference_residuals(forms, chart, point) -> list:
+    """FanoSystem.residuals by quadric.restrict_to_line on the coefficient
+    dicts of the forms (Q1, Q2), as it was computed before the polar
+    products, kept as its oracle."""
+    a, b = chart_point_rows(chart, point)
+    return [c for q in forms for c in restrict_to_line(q, a, b)]
+
+
+def reference_hensel(forms, system, pt, prime: int, lift_precision: int = 3):
+    """(coordinates, Jacobian rank, lift, lift modulus) as hensel_certify
+    found them with three eliminations per lift to p^3, kept as its oracle:
+    J ranked alone, then each Newton level solved by solve_mod_p on
+    residuals of the forms (Q1, Q2) computed afresh."""
+    if not is_probable_prime(prime):
+        raise ValueError(f"{prime} is not prime")
+    coords = tuple(int(c) % prime for c in pt)
+    if any(r % prime for r in reference_residuals(forms, system.chart, coords)):
+        raise ValueError("point not on the system")
+    jac_rows = system.jacobian_mod(coords, prime)
+    rank = rank_mod_p(jac_rows, prime)
+    if rank < 6 or lift_precision < 2:
+        return coords, rank, None, None
+    x = list(coords)
+    for e in range(1, lift_precision):
+        modulus = prime ** (e + 1)
+        residuals = [r % modulus for r in reference_residuals(forms, system.chart, x)]
+        delta = solve_mod_p(jac_rows, [(-(r // prime**e)) % prime for r in residuals], prime)
+        x = [(x[l] + prime**e * delta[l]) % modulus for l in range(8)]
+    final_modulus = prime**lift_precision
+    if any(r % final_modulus for r in reference_residuals(forms, system.chart, x)):
+        raise ArithmeticError("Newton lift failed to satisfy the system")
+    return coords, rank, tuple(x), final_modulus
 
 
 # Largest prime at which exhaustive_locus scans P^5(F_p).

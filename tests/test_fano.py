@@ -13,6 +13,7 @@ from sympy.polys.rings import ring
 from quadpencil import (
     FANO_CODIMENSION,
     NUM_PARAMETERS,
+    FanoSystem,
     GrassmannChart,
     QuadraticForm,
     PencilOfQuadrics,
@@ -36,6 +37,7 @@ from conftest import (
     REPO_ROOT,
     load_qpbench,
     random_form,
+    reference_residuals,
 )
 
 # Reference: sympy expands Q(r*rowA + s*rowB) and differentiates the six
@@ -179,6 +181,22 @@ def test_fano_equations_match_the_sympy_expansion(example_pencil):
             for bound in (9, 2**70):
                 point = [rng.randint(-bound, bound) for _ in range(NUM_PARAMETERS)]
                 assert system.residuals(point) == [_value(eq, point) for eq in equations]
+
+
+def test_residuals_match_the_coefficient_dict_reference(example_pencil):
+    # From the polar products, on every chart: dense forms with odd mixed
+    # coefficients, 1,501-digit coefficients and coordinates up to 10^1500.
+    rng = random.Random(29)
+    forms = [(example_pencil.q1, example_pencil.q2)]
+    forms += [(p.q1, p.q2) for p in _dense_pencils()]
+    forms += [tuple(QuadraticForm({(i, j): rng.randint(-10**1500, 10**1500)
+                                   for i in range(6) for j in range(i, 6)}) for _ in range(2))]
+    for pair in forms:
+        for chart in all_charts():
+            system = FanoSystem(chart, tuple(map(polar_matrix, pair)))
+            for bound in (1, 9, 2**64, 10**1500):
+                point = [rng.randint(-bound, bound) for _ in range(NUM_PARAMETERS)]
+                assert system.residuals(point) == reference_residuals(pair, chart, point)
 
 
 def test_fano_jacobian_entries_are_partial_derivatives(example_pencil):

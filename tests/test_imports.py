@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 import quadpencil
 
-from conftest import BIG_PRIME, BIG_WITNESS, CHART_UI, EXAMPLE_PATH, NO_WITNESS_PATH
+from conftest import BIG_PRIME, BIG_WITNESS, CHART_UI, EXAMPLE_PATH, NO_WITNESS_PATH, load_qpbench
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -129,3 +130,12 @@ def test_public_names_are_pinned_and_star_import_binds_them():
     assert set(PUBLIC_NAMES) <= set(dir(quadpencil))
     with pytest.raises(AttributeError):
         quadpencil.no_such_name
+
+
+def test_every_traced_name_resolves():
+    # The benchmark's tracer wraps each (caller module, name) of its span plan
+    # by getattr, so a name that a module stops importing breaks traced runs.
+    plan = load_qpbench("worker")._span_plan()
+    missing = [(module, name) for module, name, *_ in plan
+               if not hasattr(importlib.import_module(module), name)]
+    assert len(plan) > 30 and missing == []

@@ -57,6 +57,7 @@ from conftest import (
     evaluate_poly,
     load_qpbench,
     random_form,
+    reference_hensel,
 )
 
 
@@ -713,6 +714,56 @@ def test_hensel_rank_agrees_with_verify_fano_point(example_pencil):
         report = verify_fano_point(system, claim["coords"], claim["prime"])
         assert cert.jacobian_rank == report.jacobian_rank == 6
     assert len(claims) == 22
+
+
+def _hensel_outcome(function, *args):
+    try:
+        return function(*args)
+    except ValueError as error:
+        return str(error)
+
+
+def test_hensel_matches_the_reference(example_pencil):
+    """hensel_certify ranks J in its first Newton elimination; its point,
+    rank and lift must be the three-elimination reference's at every depth:
+    census points of ranks 0, 2, 4, 5 and 6, the dense lift claims at 28-64
+    bit primes, and a pencil with 1,501-digit coefficients."""
+    cases = []
+    for pencil in _pencils(example_pencil):
+        for p in (2, 3, 5):
+            lines = _cell_lines(pencil, ALL_CELLS, p)
+            for chart, found in chart_read_off(lines, all_charts(), p):
+                cases += [(pencil, chart, point, p, (1, 2, 3)) for point, _ in found]
+    for claim in load_qpbench("gen").verify_lift_claims(7, 10, REPO_ROOT):
+        pencil = PencilOfQuadrics(*(QuadraticForm(q) for q in claim["forms"]))
+        chart = GrassmannChart(tuple(c - 1 for c in claim["chart"]))
+        cases.append((pencil, chart, claim["coords"], claim["prime"], (1, 2, 3, 12)))
+    huge = 3 * 10**1500
+    pencil = PencilOfQuadrics(
+        QuadraticForm({(i, i): huge if i < 4 else 1 for i in range(6)}),
+        QuadraticForm({(i, i): i + 1 for i in range(6)}),
+    )
+    for p in (11, 17, 1000003):
+        chart, point = smooth_line_through_point(pencil, p)
+        cases.append((pencil, chart, point, p, (1, 2, 3, 12)))
+    # Off the system, and a composite modulus.
+    cases += [(*cases[0][:2], (1, 0, 0, 0, 0, 0, 0, 1), 3, (3,)),
+              (*cases[0][:2], F2_WITNESS, 9, (3,))]
+    ranks, lifted = set(), 0
+    for pencil, chart, point, p, depths in cases:
+        system = fano_system(pencil, chart)
+        for k in depths:
+            cert = _hensel_outcome(hensel_certify, system, point, p, k)
+            expected = _hensel_outcome(reference_hensel, (pencil.q1, pencil.q2), system, point,
+                                       p, k)
+            if isinstance(expected, str):
+                assert cert == expected
+                continue
+            assert (cert.coordinates, cert.jacobian_rank, cert.lift, cert.lift_modulus) == expected
+            assert cert.liftable == (cert.jacobian_rank == 6)
+            ranks.add(cert.jacobian_rank)
+            lifted += cert.lift is not None
+    assert ranks == {0, 2, 4, 5, 6} and lifted > 3000
 
 
 def test_hensel_rejects_composite_moduli(example_pencil):

@@ -83,6 +83,8 @@ def test_parenthesised_grouping():
         (3, 3): 1,
     }
     assert parse_form("2(u+v)w").coeffs == {(0, 2): 2, (1, 2): 2}
+    nested = "(" * 100 + "u^2 - (v(w))" + ")" * 100
+    assert parse_form(f"x^2 + {nested}").coeffs == {(3, 3): 1, (0, 0): 1, (1, 2): -1}
 
 
 def test_zero_coefficient_terms_drop_out():
@@ -159,6 +161,19 @@ def test_unbalanced_parentheses():
         parse_form("uv)")
     assert "unexpected ')'" in info.value.message
     assert info.value.column == 3
+
+
+@pytest.mark.parametrize("depth", [340, 5000])
+def test_deep_parentheses_are_a_parse_error(depth):
+    # Each level is three Python frames of the recursive descent: past the
+    # recursion limit the form is rejected at its outermost open parenthesis.
+    nested = "(" * depth + "u^2" + ")" * depth
+    with pytest.raises(ParseError) as info:
+        parse_form(f"v^2 + {nested}", line=4)
+    assert (info.value.message, info.value.line, info.value.column) == (
+        "parentheses nested too deeply", 4, 7)
+    with pytest.raises(ParseError, match="^line 2, column 5: parentheses nested too deeply$"):
+        parse_input_text(f"Q2: v^2 + w^2\nQ1: {nested}\n")
 
 
 def test_identically_zero_is_rejected():

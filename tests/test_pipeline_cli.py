@@ -765,13 +765,18 @@ PINNED_PENCILS = {
            "Q2: u^2 + v^2 + w^2 + x^2 + y^2 + z^2\n",
     # Q1 vanishes mod 3.
     "degenerate3": "Q1: 3u^2 + 3v^2\nQ2: u^2 + v^2 + w^2 + x^2 + y^2 + z^2\n",
+    "degenerate-all3": "Q1: 3u^2 + 3v^2 + 3w^2 + 3x^2 + 3y^2 + 3z^2\n"
+                       "Q2: u^2 + 2v^2 + 3w^2 + 4x^2 + 5y^2 + 6z^2\n",
+    # Past the parser's recursion limit: an input error, not a traceback.
+    "deep340": "Q1: " + "(" * 340 + "u^2" + ")" * 340 + "\nQ2: v^2 + w^2\n",
 }
 
 _BIG_POINT = ["--prime", str(BIG_PRIME), "--chart", ",".join(map(str, CHART_UI)),
               "--coords", ",".join(map(str, BIG_WITNESS))]
 
 # (argv with a file key for the path, exit code, sha256 of stdout) for each
-# subcommand but analyze and fano-search, whose digests are pinned above.
+# subcommand but fano-search, and for analyze on an input error; the
+# digests of certificates and of fano-search are pinned above.
 PINNED_OUTPUTS = [
     (["charform", "example"], 0,
      "5f325225a107e24030408f4faea708a1769843254eed656ea68445df6a7ed15c"),
@@ -821,6 +826,10 @@ PINNED_OUTPUTS = [
      "e74193c7fbe6eea92efb5f724edd63357ff973d9f8ea5daf3e83c32ccb886935"),
     (["reduction", "degenerate3", "--prime", "3"], 2,
      "9e7bba0f343b7e09596e075cefb2023b697ecb8f3cc80cb7c5323402415fa208"),
+    (["reduction", "degenerate-all3", "--prime", "3"], 2,
+     "9e7bba0f343b7e09596e075cefb2023b697ecb8f3cc80cb7c5323402415fa208"),
+    (["analyze", "deep340"], 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 
 

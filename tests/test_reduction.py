@@ -35,6 +35,7 @@ from conftest import (
     exhaustive_locus,
     mod2_degeneracy_oracle,
     random_form,
+    reference_singular_locus,
 )
 
 
@@ -126,9 +127,9 @@ def test_kernel_guided_agrees_with_exhaustive_on_random_pencils(monkeypatch):
     dims = set()
     kernel_points = reduction._kernel_points
 
-    def recording_kernel_points(r1, r2, basis, p):
+    def recording_kernel_points(b1, b2, basis, p):
         dims.add(len(basis))
-        return kernel_points(r1, r2, basis, p)
+        return kernel_points(b1, b2, basis, p)
 
     monkeypatch.setattr(reduction, "_kernel_points", recording_kernel_points)
     loci = nonempty = planes = 0
@@ -152,6 +153,50 @@ def test_kernel_guided_agrees_with_exhaustive_on_random_pencils(monkeypatch):
     assert nonempty >= 10
     assert planes >= 1
     assert {3, 4, 5} <= dims
+
+
+def _locus_outcome(function, pencil, p):
+    try:
+        return function(pencil, p)
+    except ValueError as error:
+        return type(error).__name__, str(error)
+
+
+def test_singular_locus_matches_the_reference():
+    # The polar-matrix search against the QuadraticForm one it replaced, on
+    # the pencils above, either form = 0 mod 3, 1,501-digit coefficients and
+    # seeded pencils (singular ones have loci at every p), at p = 2, the
+    # composites 9 and 15, and primes where f may vanish mod p.
+    rng = random.Random(29)
+    ones = (1,) * 6
+    huge = 3 * 10**1500
+    loci = 0
+    pencils = [_diagonal_pencil(*F_ZERO_MOD_3), _diagonal_pencil((3,) * 6, (1, 2, 3, 4, 5, 6)),
+               _diagonal_pencil((1, 1, 1, 1, 1, 2), (3, 3, 3, 3, 3, 6)),
+               _diagonal_pencil((huge,) * 4 + (1, 1), (1, 2, 3, 4, 5, 6))]
+    pencils += [_diagonal_pencil(a, ones) for a in WIDE_KERNELS]
+    # Not complete intersections mod 3: proportional, and sharing 2u.
+    base = {(0, 0): 1, (1, 1): 1, (2, 2): 1, (3, 4): 2, (5, 5): 1}
+    pencils.append(PencilOfQuadrics(QuadraticForm(base),
+                                    QuadraticForm({**base, (0, 1): 6, (2, 3): 6})))
+    pencils.append(PencilOfQuadrics(QuadraticForm({(0, 3): 2, (1, 2): 6, (4, 4): 3, (5, 5): 3}),
+                                    QuadraticForm({(0, 4): 2, (1, 1): 3, (2, 2): 3, (3, 3): 3})))
+    pencils += [PencilOfQuadrics(random_form(rng), random_form(rng)) for _ in range(120)]
+    seen = set()
+    for pencil in pencils:
+        for p in (2, 3, 5, 7, 9, 11, 13, 15, 1009):
+            got = _locus_outcome(singular_locus, pencil, p)
+            assert got == _locus_outcome(reference_singular_locus, pencil, p), (pencil, p)
+            loci += hasattr(got, "points") and len(got.points) > 0
+            if isinstance(got, tuple) and not hasattr(got, "points"):
+                seen.add(got[1].split(":")[0])
+            else:
+                seen.update(("empty",) if not got.points else set(got.ranks))
+            if all(c % p == 0 for c in pencil.char_form.coeffs):
+                seen.add("f = 0")
+    assert seen >= {"empty", 0, 1, "f = 0", "9 is not prime", "15 is not prime", "p = 2",
+                    "degenerate reduction", "X mod 3 is not a complete intersection"}
+    assert loci >= 150
 
 
 def test_binary_roots_match_brute_force():
