@@ -348,27 +348,48 @@ def _pm_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-def _pm_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    _, r = _pm_divmod(out, mod, p)
-    return r
+def _pm_shift_power(c: int, e: int, h: list[int], p: int) -> list[int]:
+    """(t + c)^e mod h over F_p, trimmed; h has degree >= 1 and a unit leading coefficient.
 
-
-def _pm_powmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _pm_divmod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            result = _pm_mulmod(result, base, mod, p)
-        base = _pm_mulmod(base, base, mod, p)
-        e >>= 1
-    return result
+    Left to right over the bits of e, with the residue held Kronecker-packed:
+    coefficient i of a polynomial is bits [i w, (i + 1) w) of one integer
+    (Kronecker 1882; Harvey 2009).  A step squares that integer with one
+    multiply, reduces the 2d - 1 coefficients by the monic h by adding
+    coefficient k times the packed t^k mod h for each k >= d = deg h, and for
+    a set bit multiplies by t + c as a shift plus c times itself; then each
+    coefficient is taken mod p.  Every packed coefficient is nonnegative and
+    below (c + 2) d^2 p^3 < 2^w, so no slot carries into the next.
+    """
+    inv = pow(h[-1], -1, p)
+    monic = [x * inv % p for x in h]
+    d, c = len(monic) - 1, c % p
+    if d == 1:  # t = -monic[0]
+        value = pow(c - monic[0], e, p)
+        return [value] if value else []
+    if e == 0:
+        return [1]
+    # t^k mod h for k = d .. 2d - 2, each from the one before.
+    powers = [[-x % p for x in monic[:-1]]]
+    for _ in range(d - 2):
+        prev = powers[-1]
+        powers.append([(a - prev[-1] * b) % p for a, b in zip([0] + prev[:-1], monic)])
+    w = ((c + 2) * d * d * p**3).bit_length()
+    mask, low, below = (1 << w) - 1, (1 << d * w) - 1, (1 << (d - 1) * w) - 1
+    packed = [sum(x << i * w for i, x in enumerate(r)) for r in powers]
+    high = list(zip(range(d * w, (2 * d - 1) * w, w), packed))
+    slots, top, t_d = range(0, d * w, w), (d - 1) * w, packed[0]
+    x = c | 1 << w
+    for bit in bin(e)[3:]:
+        square = x * x
+        y = square & low
+        for shift, r in high:
+            y += (square >> shift & mask) * r
+        if bit == "1":
+            y = ((y & below) << w) + (y >> top) % p * t_d + c * y
+        x = 0
+        for shift in slots:
+            x |= (y >> shift & mask) % p << shift
+    return _pm_trim([x >> shift & mask for shift in slots])
 
 
 def _pm_roots_of_split(h: list[int], p: int) -> list[int]:
@@ -376,7 +397,8 @@ def _pm_roots_of_split(h: list[int], p: int) -> list[int]:
 
     Deterministic shift sweep: split with gcd(h, (t+c)^((p-1)/2) - 1) for
     c = 0, 1, 2, ...; every squarefree split product separates within a few
-    shifts in practice.  Loud failure beyond the cap.
+    shifts in practice.  Loud failure beyond the cap.  The power is taken
+    by _pm_shift_power, one packed big-integer squaring per bit of p.
     """
     deg = len(h) - 1
     if deg <= 0:
@@ -385,7 +407,7 @@ def _pm_roots_of_split(h: list[int], p: int) -> list[int]:
         return [(-h[0] * pow(h[1], -1, p)) % p]
     half = (p - 1) // 2
     for c in range(_SPLIT_SHIFT_CAP):
-        power = _pm_powmod([c % p, 1], half, h, p)
+        power = _pm_shift_power(c, half, h, p)
         power = _pm_trim([(x - (1 if i == 0 else 0)) % p for i, x in enumerate(power)] or [0])
         g = _pm_gcd(h, power, p)
         if 0 < len(g) - 1 < deg:
@@ -406,6 +428,8 @@ def common_roots_mod_p(polys, p: int) -> list[int]:
     Horner evaluation, one poly at a time.  Otherwise the roots are those
     of the gcd h of the polys: gcd(h, t^p - t) is the product of t - r over
     them, split by _pm_roots_of_split, so the cost is polynomial in log p.
+    t^p mod h is taken by _pm_shift_power, which squares Kronecker-packed
+    coefficients with one big-integer multiply per bit of p.
     """
     reduced = [f for f in (_pm_trim([int(c) % p for c in g]) for g in polys) if f]
     if not reduced:
@@ -423,7 +447,7 @@ def common_roots_mod_p(polys, p: int) -> list[int]:
         return []
     if len(h) == 2:
         return [-h[0] * pow(h[1], -1, p) % p]
-    tp = _pm_powmod([0, 1], p, h, p) + [0, 0]
+    tp = _pm_shift_power(0, p, h, p) + [0, 0]
     tp[1] -= 1
     return _pm_roots_of_split(_pm_gcd(h, tp, p), p)
 

@@ -11,12 +11,12 @@ from .exactmath import (
     common_roots_mod_p,
     is_probable_prime,
     isolate_real_roots,
-    kernel_mod_p,
     rank_mod_p,  # unused here, but qpbench/worker.py traces this name
     roots_mod_p,
     rref_mod_p,
     solve_mod_p,  # unused here, but qpbench/worker.py traces this name
 )
+from .exactmath.unipoly import EVALUATION_FACTOR
 from .fano import (
     EXHAUSTIVE_PRIME_HARD_CAP,
     FANO_CODIMENSION,
@@ -291,22 +291,31 @@ def _conic_pair_zeros(A, B, p: int) -> list[tuple[int, int, int]] | None:
     where u_k = a2 b0k - b2 a0k, v_k = a2 b1k - b2 a1k, w0 = a10 b00 - a00 b10,
     w1 = a10 b01 + a11 b00 - a00 b11 - a01 b10, w2 = a10 b02 + a11 b01 -
     a01 b11 - a02 b10 and w3 = a11 b02 - a02 b11.  It vanishes identically
-    only for a shared component, and each of its roots gives the common
-    roots y of the two quadratics.  Roots come from common_roots_mod_p:
-    over a small field it evaluates at every residue, otherwise its cost is
-    polynomial in log p.
+    only for a shared component, and at each of its roots x the two
+    quadratics have a common root y, the one root of a2 B - b2 A = v y + u
+    when v(x) != 0.  Over a small field (p <= 5 EVALUATION_FACTOR, where
+    common_roots_mod_p would evaluate a quartic at every residue) the
+    residues are scanned here; otherwise roots come from common_roots_mod_p,
+    at a cost polynomial in log p.
     """
-    at_infinity = [(f[3], f[1], f[0]) for f in (A, B)]  # f(t, 1, 0)
-    if not any(c % p for pair in at_infinity for c in pair):
+    f00, f01, f02, f11, f12, f22 = A
+    g00, g01, g02, g11, g12, g22 = B
+    if not (f00 % p or f01 % p or f11 % p or g00 % p or g01 % p or g11 % p):
         return None  # both contain the line s2 = 0
-    zeros = [(t, 1, 0) for t in common_roots_mod_p(at_infinity, p)]
-    if A[0] % p == 0 and B[0] % p == 0:
+    small = p <= EVALUATION_FACTOR * 5
+    at_infinity = ([t for t in range(p) if (f11 + (f01 + f00 * t) * t) % p == 0
+                    and (g11 + (g01 + g00 * t) * t) % p == 0] if small
+                   else common_roots_mod_p(((f11, f01, f00), (g11, g01, g00)), p))
+    zeros = [(t, 1, 0) for t in at_infinity]
+    if f00 % p == 0 == g00 % p:
         zeros.append((1, 0, 0))
-    c = next(c for c in range(3) if any((f[0] * c * c + f[1] * c + f[3]) % p for f in (A, B)))
-    # f(x + c y, y, 1): the y^2 coefficient, then those of y and 1, in x.
-    (a2, a10, a11, a00, a01, a02), (b2, b10, b11, b00, b01, b02) = (
-        ((f[0] * c * c + f[1] * c + f[3]) % p, f[4] + f[2] * c, f[1] + 2 * f[0] * c,
-         f[5], f[2], f[0]) for f in (A, B))
+    for c in range(3):
+        a2, b2 = (f00 * c * c + f01 * c + f11) % p, (g00 * c * c + g01 * c + g11) % p
+        if a2 or b2:
+            break
+    # f(x + c y, y, 1): the coefficients of y and 1, in x.
+    a10, a11, a00, a01, a02 = f12 + f02 * c, f01 + 2 * f00 * c, f22, f02, f00
+    b10, b11, b00, b01, b02 = g12 + g02 * c, g01 + 2 * g00 * c, g22, g02, g00
     u0, u1, u2 = a2 * b00 - b2 * a00, a2 * b01 - b2 * a01, a2 * b02 - b2 * a02
     v0, v1 = a2 * b10 - b2 * a10, a2 * b11 - b2 * a11
     w0, w3 = a10 * b00 - a00 * b10, a11 * b02 - a02 * b11
@@ -317,11 +326,20 @@ def _conic_pair_zeros(A, B, p: int) -> list[tuple[int, int, int]] | None:
                  (2 * u1 * u2 - v0 * w3 - v1 * w2) % p, (u2 * u2 - v1 * w3) % p]
     if not any(resultant):
         return None
-    for x in roots_mod_p(resultant, p):
-        in_y = [[a00 + (a01 + a02 * x) * x, a10 + a11 * x, a2],
-                [b00 + (b01 + b02 * x) * x, b10 + b11 * x, b2]]
-        zeros += [((x + c * y) % p, y, 1) for y in common_roots_mod_p(in_y, p)]
+    r0, r1, r2, r3, r4 = resultant
+    for x in ([x for x in range(p) if (r0 + (r1 + (r2 + (r3 + r4 * x) * x) * x) * x) % p == 0]
+              if small else roots_mod_p(resultant, p)):
+        # v = 0 makes u = 0 too: then a2 B = b2 A, and the common roots are
+        # those of the quadratic with a nonzero y^2 coefficient.
+        u, v = (u0 + (u1 + u2 * x) * x) % p, (v0 + v1 * x) % p
+        ys = [-u * pow(v, -1, p) % p] if v else common_roots_mod_p(
+            [[a00 + (a01 + a02 * x) * x, a10 + a11 * x, a2],
+             [b00 + (b01 + b02 * x) * x, b10 + b11 * x, b2]], p)
+        zeros += [((x + c * y) % p, y, 1) for y in ys]
     return sorted(zeros)
+
+
+_GOLDEN64 = 0x9E3779B97F4A7C15
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -329,10 +347,37 @@ def _splitmix64(state: int) -> tuple[int, int]:
 
     Integer arithmetic only, so a seed gives the same words on every Python.
     """
-    state = (state + 0x9E3779B97F4A7C15) & _MASK64
+    state = (state + _GOLDEN64) & _MASK64
     z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
     return state, z ^ (z >> 31)
+
+
+def _pair_echelon(u, v, p: int):
+    """The reduced row echelon form (a, b) of [u; v] mod p and its pivots i, j.
+
+    Entries are in [0, p).  None when the rank is below 2.  The form is
+    unique, so this equals rref_mod_p([u, v], p), without its general loop.
+    """
+    n = len(u)
+    i = next((c for c in range(n) if u[c] or v[c]), None)
+    if i is None:
+        return None
+    if not u[i]:
+        u, v = v, u
+    s = pow(u[i], -1, p)
+    a = [x * s % p for x in u]
+    f = v[i]
+    b = [(y - f * x) % p for x, y in zip(a, v)]
+    j = next((c for c in range(i + 1, n) if b[c]), None)
+    if j is None:
+        return None
+    s = pow(b[j], -1, p)
+    b = [x * s % p for x in b]
+    f = a[j]
+    if f:
+        a = [(x - f * y) % p for x, y in zip(a, b)]
+    return a, b, i, j
 
 
 def smooth_line_through_point(
@@ -350,6 +395,14 @@ def smooth_line_through_point(
     fano.polar_jacobian must have rank 6.  Gives up after MAX_LINE_PLANES
     planes.
 
+    Both forms are restricted to a plane <v0, v1, v2> at once, by Kronecker
+    packing: with X = 2^w, V_a = v0_a + v1_a X^2 + v2_a X^6 and c_ab =
+    c1_ab + c2_ab X for the forms' coefficients (0 for a > b), the sum over
+    a, b of c_ab V_a V_b holds the coefficient of s_i s_j in Q_f(s0 v0 +
+    s1 v1 + s2 v2) at exponent 2 (S_i + S_j) + f, with S = (0, 1, 3).  The
+    sums S_i + S_j differ for each pair i <= j, and every coefficient is
+    below 42 p^3 < 2^w, so no two share a slot.
+
     The planes come from SplitMix64 seeded by the forms' coefficients and p,
     so the result is deterministic.  p must be an odd prime; the cost is
     polynomial in log p.
@@ -363,39 +416,56 @@ def smooth_line_through_point(
         for (i, j), c in q.monomials():
             state = _splitmix64(state ^ (NUM_VARIABLES * i + j) ^ (c << 8))[1]
     limbs = p.bit_length() // 64 + 1
+    w = (42 * p**3).bit_length()
+    mask = (1 << w) - 1
     half = (p + 1) // 2  # 1/2 mod p: Q(v) = v.Pv / 2
+    # The packed c_ab: P_ab for a < b and P_aa / 2, for both forms.
+    rows = [[0] * a + [r1[a] * half % p | r2[a] * half % p << w]
+            + [r1[b] | r2[b] << w for b in range(a + 1, NUM_VARIABLES)]
+            for a, (r1, r2) in enumerate(zip(*polars))]
+    # Where each form's conic (f00, f01, f02, f11, f12, f22) is in the sum.
+    shifts = [[w * (e + f) for e in (0, 2, 6, 4, 8, 12)] for f in (0, 1)]
 
-    def draw() -> int:
+    def plane() -> list[list[int]]:
+        """The next 18 draws, 3 rows of 6: each is `limbs` words, first highest, mod p."""
         nonlocal state
-        value = 0
-        for _ in range(limbs):
-            state, word = _splitmix64(state)
-            value = value << 64 | word
-        return value % p
+        # The k-th step from state is one step from state + (k - 1) G.
+        words = [_splitmix64(state + k * _GOLDEN64)[1] for k in range(18 * limbs)]
+        state = (state + 18 * limbs * _GOLDEN64) & _MASK64
+        if limbs > 1:
+            words = [int.from_bytes(b"".join(x.to_bytes(8, "big") for x in words[k:k + limbs]),
+                                    "big") for k in range(0, 18 * limbs, limbs)]
+        values = [x % p for x in words]
+        return [values[:6], values[6:12], values[12:]]
 
     def zeros_on(basis) -> list:
-        conics = []
-        for P in polars:
-            pvs = [[sum(map(mul, row, v)) for row in P] for v in basis]
-            conics.append([sum(map(mul, basis[i], pvs[j])) * (half if i == j else 1) % p
-                           for i in range(3) for j in range(i, 3)])
+        packed = [x | y << 2 * w | z << 6 * w for x, y, z in zip(*basis)]
+        total = sum(map(mul, packed, [sum(map(mul, row, packed)) for row in rows]))
+        conics = [[(total >> shift & mask) % p for shift in form] for form in shifts]
         columns = list(zip(*basis))
         return [[sum(map(mul, z, column)) % p for column in columns]
                 for z in _conic_pair_zeros(*conics, p) or ()]
 
     for _ in range(MAX_LINE_PLANES):
-        for x in zeros_on([[draw() for _ in range(NUM_VARIABLES)] for _ in range(3)]):
-            kernel = kernel_mod_p(_polar_products(polars, x, p), p)
-            if len(kernel) != 4:
+        for x in zeros_on(plane()):
+            echelon = _pair_echelon(*_polar_products(polars, x, p), p)
+            if echelon is None:
                 continue  # a singular point of X_p, or x = 0
-            # Kernel vector k has its last nonzero entry, 1, at its free
-            # column, where the others are 0; so x has a nonzero coefficient
-            # on k iff x is nonzero there, and the other three span a
-            # complement of x in the kernel.
-            drop = next(k for k in kernel if x[max(c for c, t in enumerate(k) if t)])
-            for y in zeros_on([k for k in kernel if k is not drop]):
-                (a, b), pivots = rref_mod_p([x, y], p)
-                cell = _CHARTS[tuple(pivots)]
+            # The kernel vector at free column f is e_f - r1_f e_i - r2_f e_j,
+            # so x has a nonzero coefficient on it iff x_f != 0, and the
+            # other three span a complement of x in the kernel.
+            r1, r2, i, j = echelon
+            free = [f for f in range(NUM_VARIABLES) if f != i and f != j]
+            drop = next(f for f in free if x[f])
+            complement = []
+            for f in free:
+                if f != drop:
+                    k = [0] * NUM_VARIABLES
+                    k[f], k[i], k[j] = 1, -r1[f] % p, -r2[f] % p
+                    complement.append(k)
+            for y in zeros_on(complement):
+                a, b, i, j = _pair_echelon(x, y, p)
+                cell = _CHARTS[i, j]
                 if _rank_is_6(cell, _polar_products(polars, a, p),
                               _polar_products(polars, b, p), p):
                     return cell, _chart_coordinates(cell, a, b, p)

@@ -27,7 +27,7 @@ import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .exactmath import is_probable_prime
 from .quadric import NUM_VARIABLES, VARIABLES, QuadraticForm
@@ -144,8 +144,16 @@ def _tokenize(text: str, line: int) -> list[_Token]:
     return tokens
 
 
-class _FormParser:
-    """Recursive-descent parser for sums of degree-2 monomials.
+# The deepest parenthesis nesting a form may have, wherever the parser is
+# called from: every form the command line accepted while the parser
+# recursed (three Python frames a level) still parses.
+MAX_NESTING = 328
+
+
+def _parse_tokens(
+    tokens: list[_Token], line: int, line_length: int
+) -> tuple[dict[tuple[int, ...], int], dict[tuple[int, ...], int]]:
+    """Parse a sum of degree-2 monomials; the polynomial and each monomial's column.
 
     Grammar::
 
@@ -155,117 +163,100 @@ class _FormParser:
 
     Parenthesised subexpressions are accepted for grouping of sums; the
     parser multiplies everything out exactly and then checks that each
-    surviving monomial has total degree 2.  Each parenthesis level costs
-    three Python frames; where the interpreter's recursion limit stops the
-    descent, the form is rejected at the outermost parenthesis still open.
+    surviving monomial has total degree 2.  A polynomial is a dict
+    {monomial: coefficient}, where a monomial is the sorted tuple of its
+    variables' indices (() for a constant), so its length is its degree,
+    which never exceeds 2.  The column of a monomial is that of the first
+    term of the outermost sum giving it.
+
+    The descent keeps an explicit stack: an opening parenthesis saves the
+    enclosing sum and term, and its closing one restores them with the inner
+    sum as the factor.  A parenthesis past MAX_NESTING levels is rejected at
+    the outermost parenthesis still open.
     """
-
-    def __init__(self, tokens: list[_Token], line: int, line_length: int) -> None:
-        self._tokens = tokens + [None]  # None marks the end
-        self._pos = 0
-        self._line = line
-        self._end_column = line_length + 1
-
-    def _peek(self) -> Optional[_Token]:
-        return self._tokens[self._pos]
-
-    def _next(self) -> _Token:
-        tok = self._tokens[self._pos]
-        if tok is None:
-            raise ParseError("unexpected end of expression", self._line, self._end_column)
-        self._pos += 1
-        return tok
-
-    # A polynomial is a dict {monomial: coefficient}, where a monomial is the
-    # sorted tuple of its variables' indices (() for a constant), so its
-    # length is its degree, which never exceeds 2.
-    def parse(
-        self,
-    ) -> tuple[dict[tuple[int, ...], int], dict[tuple[int, ...], int]]:
-        try:
-            result = self._parse_sum()
-        except RecursionError:
-            depth, column = 0, 1
-            for kind, _, col in self._tokens[: self._pos]:
-                if kind == "(":
-                    column = column if depth else col
-                    depth += 1
-                elif kind == ")":
-                    depth -= 1
-            raise ParseError("parentheses nested too deeply", self._line, column) from None
-        trailing = self._peek()
-        if trailing is not None:
-            raise ParseError(f"unexpected '{trailing[1]}'", self._line, trailing[2])
-        return result
-
-    def _parse_sum(
-        self,
-    ) -> tuple[dict[tuple[int, ...], int], dict[tuple[int, ...], int]]:
-        """The sum, and the column of the first term giving each monomial."""
-        total: dict[tuple[int, ...], int] = {}
-        columns: dict[tuple[int, ...], int] = {}
-        tok = self._peek()
-        while True:
-            sign = 1
+    tokens = tokens + [None]  # None marks the end
+    end_column = line_length + 1
+    pos = 0
+    # Per open parenthesis: the enclosing sum's total and columns, the sign,
+    # first token, product and multiplication column of the term it is in,
+    # and its own column.
+    enclosing = []
+    total: dict[tuple[int, ...], int] = {}
+    columns: dict[tuple[int, ...], int] = {}
+    new_term = True
+    while True:
+        if new_term:
+            tok, sign = tokens[pos], 1
             if tok is not None and tok[0] in "+-":
-                self._next()
+                pos += 1
                 sign = -1 if tok[0] == "-" else 1
-            start = self._peek()
-            for monomial, coeff in self._parse_term().items():
+            start, product, column, new_term = tokens[pos], None, None, False
+        # One factor.
+        tok = tokens[pos]
+        if tok is None:
+            raise ParseError("unexpected end of expression", line, end_column)
+        pos += 1
+        kind, text, at = tok
+        if kind == "(":
+            if len(enclosing) == MAX_NESTING:
+                raise ParseError("parentheses nested too deeply", line, enclosing[0][-1])
+            enclosing.append((total, columns, sign, start, product, column, at))
+            total, columns, new_term = {}, {}, True
+            continue
+        if kind == "int":
+            factor = {(): _to_int(text, line, at)}
+        elif kind == "var":
+            exponent = 1
+            nxt = tokens[pos]
+            if nxt is not None and nxt[0] == "^":
+                power = tokens[pos + 1]
+                if power is None:
+                    raise ParseError("unexpected end of expression", line, end_column)
+                pos += 2
+                power_kind, power_text, power_column = power
+                if power_kind != "int":
+                    raise ParseError("expected an integer exponent after '^'", line, power_column)
+                exponent = _to_int(power_text, line, power_column)
+                if exponent > 2:
+                    raise ParseError(
+                        f"non-quadratic monomial: exponent {exponent} exceeds 2", line, power_column
+                    )
+            factor = {(_VARIABLE_INDEX[text],) * exponent: 1}
+        else:
+            raise ParseError(f"unexpected '{text}'", line, at)
+        # The factor is complete: multiply it in, then end the term, the sum
+        # and each parenthesis that closes here, until a factor or term follows.
+        while True:
+            product = factor if product is None else _poly_mul(product, factor, line, column)
+            tok = tokens[pos]
+            if tok is not None and tok[0] in ("*", "int", "var", "("):
+                # explicit or implicit multiplication: 4*vw, 4vw, 2 x z, 3(u+v)...
+                if tok[0] == "*":
+                    pos += 1
+                    tok = tokens[pos]
+                column = tok[2] if tok is not None else end_column
+                break
+            for monomial, coeff in product.items():
                 columns.setdefault(monomial, start[2])
                 new = total.get(monomial, 0) + sign * coeff
                 if new:
                     total[monomial] = new
                 else:
                     total.pop(monomial, None)
-            tok = self._peek()
-            if tok is None or tok[0] not in "+-":
+            if tok is not None and tok[0] in "+-":
+                new_term = True
+                break
+            if not enclosing:
+                if tok is not None:
+                    raise ParseError(f"unexpected '{tok[1]}'", line, tok[2])
                 return total, columns
-
-    def _parse_term(self) -> dict[tuple[int, ...], int]:
-        product, tokens = self._parse_factor(), self._tokens
-        while True:
-            tok = tokens[self._pos]
             if tok is None:
-                return product
-            if tok[0] == "*":
-                self._pos += 1
-                tok = tokens[self._pos]
-            elif tok[0] not in ("int", "var", "("):
-                return product
-            # explicit or implicit multiplication: 4*vw, 4vw, 2 x z, 3(u+v)...
-            column = tok[2] if tok is not None else self._end_column
-            product = _poly_mul(product, self._parse_factor(), self._line, column)
-
-    def _parse_factor(self) -> dict[tuple[int, ...], int]:
-        kind, text, column = self._next()
-        if kind == "int":
-            return {(): _to_int(text, self._line, column)}
-        if kind == "var":
-            exponent = 1
-            nxt = self._tokens[self._pos]
-            if nxt is not None and nxt[0] == "^":
-                self._pos += 1
-                power_kind, power_text, power_column = self._next()
-                if power_kind != "int":
-                    raise ParseError(
-                        "expected an integer exponent after '^'", self._line, power_column
-                    )
-                exponent = _to_int(power_text, self._line, power_column)
-                if exponent > 2:
-                    raise ParseError(
-                        f"non-quadratic monomial: exponent {exponent} exceeds 2",
-                        self._line,
-                        power_column,
-                    )
-            return {(_VARIABLE_INDEX[text],) * exponent: 1}
-        if kind == "(":
-            inner, _ = self._parse_sum()
-            closing = self._next()
-            if closing[0] != ")":
-                raise ParseError("expected ')'", self._line, closing[2])
-            return inner
-        raise ParseError(f"unexpected '{text}'", self._line, column)
+                raise ParseError("unexpected end of expression", line, end_column)
+            if tok[0] != ")":
+                raise ParseError("expected ')'", line, tok[2])
+            pos += 1
+            factor = total
+            total, columns, sign, start, product, column, _ = enclosing.pop()
 
 
 def _poly_mul(
@@ -303,7 +294,7 @@ def parse_form(text: str, line: int = 1) -> QuadraticForm:
     tokens = _tokenize(text, line)
     if not tokens:
         raise ParseError("empty polynomial", line, 1)
-    poly, columns = _FormParser(tokens, line, len(text)).parse()
+    poly, columns = _parse_tokens(tokens, line, len(text))
     coeffs: dict[tuple[int, int], int] = {}
     for monomial, coeff in poly.items():
         if len(monomial) != 2:

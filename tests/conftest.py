@@ -24,6 +24,7 @@ from quadpencil.exactmath import (
 )
 from quadpencil.exactmath.unipoly import (
     _over_common,
+    _pm_divmod,
     _pm_gcd,
     _pm_trim,
     _powers,
@@ -33,7 +34,14 @@ from quadpencil.exactmath.unipoly import (
     _variations,
 )
 from quadpencil.fano import _chart_coordinates, chart_point_rows
-from quadpencil.parsing import _decimal
+from quadpencil.parsing import (
+    _VARIABLE_INDEX,
+    ParseError,
+    _decimal,
+    _poly_mul,
+    _to_int,
+    _tokenize,
+)
 from quadpencil.quadric import VARIABLES, gradient_at, polar_form, restrict_to_line
 from quadpencil.reduction import (
     _assert_complete_intersection,
@@ -50,6 +58,8 @@ NO_WITNESS_PATH = os.path.join(DATA_DIR, "no_witness_pencil.txt")
 # Random-pencils seed 1, pencil 20: trial division to 10^6 leaves a
 # composite cofactor that is no perfect power.
 UNFACTORABLE_PATH = os.path.join(DATA_DIR, "unfactorable_pencil.txt")
+# The pencils of qpbench random_pencils seeds 1-3 with a bad prime >= 7.
+RANDOM_PLACES_PATH = os.path.join(DATA_DIR, "random_pencil_places.txt")
 
 Q1_TEXT = "uv + uw - 4vw + 2vz + 2wz + x^2 - 2xz + y^2 - z^2"
 Q2_TEXT = "uv - uw + uy - 2v^2 + 2vx - 2wy + 2wz + 2xz"
@@ -323,6 +333,156 @@ def reference_isolate_real_roots(f, width=Fraction(1, 10**6)):
                 stack.append((mid, hi, den, vmid, vhi))
             break
     return sorted((Fraction(lo, den), Fraction(hi, den)) for lo, hi, den in found)
+
+
+def reference_powmod(base, e: int, mod, p: int) -> list[int]:
+    """base^e mod (mod, p) by schoolbook products, each reduced by long
+    division, right to left over the bits of e: the powmod that roots over
+    a large field used before Kronecker-packed squaring, kept as its oracle."""
+
+    def mulmod(a, b):
+        if not a or not b:
+            return []
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] = (out[i + j] + x * y) % p
+        return _pm_divmod(out, mod, p)[1]
+
+    result = [1]
+    base = _pm_divmod(base, mod, p)[1]
+    while e:
+        if e & 1:
+            result = mulmod(result, base)
+        base = mulmod(base, base)
+        e >>= 1
+    return result
+
+
+class _ReferenceFormParser:
+    """The recursive-descent form parser that came before the explicit stack,
+    kept as its oracle: three Python frames per parenthesis level, and past
+    the interpreter's recursion limit the outermost open parenthesis is
+    reported, so its deepest nesting depends on the caller's stack."""
+
+    def __init__(self, tokens, line: int, line_length: int) -> None:
+        self._tokens = tokens + [None]
+        self._pos = 0
+        self._line = line
+        self._end_column = line_length + 1
+
+    def _peek(self):
+        return self._tokens[self._pos]
+
+    def _next(self):
+        tok = self._tokens[self._pos]
+        if tok is None:
+            raise ParseError("unexpected end of expression", self._line, self._end_column)
+        self._pos += 1
+        return tok
+
+    def parse(self):
+        try:
+            result = self._parse_sum()
+        except RecursionError:
+            depth, column = 0, 1
+            for kind, _, col in self._tokens[: self._pos]:
+                if kind == "(":
+                    column = column if depth else col
+                    depth += 1
+                elif kind == ")":
+                    depth -= 1
+            raise ParseError("parentheses nested too deeply", self._line, column) from None
+        trailing = self._peek()
+        if trailing is not None:
+            raise ParseError(f"unexpected '{trailing[1]}'", self._line, trailing[2])
+        return result
+
+    def _parse_sum(self):
+        total, columns = {}, {}
+        tok = self._peek()
+        while True:
+            sign = 1
+            if tok is not None and tok[0] in "+-":
+                self._next()
+                sign = -1 if tok[0] == "-" else 1
+            start = self._peek()
+            for monomial, coeff in self._parse_term().items():
+                columns.setdefault(monomial, start[2])
+                new = total.get(monomial, 0) + sign * coeff
+                if new:
+                    total[monomial] = new
+                else:
+                    total.pop(monomial, None)
+            tok = self._peek()
+            if tok is None or tok[0] not in "+-":
+                return total, columns
+
+    def _parse_term(self):
+        product, tokens = self._parse_factor(), self._tokens
+        while True:
+            tok = tokens[self._pos]
+            if tok is None:
+                return product
+            if tok[0] == "*":
+                self._pos += 1
+                tok = tokens[self._pos]
+            elif tok[0] not in ("int", "var", "("):
+                return product
+            column = tok[2] if tok is not None else self._end_column
+            product = _poly_mul(product, self._parse_factor(), self._line, column)
+
+    def _parse_factor(self):
+        kind, text, column = self._next()
+        if kind == "int":
+            return {(): _to_int(text, self._line, column)}
+        if kind == "var":
+            exponent = 1
+            nxt = self._tokens[self._pos]
+            if nxt is not None and nxt[0] == "^":
+                self._pos += 1
+                power_kind, power_text, power_column = self._next()
+                if power_kind != "int":
+                    raise ParseError(
+                        "expected an integer exponent after '^'", self._line, power_column
+                    )
+                exponent = _to_int(power_text, self._line, power_column)
+                if exponent > 2:
+                    raise ParseError(
+                        f"non-quadratic monomial: exponent {exponent} exceeds 2",
+                        self._line,
+                        power_column,
+                    )
+            return {(_VARIABLE_INDEX[text],) * exponent: 1}
+        if kind == "(":
+            inner, _ = self._parse_sum()
+            closing = self._next()
+            if closing[0] != ")":
+                raise ParseError("expected ')'", self._line, closing[2])
+            return inner
+        raise ParseError(f"unexpected '{text}'", self._line, column)
+
+
+def reference_parse_form(text: str, line: int = 1) -> dict:
+    """parse_form's coefficients by _ReferenceFormParser, with the same checks."""
+    tokens = _tokenize(text, line)
+    if not tokens:
+        raise ParseError("empty polynomial", line, 1)
+    poly, columns = _ReferenceFormParser(tokens, line, len(text)).parse()
+    coeffs = {}
+    for monomial, coeff in poly.items():
+        if len(monomial) != 2:
+            text = VARIABLES[monomial[0]] if monomial else str(coeff)
+            raise ParseError(
+                f"non-quadratic monomial: '{text}' has total degree {len(monomial)}",
+                line,
+                columns[monomial],
+            )
+        coeffs[monomial] = coeff
+    if not coeffs:
+        raise ParseError("the polynomial is identically zero", line, 1)
+    return coeffs
 
 
 def reference_singular_locus(pencil, prime: int) -> SingularLocusReport:

@@ -34,7 +34,13 @@ from quadpencil.exactmath import (
 )
 from quadpencil.exactmath import integers, unipoly
 from quadpencil.exactmath.matrix import resultant
-from quadpencil.exactmath.unipoly import _sturm_chain, squarefree_degree6
+from quadpencil.exactmath.unipoly import (
+    _pm_gcd,
+    _pm_shift_power,
+    _pm_trim,
+    _sturm_chain,
+    squarefree_degree6,
+)
 
 from test_localcert import exact as qpbench_exact
 
@@ -47,6 +53,7 @@ from conftest import (
     det_cofactor,
     evaluate_poly,
     reference_isolate_real_roots,
+    reference_powmod,
 )
 
 _T = sympy.Symbol("t")
@@ -996,6 +1003,43 @@ def test_common_roots_mod_p_match_evaluation(monkeypatch, factor):
             for f in nonzero:
                 assert roots_mod_p(f, p) == [r for r in range(p) if _value_mod(f, r, p) == 0]
     assert paths == ({True, False} if factor is None else {factor > 0})
+
+
+# Small primes, where the shift sweep's c wraps, and 28-, 40- and 64-bit
+# primes as the bad primes of random pencils have, and 2^61 - 1.
+POWMOD_PRIMES = (3, 5, 7, 31, 1009, 268435399, 1099511627689, 18446744073709551557, 2**61 - 1)
+
+
+@pytest.mark.parametrize("p", POWMOD_PRIMES)
+def test_packed_shift_power_matches_the_reference_powmod(p):
+    assert is_probable_prime(p)
+    rng = random.Random(20261020 + p)
+    # Two moduli of each degree 1..6, each the gcd by _pm_gcd of two products
+    # with a common factor, as the root search finds its moduli.
+    moduli = {d: [] for d in range(1, 7)}
+    while any(len(found) < 2 for found in moduli.values()):
+        d = rng.choice([d for d, found in moduli.items() if len(found) < 2])
+        common = [rng.randrange(p) for _ in range(d)] + [1]
+        a, b = ([x % p for x in _product(common, [rng.randrange(p) for _ in range(2)] + [1])]
+                for _ in range(2))
+        h = _pm_gcd(a, b, p)
+        if len(h) - 1 in moduli and len(moduli[len(h) - 1]) < 2:
+            moduli[len(h) - 1].append(h)
+    for h in (h for found in moduli.values() for h in found):
+        # common_roots_mod_p may pass a single poly that is not monic.
+        for mod in (h, [x * rng.randrange(1, p) % p for x in h]):
+            for c in (0, 1, rng.randrange(64)):
+                for e in (0, 1, p, (p - 1) // 2, rng.randrange(2, 3 * p), rng.randrange(p**2)):
+                    assert _pm_shift_power(c, e, mod, p) == reference_powmod(
+                        _pm_trim([c % p, 1]), e, mod, p), (p, mod, c, e)
+
+
+def _product(a, b) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def test_roots_mod_p_of_a_split_quartic_at_a_25_digit_prime():

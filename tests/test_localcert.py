@@ -25,6 +25,7 @@ from quadpencil import (
     fano_system,
     hensel_certify,
     parse_input,
+    parse_input_text,
     real_place_report,
     search_smooth_points,
     verify_fano_point,
@@ -51,6 +52,7 @@ from conftest import (
     NO_WITNESS_PATH,
     P3_LIFT_MOD_27,
     P3_SMOOTH_POINT,
+    RANDOM_PLACES_PATH,
     REAL_ROOTS_PRINTED,
     REPO_ROOT,
     chart_read_off,
@@ -610,6 +612,39 @@ def test_line_search_results_are_pinned(example_pencil):
             found.append(None if line is None else [list(line[0].pivots), list(line[1])])
     assert sum(line is None for line in found) == 4
     assert hashlib.sha256(json.dumps(found).encode()).hexdigest() == LINE_SEARCH_SHA256
+
+
+def _random_pencil_places() -> list:
+    """(label, pencil, p) at every bad prime p >= 7 of the pencils in
+    RANDOM_PLACES_PATH, then at 149743897 of no_witness_pencil.txt: 296
+    places, none of which any method but a line through a point searches."""
+    with open(RANDOM_PLACES_PATH) as handle:
+        blocks = handle.read().split("\n\n")[1:]
+    places = []
+    for block in blocks:
+        label = block.splitlines()[0].removeprefix("# ")
+        pencil = parse_input_text(block).pencil
+        places += [(label, pencil, p) for p in curve_data(pencil).bad_primes if p >= 7]
+    places.append(("no_witness", parse_input(NO_WITNESS_PATH).pencil, BIG_PRIME))
+    return places
+
+
+# sha256 of the JSON list of smooth_line_through_point results, as for
+# LINE_SEARCH_SHA256, at the places of _random_pencil_places in order.
+RANDOM_PLACES_SHA256 = "1d197bf2b6ffc38e968119b5d6f854351f5085e94e76fa4aec999f4df8a0edc1"
+
+
+def test_lines_at_the_bad_primes_of_random_pencils_are_pinned():
+    places = _random_pencil_places()
+    assert len(places) == 296
+    found = []
+    for _, pencil, p in places:
+        line = smooth_line_through_point(pencil, p)
+        found.append(None if line is None else [list(line[0].pivots), list(line[1])])
+    # Three have no F_p-line at all; seed 1 #36 has 16 F_7-lines, none smooth.
+    assert [(label, p) for (label, _, p), line in zip(places, found) if line is None] == [
+        ("seed 1 #34", 11), ("seed 1 #35", 13), ("seed 1 #36", 7), ("seed 3 #24", 11)]
+    assert hashlib.sha256(json.dumps(found).encode()).hexdigest() == RANDOM_PLACES_SHA256
 
 
 def test_line_through_a_point_rejects_bad_primes(example_pencil):

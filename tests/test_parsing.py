@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import sys
 
 import pytest
@@ -29,8 +30,10 @@ from conftest import (
     Q2_COEFFS,
     Q2_TEXT,
     SINGULAR_POINT_VERBATIM,
+    reference_parse_form,
 )
 from test_quadric import random_form
+from quadpencil.parsing import MAX_NESTING
 
 
 def _csv(values) -> str:
@@ -165,8 +168,8 @@ def test_unbalanced_parentheses():
 
 @pytest.mark.parametrize("depth", [340, 5000])
 def test_deep_parentheses_are_a_parse_error(depth):
-    # Each level is three Python frames of the recursive descent: past the
-    # recursion limit the form is rejected at its outermost open parenthesis.
+    # Past MAX_NESTING levels the form is rejected at its outermost open
+    # parenthesis.
     nested = "(" * depth + "u^2" + ")" * depth
     with pytest.raises(ParseError) as info:
         parse_form(f"v^2 + {nested}", line=4)
@@ -174,6 +177,76 @@ def test_deep_parentheses_are_a_parse_error(depth):
         "parentheses nested too deeply", 4, 7)
     with pytest.raises(ParseError, match="^line 2, column 5: parentheses nested too deeply$"):
         parse_input_text(f"Q2: v^2 + w^2\nQ1: {nested}\n")
+
+
+def _at_depth(frames: int, call):
+    """call() from `frames` more Python frames down the stack."""
+    return call() if frames == 0 else _at_depth(frames - 1, call)
+
+
+@pytest.mark.parametrize("frames", [0, 300, 700])
+def test_nesting_cap_does_not_depend_on_the_callers_stack(frames):
+    # The cap holds however deep the caller is: the recursive parser kept in
+    # conftest rejects 300 levels from about 100 frames below the CLI's depth.
+    assert MAX_NESTING == 328
+    deepest = "(" * 327 + "u^2 - w(v)" + ")" * 327
+    form = _at_depth(frames, lambda: parse_form(f"v^2 + {deepest}"))
+    assert form.coeffs == {(1, 1): 1, (0, 0): 1, (1, 2): -1}
+    # Two levels stay open around a closed third, then 327 more open.
+    too_deep = "((" + "(u^2) + " + "(" * 327 + "v^2" + ")" * 329
+    with pytest.raises(ParseError) as info:
+        _at_depth(frames, lambda: parse_form(too_deep, line=4))
+    assert (info.value.message, info.value.line, info.value.column) == (
+        "parentheses nested too deeply", 4, 1)
+    with pytest.raises(ParseError, match="^line 1, column 5: parentheses nested too deeply$"):
+        _at_depth(frames, lambda: parse_input_text(
+            "Q1: " + "(" * 329 + "u^2" + ")" * 329 + "\nQ2: v^2 + w^2\n"))
+
+
+def _form_outcome(parse, text: str):
+    try:
+        result = parse(text, line=3)
+    except ParseError as error:
+        return error.message, error.line, error.column
+    return result if isinstance(result, dict) else result.coeffs
+
+
+def _grouped_form(rng: random.Random) -> str:
+    """A random form's terms with random signs, '*', spacing and parentheses."""
+    terms = pretty_print(random_form(rng)).replace("- ", "+ -").split(" + ")
+    text = ""
+    for term in terms:
+        if rng.random() < 0.3 and term[0] != "-":
+            term = f"{rng.randint(1, 3)}*({term} {rng.choice('+-')} uv)"
+        if rng.random() < 0.2:
+            depth = rng.randint(1, 30)
+            term = "(" * depth + term + ")" * depth
+        text += rng.choice((" + ", "+", " - ", "-", " ")) + term if text else term
+    return text
+
+
+def test_parse_errors_match_the_recursive_parser():
+    # Random forms with grouping, and mutations of them: deleted, inserted
+    # and replaced characters give every kind of ParseError the parser has.
+    rng = random.Random(20261020)
+    alphabet = "uvwxyz0123456789+-*^() ?a²"
+    kinds = set()
+    for _ in range(400):
+        text = _grouped_form(rng)
+        for _ in range(rng.randint(0, 3)):
+            k = rng.randrange(len(text) + 1)
+            edit = rng.randrange(4)
+            if edit == 3:  # cut short
+                text = text[:k]
+            else:  # deleted, inserted or replaced
+                text = text[:k] + rng.choice(alphabet) * (edit > 0) + text[k + (edit != 1):]
+        if rng.random() < 0.05:
+            text = "3" * (sys.get_int_max_str_digits() + 1) + text
+        expected = _form_outcome(reference_parse_form, text)
+        assert _form_outcome(parse_form, text) == expected, text
+        kinds.add(re.sub(r"'[^']*'|\d+", "", expected[0]) if isinstance(expected, tuple)
+                  else "parsed")
+    assert len(kinds) >= 12, sorted(kinds)
 
 
 def test_identically_zero_is_rejected():

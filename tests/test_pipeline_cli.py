@@ -767,7 +767,7 @@ PINNED_PENCILS = {
     "degenerate3": "Q1: 3u^2 + 3v^2\nQ2: u^2 + v^2 + w^2 + x^2 + y^2 + z^2\n",
     "degenerate-all3": "Q1: 3u^2 + 3v^2 + 3w^2 + 3x^2 + 3y^2 + 3z^2\n"
                        "Q2: u^2 + 2v^2 + 3w^2 + 4x^2 + 5y^2 + 6z^2\n",
-    # Past the parser's recursion limit: an input error, not a traceback.
+    # Past the parser's nesting cap: an input error, not a traceback.
     "deep340": "Q1: " + "(" * 340 + "u^2" + ")" * 340 + "\nQ2: v^2 + w^2\n",
 }
 
