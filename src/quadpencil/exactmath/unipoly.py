@@ -425,20 +425,29 @@ def common_roots_mod_p(polys, p: int) -> list[int]:
     prime.  A poly that is 0 mod p imposes nothing; when every one is,
     raises ValueError.  Over a small field (p <= EVALUATION_FACTOR times
     the longest coefficient list) the residues 0..p-1 are filtered by
-    Horner evaluation, one poly at a time.  Otherwise the roots are those
+    Horner evaluation, one poly at a time, written out inline for the
+    quartics and below that most callers pass.  Otherwise the roots are those
     of the gcd h of the polys: gcd(h, t^p - t) is the product of t - r over
     them, split by _pm_roots_of_split, so the cost is polynomial in log p.
     t^p mod h is taken by _pm_shift_power, which squares Kronecker-packed
     coefficients with one big-integer multiply per bit of p.
     """
-    reduced = [f for f in (_pm_trim([int(c) % p for c in g]) for g in polys) if f]
+    reduced = []
+    for g in polys:
+        f = _pm_trim([int(c) % p for c in g])
+        if f:
+            reduced.append(f)
     if not reduced:
         raise ValueError("f is identically zero mod p")
     if p <= EVALUATION_FACTOR * max(map(len, reduced)):
         roots = range(p)
         for f in reduced:
-            backwards = f[::-1]
-            roots = [t for t in roots if _horner(backwards, t) % p == 0]
+            if len(f) <= 5:
+                c0, c1, c2, c3, c4 = f + [0] * (5 - len(f))
+                roots = [t for t in roots if not (c0 + (c1 + (c2 + (c3 + c4 * t) * t) * t) * t) % p]
+            else:
+                backwards = f[::-1]
+                roots = [t for t in roots if not _horner(backwards, t) % p]
         return roots
     h = reduced[0]
     for g in reduced[1:]:

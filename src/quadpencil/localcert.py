@@ -16,7 +16,6 @@ from .exactmath import (
     rref_mod_p,
     solve_mod_p,  # unused here, but qpbench/worker.py traces this name
 )
-from .exactmath.unipoly import EVALUATION_FACTOR
 from .fano import (
     EXHAUSTIVE_PRIME_HARD_CAP,
     FANO_CODIMENSION,
@@ -293,20 +292,14 @@ def _conic_pair_zeros(A, B, p: int) -> list[tuple[int, int, int]] | None:
     a01 b11 - a02 b10 and w3 = a11 b02 - a02 b11.  It vanishes identically
     only for a shared component, and at each of its roots x the two
     quadratics have a common root y, the one root of a2 B - b2 A = v y + u
-    when v(x) != 0.  Over a small field (p <= 5 EVALUATION_FACTOR, where
-    common_roots_mod_p would evaluate a quartic at every residue) the
-    residues are scanned here; otherwise roots come from common_roots_mod_p,
-    at a cost polynomial in log p.
+    when v(x) != 0.  Roots come from common_roots_mod_p: over a small field
+    it evaluates at every residue, otherwise its cost is polynomial in log p.
     """
     f00, f01, f02, f11, f12, f22 = A
     g00, g01, g02, g11, g12, g22 = B
     if not (f00 % p or f01 % p or f11 % p or g00 % p or g01 % p or g11 % p):
         return None  # both contain the line s2 = 0
-    small = p <= EVALUATION_FACTOR * 5
-    at_infinity = ([t for t in range(p) if (f11 + (f01 + f00 * t) * t) % p == 0
-                    and (g11 + (g01 + g00 * t) * t) % p == 0] if small
-                   else common_roots_mod_p(((f11, f01, f00), (g11, g01, g00)), p))
-    zeros = [(t, 1, 0) for t in at_infinity]
+    zeros = [(t, 1, 0) for t in common_roots_mod_p(((f11, f01, f00), (g11, g01, g00)), p)]
     if f00 % p == 0 == g00 % p:
         zeros.append((1, 0, 0))
     for c in range(3):
@@ -326,9 +319,7 @@ def _conic_pair_zeros(A, B, p: int) -> list[tuple[int, int, int]] | None:
                  (2 * u1 * u2 - v0 * w3 - v1 * w2) % p, (u2 * u2 - v1 * w3) % p]
     if not any(resultant):
         return None
-    r0, r1, r2, r3, r4 = resultant
-    for x in ([x for x in range(p) if (r0 + (r1 + (r2 + (r3 + r4 * x) * x) * x) * x) % p == 0]
-              if small else roots_mod_p(resultant, p)):
+    for x in roots_mod_p(resultant, p):
         # v = 0 makes u = 0 too: then a2 B = b2 A, and the common roots are
         # those of the quadratic with a nonzero y^2 coefficient.
         u, v = (u0 + (u1 + u2 * x) * x) % p, (v0 + v1 * x) % p
@@ -339,45 +330,15 @@ def _conic_pair_zeros(A, B, p: int) -> list[tuple[int, int, int]] | None:
     return sorted(zeros)
 
 
-_GOLDEN64 = 0x9E3779B97F4A7C15
-
-
 def _splitmix64(state: int) -> tuple[int, int]:
     """One step of SplitMix64 (Steele, Lea and Flood 2014): the next state and its word.
 
     Integer arithmetic only, so a seed gives the same words on every Python.
     """
-    state = (state + _GOLDEN64) & _MASK64
+    state = (state + 0x9E3779B97F4A7C15) & _MASK64
     z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
     return state, z ^ (z >> 31)
-
-
-def _pair_echelon(u, v, p: int):
-    """The reduced row echelon form (a, b) of [u; v] mod p and its pivots i, j.
-
-    Entries are in [0, p).  None when the rank is below 2.  The form is
-    unique, so this equals rref_mod_p([u, v], p), without its general loop.
-    """
-    n = len(u)
-    i = next((c for c in range(n) if u[c] or v[c]), None)
-    if i is None:
-        return None
-    if not u[i]:
-        u, v = v, u
-    s = pow(u[i], -1, p)
-    a = [x * s % p for x in u]
-    f = v[i]
-    b = [(y - f * x) % p for x, y in zip(a, v)]
-    j = next((c for c in range(i + 1, n) if b[c]), None)
-    if j is None:
-        return None
-    s = pow(b[j], -1, p)
-    b = [x * s % p for x in b]
-    f = a[j]
-    if f:
-        a = [(x - f * y) % p for x, y in zip(a, b)]
-    return a, b, i, j
 
 
 def smooth_line_through_point(
@@ -426,17 +387,13 @@ def smooth_line_through_point(
     # Where each form's conic (f00, f01, f02, f11, f12, f22) is in the sum.
     shifts = [[w * (e + f) for e in (0, 2, 6, 4, 8, 12)] for f in (0, 1)]
 
-    def plane() -> list[list[int]]:
-        """The next 18 draws, 3 rows of 6: each is `limbs` words, first highest, mod p."""
+    def draw() -> int:
         nonlocal state
-        # The k-th step from state is one step from state + (k - 1) G.
-        words = [_splitmix64(state + k * _GOLDEN64)[1] for k in range(18 * limbs)]
-        state = (state + 18 * limbs * _GOLDEN64) & _MASK64
-        if limbs > 1:
-            words = [int.from_bytes(b"".join(x.to_bytes(8, "big") for x in words[k:k + limbs]),
-                                    "big") for k in range(0, 18 * limbs, limbs)]
-        values = [x % p for x in words]
-        return [values[:6], values[6:12], values[12:]]
+        value = 0
+        for _ in range(limbs):
+            state, word = _splitmix64(state)
+            value = value << 64 | word
+        return value % p
 
     def zeros_on(basis) -> list:
         packed = [x | y << 2 * w | z << 6 * w for x, y, z in zip(*basis)]
@@ -447,14 +404,14 @@ def smooth_line_through_point(
                 for z in _conic_pair_zeros(*conics, p) or ()]
 
     for _ in range(MAX_LINE_PLANES):
-        for x in zeros_on(plane()):
-            echelon = _pair_echelon(*_polar_products(polars, x, p), p)
-            if echelon is None:
+        for x in zeros_on([[draw() for _ in range(NUM_VARIABLES)] for _ in range(3)]):
+            (r1, r2), pivots = rref_mod_p(_polar_products(polars, x, p), p)
+            if len(pivots) != 2:
                 continue  # a singular point of X_p, or x = 0
             # The kernel vector at free column f is e_f - r1_f e_i - r2_f e_j,
             # so x has a nonzero coefficient on it iff x_f != 0, and the
             # other three span a complement of x in the kernel.
-            r1, r2, i, j = echelon
+            i, j = pivots
             free = [f for f in range(NUM_VARIABLES) if f != i and f != j]
             drop = next(f for f in free if x[f])
             complement = []
@@ -464,8 +421,8 @@ def smooth_line_through_point(
                     k[f], k[i], k[j] = 1, -r1[f] % p, -r2[f] % p
                     complement.append(k)
             for y in zeros_on(complement):
-                a, b, i, j = _pair_echelon(x, y, p)
-                cell = _CHARTS[i, j]
+                (a, b), pivots = rref_mod_p([x, y], p)
+                cell = _CHARTS[tuple(pivots)]
                 if _rank_is_6(cell, _polar_products(polars, a, p),
                               _polar_products(polars, b, p), p):
                     return cell, _chart_coordinates(cell, a, b, p)
