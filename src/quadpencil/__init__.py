@@ -17,11 +17,6 @@ _EXPORTS = {
     "NUM_VARIABLES": "quadric",
     "VARIABLES": "quadric",
     "QuadraticForm": "quadric",
-    "evaluate_form": "quadric",
-    "gradient_at": "quadric",
-    "gram_matrix": "quadric",
-    "polar_form": "quadric",
-    "restrict_to_line": "quadric",
     "CurveData": "pencil",
     "NonIntegralCharacteristicFormError": "pencil",
     "PencilOfQuadrics": "pencil",
@@ -49,7 +44,6 @@ _EXPORTS = {
     "cone_check": "reduction",
     "mod2_degeneracy": "reduction",
     "normalize_projective": "reduction",
-    "reduce_pencil": "reduction",
     "singular_locus": "reduction",
     "FanoWitness": "parsing",
     "ParsedInput": "parsing",

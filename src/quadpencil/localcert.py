@@ -30,7 +30,7 @@ from .fano import (
     verify_fano_point,  # unused here, but qpbench/worker.py traces this name
 )
 from .pencil import CurveData, PencilOfQuadrics
-from .quadric import NUM_VARIABLES, evaluate_form
+from .quadric import NUM_VARIABLES, form_coefficients
 
 # The pipeline searches primes up to this bound: bad primes by the census
 # (p^8 points per chart, via the Schubert-cell scan below, which is
@@ -373,8 +373,8 @@ def smooth_line_through_point(
     p = prime
     polars = [[[c % p for c in row] for row in P] for P in pencil.polars]
     state = p
-    for q in (pencil.q1, pencil.q2):
-        for (i, j), c in q.monomials():
+    for P in pencil.polars:
+        for (i, j), c in form_coefficients(P):
             state = _splitmix64(state ^ (NUM_VARIABLES * i + j) ^ (c << 8))[1]
     limbs = p.bit_length() // 64 + 1
     w = (42 * p**3).bit_length()
@@ -544,7 +544,11 @@ def real_place_report(cd: CurveData) -> LocalPointCertificate:
 
 
 def verify_projective_point(pencil: PencilOfQuadrics, v, p: int | None = None) -> bool:
-    """True iff both forms vanish at the nonzero 6-vector v (over Q or F_p)."""
+    """True iff both forms vanish at the nonzero 6-vector v (over Q or F_p).
+
+    Each form's value is v.Pv / 2 for its polar matrix P, exact over Z and
+    Q because P's diagonal is even, so it holds at p = 2 as well.
+    """
     if len(v) != NUM_VARIABLES:
         raise ValueError("expected a 6-vector")
     if p is not None and not is_probable_prime(p):
@@ -552,5 +556,6 @@ def verify_projective_point(pencil: PencilOfQuadrics, v, p: int | None = None) -
     coords = [Fraction(c) if p is None else int(c) % p for c in v]
     if not any(coords):
         raise ValueError("zero vector")
-    values = (evaluate_form(q, coords) for q in (pencil.q1, pencil.q2))
+    values = (Fraction(sum(map(mul, coords, [sum(map(mul, row, coords)) for row in P])), 2)
+              for P in pencil.polars)
     return not any(x if p is None else x % p for x in values)

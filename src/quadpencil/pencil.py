@@ -33,7 +33,9 @@ class PencilOfQuadrics:
 
     The polar matrices P = 2M of Q1 and Q2 (``polars``, two row lists) and
     the characteristic form f(t) = -det(M1 - t*M2) of the Gram matrices are
-    computed exactly at construction time; instances are immutable.
+    computed exactly at construction time; instances are immutable.  Every
+    computation reads ``polars`` (and ``char_form``); ``q1`` and ``q2`` are
+    kept as the record of the input forms.
     """
 
     __slots__ = ("q1", "q2", "polars", "char_form")

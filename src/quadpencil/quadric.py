@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 VARIABLES = ("u", "v", "w", "x", "y", "z")
 NUM_VARIABLES = 6
 
@@ -38,12 +36,6 @@ class QuadraticForm:
     def __setattr__(self, name, value):
         raise AttributeError("QuadraticForm is immutable")
 
-    def coefficient(self, i: int, j: int) -> int:
-        """Coefficient of x_i x_j (unordered access)."""
-        if i > j:
-            i, j = j, i
-        return self.coeffs.get((i, j), 0)
-
     def monomials(self):
         """Sorted ((i, j), coefficient) pairs."""
         return sorted(self.coeffs.items())
@@ -60,28 +52,14 @@ class QuadraticForm:
         return f"QuadraticForm({dict(self.monomials())!r})"
 
 
-def gram_matrix(q: QuadraticForm) -> list[list[Fraction]]:
-    """Rows of the symmetric rational Gram matrix M with v^T M v = q(v).
-
-    Diagonal entries are the square coefficients; off-diagonal entries are half
-    the mixed coefficients (so they may be half-integers).
-    """
-    rows = [[Fraction(0)] * NUM_VARIABLES for _ in range(NUM_VARIABLES)]
-    for (i, j), c in q.coeffs.items():
-        if i == j:
-            rows[i][i] = Fraction(c)
-        else:
-            half = Fraction(c, 2)
-            rows[i][j] = half
-            rows[j][i] = half
-    return rows
-
-
 def polar_matrix(q: QuadraticForm) -> list[list[int]]:
-    """Integer rows of P = 2 * gram_matrix(q), so a^T P b = polar_form(q, a, b).
+    """Integer rows of the polar matrix P = C + C^T of q, for C the upper
+    triangular matrix of q's coefficients.
 
-    P is the Hessian of q; unlike the Gram matrix it is integral, so it can be
-    reduced mod any prime.
+    P is the Hessian of q: q(v) = v.Pv / 2 and q(a + b) - q(a) - q(b) =
+    a.Pb.  Its diagonal 2 c_ii is even and its other entries are the c_ij,
+    so P is integral, holds q exactly (form_coefficients reads q back) and
+    can be reduced mod any prime.
     """
     rows = [[0] * NUM_VARIABLES for _ in range(NUM_VARIABLES)]
     for (i, j), c in q.coeffs.items():
@@ -93,61 +71,8 @@ def polar_matrix(q: QuadraticForm) -> list[list[int]]:
     return rows
 
 
-def evaluate_form(q: QuadraticForm, v) -> object:
-    """q(v) straight from the integer coefficients.
-
-    Works over any commutative ring whose elements support + and * with ints
-    (integers, Fractions, residues), so it is valid in characteristic 2 where
-    the Gram-matrix route is not.
-    """
-    if len(v) != NUM_VARIABLES:
-        raise ValueError("expected a 6-vector")
-    total = 0
-    for (i, j), c in q.coeffs.items():
-        total = total + c * (v[i] * v[j])
-    return total
-
-
-def polar_form(q: QuadraticForm, a, b) -> object:
-    """The integral polar form B(a, b) = q(a + b) - q(a) - q(b).
-
-    B is the coefficient of rs in q(r*a + s*b); like evaluate_form it works
-    over integers, Fractions and residues, uses only integer coefficients and
-    is valid in every characteristic.
-    """
-    if len(a) != NUM_VARIABLES or len(b) != NUM_VARIABLES:
-        raise ValueError("expected 6-vectors")
-    total = 0
-    for (i, j), c in q.coeffs.items():
-        if i == j:
-            total = total + (2 * c) * (a[i] * b[i])
-        else:
-            total = total + c * (a[i] * b[j] + a[j] * b[i])
-    return total
-
-
-def gradient_at(q: QuadraticForm, v) -> list:
-    """The six partial derivatives of q at v, from integer coefficients."""
-    if len(v) != NUM_VARIABLES:
-        raise ValueError("expected a 6-vector")
-    grad = [0] * NUM_VARIABLES
-    for (i, j), c in q.coeffs.items():
-        if i == j:
-            grad[i] = grad[i] + (2 * c) * v[i]
-        else:
-            grad[i] = grad[i] + c * v[j]
-            grad[j] = grad[j] + c * v[i]
-    return grad
-
-
-def restrict_to_line(q: QuadraticForm, row_a, row_b) -> tuple:
-    """Coefficients (c_rr, c_rs, c_ss) of q(r*row_a + s*row_b).
-
-    q vanishes identically on the parametrized line iff all three vanish; over
-    F_2 this is equivalent to q containing the line's three rational points.
-    """
-    return (
-        evaluate_form(q, row_a),
-        polar_form(q, row_a, row_b),
-        evaluate_form(q, row_b),
-    )
+def form_coefficients(P) -> list[tuple[tuple[int, int], int]]:
+    """The nonzero coefficients ((i, j), c_ij), i <= j, of the form with
+    polar matrix P, in sorted order: c_ii = P_ii / 2 and c_ij = P_ij."""
+    return [((i, j), P[i][j] // 2 if i == j else P[i][j])
+            for i in range(NUM_VARIABLES) for j in range(i, NUM_VARIABLES) if P[i][j]]

@@ -19,7 +19,7 @@ from .exactmath import (
     rref_mod_p,
 )
 from .pencil import PencilOfQuadrics
-from .quadric import NUM_VARIABLES, VARIABLES, QuadraticForm, polar_matrix, restrict_to_line
+from .quadric import NUM_VARIABLES, VARIABLES, form_coefficients
 
 # Hard cap on the kernel quadratics (or kernel points) that the singular-locus
 # search solves, and on its p + 1 kernel solves when f vanishes identically
@@ -43,18 +43,13 @@ def _check_candidate_cap(count: int) -> None:
         )
 
 
-def _check_reduction(q: QuadraticForm, p: int) -> None:
-    """Raise DegenerateReductionError if q vanishes identically mod p."""
-    if not any(c % p for c in q.coeffs.values()):
+def _check_reduction(P, p: int) -> None:
+    """Raise DegenerateReductionError if the form with polar matrix P
+    vanishes identically mod the odd prime p, that is, if P does."""
+    if not any(c % p for row in P for c in row):
         raise DegenerateReductionError(
             f"degenerate reduction: the form vanishes identically mod {p}"
         )
-
-
-def reduce_form(q: QuadraticForm, p: int) -> QuadraticForm:
-    """Coefficient-wise reduction of a form mod p (coefficients in [0, p))."""
-    _check_reduction(q, p)
-    return QuadraticForm({key: c % p for key, c in q.coeffs.items() if c % p})
 
 
 def _check_pencil_reduction(pencil: PencilOfQuadrics, prime: int) -> None:
@@ -62,14 +57,8 @@ def _check_pencil_reduction(pencil: PencilOfQuadrics, prime: int) -> None:
     Q1, then Q2, vanishes identically mod prime."""
     if not is_probable_prime(prime):
         raise ValueError(f"{prime} is not prime")
-    _check_reduction(pencil.q1, prime)
-    _check_reduction(pencil.q2, prime)
-
-
-def reduce_pencil(pencil: PencilOfQuadrics, prime: int) -> tuple[QuadraticForm, QuadraticForm]:
-    """Both forms reduced mod p; raises DegenerateReductionError if one dies."""
-    _check_pencil_reduction(pencil, prime)
-    return reduce_form(pencil.q1, prime), reduce_form(pencil.q2, prime)
+    for P in pencil.polars:
+        _check_reduction(P, prime)
 
 
 def normalize_projective(v, p: int) -> tuple[int, ...]:
@@ -94,48 +83,50 @@ def _binary_roots(alpha: int, gamma: int, beta: int, p: int) -> list[tuple[int, 
     return sorted(normalize_projective(c, p) for c in roots)
 
 
-def _linear_factors_mod_p(q: QuadraticForm, p: int) -> list[tuple[int, ...]]:
-    """All F_p-rational linear forms dividing q, normalized, for odd p.
+def _linear_factors_mod_p(P, p: int) -> list[tuple[int, ...]]:
+    """All F_p-rational linear forms dividing the form with polar matrix P,
+    normalized, for odd p.
 
     A quadratic form has a linear factor only when its polar matrix has rank
     <= 2; rank 1 gives a squared factor, rank 2 a binary quadratic whose
     splitting is decided by its roots mod p.
     """
-    rows, pivots = rref_mod_p(polar_matrix(q), p)
+    rows, pivots = rref_mod_p(P, p)
     if len(pivots) > 2:
         return []
     if len(pivots) == 1:
         return [normalize_projective(rows[0], p)]
     # rank 2: q = g(l1(x), l2(x)) for the two echelon rows l1, l2 and the
-    # binary quadratic g read off at the pivots; a root (r : s) of g gives
-    # the factor s*l1 - r*l2.
+    # binary quadratic g = (P_ii / 2, P_ij, P_jj / 2) at the pivots i, j; a
+    # root (r : s) of g gives the factor s*l1 - r*l2.
     l1, l2 = rows[0], rows[1]
-    e1, e2 = ([int(k == c) for k in range(NUM_VARIABLES)] for c in pivots)
+    i, j = pivots
+    half = (p + 1) // 2  # 1/2 mod p
     factors = {
         normalize_projective([(s * a - r * b) % p for a, b in zip(l1, l2)], p)
-        for r, s in _binary_roots(*restrict_to_line(q, e1, e2), p)
+        for r, s in _binary_roots(P[i][i] * half, P[i][j], P[j][j] * half, p)
     }
     return sorted(factors)
 
 
-def _assert_complete_intersection(
-    r1: QuadraticForm, r2: QuadraticForm, p: int
-) -> None:
+def _assert_complete_intersection(P1, P2, p: int) -> None:
     """Reject reductions that are not a codimension-2 complete intersection.
 
-    Two failure shapes: the reduced forms are proportional, or they share an
-    F_p-rational linear factor (sharing only conjugate factors over F_p^2
-    would force proportionality, so this check is complete).
+    P1 and P2 are the polar matrices, p is odd and neither form vanishes mod
+    p.  Two failure shapes: the reduced forms are proportional (as their
+    polar matrices are, 2 being a unit), or they share an F_p-rational
+    linear factor (sharing only conjugate factors over F_p^2 would force
+    proportionality, so this check is complete).
     """
-    key, c = min(r1.coeffs.items())
-    lam = r2.coefficient(*key) * pow(c, -1, p) % p
-    keys = set(r1.coeffs) | set(r2.coeffs)
-    if all(r2.coefficient(*k) % p == lam * r1.coefficient(*k) % p for k in keys):
+    b1, b2 = ([c % p for row in P for c in row] for P in (P1, P2))
+    k = next(k for k, c in enumerate(b1) if c)
+    lam = b2[k] * pow(b1[k], -1, p) % p
+    if all(y == lam * x % p for x, y in zip(b1, b2)):
         raise ValueError(
             f"X mod {p} is not a complete intersection: "
             "the reduced forms are proportional"
         )
-    shared = set(_linear_factors_mod_p(r1, p)) & set(_linear_factors_mod_p(r2, p))
+    shared = set(_linear_factors_mod_p(P1, p)) & set(_linear_factors_mod_p(P2, p))
     if shared:
         raise ValueError(
             f"X mod {p} is not a complete intersection: the reduced forms "
@@ -280,9 +271,7 @@ def singular_locus(pencil: PencilOfQuadrics, prime: int) -> SingularLocusReport:
         all((c - f[6] * comb(6, k) * (-t0) ** (6 - k)) % prime == 0 for k, c in enumerate(f))
         for t0 in members
     ):
-        _assert_complete_intersection(
-            reduce_form(pencil.q1, prime), reduce_form(pencil.q2, prime), prime
-        )
+        _assert_complete_intersection(*pencil.polars, prime)
     found = _kernel_guided_locus(pencil, prime, members, degree)
     points = tuple(pt for pt, _ in found)
     ranks = tuple(rank for _, rank in found)
@@ -328,10 +317,11 @@ _LINEAR_MASKS = {vec: reduce(xor, compress(_COORDINATE_MASKS, vec))
                  for vec in product((0, 1), repeat=NUM_VARIABLES) if any(vec)}
 
 
-def _form_mask(q: QuadraticForm) -> int:
-    """The points of F_2^6 where q mod 2 is 1 (0 iff q vanishes mod 2)."""
+def _form_mask(P) -> int:
+    """The points of F_2^6 where the form with polar matrix P is 1 mod 2 (0
+    iff it vanishes mod 2)."""
     return reduce(xor, (_COORDINATE_MASKS[i] & _COORDINATE_MASKS[j]
-                        for (i, j), c in q.coeffs.items() if c % 2), 0)
+                        for (i, j), c in form_coefficients(P) if c % 2), 0)
 
 
 def _square_root_on(ones: int, h) -> tuple[int, ...] | None:
@@ -357,7 +347,7 @@ def mod2_degeneracy(pencil: PencilOfQuadrics) -> dict:
     the other form is restricted to each factor hyperplane and tested for
     being a square there (non-reducedness evidence).
     """
-    masks = {"Q1": _form_mask(pencil.q1), "Q2": _form_mask(pencil.q2)}
+    masks = dict(zip(("Q1", "Q2"), map(_form_mask, pencil.polars)))
     linear_factorizations = []
     square_forms = []
     classifications: dict[str, str] = {}

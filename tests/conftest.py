@@ -14,7 +14,7 @@ from math import comb, lcm
 
 import pytest
 
-from quadpencil import PencilOfQuadrics, QuadraticForm, SingularLocusReport, evaluate_form
+from quadpencil import PencilOfQuadrics, QuadraticForm, SingularLocusReport
 from quadpencil.exactmath import (
     is_probable_prime,
     kernel_mod_p,
@@ -42,13 +42,13 @@ from quadpencil.parsing import (
     _to_int,
     _tokenize,
 )
-from quadpencil.quadric import VARIABLES, gradient_at, polar_form, restrict_to_line
+from quadpencil.quadric import NUM_VARIABLES, VARIABLES, polar_matrix
 from quadpencil.reduction import (
+    DegenerateReductionError,
     _assert_complete_intersection,
     _check_candidate_cap,
     _projective_points,
     normalize_projective,
-    reduce_pencil,
 )
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -180,6 +180,84 @@ def random_form(rng: random.Random) -> QuadraticForm:
             if c:
                 coeffs[(i, j)] = c
     return QuadraticForm(coeffs)
+
+
+# Coefficient-dict evaluators, kept as oracles of the polar-matrix
+# arithmetic that the package does: q(v) = v.Pv / 2, B(a, b) = a.Pb and
+# grad q(v) = Pv for P = polar_matrix(q).
+
+
+def coefficient(q: QuadraticForm, i: int, j: int) -> int:
+    """Coefficient of x_i x_j in q (unordered access)."""
+    return q.coeffs.get((min(i, j), max(i, j)), 0)
+
+
+def gram_matrix(q: QuadraticForm) -> list[list[Fraction]]:
+    """Rows of the symmetric rational Gram matrix M with v^T M v = q(v):
+    the square coefficients on the diagonal, half the mixed ones off it."""
+    return [[Fraction(coefficient(q, i, j), 1 if i == j else 2) for j in range(NUM_VARIABLES)]
+            for i in range(NUM_VARIABLES)]
+
+
+def evaluate_form(q: QuadraticForm, v):
+    """q(v) straight from the coefficients, over any commutative ring whose
+    elements take + and * with ints (so in every characteristic)."""
+    if len(v) != NUM_VARIABLES:
+        raise ValueError("expected a 6-vector")
+    total = 0
+    for (i, j), c in q.coeffs.items():
+        total = total + c * (v[i] * v[j])
+    return total
+
+
+def polar_form(q: QuadraticForm, a, b):
+    """B(a, b) = q(a + b) - q(a) - q(b), the coefficient of rs in q(ra + sb)."""
+    if len(a) != NUM_VARIABLES or len(b) != NUM_VARIABLES:
+        raise ValueError("expected 6-vectors")
+    total = 0
+    for (i, j), c in q.coeffs.items():
+        if i == j:
+            total = total + (2 * c) * (a[i] * b[i])
+        else:
+            total = total + c * (a[i] * b[j] + a[j] * b[i])
+    return total
+
+
+def gradient_at(q: QuadraticForm, v) -> list:
+    """The six partial derivatives of q at v."""
+    if len(v) != NUM_VARIABLES:
+        raise ValueError("expected a 6-vector")
+    grad = [0] * NUM_VARIABLES
+    for (i, j), c in q.coeffs.items():
+        if i == j:
+            grad[i] = grad[i] + (2 * c) * v[i]
+        else:
+            grad[i] = grad[i] + c * v[j]
+            grad[j] = grad[j] + c * v[i]
+    return grad
+
+
+def restrict_to_line(q: QuadraticForm, a, b) -> tuple:
+    """Coefficients (c_rr, c_rs, c_ss) of q(r*a + s*b)."""
+    return evaluate_form(q, a), polar_form(q, a, b), evaluate_form(q, b)
+
+
+def reduce_form(q: QuadraticForm, p: int) -> QuadraticForm:
+    """q with coefficients in [0, p); DegenerateReductionError if q vanishes
+    identically mod p."""
+    if not any(c % p for c in q.coeffs.values()):
+        raise DegenerateReductionError(
+            f"degenerate reduction: the form vanishes identically mod {p}"
+        )
+    return QuadraticForm({key: c % p for key, c in q.coeffs.items() if c % p})
+
+
+def reduce_pencil(pencil, prime: int) -> tuple[QuadraticForm, QuadraticForm]:
+    """Both forms of the pencil reduced mod a prime: ValueError unless prime
+    is prime, then DegenerateReductionError if Q1, then Q2, vanishes."""
+    if not is_probable_prime(prime):
+        raise ValueError(f"{prime} is not prime")
+    return reduce_form(pencil.q1, prime), reduce_form(pencil.q2, prime)
 
 
 def _form_value(coeffs, x) -> int:
@@ -508,7 +586,7 @@ def reference_singular_locus(pencil, prime: int) -> SingularLocusReport:
         all((c - f[6] * comb(6, k) * (-t0) ** (6 - k)) % p == 0 for k, c in enumerate(f))
         for t0 in members
     ):
-        _assert_complete_intersection(r1, r2, p)
+        _assert_complete_intersection(polar_matrix(r1), polar_matrix(r2), p)
     b1, b2 = pencil.polars
     if members is None:
         _check_candidate_cap(p + 1)

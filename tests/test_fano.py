@@ -19,7 +19,6 @@ from quadpencil import (
     PencilOfQuadrics,
     all_charts,
     chart_point_rows,
-    evaluate_form,
     fano_system,
     parse_input,
     verify_fano_point,
@@ -35,6 +34,7 @@ from conftest import (
     F2_WITNESS,
     NO_WITNESS_PATH,
     REPO_ROOT,
+    evaluate_form,
     load_qpbench,
     random_form,
     reference_residuals,

@@ -45,12 +45,10 @@ PUBLIC_NAMES = [
     "ParsedInput", "PencilOfQuadrics", "PipelineConfig", "QuadraticForm",
     "SingularLocusReport", "SingularWitness", "VARIABLES",
     "all_charts", "canonical_json", "characteristic_form", "chart_census",
-    "chart_point_rows", "cone_check", "curve_data", "evaluate_form",
-    "fano_system", "gradient_at", "gram_matrix", "hensel_certify",
+    "chart_point_rows", "cone_check", "curve_data", "fano_system", "hensel_certify",
     "mod2_degeneracy", "normalize_projective", "parse_form", "parse_input",
-    "parse_input_text", "polar_form", "pretty_print", "real_place_report",
-    "reduce_pencil", "restrict_to_line", "run_pipeline", "search_smooth_points",
-    "singular_locus", "smoothness_check", "verify_fano_point",
+    "parse_input_text", "pretty_print", "real_place_report", "run_pipeline",
+    "search_smooth_points", "singular_locus", "smoothness_check", "verify_fano_point",
     "verify_projective_point",
 ]
 

@@ -56,6 +56,7 @@ from conftest import (
     REAL_ROOTS_PRINTED,
     REPO_ROOT,
     chart_read_off,
+    evaluate_form,
     evaluate_poly,
     load_qpbench,
     random_form,
@@ -874,3 +875,38 @@ def test_verify_projective_point(example_pencil):
         verify_projective_point(example_pencil, (0, 0, 0, 0, 0, 0))
     with pytest.raises(ValueError):
         verify_projective_point(example_pencil, (0, 0, 0, 0, 0, 2), p=2)
+
+
+def test_verify_projective_point_matches_the_coefficient_dict_oracle():
+    # v.Pv / 2 against q(v) summed over the coefficient dicts, over Q and at
+    # p = 2, 3, 5.  Forms have odd squares, and one coordinate v_k = +-1 lets
+    # c_kk put v on Q = 0 over Q, or mod p only (q(v) = p*r, r != 0), for
+    # both forms or for Q1 alone.  At p = 2 every v.Pv is even, so dropping
+    # the halving there passes every point.
+    rng = random.Random(32)
+    counts = {(p, on): 0 for p in (None, 2, 3, 5) for on in (False, True)}
+    odd_squares = 0
+    for trial in range(800):
+        p = (None, 2, 3, 5)[trial % 4]
+        v = [rng.randint(-4, 4) for _ in range(NUM_VARIABLES)]
+        k = rng.randrange(NUM_VARIABLES)
+        v[k] = rng.choice((-1, 1))
+        built = rng.choice((0, 1, 2))  # how many forms are put through v
+        forms = []
+        for f in range(2):
+            coeffs = dict(random_form(rng).coeffs)
+            if f < built:
+                shift = 0 if p is None else p * rng.choice((-2, -1, 1, 2))
+                rest = sum(c * v[i] * v[j] for (i, j), c in coeffs.items() if (i, j) != (k, k))
+                coeffs[(k, k)] = shift - rest  # v_k^2 = 1, so now q(v) = shift
+            forms.append(QuadraticForm({key: c for key, c in coeffs.items() if c}
+                                       or {(k, k): 1}))
+        odd_squares += any(c % 2 for q in forms for (i, j), c in q.coeffs.items() if i == j)
+        pencil = PencilOfQuadrics(*forms)
+        coords = [Fraction(c, 3) for c in v] if p is None and trial % 8 == 0 else v
+        on = all((evaluate_form(q, coords) if p is None else evaluate_form(q, v) % p) == 0
+                 for q in forms)
+        assert verify_projective_point(pencil, coords, p) is on, (forms, v, p)
+        counts[p, on] += 1
+    assert min(counts.values()) >= 50, counts
+    assert odd_squares >= 400

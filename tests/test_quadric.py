@@ -1,4 +1,5 @@
-"""Quadratic forms: Gram matrices, evaluation, gradients, line restriction."""
+"""Quadratic forms: the polar matrix, checked against the coefficient-dict
+oracles (Gram matrix, evaluation, polar form, gradient, line restriction)."""
 
 from __future__ import annotations
 
@@ -7,16 +8,25 @@ from fractions import Fraction
 
 import pytest
 
-from quadpencil import (
-    NUM_VARIABLES,
-    QuadraticForm,
+from quadpencil import NUM_VARIABLES, QuadraticForm
+from quadpencil.quadric import form_coefficients, polar_matrix
+
+from conftest import (
+    coefficient,
     evaluate_form,
     gradient_at,
     gram_matrix,
     polar_form,
     restrict_to_line,
 )
-from quadpencil.quadric import polar_matrix
+
+
+def _dot(a, b) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _times(rows, v) -> list:
+    return [_dot(row, v) for row in rows]
 
 
 def random_form(rng: random.Random) -> QuadraticForm:
@@ -45,6 +55,9 @@ def test_gram_agrees_with_evaluation_on_500_random_vectors():
             for j in range(NUM_VARIABLES)
         )
         assert via_gram == direct, (trial, q.coeffs, v)
+        # q(v) = v.Pv / 2, exactly: v.Pv is even.
+        twice = _dot(v, _times(polar_matrix(q), v))
+        assert twice % 2 == 0 and twice // 2 == direct, (trial, q.coeffs, v)
 
 
 def test_gram_matrix_is_symmetric_with_half_integer_off_diagonals():
@@ -91,6 +104,7 @@ def test_gradient_matches_finite_difference_structure():
                 m[i][j] * v[j] for j in range(NUM_VARIABLES)
             )
             assert grad[i] == expected
+        assert grad == _times(polar_matrix(q), v)
 
 
 def test_polar_form_is_bilinear_and_symmetric():
@@ -132,6 +146,10 @@ def test_restrict_to_line_round_trip():
         a = tuple(rng.randint(-6, 6) for _ in range(NUM_VARIABLES))
         b = tuple(rng.randint(-6, 6) for _ in range(NUM_VARIABLES))
         coeff_a, coeff_ab, coeff_b = restrict_to_line(q, a, b)
+        pa, pb = (_times(polar_matrix(q), x) for x in (a, b))
+        assert (coeff_a, coeff_ab, coeff_b) == (
+            _dot(a, pa) // 2, _dot(a, pb), _dot(b, pb) // 2
+        )
         for r, s in ((1, 0), (0, 1), (1, 1), (2, -3), (-1, 4)):
             point = tuple(r * x + s * y for x, y in zip(a, b))
             assert evaluate_form(q, point) == (
@@ -148,10 +166,22 @@ def test_restrict_to_line_cross_term_example():
 
 def test_coefficient_lookup_is_order_insensitive():
     q = QuadraticForm({(1, 4): 7, (2, 2): -3})
-    assert q.coefficient(1, 4) == 7
-    assert q.coefficient(4, 1) == 7
-    assert q.coefficient(2, 2) == -3
-    assert q.coefficient(0, 5) == 0
+    assert coefficient(q, 1, 4) == 7
+    assert coefficient(q, 4, 1) == 7
+    assert coefficient(q, 2, 2) == -3
+    assert coefficient(q, 0, 5) == 0
+    assert form_coefficients(polar_matrix(q)) == [((1, 4), 7), ((2, 2), -3)]
+
+
+def test_form_coefficients_read_the_form_back_off_its_polar_matrix():
+    # Odd and even squares and mixed terms: P_ii = 2 c_ii, P_ij = c_ij.
+    rng = random.Random(29)
+    for _ in range(200):
+        q = random_form(rng)
+        rows = polar_matrix(q)
+        assert form_coefficients(rows) == q.monomials()
+        assert all(coefficient(q, i, j) == (rows[i][j] // 2 if i == j else rows[i][j])
+                   for i in range(NUM_VARIABLES) for j in range(NUM_VARIABLES))
 
 
 def test_invalid_forms_are_rejected():

@@ -14,27 +14,29 @@ from quadpencil import (
     PencilOfQuadrics,
     QuadraticForm,
     cone_check,
-    evaluate_form,
     mod2_degeneracy,
     normalize_projective,
-    reduce_pencil,
     singular_locus,
     smoothness_check,
 )
-from quadpencil.exactmath import kernel_mod_p, poly_discriminant, repeated_roots_mod_p
-from quadpencil.quadric import polar_form, polar_matrix
+from quadpencil.exactmath import kernel_mod_p, poly_discriminant, rank_mod_p, repeated_roots_mod_p
+from quadpencil.quadric import polar_matrix
 from quadpencil import reduction
-from quadpencil.reduction import KernelCandidateCapError, _binary_roots
+from quadpencil.reduction import KernelCandidateCapError, _binary_roots, _linear_factors_mod_p
 
 from conftest import (
     BIG_PRIME,
     REPEATED_ROOT_MOD_BIG,
     SINGULAR_POINT_CANONICAL,
     SINGULAR_POINT_VERBATIM,
+    coefficient,
+    evaluate_form,
     evaluate_poly,
     exhaustive_locus,
     mod2_degeneracy_oracle,
+    polar_form,
     random_form,
+    reduce_pencil,
     reference_singular_locus,
 )
 
@@ -223,6 +225,33 @@ def test_binary_roots_match_brute_force():
         assert _binary_roots(alpha, gamma, beta, p) == expected, (alpha, gamma, beta, p)
 
 
+def test_linear_factors_are_the_ones_the_form_was_built_from():
+    # 2*l*m, 2*l^2 and 2*(l^2 - n*m^2) for n a non-square, plus p*noise, at
+    # p = 3, 5, 7: the factors are {l, m}, {l} and none.  At rank 2 the
+    # binary form at the pivots takes its square coefficients as P_ii / 2.
+    rng = random.Random(31)
+    shapes = {"product": 0, "square": 0, "irreducible": 0}
+    for _ in range(300):
+        p = rng.choice((3, 5, 7))
+        l, m = (tuple(rng.randrange(p) for _ in range(6)) for _ in range(2))
+        if rank_mod_p([l, m], p) < 2:
+            continue
+        n = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+        shape = rng.choice(list(shapes))
+        if shape == "product":
+            coeffs, factors = _times_linear(l, m), {l, m}
+        elif shape == "square":
+            coeffs, factors = _times_linear(l, l), {l}
+        else:
+            ll, mm = _times_linear(l, l), _times_linear(m, m)
+            coeffs, factors = {k: ll.get(k, 0) - n * mm.get(k, 0) for k in ll | mm}, set()
+        q = _plus(coeffs, p, random_form(rng))
+        expected = sorted({normalize_projective(f, p) for f in factors})
+        assert _linear_factors_mod_p(polar_matrix(q), p) == expected, (q, p, shape)
+        shapes[shape] += 1
+    assert min(shapes.values()) >= 50
+
+
 def test_kernel_guided_when_f_vanishes_mod_p():
     pencil = _diagonal_pencil(*F_ZERO_MOD_3)
     assert smoothness_check(pencil) == "smooth"
@@ -292,7 +321,7 @@ def _times_linear(a, b) -> dict:
 
 def _plus(form: dict, scale: int, noise: QuadraticForm) -> QuadraticForm:
     keys = set(form) | set(noise.coeffs)
-    return QuadraticForm({k: form.get(k, 0) + scale * noise.coefficient(*k) for k in keys})
+    return QuadraticForm({k: form.get(k, 0) + scale * coefficient(noise, *k) for k in keys})
 
 
 def _counting_complete_intersection_test(monkeypatch) -> list[int]:
@@ -300,9 +329,9 @@ def _counting_complete_intersection_test(monkeypatch) -> list[int]:
     calls = []
     test = reduction._assert_complete_intersection
 
-    def counted(r1, r2, p):
+    def counted(P1, P2, p):
         calls.append(p)
-        test(r1, r2, p)
+        test(P1, P2, p)
 
     monkeypatch.setattr(reduction, "_assert_complete_intersection", counted)
     return calls
@@ -338,7 +367,7 @@ def test_complete_intersection_test_is_skipped_only_where_it_cannot_fail(monkeyp
             except DegenerateReductionError:
                 continue
             try:
-                test(r1, r2, p)
+                test(polar_matrix(r1), polar_matrix(r2), p)
                 fails = False
             except ValueError:
                 fails = True
@@ -387,14 +416,14 @@ def test_complete_intersection_test_is_skipped_only_where_it_cannot_fail(monkeyp
         p, t0 = rng.choice(primes[:4]), rng.randrange(20)
         n = {(i, j): c for (i, j), c in random_form(rng).coeffs.items() if j < 4}
         q2 = random_form(rng)
-        q1 = _plus({k: t0 * q2.coefficient(*k) + n.get(k, 0) for k in set(n) | set(q2.coeffs)},
+        q1 = _plus({k: t0 * coefficient(q2, *k) + n.get(k, 0) for k in set(n) | set(q2.coeffs)},
                    p, random_form(rng))
         pencil = PencilOfQuadrics(q1, q2)
         f = list(pencil.char_form.coeffs) + [0] * (7 - len(pencil.char_form.coeffs))
         if any(c % p for c in f) and any(
                 (c - f[6] * d) % p for c, d in zip(f, sixth_power(t0))):
             assert t0 % p in repeated_roots_mod_p(pencil.char_form, p)
-            test(*reduce_pencil(pencil, p), p)
+            test(*map(polar_matrix, reduce_pencil(pencil, p)), p)
             calls.clear()
             singular_locus(pencil, p)
             assert calls == []
@@ -562,9 +591,9 @@ def test_mod2_factorizations_match_the_pair_scan():
 
     counts = {"square": 0, "product": 0, "irreducible": 0}
     for q1, q2 in zip(quadrics[::2], quadrics[1::2]):
-        # mod2_degeneracy reads only q1 and q2; a random pair need not have an
-        # integral characteristic form, which PencilOfQuadrics requires.
-        report = mod2_degeneracy(SimpleNamespace(q1=q1, q2=q2))
+        # mod2_degeneracy reads only the polar matrices; a random pair need not
+        # have an integral characteristic form, which PencilOfQuadrics requires.
+        report = mod2_degeneracy(SimpleNamespace(polars=(polar_matrix(q1), polar_matrix(q2))))
         for label, q in (("Q1", q1), ("Q2", q2)):
             expected = pair_scan.get(
                 frozenset(key for key, c in q.coeffs.items() if c % 2), []
@@ -601,7 +630,7 @@ def test_f2_point_masks_mark_coordinates_and_hyperplanes():
     for _ in range(50):
         q = random_form(rng) if rng.random() < 0.5 else QuadraticForm(
             {(i, j): rng.randint(1, 3) for i in range(6) for j in range(i, 6)})
-        assert [reduction._form_mask(q) >> x & 1 for x in range(64)] == [
+        assert [reduction._form_mask(polar_matrix(q)) >> x & 1 for x in range(64)] == [
             evaluate_form(q, pt) % 2 for pt in points]
 
 
@@ -625,7 +654,8 @@ def test_mod2_mask_divisors_match_the_restriction_scan():
 
     pairs = [(random_quadric(), random_quadric()) for _ in range(2000)]
     pairs += [(q, rng.choice(products)) for q in products]
-    pencils = [SimpleNamespace(q1=q1, q2=q2) for q1, q2 in pairs]
+    pencils = [SimpleNamespace(q1=q1, q2=q2, polars=(polar_matrix(q1), polar_matrix(q2)))
+               for q1, q2 in pairs]
     reports = [mod2_degeneracy(pencil) for pencil in pencils]
     assert reports == [mod2_degeneracy_oracle(pencil) for pencil in pencils]
     assert sum(bool(r["square_forms"]) for r in reports) >= 100
