@@ -20,7 +20,6 @@ _EXPORTS = {
     "CurveData": "pencil",
     "NonIntegralCharacteristicFormError": "pencil",
     "PencilOfQuadrics": "pencil",
-    "characteristic_form": "pencil",
     "curve_data": "pencil",
     "smoothness_check": "pencil",
     "FANO_CODIMENSION": "fano",

@@ -128,7 +128,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_charform(args) -> int:
     pencil = parse_input(args.file).pencil
-    coeffs = list(pencil.char_form.coeffs)
+    coeffs = list(pencil.char_form)
     verdict = smoothness_check(pencil)
     document = {
         "characteristic_form": {

@@ -4,6 +4,7 @@ from .integers import (
     FactorizationError,
     factor_with_hints,
     is_probable_prime,
+    require_ints,
 )
 from .matrix import (
     det_poly_matrix,
@@ -14,8 +15,8 @@ from .matrix import (
     solve_mod_p,
 )
 from .unipoly import (
-    UniPoly,
     common_roots_mod_p,
+    derivative,
     isolate_real_roots,
     repeated_roots_mod_p,
     roots_mod_p,
@@ -25,8 +26,8 @@ from .unipoly import (
 
 __all__ = [
     "FactorizationError",
-    "UniPoly",
     "common_roots_mod_p",
+    "derivative",
     "det_poly_matrix",
     "factor_with_hints",
     "is_probable_prime",
@@ -35,6 +36,7 @@ __all__ = [
     "poly_discriminant",
     "rank_mod_p",
     "repeated_roots_mod_p",
+    "require_ints",
     "roots_mod_p",
     "rref_mod_p",
     "solve_mod_p",

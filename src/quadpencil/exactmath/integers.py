@@ -44,6 +44,13 @@ class FactorizationError(RuntimeError):
     """Raised when a cofactor cannot be certified prime or split further."""
 
 
+def require_ints(values, what: str) -> None:
+    """ValueError unless every value is an int, so that no float, Fraction
+    or string is floored into one."""
+    if not all(isinstance(c, int) for c in values):
+        raise ValueError(f"{what} must be ints")
+
+
 def _extend_primes() -> bool:
     """Append the primes of the next segment below TRIAL_DIVISION_LIMIT + 1.
 

@@ -5,7 +5,7 @@ A matrix is a list of rows throughout.
 
 from __future__ import annotations
 
-from .unipoly import UniPoly
+from .unipoly import _require_poly, derivative
 
 MAX_DET_DIMENSION = 16
 
@@ -53,11 +53,11 @@ def det_poly_matrix(rows) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sylvester_rows(f: UniPoly, g: UniPoly) -> list[list]:
-    m, n = f.degree(), g.degree()
+def _sylvester_rows(f: tuple[int, ...], g: tuple[int, ...]) -> list[list]:
+    m, n = len(f) - 1, len(g) - 1
     size = m + n
-    fl = list(reversed(f.coeffs))  # highest degree first
-    gl = list(reversed(g.coeffs))
+    fl = list(reversed(f))  # highest degree first
+    gl = list(reversed(g))
     rows = []
     for i in range(n):
         rows.append([0] * i + fl + [0] * (size - m - 1 - i))
@@ -66,27 +66,28 @@ def _sylvester_rows(f: UniPoly, g: UniPoly) -> list[list]:
     return rows
 
 
-def resultant(f: UniPoly, g: UniPoly) -> int:
-    """Resultant of two integer polynomials (Sylvester + Bareiss)."""
-    if f.is_zero() or g.is_zero():
+def resultant(f: tuple[int, ...], g: tuple[int, ...]) -> int:
+    """Resultant of two integer polynomials (Sylvester + Bareiss); ValueError
+    unless _require_poly holds for both."""
+    _require_poly(f)
+    _require_poly(g)
+    if not f or not g:
         return 0
-    if f.degree() == 0:
-        return f.leading() ** g.degree()
-    if g.degree() == 0:
-        return g.leading() ** f.degree()
+    if len(f) == 1:
+        return f[0] ** (len(g) - 1)
+    if len(g) == 1:
+        return g[0] ** (len(f) - 1)
     return det_poly_matrix(_sylvester_rows(f, g))
 
 
-def poly_discriminant(f: UniPoly) -> int:
+def poly_discriminant(f: tuple[int, ...]) -> int:
     """disc(f) = (-1)^(d(d-1)/2) * Res(f, f') / lc(f), for integer f, deg >= 2."""
-    d = f.degree()
+    d = len(f) - 1
     if d < 2:
         raise ValueError("degree < 2")
-    res = resultant(f, f.derivative())
+    res = resultant(f, derivative(f))
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    lead = f.leading()
-    value = sign * res
-    q, r = divmod(value, lead)
+    q, r = divmod(sign * res, f[-1])
     if r:
         raise ArithmeticError("resultant not divisible by leading coefficient")
     return q

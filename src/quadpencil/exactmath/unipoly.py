@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as int_gcd, lcm
 
-from .integers import is_probable_prime
+from .integers import is_probable_prime, require_ints
 
 ISOLATION_WIDTH = Fraction(1, 10**6)
 
@@ -21,63 +22,31 @@ _SPLIT_SHIFT_CAP = 64
 EVALUATION_FACTOR = 4
 
 
-class UniPoly:
-    """Immutable dense polynomial with integer coefficients, lowest degree first.
-
-    The zero polynomial has an empty coefficient tuple and degree -1.  The
-    Sturm chain is built on first use and kept on the object.
-    """
-
-    __slots__ = ("coeffs", "_sturm")
-
-    def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        if not all(isinstance(c, int) for c in cs):
-            raise ValueError("UniPoly coefficients must be ints")
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "_sturm", None)
-
-    def __setattr__(self, name, value):  # immutability guard
-        raise AttributeError("UniPoly is immutable")
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def leading(self) -> int:
-        if not self.coeffs:
-            return 0
-        return self.coeffs[-1]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"UniPoly({list(self.coeffs)!r})"
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
+def derivative(f) -> tuple[int, ...]:
+    """f' for a polynomial f given by its coefficients, lowest degree first."""
+    return tuple(k * c for k, c in enumerate(f) if k)
 
 
-def squarefree_degree6(f: UniPoly) -> bool:
+def _require_poly(f) -> None:
+    """ValueError unless f is ints, lowest degree first, with a nonzero last
+    entry (or f = ()): the only polynomial the Sturm functions and the
+    resultant take."""
+    require_ints(f, "polynomial coefficients")
+    if f and not f[-1]:
+        raise ValueError("a polynomial's last coefficient must be nonzero")
+
+
+def squarefree_degree6(f: tuple[int, ...]) -> bool:
     """True iff deg f = 6 and gcd(f, f') is a nonzero constant."""
-    return f.degree() == 6 and len(_sturm_chain(f)[-1]) == 1
+    return len(f) == 7 and len(_sturm_chain(f)[-1]) == 1
 
 
 # ---------------------------------------------------------------------------
 # Sturm sequences and real root isolation
 #
-# Everything here is integer arithmetic.  A chain element is a tuple of ints,
-# lowest degree first; a finite point is a pair (x, den) with den > 0 standing
+# Everything here is integer arithmetic.  A polynomial, and a chain element,
+# is a tuple of ints, lowest degree first, with a nonzero last entry; the zero
+# polynomial is ().  A finite point is a pair (x, den) with den > 0 standing
 # for x / den.
 # ---------------------------------------------------------------------------
 
@@ -113,29 +82,34 @@ def _positive_prem(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     return rem
 
 
-def _sturm_chain(f: UniPoly) -> list[tuple[int, ...]]:
+def _sturm_chain(f: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Sturm chain of f, deg f >= 1, as primitive integer tuples.
 
     Element k is a positive multiple of the k-th element of the Euclidean
     Sturm sequence over Q (f, f', then minus each remainder), so it has the
     same sign everywhere.  The last element is gcd(f, f') up to a constant,
-    so f is squarefree iff it has degree 0.  Built once per f; callers must
-    not change the list.
+    so f is squarefree iff it has degree 0.  ValueError unless
+    _require_poly(f) holds.  The chain of the last f is kept, so one curve's
+    smoothness check, Sturm count and root isolation build it once; callers
+    must not change the list.
     """
-    if f._sturm is not None:
-        return f._sturm
-    head = _primitive(f.coeffs)
-    chain = [head, _primitive([k * c for k, c in enumerate(head) if k])]
+    _require_poly(f)
+    return _chain_of(f)
+
+
+@lru_cache(maxsize=1)
+def _chain_of(f: tuple[int, ...]) -> list[tuple[int, ...]]:
+    head = _primitive(f)
+    chain = [head, _primitive(derivative(head))]
     while len(chain[-1]) > 1:
         r = _positive_prem(chain[-2], chain[-1])
         if not r:
             break
         chain.append(_primitive([-c for c in r]))
-    object.__setattr__(f, "_sturm", chain)
     return chain
 
 
-def _squarefree_chain(f: UniPoly) -> list[tuple[int, ...]]:
+def _squarefree_chain(f: tuple[int, ...]) -> list[tuple[int, ...]]:
     chain = _sturm_chain(f)
     if len(chain[-1]) != 1:
         raise ValueError("non-squarefree input")
@@ -174,22 +148,22 @@ def _variations(chain: list[tuple[int, ...]], x: int, den: int) -> int:
     return _changes(_value(p, dpow, x) for p in chain)
 
 
-def sturm_count(f: UniPoly) -> int:
+def sturm_count(f: tuple[int, ...]) -> int:
     """Exact number of real roots of squarefree f, V(-infinity) - V(+infinity).
 
     At +/-infinity each chain element has the sign of its leading term.
     """
-    if f.degree() < 1:
+    if len(f) < 2:
         return 0
     chain = _squarefree_chain(f)
     at_neg_inf = _changes(-p[-1] if len(p) % 2 == 0 else p[-1] for p in chain)
     return at_neg_inf - _changes(p[-1] for p in chain)
 
 
-def _root_bound(f: UniPoly) -> Fraction:
+def _root_bound(f: tuple[int, ...]) -> Fraction:
     """Cauchy bound: all real roots lie in (-B, B)."""
-    m = max((abs(c) for c in f.coeffs[:-1]), default=0)
-    return 1 + Fraction(m, abs(f.leading()))
+    m = max((abs(c) for c in f[:-1]), default=0)
+    return 1 + Fraction(m, abs(f[-1]))
 
 
 def _over_common(a: Fraction, b: Fraction) -> tuple[int, int, int]:
@@ -197,7 +171,7 @@ def _over_common(a: Fraction, b: Fraction) -> tuple[int, int, int]:
     return a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den
 
 
-def isolate_real_roots(f: UniPoly, width: Fraction = ISOLATION_WIDTH) -> list[tuple[Fraction, Fraction]]:
+def isolate_real_roots(f: tuple[int, ...], width: Fraction = ISOLATION_WIDTH) -> list[tuple[Fraction, Fraction]]:
     """Disjoint rational intervals (lo, hi], one real root each, width < 10^-6.
 
     Bisection from the Cauchy bound on integer numerators: a stack entry
@@ -206,7 +180,7 @@ def isolate_real_roots(f: UniPoly, width: Fraction = ISOLATION_WIDTH) -> list[tu
     An interval with one root goes straight to the cell that bisecting it
     down to the width would end in (:func:`_root_cell`).
     """
-    if f.is_zero() or f.degree() < 1:
+    if len(f) < 2:
         return []
     chain = _squarefree_chain(f)
     head = chain[0]
@@ -421,20 +395,22 @@ def _pm_roots_of_split(h: list[int], p: int) -> list[int]:
 def common_roots_mod_p(polys, p: int) -> list[int]:
     """The roots in F_p common to integer polynomials, ascending.
 
-    Each poly is a coefficient sequence, lowest degree first, and p is
-    prime.  A poly that is 0 mod p imposes nothing; when every one is,
-    raises ValueError.  Over a small field (p <= EVALUATION_FACTOR times
-    the longest coefficient list) the residues 0..p-1 are filtered by
-    Horner evaluation, one poly at a time, written out inline for the
-    quartics and below that most callers pass.  Otherwise the roots are those
-    of the gcd h of the polys: gcd(h, t^p - t) is the product of t - r over
-    them, split by _pm_roots_of_split, so the cost is polynomial in log p.
-    t^p mod h is taken by _pm_shift_power, which squares Kronecker-packed
-    coefficients with one big-integer multiply per bit of p.
+    Each poly is a sequence of ints, lowest degree first (ValueError for
+    any other entry), and p is prime.  A poly that is 0 mod p imposes
+    nothing; when every one is, raises ValueError.  Over a small field
+    (p <= EVALUATION_FACTOR times the longest coefficient list) the
+    residues 0..p-1 are filtered by Horner evaluation, one poly at a time,
+    written out inline for the quartics and below that most callers pass.
+    Otherwise the roots are those of the gcd h of the polys: gcd(h, t^p - t)
+    is the product of t - r over them, split by _pm_roots_of_split, so the
+    cost is polynomial in log p.  t^p mod h is taken by _pm_shift_power,
+    which squares Kronecker-packed coefficients with one big-integer
+    multiply per bit of p.
     """
     reduced = []
     for g in polys:
-        f = _pm_trim([int(c) % p for c in g])
+        require_ints(g, "polynomial coefficients")
+        f = _pm_trim([c % p for c in g])
         if f:
             reduced.append(f)
     if not reduced:
@@ -479,10 +455,10 @@ def roots_mod_p(coeffs, p: int) -> list[int]:
     return common_roots_mod_p((coeffs,), p)
 
 
-def repeated_roots_mod_p(f: UniPoly, p: int) -> list[int]:
+def repeated_roots_mod_p(f: tuple[int, ...], p: int) -> list[int]:
     """The roots in F_p of gcd(f mod p, f' mod p), ascending."""
     if not is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
     # The common roots of f and f'; an f' that vanishes mod p imposes
     # nothing, and then every root of f mod p is repeated.
-    return common_roots_mod_p((f.coeffs, [k * c for k, c in enumerate(f.coeffs)][1:]), p)
+    return common_roots_mod_p((f, derivative(f)), p)

@@ -18,7 +18,7 @@ from itertools import combinations
 from operator import mul
 from typing import NamedTuple
 
-from .exactmath import is_probable_prime, rank_mod_p
+from .exactmath import is_probable_prime, rank_mod_p, require_ints
 from .pencil import PencilOfQuadrics
 from .quadric import NUM_VARIABLES
 
@@ -52,10 +52,11 @@ class GrassmannChart(_GrassmannChartFields):
     # No __slots__: the instance dict holds the cached columns.
 
     def __new__(cls, pivots: tuple[int, int]) -> "GrassmannChart":
+        require_ints(pivots, "pivot columns")
         i, j = pivots
         if not (0 <= i < j < NUM_VARIABLES):
             raise ValueError(f"bad pivot pair {pivots}")
-        return super().__new__(cls, (int(i), int(j)))
+        return super().__new__(cls, (i, j))
 
     @cached_property
     def non_pivots(self) -> tuple[int, int, int, int]:
@@ -110,11 +111,12 @@ def chart_point_rows(chart: GrassmannChart, point) -> tuple[list, list]:
     """The two integer basis vectors of the line at a concrete chart point."""
     if len(point) != NUM_PARAMETERS:
         raise ValueError("expected 8 chart coordinates")
+    require_ints(point, "chart coordinates")
     row_a = [0] * NUM_VARIABLES
     row_b = [0] * NUM_VARIABLES
     row_a[chart.pivots[0]] = row_b[chart.pivots[1]] = 1
     for k, col in enumerate(chart.non_pivots):
-        row_a[col], row_b[col] = int(point[2 * k]), int(point[2 * k + 1])
+        row_a[col], row_b[col] = point[2 * k], point[2 * k + 1]
     return row_a, row_b
 
 
@@ -184,7 +186,8 @@ def verify_fano_point(system: FanoSystem, point, p: int) -> FanoPointReport:
     """
     if not is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
-    residues = [int(c) % p for c in point]
+    require_ints(point, "chart coordinates")
+    residues = [c % p for c in point]
     on_fano = not any(r % p for r in system.residuals(residues))
     rank = rank_mod_p(system.jacobian_mod(residues, p), p)
     return FanoPointReport(

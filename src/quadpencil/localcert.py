@@ -12,6 +12,7 @@ from .exactmath import (
     is_probable_prime,
     isolate_real_roots,
     rank_mod_p,  # unused here, but qpbench/worker.py traces this name
+    require_ints,
     roots_mod_p,
     rref_mod_p,
     solve_mod_p,  # unused here, but qpbench/worker.py traces this name
@@ -453,7 +454,8 @@ def hensel_certify(
     """
     if not is_probable_prime(prime):
         raise ValueError(f"{prime} is not prime")
-    coords = tuple(int(c) % prime for c in pt)
+    require_ints(pt, "chart coordinates")
+    coords = tuple(c % prime for c in pt)
     residuals = system.residuals(coords)
     if any(r % prime for r in residuals):
         raise ValueError("point not on the system")
@@ -546,14 +548,19 @@ def real_place_report(cd: CurveData) -> LocalPointCertificate:
 def verify_projective_point(pencil: PencilOfQuadrics, v, p: int | None = None) -> bool:
     """True iff both forms vanish at the nonzero 6-vector v (over Q or F_p).
 
-    Each form's value is v.Pv / 2 for its polar matrix P, exact over Z and
-    Q because P's diagonal is even, so it holds at p = 2 as well.
+    The coordinates are ints, or over Q ints and Fractions; anything else is
+    a ValueError.  Each form's value is v.Pv / 2 for its polar matrix P,
+    exact over Z and Q because P's diagonal is even, so it holds at p = 2 as
+    well.
     """
     if len(v) != NUM_VARIABLES:
         raise ValueError("expected a 6-vector")
     if p is not None and not is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
-    coords = [Fraction(c) if p is None else int(c) % p for c in v]
+    kinds = (int, Fraction) if p is None else int
+    if not all(isinstance(c, kinds) for c in v):
+        raise ValueError("coordinates must be ints, or over Q ints and Fractions")
+    coords = [c if p is None else c % p for c in v]
     if not any(coords):
         raise ValueError("zero vector")
     values = (Fraction(sum(map(mul, coords, [sum(map(mul, row, coords)) for row in P])), 2)

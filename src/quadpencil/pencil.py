@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .exactmath import (
-    UniPoly,
     det_poly_matrix,
     factor_with_hints,
     poly_discriminant,
@@ -32,10 +31,11 @@ class PencilOfQuadrics:
     """The pencil spanned by two integral quadratic forms.
 
     The polar matrices P = 2M of Q1 and Q2 (``polars``, two row lists) and
-    the characteristic form f(t) = -det(M1 - t*M2) of the Gram matrices are
-    computed exactly at construction time; instances are immutable.  Every
-    computation reads ``polars`` (and ``char_form``); ``q1`` and ``q2`` are
-    kept as the record of the input forms.
+    the characteristic form f(t) = -det(M1 - t*M2) of the Gram matrices
+    (``char_form``, a tuple of ints, lowest degree first, with a nonzero last
+    entry) are computed exactly at construction time; instances are
+    immutable.  Every computation reads ``polars`` (and ``char_form``);
+    ``q1`` and ``q2`` are kept as the record of the input forms.
     """
 
     __slots__ = ("q1", "q2", "polars", "char_form")
@@ -54,7 +54,7 @@ class PencilOfQuadrics:
         return f"PencilOfQuadrics({self.q1!r}, {self.q2!r})"
 
 
-def _characteristic_form(p1: list[list[int]], p2: list[list[int]]) -> UniPoly:
+def _characteristic_form(p1: list[list[int]], p2: list[list[int]]) -> tuple[int, ...]:
     """-det(M1 - t*M2) from the polar matrices P = 2M, in integers.
 
     g(t) = det(P1 - t*P2) = 2^6 det(M1 - t*M2) has integer coefficients and
@@ -78,12 +78,9 @@ def _characteristic_form(p1: list[list[int]], p2: list[list[int]]) -> UniPoly:
         ] + [coeffs[-1]]
     if any(c % 64 for c in coeffs):
         raise NonIntegralCharacteristicFormError("non-integral characteristic form")
-    return UniPoly(tuple(-c // 64 for c in coeffs))
-
-
-def characteristic_form(pencil: PencilOfQuadrics) -> UniPoly:
-    """f(t) = -det(M1 - t*M2), an integer polynomial of degree at most 6."""
-    return pencil.char_form
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(-c // 64 for c in coeffs)
 
 
 def smoothness_check(pencil: PencilOfQuadrics) -> str:
@@ -93,7 +90,7 @@ def smoothness_check(pencil: PencilOfQuadrics) -> str:
     zero means the pencil itself is degenerate.
     """
     f = pencil.char_form
-    if f.is_zero():
+    if not f:
         return "degenerate"
     if squarefree_degree6(f):
         return "smooth"
@@ -108,7 +105,7 @@ class CurveData(NamedTuple):
     support of disc * lc(f).
     """
 
-    f: UniPoly
+    f: tuple[int, ...]
     disc: int
     bad_primes: tuple[int, ...]
     real_weierstrass_count: int
@@ -125,8 +122,7 @@ def curve_data(pencil: PencilOfQuadrics, factor_hints=()) -> CurveData:
         raise ValueError("curve data requires a smooth pencil")
     f = pencil.char_form
     disc = (2**CURVE_DISC_POWER_OF_TWO) * poly_discriminant(f)
-    lc = int(f.leading())
-    support = disc * lc
+    support = disc * f[-1]
     factors = factor_with_hints(support, tuple(factor_hints))
     bad_primes = tuple(sorted(factors))
     count = sturm_count(f)

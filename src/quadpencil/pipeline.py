@@ -358,7 +358,7 @@ def _run_stages(
         return
     document["characteristic_form"] = {
         "variable": "t",
-        "coefficients_lowest_first": list(pencil.char_form.coeffs),
+        "coefficients_lowest_first": list(pencil.char_form),
     }
 
     # Stage 2: smoothness of X.

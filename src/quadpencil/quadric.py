@@ -20,8 +20,7 @@ class QuadraticForm:
         clean: dict[tuple[int, int], int] = {}
         for key, c in dict(coeffs).items():
             i, j = key
-            i, j = int(i), int(j)
-            if not (0 <= i <= j < NUM_VARIABLES):
+            if not (isinstance(i, int) and isinstance(j, int) and 0 <= i <= j < NUM_VARIABLES):
                 raise ValueError(f"bad monomial index pair {(i, j)}")
             if not isinstance(c, int):
                 raise ValueError("coefficients must be integers")

@@ -11,10 +11,12 @@ from typing import NamedTuple
 
 from .exactmath import (
     common_roots_mod_p,
+    derivative,
     is_probable_prime,
     kernel_mod_p,
     rank_mod_p,
     repeated_roots_mod_p,  # unused here, but qpbench/worker.py traces this name
+    require_ints,
     roots_mod_p,
     rref_mod_p,
 )
@@ -63,7 +65,8 @@ def _check_pencil_reduction(pencil: PencilOfQuadrics, prime: int) -> None:
 
 def normalize_projective(v, p: int) -> tuple[int, ...]:
     """Canonical representative mod p: first nonzero coordinate scaled to 1."""
-    coords = [int(c) % p for c in v]
+    require_ints(v, "coordinates")
+    coords = [c % p for c in v]
     lead = next((i for i, c in enumerate(coords) if c), None)
     if lead is None:
         raise ValueError("zero vector")
@@ -262,10 +265,10 @@ def singular_locus(pencil: PencilOfQuadrics, prime: int) -> SingularLocusReport:
             "use mod2_degeneracy"
         )
     _check_pencil_reduction(pencil, prime)
-    f = pencil.char_form.coeffs
+    f = pencil.char_form
     degree = max((k for k, c in enumerate(f) if c % prime), default=-1)
     # The repeated roots of f mod p, as the common roots of f and f'.
-    members = (common_roots_mod_p((f, [k * c for k, c in enumerate(f)][1:]), prime)
+    members = (common_roots_mod_p((f, derivative(f)), prime)
                if degree >= 0 else None)
     if members is None or degree == 6 and any(
         all((c - f[6] * comb(6, k) * (-t0) ** (6 - k)) % prime == 0 for k, c in enumerate(f))

@@ -13,6 +13,7 @@ from itertools import combinations, combinations_with_replacement, product
 from math import comb, lcm
 
 import pytest
+import sympy
 
 from quadpencil import PencilOfQuadrics, QuadraticForm, SingularLocusReport
 from quadpencil.exactmath import (
@@ -45,7 +46,6 @@ from quadpencil.parsing import (
 from quadpencil.quadric import NUM_VARIABLES, VARIABLES, polar_matrix
 from quadpencil.reduction import (
     DegenerateReductionError,
-    _assert_complete_intersection,
     _check_candidate_cap,
     _projective_points,
     normalize_projective,
@@ -260,6 +260,19 @@ def reduce_pencil(pencil, prime: int) -> tuple[QuadraticForm, QuadraticForm]:
     return reduce_form(pencil.q1, prime), reduce_form(pencil.q2, prime)
 
 
+def reference_complete_intersection(r1: QuadraticForm, r2: QuadraticForm, p: int) -> None:
+    """ValueError, worded as the package's, unless the forms r1 and r2,
+    reduced mod the odd prime p, cut out a complete intersection: by
+    sympy's gcd of the two over GF(p), of degree 2 when they are
+    proportional and of degree 1 when they share a linear factor."""
+    symbols = sympy.symbols(VARIABLES)
+    r1, r2 = (sympy.Poly(sum(c * symbols[i] * symbols[j] for (i, j), c in q.coeffs.items()),
+                         *symbols, modulus=p) for q in (r1, r2))
+    shape = {2: "are proportional", 1: "share a linear factor"}.get(sympy.gcd(r1, r2).total_degree())
+    if shape:
+        raise ValueError(f"X mod {p} is not a complete intersection: the reduced forms {shape}")
+
+
 def _form_value(coeffs, x) -> int:
     return sum(c * x[i] * x[j] for (i, j), c in coeffs.items())
 
@@ -284,9 +297,10 @@ def det_cofactor(rows):
 
 
 def evaluate_poly(f, point):
-    """Horner value of the UniPoly f at point; exact for int/Fraction points."""
+    """Horner value at point of f, given lowest degree first; exact for
+    int/Fraction points."""
     acc = 0
-    for c in reversed(f.coeffs):
+    for c in reversed(f):
         acc = acc * point + c
     return acc
 
@@ -357,7 +371,7 @@ def reference_isolate_real_roots(f, width=Fraction(1, 10**6)):
     """The bisection isolate_real_roots ran before it went straight to each
     root's cell, kept as its oracle: every one-root interval is halved on
     the sign of f until it is narrower than width."""
-    if f.is_zero() or f.degree() < 1:
+    if len(f) < 2:
         return []
     chain = _squarefree_chain(f)
     head = chain[0]
@@ -566,8 +580,10 @@ def reference_parse_form(text: str, line: int = 1) -> dict:
 def reference_singular_locus(pencil, prime: int) -> SingularLocusReport:
     """singular_locus as it was before it worked on the polar matrices, kept
     as its oracle: both forms reduced to QuadraticForms mod p, the repeated
-    roots of f as the roots of gcd(f, f') mod p, and every kernel point
-    evaluated, paired and differentiated on their coefficient dicts."""
+    roots of f as the roots of gcd(f, f') mod p, the complete-intersection
+    test by reference_complete_intersection, not the package's, and every
+    kernel point evaluated, paired and differentiated on their coefficient
+    dicts."""
     if prime == 2:
         raise ValueError(
             "p = 2: singular-locus analysis is invalid in characteristic 2; "
@@ -575,7 +591,7 @@ def reference_singular_locus(pencil, prime: int) -> SingularLocusReport:
         )
     p = prime
     r1, r2 = reduce_pencil(pencil, p)
-    f = pencil.char_form.coeffs
+    f = pencil.char_form
     degree = max((k for k, c in enumerate(f) if c % p), default=-1)
     members = None
     if degree >= 0:
@@ -586,7 +602,7 @@ def reference_singular_locus(pencil, prime: int) -> SingularLocusReport:
         all((c - f[6] * comb(6, k) * (-t0) ** (6 - k)) % p == 0 for k, c in enumerate(f))
         for t0 in members
     ):
-        _assert_complete_intersection(polar_matrix(r1), polar_matrix(r2), p)
+        reference_complete_intersection(r1, r2, p)
     b1, b2 = pencil.polars
     if members is None:
         _check_candidate_cap(p + 1)

@@ -27,7 +27,6 @@ from quadpencil import PencilOfQuadrics, QuadraticForm
 from quadpencil.exactmath.integers import factor_with_hints
 from quadpencil.exactmath.matrix import det_poly_matrix
 from quadpencil.exactmath.unipoly import (
-    UniPoly,
     isolate_real_roots,
     squarefree_degree6,
     sturm_count,
@@ -97,7 +96,7 @@ def _report(capsys, number: int, name: str, ok: bool) -> None:
 
 def test_criterion_01_characteristic_form(capsys):
     start = time.perf_counter()
-    coeffs = tuple(_pencil().char_form.coeffs)
+    coeffs = _pencil().char_form
     elapsed = time.perf_counter() - start
     ok = coeffs == CHAR_FORM_COEFFS and elapsed < 1.0
     _report(capsys, 1, "characteristic form", ok)
@@ -374,7 +373,7 @@ def test_criterion_13_oracle_equivalence(capsys):
         coeffs = [rng.randint(-9, 9) for _ in range(6)] + [
             rng.choice((-1, 1)) * rng.randint(1, 9)
         ]
-        f = UniPoly(coeffs)
+        f = tuple(coeffs)
         if not squarefree_degree6(f):
             continue
         checked += 1

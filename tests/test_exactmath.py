@@ -9,16 +9,24 @@ import sys
 import time
 from array import array
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt, prod
 
 import pytest
 import sympy
 
-from quadpencil import PencilOfQuadrics, curve_data, real_place_report, smoothness_check
+from quadpencil import (
+    PencilOfQuadrics,
+    PipelineConfig,
+    curve_data,
+    real_place_report,
+    run_pipeline,
+    smoothness_check,
+)
 from quadpencil.exactmath import (
     FactorizationError,
-    UniPoly,
     common_roots_mod_p,
+    derivative,
     det_poly_matrix,
     factor_with_hints,
     is_probable_prime,
@@ -47,6 +55,7 @@ from test_localcert import exact as qpbench_exact
 from conftest import (
     BIG_PRIME,
     CHAR_FORM_COEFFS,
+    EXAMPLE_PATH,
     POLY_DISC,
     REPEATED_ROOT_MOD_BIG,
     clear_row_denominators,
@@ -63,24 +72,24 @@ _T = sympy.Symbol("t")
 PSI_12 = 318665857834031151167461
 
 
-def _to_sympy(f: UniPoly):
-    return sum(int(c) * _T**k for k, c in enumerate(f.coeffs))
+def _to_sympy(f: tuple[int, ...]):
+    return sum(c * _T**k for k, c in enumerate(f))
 
 
-def _from_sympy(expr) -> UniPoly:
+def _from_sympy(expr) -> tuple[int, ...]:
     """An integer polynomial in t, e.g. a product expanded by sympy."""
-    return UniPoly([int(c) for c in reversed(sympy.Poly(expr, _T).all_coeffs())])
+    return tuple(int(c) for c in reversed(sympy.Poly(expr, _T).all_coeffs()))
 
 
-def _gcd_degree(f: UniPoly, g: UniPoly) -> int:
+def _gcd_degree(f: tuple[int, ...], g: tuple[int, ...]) -> int:
     """deg gcd(f, g) over Q, by qpbench/exact.py's Euclid."""
-    return qpbench_exact.poly_gcd_degree(f.coeffs, g.coeffs)
+    return qpbench_exact.poly_gcd_degree(f, g)
 
 
-def random_unipoly(rng: random.Random, degree: int, monic: bool = False) -> UniPoly:
+def random_poly(rng: random.Random, degree: int, monic: bool = False) -> tuple[int, ...]:
     coeffs = [rng.randint(-9, 9) for _ in range(degree)]
     coeffs.append(1 if monic else rng.choice([c for c in range(-9, 10) if c]))
-    return UniPoly(coeffs)
+    return tuple(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -583,44 +592,54 @@ def test_det_validations():
 # Univariate polynomials
 # ---------------------------------------------------------------------------
 
-def test_unipoly_ring_operations():
-    assert UniPoly((0, 0, 0, 0, 3)).derivative() == UniPoly((0, 0, 0, 12))
-    assert evaluate_poly(UniPoly((1, 2, 1)), Fraction(1, 2)) == Fraction(9, 4)
-    assert UniPoly(()).degree() == -1
-    assert UniPoly((0, 0)).is_zero()
-    with pytest.raises(AttributeError):
-        UniPoly((1,)).coeffs = (2,)
-    assert UniPoly((0, 2, 0)) == UniPoly([0, 2]) != UniPoly((0, 2, 1))
-    assert hash(UniPoly((3, 0, 1))) == hash(UniPoly([3, 0, 1, 0]))
+def test_derivative_and_evaluation():
+    assert derivative((0, 0, 0, 0, 3)) == (0, 0, 0, 12)
+    assert derivative((5,)) == derivative(()) == ()
+    assert evaluate_poly((1, 2, 1), Fraction(1, 2)) == Fraction(9, 4)
+
+
+def test_sturm_and_resultant_entry_points_take_polynomials_only():
+    # One check in _sturm_chain covers the Sturm functions, one in resultant
+    # the discriminant; a float would otherwise pass through Bareiss.
     for bad in (Fraction(1, 2), Fraction(4, 2), 1.0, "1"):
+        sextic = (1, bad, 0, 0, 0, 0, 1)
+        for function in (sturm_count, squarefree_degree6, isolate_real_roots, poly_discriminant):
+            with pytest.raises(ValueError, match="must be ints"):
+                function(sextic)
         with pytest.raises(ValueError, match="must be ints"):
-            UniPoly((1, bad))
+            resultant((1, 1), (1, bad))
+    # A trailing zero would shift every Sylvester row and stall the chain.
+    for function in (sturm_count, isolate_real_roots, poly_discriminant):
+        with pytest.raises(ValueError, match="last coefficient must be nonzero"):
+            function((-2, 0, 1, 0))
+    with pytest.raises(ValueError, match="last coefficient must be nonzero"):
+        resultant((-2, 1), (1, 0))
 
 
 def test_poly_gcd_and_squarefree_check():
-    char_form = UniPoly(CHAR_FORM_COEFFS)
+    char_form = CHAR_FORM_COEFFS
     assert squarefree_degree6(char_form)
     squared = _from_sympy((_T - 1) ** 2 * (_T**4 + 1))
-    assert squared.degree() == 6
+    assert len(squared) == 7
     assert not squarefree_degree6(squared)
-    assert not squarefree_degree6(UniPoly((1, 0, 0, 0, 0, 1)))  # degree 5
+    assert not squarefree_degree6((1, 0, 0, 0, 0, 1))  # degree 5
 
 
 def test_sturm_count():
-    x2_minus_2 = UniPoly((-2, 0, 1))
+    x2_minus_2 = (-2, 0, 1)
     assert sturm_count(x2_minus_2) == 2
-    assert sturm_count(UniPoly((1, 0, 0, 0, 0, 0, 1))) == 0  # t^6 + 1
-    assert sturm_count(UniPoly(CHAR_FORM_COEFFS)) == 2
+    assert sturm_count((1, 0, 0, 0, 0, 0, 1)) == 0  # t^6 + 1
+    assert sturm_count(CHAR_FORM_COEFFS) == 2
     with pytest.raises(ValueError, match="non-squarefree"):
-        sturm_count(UniPoly((1, 2, 1)))  # (x+1)^2
+        sturm_count((1, 2, 1))  # (x+1)^2
 
 
 def test_isolation_intervals_bracket_every_real_root():
     rng = random.Random(20260405)
     checked = 0
     while checked < 40:
-        f = random_unipoly(rng, 6)
-        if _gcd_degree(f, f.derivative()) != 0:
+        f = random_poly(rng, 6)
+        if _gcd_degree(f, derivative(f)) != 0:
             continue
         checked += 1
         intervals = isolate_real_roots(f)
@@ -635,7 +654,7 @@ def test_isolation_intervals_bracket_every_real_root():
 
 
 def test_isolation_handles_rational_roots():
-    f = UniPoly((0, -1, 0, 1))  # x^3 - x = x(x-1)(x+1)
+    f = (0, -1, 0, 1)  # x^3 - x = x(x-1)(x+1)
     intervals = isolate_real_roots(f)
     assert len(intervals) == 3
     for root, (lo, hi) in zip((-1, 0, 1), intervals):
@@ -652,7 +671,7 @@ def _primitive_over_q(p: sympy.Poly) -> sympy.Poly:
     return p.clear_denoms(convert=True)[1].primitive()[1].to_field()
 
 
-def fraction_sturm_chain(f: UniPoly) -> list[tuple[int, ...]]:
+def fraction_sturm_chain(f: tuple[int, ...]) -> list[tuple[int, ...]]:
     """f, f', then minus each remainder over Q, each made primitive."""
     head = sympy.Poly(_to_sympy(f), _T, domain=sympy.QQ)
     chain = [_primitive_over_q(head), _primitive_over_q(head.diff(_T))]
@@ -666,11 +685,11 @@ def fraction_sturm_chain(f: UniPoly) -> list[tuple[int, ...]]:
     ]
 
 
-def fraction_isolate(f: UniPoly, width=Fraction(1, 10**6)):
+def fraction_isolate(f: tuple[int, ...], width=Fraction(1, 10**6)):
     chain = fraction_sturm_chain(f)
 
     def value(x):
-        return qpbench_exact.poly_eval(f.coeffs, x)
+        return qpbench_exact.poly_eval(f, x)
 
     def variations(x):
         values = [qpbench_exact.poly_eval(p, x) for p in chain]
@@ -680,8 +699,8 @@ def fraction_isolate(f: UniPoly, width=Fraction(1, 10**6)):
     def count(lo, hi):
         return variations(lo) - variations(hi)
 
-    lead = abs(Fraction(f.leading()))
-    m = max((abs(Fraction(c)) for c in f.coeffs[:-1]), default=Fraction(0))
+    lead = abs(Fraction(f[-1]))
+    m = max((abs(Fraction(c)) for c in f[:-1]), default=Fraction(0))
     bound = 1 + m / lead
     result = []
     stack = [(-bound, bound, count(-bound, bound))]
@@ -717,20 +736,20 @@ def test_isolation_equals_the_fraction_bisection():
     rng = random.Random(20261018)
     checked = 0
     while checked < 200:
-        f = random_unipoly(rng, 6)
-        if _gcd_degree(f, f.derivative()) != 0:
+        f = random_poly(rng, 6)
+        if _gcd_degree(f, derivative(f)) != 0:
             continue
         checked += 1
         assert isolate_real_roots(f) == fraction_isolate(f), f
     # Rational roots: each is the midpoint of some bisection step.
-    x3_minus_x = UniPoly((0, -1, 0, 1))
+    x3_minus_x = (0, -1, 0, 1)
     assert isolate_real_roots(x3_minus_x) == fraction_isolate(x3_minus_x)
     # The root 0 is the first midpoint, and 10^-7 is too close for the first
     # eps around it.
-    close = UniPoly((0, -1, 10**7))
+    close = (0, -1, 10**7)
     assert isolate_real_roots(close) == fraction_isolate(close)
     # The root 1 is the midpoint of a one-root interval at depth 4.
-    f = UniPoly((6, 1, -6, 9, -9, 6, -7))
+    f = (6, 1, -6, 9, -9, 6, -7)
     assert evaluate_poly(f, 1) == 0
     assert isolate_real_roots(f) == fraction_isolate(f)
     assert isolate_real_roots(f, Fraction(1, 7)) == fraction_isolate(f, Fraction(1, 7))
@@ -751,28 +770,28 @@ def test_isolation_equals_the_bisection_reference():
     rng = random.Random(20261020)
     polys = []
     while len(polys) < 150:
-        f = random_unipoly(rng, 6)
-        if _gcd_degree(f, f.derivative()) == 0:
+        f = random_poly(rng, 6)
+        if _gcd_degree(f, derivative(f)) == 0:
             polys.append(f)
     for _ in range(60):
         # A dyadic or other rational root, often a grid point of the
         # bisection, times a random quartic.
         base = [rng.randint(-9, 9) for _ in range(4)] + [rng.choice((1, -1, 3))]
         root = (rng.randint(-64, 64), rng.choice((1, 2, 4, 8, 16, 1024, 3, 5)))
-        polys.append(UniPoly(_with_root(_with_root(base, 0, 1), *root)))
+        polys.append(tuple(_with_root(_with_root(base, 0, 1), *root)))
     for _ in range(60):
         # Two roots closer than 2 * 10^-6, times a random quartic.
         a = rng.randint(-3 * 10**6, 3 * 10**6)
         gap = rng.randint(1, 19)
         base = [rng.randint(-9, 9) for _ in range(4)] + [rng.choice((1, -1, 2))]
-        polys.append(UniPoly(_with_root(_with_root(base, a * 10, 10**7), a * 10 + gap, 10**7)))
+        polys.append(tuple(_with_root(_with_root(base, a * 10, 10**7), a * 10 + gap, 10**7)))
     # The root 0 is the first midpoint, so the interval left of it ends at
     # -1/(4 * 10^6), which is a root too: a one-root interval with its root
     # at the right end.
-    polys.append(UniPoly(_with_root(_with_root([2, 0, 3, 0, 1], 0, 1), -1, 4 * 10**6)))
+    polys.append(tuple(_with_root(_with_root([2, 0, 3, 0, 1], 0, 1), -1, 4 * 10**6)))
     checked = 0
     for f in polys:
-        if f.degree() < 1 or _gcd_degree(f, f.derivative()) != 0:
+        if len(f) < 2 or _gcd_degree(f, derivative(f)) != 0:
             continue
         checked += 1
         assert isolate_real_roots(f) == reference_isolate_real_roots(f), f
@@ -787,15 +806,17 @@ def test_the_sturm_chain_is_built_once_per_polynomial(monkeypatch, example_penci
     calls = []
     build = unipoly._positive_prem
     monkeypatch.setattr(unipoly, "_positive_prem", lambda a, b: calls.append(1) or build(a, b))
-    f = UniPoly(CHAR_FORM_COEFFS)
+    unipoly._chain_of.cache_clear()
+    f = CHAR_FORM_COEFFS
     assert squarefree_degree6(f)
     per_chain = len(calls)
     assert per_chain > 0
     assert sturm_count(f) == len(isolate_real_roots(f)) == 2
     assert len(calls) == per_chain
     # smoothness_check, curve_data (which checks smoothness again and
-    # counts real roots) and the real place share the pencil's f.  A new
-    # pencil, since the shared example_pencil fixture may hold its chain.
+    # counts real roots) and the real place share the pencil's f.  The kept
+    # chain is the last polynomial's only.
+    assert sturm_count((-2, 0, 1)) == 2
     calls.clear()
     pencil = PencilOfQuadrics(example_pencil.q1, example_pencil.q2)
     assert smoothness_check(pencil) == "smooth"
@@ -803,15 +824,28 @@ def test_the_sturm_chain_is_built_once_per_polynomial(monkeypatch, example_penci
     assert len(calls) == per_chain
 
 
+def test_one_pipeline_run_builds_the_sturm_chain_once(monkeypatch):
+    # Smoothness, the curve data and the real place all read the chain of
+    # the example's f; the cache is replaced, so no earlier test's chain is
+    # in it.
+    built = []
+    build = unipoly._chain_of.__wrapped__
+    monkeypatch.setattr(unipoly, "_chain_of",
+                        lru_cache(maxsize=1)(lambda f: built.append(f) or build(f)))
+    certificate = run_pipeline(PipelineConfig(EXAMPLE_PATH))
+    assert certificate["smoothness"] == "smooth"
+    assert built == [CHAR_FORM_COEFFS]
+
+
 def test_integer_sturm_chain_equals_the_fraction_chain():
     rng = random.Random(20261019)
     for trial in range(150):
-        f = random_unipoly(rng, rng.randint(1, 6))
+        f = random_poly(rng, rng.randint(1, 6))
         if trial % 3 == 0:  # repeated factors
-            g = random_unipoly(rng, rng.randint(1, 2))
+            g = random_poly(rng, rng.randint(1, 2))
             f = _from_sympy(_to_sympy(f) * _to_sympy(g) ** 2)
         if trial % 5 == 0:  # a content to divide out
-            f = UniPoly([c * rng.randint(2, 9) for c in f.coeffs])
+            f = tuple(c * rng.randint(2, 9) for c in f)
         assert _sturm_chain(f) == fraction_sturm_chain(f), f
 
 
@@ -819,12 +853,12 @@ def test_squarefree_degree6_agrees_with_poly_gcd():
     rng = random.Random(20261020)
     for trial in range(150):
         if trial % 2:
-            g = random_unipoly(rng, rng.randint(1, 3))
-            h = random_unipoly(rng, 6 - 2 * g.degree())
+            g = random_poly(rng, rng.randint(1, 3))
+            h = random_poly(rng, 6 - 2 * (len(g) - 1))
             f = _from_sympy(_to_sympy(g) ** 2 * _to_sympy(h))
         else:
-            f = random_unipoly(rng, rng.choice((5, 6, 6, 6)))
-        expected = f.degree() == 6 and _gcd_degree(f, f.derivative()) == 0
+            f = random_poly(rng, rng.choice((5, 6, 6, 6)))
+        expected = len(f) == 7 and _gcd_degree(f, derivative(f)) == 0
         assert squarefree_degree6(f) == expected, f
 
 
@@ -832,43 +866,43 @@ def test_poly_discriminant_known_values_and_sympy():
     rng = random.Random(20260406)
     for _ in range(30):
         b, c = rng.randint(-9, 9), rng.randint(-9, 9)
-        assert poly_discriminant(UniPoly((c, b, 1))) == b * b - 4 * c
+        assert poly_discriminant((c, b, 1)) == b * b - 4 * c
         p_, q_ = rng.randint(-9, 9), rng.randint(-9, 9)
         assert (
-            poly_discriminant(UniPoly((q_, p_, 0, 1)))
+            poly_discriminant((q_, p_, 0, 1))
             == -4 * p_**3 - 27 * q_**2
         )
-    assert poly_discriminant(UniPoly(CHAR_FORM_COEFFS)) == POLY_DISC
+    assert poly_discriminant(CHAR_FORM_COEFFS) == POLY_DISC
     for _ in range(30):
-        f = random_unipoly(rng, 6)
+        f = random_poly(rng, 6)
         expected = sympy.discriminant(_to_sympy(f), _T)
         assert poly_discriminant(f) == int(expected)
     with pytest.raises(ValueError):
-        poly_discriminant(UniPoly((1, 1)))
+        poly_discriminant((1, 1))
 
 
-def _sylvester_det_oracle(f: UniPoly, g: UniPoly) -> int:
+def _sylvester_det_oracle(f: tuple[int, ...], g: tuple[int, ...]) -> int:
     """Textbook Sylvester determinant: deg(g) rows of f, deg(f) rows of g."""
-    m, n = f.degree(), g.degree()
+    m, n = len(f) - 1, len(g) - 1
     size = m + n
     rows = []
     for i in range(n):
-        rows.append([0] * i + list(reversed(f.coeffs)) + [0] * (n - 1 - i))
+        rows.append([0] * i + list(reversed(f)) + [0] * (n - 1 - i))
     for i in range(m):
-        rows.append([0] * i + list(reversed(g.coeffs)) + [0] * (m - 1 - i))
+        rows.append([0] * i + list(reversed(g)) + [0] * (m - 1 - i))
     assert all(len(r) == size for r in rows)
     return int(sympy.Matrix(rows).det())
 
 
 def test_resultant_properties():
     # Res(x - 2, g) = g(2) by the product formula.
-    assert resultant(UniPoly((-2, 1)), UniPoly((1, 0, 1))) == 5
+    assert resultant((-2, 1), (1, 0, 1)) == 5
     rng = random.Random(20260407)
     for _ in range(30):
-        f = random_unipoly(rng, rng.randint(1, 4))
-        g = random_unipoly(rng, rng.randint(1, 4))
+        f = random_poly(rng, rng.randint(1, 4))
+        g = random_poly(rng, rng.randint(1, 4))
         rfg = resultant(f, g)
-        sign = -1 if (f.degree() * g.degree()) % 2 else 1
+        sign = -1 if ((len(f) - 1) * (len(g) - 1)) % 2 else 1
         assert rfg == sign * resultant(g, f)
         assert rfg == _sylvester_det_oracle(f, g)
 
@@ -878,7 +912,7 @@ def test_resultant_properties():
 # ---------------------------------------------------------------------------
 
 def test_repeated_roots_of_the_example_form_at_the_big_prime():
-    f = UniPoly(CHAR_FORM_COEFFS)
+    f = CHAR_FORM_COEFFS
     roots = repeated_roots_mod_p(f, BIG_PRIME)
     assert roots == [REPEATED_ROOT_MOD_BIG]
 
@@ -886,9 +920,9 @@ def test_repeated_roots_of_the_example_form_at_the_big_prime():
 def test_repeated_roots_match_brute_force():
     rng = random.Random(20260408)
     for _ in range(50):
-        f = random_unipoly(rng, 6, monic=True)
+        f = random_poly(rng, 6, monic=True)
         p = rng.choice((3, 5, 7, 11, 13, 31, 97))
-        coeffs = [int(c) % p for c in f.coeffs]
+        coeffs = [c % p for c in f]
 
         def value(poly_coeffs, r):
             acc = 0
@@ -920,16 +954,16 @@ def test_repeated_roots_large_prime_ladder():
 
 def test_repeated_roots_inseparable_branch():
     # f' vanishes mod 3 for x^3 + 1 = (x + 1)^3; every root is repeated.
-    roots = repeated_roots_mod_p(UniPoly((1, 0, 0, 1)), 3)
+    roots = repeated_roots_mod_p((1, 0, 0, 1), 3)
     assert roots == [2]
 
 
 def test_repeated_roots_guards():
-    f = UniPoly(CHAR_FORM_COEFFS)
+    f = CHAR_FORM_COEFFS
     with pytest.raises(ValueError, match="not prime"):
         repeated_roots_mod_p(f, 6)
     with pytest.raises(ValueError, match="identically zero"):
-        repeated_roots_mod_p(UniPoly((3, 3, 3)), 3)
+        repeated_roots_mod_p((3, 3, 3), 3)
 
 
 def _value_mod(coeffs, r: int, p: int) -> int:
@@ -960,6 +994,15 @@ def test_roots_mod_p_of_zero_and_constant_polynomials():
     assert roots_mod_p([5], 7) == []
     assert roots_mod_p([5, 7, 0, 14], 7) == []  # constant mod 7
     assert roots_mod_p([3, 7], 7) == []
+
+
+def test_common_roots_mod_p_floors_no_coefficient():
+    # int() would read t + 1.5 as t + 1, whose root mod 7 is 6.
+    for polys in [[(1.5, 1)], [(6, 1), (Fraction(1, 2), 1)], [("1", 1)]]:
+        with pytest.raises(ValueError, match="must be ints"):
+            common_roots_mod_p(polys, 7)
+    with pytest.raises(ValueError, match="must be ints"):
+        roots_mod_p((1.5, 1), 7)
 
 
 def _seeded_mod_p_poly(rng: random.Random, p: int) -> list[int]:

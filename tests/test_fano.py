@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 from math import prod
 
 import pytest
@@ -305,3 +306,22 @@ def test_line_parametrization_on_split_quadrics():
     # Chart point 0: rows are exactly e_u and e_w.
     report = verify_fano_point(system, (0,) * 8, 5)
     assert report.on_fano is True
+
+
+def test_verify_fano_point_floors_no_coordinate(example_pencil):
+    system = fano_system(example_pencil, GrassmannChart((0, 2)))
+    assert verify_fano_point(system, (2, 0, 0, 0, 0, 0, 2, 0), 3).smooth is True
+    for point in [(2.7, 0, 0, 0, 0, 0, 2.2, 0), (Fraction(5, 2),) + (0,) * 7]:
+        with pytest.raises(ValueError, match="must be ints"):
+            verify_fano_point(system, point, 3)
+
+
+def test_chart_point_rows_floors_no_coordinate():
+    with pytest.raises(ValueError, match="must be ints"):
+        chart_point_rows(GrassmannChart((0, 1)), (0.5,) + (0,) * 7)
+
+
+def test_grassmann_chart_floors_no_pivot():
+    for pivots in [(0.9, 2.5), (0, 2.0), ("0", "2")]:
+        with pytest.raises(ValueError, match="must be ints"):
+            GrassmannChart(pivots)

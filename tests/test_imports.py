@@ -44,7 +44,7 @@ PUBLIC_NAMES = [
     "NonIntegralCharacteristicFormError", "POSITIVE_VERDICT", "ParseError",
     "ParsedInput", "PencilOfQuadrics", "PipelineConfig", "QuadraticForm",
     "SingularLocusReport", "SingularWitness", "VARIABLES",
-    "all_charts", "canonical_json", "characteristic_form", "chart_census",
+    "all_charts", "canonical_json", "chart_census",
     "chart_point_rows", "cone_check", "curve_data", "fano_system", "hensel_certify",
     "mod2_degeneracy", "normalize_projective", "parse_form", "parse_input",
     "parse_input_text", "pretty_print", "real_place_report", "run_pipeline",

@@ -31,7 +31,7 @@ from quadpencil import (
     verify_fano_point,
     verify_projective_point,
 )
-from quadpencil.exactmath import UniPoly, rank_mod_p, rref_mod_p, sturm_count
+from quadpencil.exactmath import rank_mod_p, rref_mod_p, sturm_count
 from quadpencil.fano import _chart_coordinates, chart_point_rows, polar_jacobian
 from quadpencil.localcert import (
     _cell_lines,
@@ -837,7 +837,7 @@ def test_real_place_report_on_example(example_pencil):
 
 def test_real_place_criterion_tri_state():
     # t^6 - 1: two real roots, the criterion applies.
-    f_two = UniPoly((-1, 0, 0, 0, 0, 0, 1))
+    f_two = (-1, 0, 0, 0, 0, 0, 1)
     assert sturm_count(f_two) == 2
     cd = CurveData(
         f=f_two, disc=2**12 * 46656, bad_primes=(2, 3), real_weierstrass_count=2
@@ -847,7 +847,7 @@ def test_real_place_criterion_tri_state():
     assert len(report.isolating_intervals) == 2
 
     # t^6 + 1: no real roots, so the sufficient criterion is inapplicable.
-    f_none = UniPoly((1, 0, 0, 0, 0, 0, 1))
+    f_none = (1, 0, 0, 0, 0, 0, 1)
     assert sturm_count(f_none) == 0
     cd = CurveData(
         f=f_none, disc=2**12 * 46656, bad_primes=(2, 3), real_weierstrass_count=0
@@ -857,7 +857,7 @@ def test_real_place_criterion_tri_state():
     assert report.isolating_intervals == ()
 
     # Six real Weierstrass points: still >= 1, so the criterion applies.
-    f_six = UniPoly((720, -1764, 1624, -735, 175, -21, 1))  # (t-1)...(t-6)
+    f_six = (720, -1764, 1624, -735, 175, -21, 1)  # (t-1)...(t-6)
     assert sturm_count(f_six) == 6
     cd = CurveData(f=f_six, disc=2**12, bad_primes=(2,), real_weierstrass_count=6)
     assert real_place_report(cd).liftable is True
@@ -910,3 +910,20 @@ def test_verify_projective_point_matches_the_coefficient_dict_oracle():
         counts[p, on] += 1
     assert min(counts.values()) >= 50, counts
     assert odd_squares >= 400
+
+
+def test_verify_projective_point_floors_no_coordinate(example_pencil):
+    # int() would test (1, 0, ...) and Fraction() would read the strings.
+    for v, p in [((1.9, 0, 0, 0, 0, 0), 7), ((0.5, 0, 0, 0, 0, 0), 7),
+                 ((Fraction(3, 2), 0, 0, 0, 0, 0), 7), (("1", 0, 0, 0, 0, 0), 7),
+                 (("1/2", 0, 0, 0, 0, 0), None), ((0.1, 0, 0, 0, 0, 0), None)]:
+        with pytest.raises(ValueError, match="must be ints"):
+            verify_projective_point(example_pencil, v, p)
+    assert verify_projective_point(example_pencil, (Fraction(1, 2), 0, 0, 0, 0, 0)) is True
+
+
+def test_hensel_certify_floors_no_coordinate(example_pencil):
+    system = fano_system(example_pencil, GrassmannChart((0, 2)))
+    assert hensel_certify(system, (2, 0, 0, 0, 0, 0, 2, 0), 3).liftable is True
+    with pytest.raises(ValueError, match="must be ints"):
+        hensel_certify(system, (2.7, 0, 0, 0, 0, 0, 2.2, 0), 3)

@@ -449,7 +449,7 @@ def test_charform_renders_integers_past_the_conversion_limit(tmp_path):
     out, err, code = run_cli(["charform", str(path)])
     assert code == 0
     doc = json.loads(out)
-    coeffs = parse_input(str(path)).pencil.char_form.coeffs
+    coeffs = parse_input(str(path)).pencil.char_form
     # Decimal converts an int without the limit: an independent rendering.
     expected = [str(Decimal(x)) for x in coeffs]
     assert doc["characteristic_form"]["coefficients_lowest_first"] == expected

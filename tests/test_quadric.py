@@ -195,3 +195,9 @@ def test_invalid_forms_are_rejected():
         QuadraticForm({(0, 6): 1})
     with pytest.raises(ValueError):
         QuadraticForm({(0, 1): Fraction(1, 2)})  # integer coefficients only
+
+
+def test_quadratic_form_floors_no_index():
+    for key in [(0.5, 1.7), (0, 1.0), ("0", "1")]:
+        with pytest.raises(ValueError, match="bad monomial index pair"):
+            QuadraticForm({key: 3})

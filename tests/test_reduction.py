@@ -19,7 +19,13 @@ from quadpencil import (
     singular_locus,
     smoothness_check,
 )
-from quadpencil.exactmath import kernel_mod_p, poly_discriminant, rank_mod_p, repeated_roots_mod_p
+from quadpencil.exactmath import (
+    derivative,
+    kernel_mod_p,
+    poly_discriminant,
+    rank_mod_p,
+    repeated_roots_mod_p,
+)
 from quadpencil.quadric import polar_matrix
 from quadpencil import reduction
 from quadpencil.reduction import KernelCandidateCapError, _binary_roots, _linear_factors_mod_p
@@ -62,7 +68,7 @@ def test_singular_point_lies_on_the_reduction(example_pencil):
     # It spans the kernel of M1 - t0*M2 at the repeated root t0 of f mod p.
     f = example_pencil.char_form
     assert evaluate_poly(f, REPEATED_ROOT_MOD_BIG) % BIG_PRIME == 0
-    df = f.derivative()
+    df = derivative(f)
     assert evaluate_poly(df, REPEATED_ROOT_MOD_BIG) % BIG_PRIME == 0
 
 
@@ -96,7 +102,7 @@ def _plane_kernels(pencil: PencilOfQuadrics, p: int) -> int:
     """2-dimensional kernels of members B1 - t0*B2 at repeated roots t0 of f
     mod p on which Q2 does not vanish identically (decided by root-finding)."""
     f = pencil.char_form
-    if not any(c % p for c in f.coeffs):
+    if not any(c % p for c in f):
         return 0
     b1, b2 = polar_matrix(pencil.q1), polar_matrix(pencil.q2)
     count = 0
@@ -138,7 +144,7 @@ def test_kernel_guided_agrees_with_exhaustive_on_random_pencils(monkeypatch):
     for pencil in pencils:
         assert smoothness_check(pencil) == "smooth"
         f = pencil.char_form
-        support = poly_discriminant(f) * int(f.leading())
+        support = poly_discriminant(f) * f[-1]
         for p in (3, 5, 7, 11, 13):
             if support % p:
                 continue
@@ -183,6 +189,11 @@ def test_singular_locus_matches_the_reference():
                                     QuadraticForm({**base, (0, 1): 6, (2, 3): 6})))
     pencils.append(PencilOfQuadrics(QuadraticForm({(0, 3): 2, (1, 2): 6, (4, 4): 3, (5, 5): 3}),
                                     QuadraticForm({(0, 4): 2, (1, 1): 3, (2, 2): 3, (3, 3): 3})))
+    # Sharing u + v mod 3: u^2 + 4uv = u(u + v) splits only by the halved
+    # diagonal of its polar matrix.
+    pencils.append(PencilOfQuadrics(
+        QuadraticForm({(0, 0): 1, (0, 1): 4, (1, 1): 3, (2, 2): 3, (3, 3): 3, (4, 4): 3, (5, 5): 3}),
+        QuadraticForm({(0, 0): 3, (0, 2): 4, (1, 2): 4, (3, 3): 6, (4, 4): 3, (5, 5): 3})))
     pencils += [PencilOfQuadrics(random_form(rng), random_form(rng)) for _ in range(120)]
     seen = set()
     for pencil in pencils:
@@ -194,7 +205,7 @@ def test_singular_locus_matches_the_reference():
                 seen.add(got[1].split(":")[0])
             else:
                 seen.update(("empty",) if not got.points else set(got.ranks))
-            if all(c % p == 0 for c in pencil.char_form.coeffs):
+            if all(c % p == 0 for c in pencil.char_form):
                 seen.add("f = 0")
     assert seen >= {"empty", 0, 1, "f = 0", "9 is not prime", "15 is not prime", "p = 2",
                     "degenerate reduction", "X mod 3 is not a complete intersection"}
@@ -255,7 +266,7 @@ def test_linear_factors_are_the_ones_the_form_was_built_from():
 def test_kernel_guided_when_f_vanishes_mod_p():
     pencil = _diagonal_pencil(*F_ZERO_MOD_3)
     assert smoothness_check(pencil) == "smooth"
-    assert all(c % 3 == 0 for c in pencil.char_form.coeffs)
+    assert all(c % 3 == 0 for c in pencil.char_form)
     report = singular_locus(pencil, 3)
     assert (report.points, report.ranks) == exhaustive_locus(pencil, 3)
     assert report.points == ((1, 0, 0, 0, 0, 0),)
@@ -267,7 +278,7 @@ def test_kernel_candidate_cap_counts_the_member_kernels():
     # f vanishes mod p: the p + 1 kernel solves exceed the cap before any runs.
     p = 1000003
     pencil = _diagonal_pencil((p, 2, 3, 4, 5, 6), (p, 1, 1, 1, 1, 1))
-    assert all(c % p == 0 for c in pencil.char_form.coeffs)
+    assert all(c % p == 0 for c in pencil.char_form)
     with pytest.raises(KernelCandidateCapError, match="1000004 > 1000000"):
         singular_locus(pencil, p)
 
@@ -402,7 +413,7 @@ def test_complete_intersection_test_is_skipped_only_where_it_cannot_fail(monkeyp
         q1 = _plus({k: t0 * c for k, c in q2.coeffs.items()}, 1,
                    _plus(_times_linear(lin, lin), p, random_form(rng)))
         pencil = PencilOfQuadrics(q1, q2)
-        assert all((c - d) % p == 0 for c, d in zip(pencil.char_form.coeffs, sixth_power(t0)))
+        assert all((c - d) % p == 0 for c, d in zip(pencil.char_form, sixth_power(t0)))
         calls.clear()
         singular_locus(pencil, p)
         assert calls == [p]
@@ -419,7 +430,7 @@ def test_complete_intersection_test_is_skipped_only_where_it_cannot_fail(monkeyp
         q1 = _plus({k: t0 * coefficient(q2, *k) + n.get(k, 0) for k in set(n) | set(q2.coeffs)},
                    p, random_form(rng))
         pencil = PencilOfQuadrics(q1, q2)
-        f = list(pencil.char_form.coeffs) + [0] * (7 - len(pencil.char_form.coeffs))
+        f = list(pencil.char_form) + [0] * (7 - len(pencil.char_form))
         if any(c % p for c in f) and any(
                 (c - f[6] * d) % p for c, d in zip(f, sixth_power(t0))):
             assert t0 % p in repeated_roots_mod_p(pencil.char_form, p)
@@ -662,3 +673,8 @@ def test_mod2_mask_divisors_match_the_restriction_scan():
     assert sum(bool(r["non_reduced_evidence"]) for r in reports) >= 100
     assert sum(not r["linear_factorizations"] for r in reports) >= 100
     assert sum("vanishes identically" in r["verdict"] for r in reports) >= 10
+
+
+def test_normalize_projective_floors_no_coordinate():
+    with pytest.raises(ValueError, match="must be ints"):
+        normalize_projective((1.5, 2, 0, 0, 0, 0), 7)

@@ -38,14 +38,15 @@ def test_the_float_check_sees_floats(tmp_path):
 
 
 # A form's coefficient dict is read where a form is built or printed; every
-# computation after PencilOfQuadrics.__init__ reads pencil.polars.
+# computation after PencilOfQuadrics.__init__ reads pencil.polars.  Only
+# QuadraticForm has a .coeffs attribute: a polynomial is a tuple of ints.
 FORM_MODULES = {"parsing.py", "quadric.py", "pencil.py"}
-FORM_ATTRIBUTES = {"QuadraticForm", "q1", "q2", "monomials", "coefficient"}
+FORM_ATTRIBUTES = {"QuadraticForm", "q1", "q2", "monomials", "coefficient", "coeffs"}
 
 
 def _form_reads(path: pathlib.Path) -> list[str]:
-    """Imports of QuadraticForm and reads of .q1, .q2, .monomials or
-    .coefficient (not .coeffs, which UniPoly shares) in one module."""
+    """Imports of QuadraticForm and reads of .q1, .q2, .monomials,
+    .coefficient or .coeffs in one module."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
         if isinstance(node, ast.ImportFrom):
@@ -72,5 +73,6 @@ def test_the_form_check_sees_form_reads(tmp_path):
     )
     assert sorted(_form_reads(path)) == [
         "module.py:1: imports QuadraticForm", "module.py:3: reads .coefficient",
+        "module.py:3: reads .coeffs", "module.py:3: reads .coeffs",
         "module.py:3: reads .monomials", "module.py:3: reads .q1", "module.py:3: reads .q2",
     ]
