@@ -5,6 +5,7 @@ A matrix is a list of rows throughout.
 
 from __future__ import annotations
 
+from .integers import require_ints
 from .unipoly import _require_poly, derivative
 
 MAX_DET_DIMENSION = 16
@@ -106,8 +107,12 @@ def rref_mod_p(matrix, p: int) -> tuple[list[list[int]], list[int]]:
     Zero rows come last.  Elimination stops as soon as every row has a pivot,
     since no later column can then hold one.  Works for every prime,
     including 2; this is the only elimination loop of the package.
+    ValueError unless every entry is an int.
     """
-    rows = [[int(x) % p for x in r] for r in matrix]
+    rows = []
+    for r in matrix:
+        require_ints(r, "matrix entries")
+        rows.append([x % p for x in r])
     pivots: list[int] = []
     if not rows:
         return rows, pivots

@@ -38,7 +38,8 @@ def _require_poly(f) -> None:
 
 def squarefree_degree6(f: tuple[int, ...]) -> bool:
     """True iff deg f = 6 and gcd(f, f') is a nonzero constant."""
-    return len(f) == 7 and len(_sturm_chain(f)[-1]) == 1
+    chain = _sturm_chain(f)
+    return len(f) == 7 and len(chain[-1]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +95,7 @@ def _sturm_chain(f: tuple[int, ...]) -> list[tuple[int, ...]]:
     must not change the list.
     """
     _require_poly(f)
-    return _chain_of(f)
+    return _chain_of(tuple(f))
 
 
 @lru_cache(maxsize=1)
@@ -110,7 +111,8 @@ def _chain_of(f: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 def _squarefree_chain(f: tuple[int, ...]) -> list[tuple[int, ...]]:
-    chain = _sturm_chain(f)
+    """The Sturm chain of f, which the caller has passed to _require_poly."""
+    chain = _chain_of(tuple(f))
     if len(chain[-1]) != 1:
         raise ValueError("non-squarefree input")
     return chain
@@ -153,6 +155,7 @@ def sturm_count(f: tuple[int, ...]) -> int:
 
     At +/-infinity each chain element has the sign of its leading term.
     """
+    _require_poly(f)
     if len(f) < 2:
         return 0
     chain = _squarefree_chain(f)
@@ -180,6 +183,7 @@ def isolate_real_roots(f: tuple[int, ...], width: Fraction = ISOLATION_WIDTH) ->
     An interval with one root goes straight to the cell that bisecting it
     down to the width would end in (:func:`_root_cell`).
     """
+    _require_poly(f)
     if len(f) < 2:
         return []
     chain = _squarefree_chain(f)
@@ -232,17 +236,12 @@ def _root_cell(head: tuple[int, ...], lo: int, hi: int, den: int,
     Halving it m times, m the least with cells narrower than width, makes
     the grid x_k = (lo 2^m + k (hi - lo)) / (den 2^m), k = 0..2^m.  The
     root lies in one cell (x_k, x_k+1], the one whose left end has the
-    sign of x_0 and whose right end does not, and those two signs certify
-    it.  The grid points tested on the way are picked by regula falsi with
-    the Anderson-Bjorck step, after three bisection steps (a sextic's
-    values at the ends of a wide interval say little about where its root
-    is) and after any two falsi steps in a row that do not halve the
-    bracket.  On the curves of random pencils that is about 11 tests per
-    root, where bisection makes m tests, about 22.
+    sign of x_0 and whose right end does not; bisection on the grid finds
+    it, one evaluation of head per halving over one table of powers.
 
-    A root at an inner grid point x_j is where bisection met it as the
+    A root at an inner grid point x_j is where bisection meets it as the
     midpoint of (x_j - 2^t cells, x_j + 2^t cells], 2^t the largest power
-    of 2 dividing j, and took (x_j - eps, x_j + eps] with eps a quarter of
+    of 2 dividing j, and takes (x_j - eps, x_j + eps] with eps a quarter of
     the width or of that interval, whichever is less.
     """
     step = hi - lo
@@ -252,35 +251,20 @@ def _root_cell(head: tuple[int, ...], lo: int, hi: int, den: int,
     scale = den << m
     dpow = _powers(scale, len(head) - 1)
     lo <<= m
+    left_positive = _value(head, dpow, lo) > 0
     a, b = 0, 1 << m
-    # fa and fb steer the falsi estimates only; the side comes from signs.
-    fa, fb = _value(head, dpow, lo), _value(head, dpow, lo + b * step)
-    left_positive = fa > 0
-    tests = slow = 0
     while b - a > 1:
-        bisect = tests < 3 or slow >= 2 or fa == fb
-        if bisect:
-            k = (a + b) >> 1
-        else:
-            k = min(max(a + (b - a) * fa // (fa - fb), a + 1), b - 1)
+        k = (a + b) >> 1
         fk = _value(head, dpow, lo + k * step)
-        tests += 1
         if fk == 0:
             t = (k & -k).bit_length() - 1
             centre = Fraction(lo + k * step, scale)
             eps = min(width, Fraction(step << (t + 1), scale)) / 4
             return centre - eps, centre + eps
-        before = b - a
-        # Anderson-Bjorck: the end kept is scaled by 1 - fk / f(end replaced).
         if (fk > 0) == left_positive:
-            if not bisect:
-                fb = fb * (fa - fk) // fa if (fa - fk) * fa > 0 else fb // 2
-            a, fa = k, fk
+            a = k
         else:
-            if not bisect:
-                fa = fa * (fb - fk) // fb if (fb - fk) * fb > 0 else fa // 2
-            b, fb = k, fk
-        slow = slow + 1 if 2 * (b - a) > before else 0
+            b = k
     return Fraction(lo + a * step, scale), Fraction(lo + b * step, scale)
 
 
@@ -399,8 +383,7 @@ def common_roots_mod_p(polys, p: int) -> list[int]:
     any other entry), and p is prime.  A poly that is 0 mod p imposes
     nothing; when every one is, raises ValueError.  Over a small field
     (p <= EVALUATION_FACTOR times the longest coefficient list) the
-    residues 0..p-1 are filtered by Horner evaluation, one poly at a time,
-    written out inline for the quartics and below that most callers pass.
+    residues 0..p-1 are filtered by Horner evaluation, one poly at a time.
     Otherwise the roots are those of the gcd h of the polys: gcd(h, t^p - t)
     is the product of t - r over them, split by _pm_roots_of_split, so the
     cost is polynomial in log p.  t^p mod h is taken by _pm_shift_power,
@@ -418,12 +401,8 @@ def common_roots_mod_p(polys, p: int) -> list[int]:
     if p <= EVALUATION_FACTOR * max(map(len, reduced)):
         roots = range(p)
         for f in reduced:
-            if len(f) <= 5:
-                c0, c1, c2, c3, c4 = f + [0] * (5 - len(f))
-                roots = [t for t in roots if not (c0 + (c1 + (c2 + (c3 + c4 * t) * t) * t) * t) % p]
-            else:
-                backwards = f[::-1]
-                roots = [t for t in roots if not _horner(backwards, t) % p]
+            backwards = f[::-1]
+            roots = [t for t in roots if not _horner(backwards, t) % p]
         return roots
     h = reduced[0]
     for g in reduced[1:]:

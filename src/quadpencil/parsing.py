@@ -545,38 +545,24 @@ def canonical_json(document) -> str:
     return _json_text(document)
 
 
-# str() writes every int of fewer than 641 digits, whatever the conversion
-# limit is set to (640 is the least it can be); larger ones go by _decimal.
-_PLAIN_INT = 10**640
-
-
 def _json_text(value) -> str:
-    # Strings and short ints, the commonest items, are written in place in
-    # the list and dict branches rather than by a call.
+    # Ints are most of a certificate's values, so they are tested first.
     kind = type(value)
+    if value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return f'"{_decimal(value)}"'
+    if isinstance(value, str):
+        return _json_string(value)
     if kind is list or kind is tuple:
-        return "[" + ",".join([
-            _json_string(item) if type(item) is str
-            else f'"{item}"' if type(item) is int and -_PLAIN_INT < item < _PLAIN_INT
-            else _json_text(item)
-            for item in value
-        ]) + "]"
+        return "[" + ",".join([_json_text(item) for item in value]) + "]"
     if isinstance(value, dict):
         items = {}
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"non-string certificate key: {key!r}")
-            kind = type(item)
-            items[key] = (_json_string(item) if kind is str
-                          else f'"{item}"' if kind is int and -_PLAIN_INT < item < _PLAIN_INT
-                          else _json_text(item))
+            items[key] = _json_text(item)
         return "{" + ",".join([f"{_json_string(key)}:{items[key]}" for key in sorted(items)]) + "}"
-    if value is None or kind is bool:
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, str):
-        return _json_string(value)
-    if isinstance(value, int):
-        return f'"{_decimal(value)}"'
     if isinstance(value, Fraction):
         return f'"{_decimal(value.numerator)}/{_decimal(value.denominator)}"'
     raise TypeError(f"value {value!r} has no canonical JSON encoding")

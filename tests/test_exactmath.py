@@ -516,6 +516,18 @@ def test_rank_mod_p():
     assert rank_mod_p([[1, 1], [1, -1]], 3) == 2
 
 
+def test_elimination_mod_p_floors_no_entry():
+    # rank_mod_p, kernel_mod_p and solve_mod_p reduce through rref_mod_p,
+    # which would otherwise read 1.9 as 1.
+    for bad in (1.9, Fraction(3, 2), "1"):
+        for call in (lambda: rref_mod_p([[bad, 2]], 7),
+                     lambda: rank_mod_p([[bad, 0], [0, 0]], 7),
+                     lambda: kernel_mod_p([[1, bad]], 7),
+                     lambda: solve_mod_p([[1, 0], [0, bad]], [1, 1], 7)):
+            with pytest.raises(ValueError, match="matrix entries must be ints"):
+                call()
+
+
 def test_solve_mod_p():
     rng = random.Random(99)
     for _ in range(50):
@@ -614,6 +626,26 @@ def test_sturm_and_resultant_entry_points_take_polynomials_only():
             function((-2, 0, 1, 0))
     with pytest.raises(ValueError, match="last coefficient must be nonzero"):
         resultant((-2, 1), (1, 0))
+
+
+def test_sturm_count_checks_every_input():
+    # A constant returns 0 only once it is a polynomial, and a list is read
+    # as its tuple, not handed to the chain cache as a key.
+    with pytest.raises(ValueError, match="must be ints"):
+        sturm_count((0.5,))
+    assert sturm_count([-2, 0, 1]) == sturm_count((-2, 0, 1)) == 2
+
+
+def test_isolate_real_roots_checks_every_input():
+    with pytest.raises(ValueError, match="must be ints"):
+        isolate_real_roots((2.5,))
+    assert isolate_real_roots([-2, 0, 1]) == isolate_real_roots((-2, 0, 1))
+
+
+def test_squarefree_degree6_checks_every_input():
+    with pytest.raises(ValueError, match="must be ints"):
+        squarefree_degree6((0.5, 1.5))
+    assert squarefree_degree6(list(CHAR_FORM_COEFFS))
 
 
 def test_poly_gcd_and_squarefree_check():

@@ -273,16 +273,24 @@ def test_good_prime_entries_do_not_depend_on_witnesses():
 
 
 def test_good_prime_search_falls_back_to_the_census(monkeypatch):
-    monkeypatch.setattr(pipeline, "smooth_line_through_point", lambda *args: None)
-    certificate = run_pipeline(PipelineConfig(input_path=NO_WITNESS))
-    pencil = parse_input(NO_WITNESS).pencil
+    # No bundled or random pencil reaches the census at a good prime, so the
+    # line search is made to find nothing.
+    searched = []
+    monkeypatch.setattr(pipeline, "smooth_line_through_point",
+                        lambda pencil, prime: searched.append(prime))
+    certificate = run_pipeline(PipelineConfig(input_path=EXAMPLE))
+    assert searched == [3, 5]
+    pencil = parse_input(EXAMPLE).pencil
     good = [e for e in certificate["local_certificates"] if e["kind"] == "good prime"]
     for entry in good[:2]:
-        chart, point, _ = search_smooth_points(pencil, int(entry["place"]))[0]
+        prime = int(entry["place"])
+        chart, point, _ = search_smooth_points(pencil, prime)[0]
         constructive = entry["constructive_point"]
         assert constructive["chart"] == [c + 1 for c in chart.pivots]
         assert constructive["coordinates"] == list(point)
         assert constructive["liftable"] is True
+        assert constructive["jacobian_rank"] == 6
+        assert constructive["lift_modulus"] == prime**3
 
 
 def test_every_echoed_witness_reverifies_standalone(analyze_runs):
