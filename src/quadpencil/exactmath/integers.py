@@ -88,8 +88,10 @@ def is_probable_prime(n: int) -> bool:
 
     The test stops after the first k bases once n < psi_k.  From PSI_13 on,
     a strong Lucas test follows (together, the Baillie-PSW test, which has
-    no known pseudoprime); below it nothing is added.
+    no known pseudoprime); below it nothing is added.  ValueError on a non-int.
     """
+    if not isinstance(n, int):
+        raise ValueError(f"{n!r} is not an int")
     if n < 2:
         return False
     for p in _MR_BASES:

@@ -430,53 +430,51 @@ def smooth_line_through_point(
     return None
 
 
-def _newton_level(jac_rows, residuals, prime: int, e: int):
-    """rref_mod_p of [J | -F(x)/p^e mod p], for F(x) = 0 mod p^e."""
-    rhs = [(-(r // prime**e)) % prime for r in residuals]
-    return rref_mod_p([r + [b] for r, b in zip(jac_rows, rhs)], prime)
-
-
 def hensel_certify(
     system: FanoSystem, pt, prime: int, lift_precision: int = 3
 ) -> LocalPointCertificate:
     """Certify liftability of an on-fano point and Newton-lift it mod p^k.
 
-    The point is checked here, in one pass: ValueError unless prime is prime
-    and the six residuals vanish mod prime.  liftable is True iff the
-    Jacobian J has rank 6 at the point; in that case (and for lift_precision
-    >= 2) the point is lifted to a solution of all six equations modulo
-    p^lift_precision as an executable witness.  Newton level e is one
-    elimination of [J | -F(x)/p^e mod p].  The first is always made, from
-    the on-system check's F: J's rank is the number of its pivots left of
-    the last column, so a lift to p^3 takes two eliminations and three
-    residual evaluations.  The residue of the lift mod p always equals the
-    input point.
+    The point is checked here, in one pass: ValueError unless prime is prime,
+    lift_precision an int >= 1 and the six residuals vanish mod prime.
+    liftable is True iff the Jacobian J has rank 6 at the point; then (for
+    lift_precision >= 2) the point is lifted to a solution of all six
+    equations modulo p^lift_precision as an executable witness.  J mod p is
+    the same at every lift, so [J | I] is eliminated once: J's rank is the
+    number of pivots left of I, and at rank 6 the last six columns are the T
+    with T J = RREF(J).  Newton level e adds p^e (T (-F(x)/p^e) mod p) on the
+    pivot columns (the chord method), so a lift to p^3 takes one elimination
+    and three residual evaluations.  The lift is the input point mod p.
     """
     if not is_probable_prime(prime):
         raise ValueError(f"{prime} is not prime")
+    if type(lift_precision) is not int or lift_precision < 1:
+        raise ValueError(f"lift_precision must be an int >= 1, not {lift_precision!r}")
     require_ints(pt, "chart coordinates")
     coords = tuple(c % prime for c in pt)
     residuals = system.residuals(coords)
     if any(r % prime for r in residuals):
         raise ValueError("point not on the system")
     jac_rows = system.jacobian_mod(coords, prime)
-    rows, pivots = _newton_level(jac_rows, residuals, prime, 1)
+    rows, pivots = rref_mod_p([row + [int(n == m) for m in range(FANO_CODIMENSION)]
+                               for n, row in enumerate(jac_rows)], prime)
     rank = sum(c < NUM_PARAMETERS for c in pivots)
     liftable = rank == FANO_CODIMENSION
 
     lift: tuple[int, ...] | None = None
     lift_modulus: int | None = None
     if liftable and lift_precision >= 2:
+        # Rank 6 = number of rows, so every level solves; free variables
+        # are 0, i.e. the step lives on the pivot columns.
+        steps = [(c, row[NUM_PARAMETERS:]) for row, c in zip(rows, pivots)]
         x = list(coords)
         for e in range(1, lift_precision):
-            lift_modulus = prime ** (e + 1)
-            # Rank 6 = number of rows, so every level solves; free variables
-            # are 0, i.e. the step lives on the pivot columns.
-            for row, c in zip(rows, pivots):
-                x[c] = (x[c] + prime**e * row[NUM_PARAMETERS]) % lift_modulus
+            step = prime**e
+            lift_modulus = step * prime
+            rhs = [-(r // step) % prime for r in residuals]
+            for c, t in steps:
+                x[c] = (x[c] + step * (sum(map(mul, t, rhs)) % prime)) % lift_modulus
             residuals = system.residuals(x)
-            if e + 1 < lift_precision:
-                rows, pivots = _newton_level(jac_rows, residuals, prime, e + 1)
         if any(r % lift_modulus for r in residuals):
             raise ArithmeticError("Newton lift failed to satisfy the system")
         lift = tuple(x)

@@ -103,6 +103,11 @@ def test_is_probable_prime():
     for n in (-7, 0, 1, 4, 9, 91, 561, 1105, 6601, 2**61 + 1,
               3825123056546413051, PSI_12):
         assert not is_probable_prime(n), n
+    assert not is_probable_prime(True)
+    # A float or string is no prime, not even 3.0 or 7.0.
+    for bad in (3.0, 7.0, 2.5, Fraction(7), "3"):
+        with pytest.raises(ValueError, match="is not an int"):
+            is_probable_prime(bad)
 
 
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

@@ -24,6 +24,7 @@ from quadpencil import (
     curve_data,
     fano_system,
     hensel_certify,
+    localcert,
     parse_input,
     parse_input_text,
     real_place_report,
@@ -760,16 +761,19 @@ def _hensel_outcome(function, *args):
 
 
 def test_hensel_matches_the_reference(example_pencil):
-    """hensel_certify ranks J in its first Newton elimination; its point,
+    """hensel_certify ranks J in its one elimination of [J | I]; its point,
     rank and lift must be the three-elimination reference's at every depth:
-    census points of ranks 0, 2, 4, 5 and 6, the dense lift claims at 28-64
-    bit primes, and a pencil with 1,501-digit coefficients."""
+    census points of ranks 0, 2, 4, 5 and 6 (the smooth ones at p = 2 and 3
+    also at depth 12, where p^e grows slowest), the dense lift claims at
+    28-64 bit primes, and a pencil with 1,501-digit coefficients."""
     cases = []
     for pencil in _pencils(example_pencil):
         for p in (2, 3, 5):
             lines = _cell_lines(pencil, ALL_CELLS, p)
             for chart, found in chart_read_off(lines, all_charts(), p):
-                cases += [(pencil, chart, point, p, (1, 2, 3)) for point, _ in found]
+                for point, smooth in found:
+                    deep = smooth and p < 5
+                    cases.append((pencil, chart, point, p, (1, 2, 3, 12) if deep else (1, 2, 3)))
     for claim in load_qpbench("gen").verify_lift_claims(7, 10, REPO_ROOT):
         pencil = PencilOfQuadrics(*(QuadraticForm(q) for q in claim["forms"]))
         chart = GrassmannChart(tuple(c - 1 for c in claim["chart"]))
@@ -927,3 +931,44 @@ def test_hensel_certify_floors_no_coordinate(example_pencil):
     assert hensel_certify(system, (2, 0, 0, 0, 0, 0, 2, 0), 3).liftable is True
     with pytest.raises(ValueError, match="must be ints"):
         hensel_certify(system, (2.7, 0, 0, 0, 0, 0, 2.2, 0), 3)
+    # A float or string modulus is not taken for a prime: the coordinates
+    # are ints, so the error must not blame them.
+    for bad in (3.0, 7.0, "3"):
+        with pytest.raises(ValueError, match="is not an int"):
+            hensel_certify(system, (2, 0, 0, 0, 0, 0, 2, 0), bad)
+        with pytest.raises(ValueError, match="is not an int"):
+            verify_fano_point(system, (2, 0, 0, 0, 0, 0, 2, 0), bad)
+
+
+def test_hensel_certify_checks_the_lift_precision(example_pencil):
+    # Each is refused outright: True would otherwise skip the lift, 0 and -1
+    # would pass as no lift, and the rest would raise TypeError.
+    system = fano_system(example_pencil, GrassmannChart((0, 2)))
+    for bad in (2.5, 3.0, "3", None, True, False, 0, -1):
+        with pytest.raises(ValueError, match="lift_precision must be an int >= 1"):
+            hensel_certify(system, (2, 0, 0, 0, 0, 0, 2, 0), 3, lift_precision=bad)
+    assert hensel_certify(system, (2, 0, 0, 0, 0, 0, 2, 0), 3, lift_precision=1).lift is None
+
+
+def test_hensel_certify_eliminates_once_at_every_depth(example_pencil, monkeypatch):
+    """J mod p is the same at every lift of the point, so one elimination of
+    [J | I] serves every Newton level."""
+    calls = []
+
+    def counted(matrix, p):
+        calls.append(p)
+        return rref_mod_p(matrix, p)
+
+    monkeypatch.setattr(localcert, "rref_mod_p", counted)
+    claim = load_qpbench("gen").verify_lift_claims(7, 10, REPO_ROOT)[0]
+    pencil = PencilOfQuadrics(*(QuadraticForm(q) for q in claim["forms"]))
+    dense = fano_system(pencil, GrassmannChart(tuple(c - 1 for c in claim["chart"])))
+    witness = fano_system(example_pencil, GrassmannChart(CHART_PIVOTS))
+    for system, point, p, rank in [(dense, claim["coords"], claim["prime"], 6),
+                                   (witness, F2_WITNESS, 2, 4)]:
+        for k in (1, 2, 3, 12):
+            calls.clear()
+            cert = hensel_certify(system, point, p, k)
+            assert cert.jacobian_rank == rank
+            assert (cert.lift_modulus == p**k) == (rank == 6 and k > 1)
+            assert calls == [p], (rank, k)
